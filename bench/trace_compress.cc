@@ -35,6 +35,7 @@
 
 #include "bench/bench_util.hh"
 #include "stats/table.hh"
+#include "util/logging.hh"
 #include "workload/trace_cache.hh"
 #include "workload/trace_io.hh"
 #include "workload/workload.hh"
@@ -72,28 +73,35 @@ fileBytes(const std::string &path)
 /** Write @p trace to @p path in format @p version, timed. */
 double
 timedWrite(const workload::MaterializedTrace &trace,
-           const std::string &path, uint32_t version)
+           const std::string &path, uint32_t version,
+           workload::TraceIoResult *status)
 {
     auto t0 = Clock::now();
     workload::TraceWriter writer(path, version);
     for (const auto &chunk : trace.chunks())
         writer.append(*chunk);
-    writer.close();
+    *status = writer.close();
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/** Drain @p path through TraceFileSource, timed. @return seconds. */
+/**
+ * Open and drain @p path through TraceReader, timed. @return seconds;
+ * the reader's final status (End, or why it stopped) in @p status.
+ */
 double
-timedRead(const std::string &path, uint64_t *checksum)
+timedRead(const std::string &path, uint64_t *checksum,
+          workload::TraceIoResult *status)
 {
     auto t0 = Clock::now();
-    workload::TraceFileSource src(path);
+    workload::TraceReader reader;
+    reader.open(path);
     auto chunk = std::make_unique<workload::TraceChunk>();
-    while (src.fill(*chunk)) {
+    while (reader.fill(*chunk)) {
         for (uint32_t i = 0; i < chunk->size; ++i)
             *checksum += static_cast<uint64_t>(chunk->value[i]) ^
                          chunk->effAddr[i];
     }
+    *status = reader.status();
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
@@ -160,9 +168,12 @@ main(int argc, char **argv)
         std::string v3Path =
             formatString("bench_compress_%s.v3.gdtr", name.c_str());
 
-        timedWrite(*trace, v2Path, workload::traceVersionV2);
-        double encSec =
-            timedWrite(*trace, v3Path, workload::traceVersionV3);
+        // Every write and read must succeed before any number is
+        // reported: a failed one would time a partial stream.
+        workload::TraceIoResult io[4];
+        timedWrite(*trace, v2Path, workload::traceVersionV2, &io[0]);
+        double encSec = timedWrite(*trace, v3Path,
+                                   workload::traceVersionV3, &io[1]);
 
         long v2Bytes = fileBytes(v2Path);
         long v3Bytes = fileBytes(v3Path);
@@ -170,10 +181,14 @@ main(int argc, char **argv)
                                          static_cast<double>(v3Bytes)
                                    : 0.0;
 
-        double v2Sec = timedRead(v2Path, &sink);
-        double decSec = timedRead(v3Path, &sink);
+        double v2Sec = timedRead(v2Path, &sink, &io[2]);
+        double decSec = timedRead(v3Path, &sink, &io[3]);
         std::remove(v2Path.c_str());
         std::remove(v3Path.c_str());
+        for (const workload::TraceIoResult &r : io) {
+            if (r.failed())
+                fatal("%s", r.message.c_str());
+        }
 
         uint64_t records = trace->records();
 

@@ -11,8 +11,8 @@
  *
  * Exit codes are CI-friendly: 0 = snapshots match, 1 = differences,
  * 2 = unreadable/corrupt input or bad usage. Sampled metrics (those
- * with *_ci_lo/*_ci_hi interval columns) only count as different when
- * the two 95% intervals don't overlap, so re-sampled sweeps don't
+ * with *_ci_lo and *_ci_hi interval columns) only count as different
+ * when the two 95% intervals don't overlap, so re-sampled sweeps don't
  * trip the gate on estimator noise (suppress with --no-intervals).
  *
  * --perturb=metric=delta rewrites a snapshot with the metric shifted

@@ -150,6 +150,27 @@ freshPair(const Options &o, const std::string &name)
     return pair;
 }
 
+/// repro artifacts that could not be written (main() fails the run)
+int unsavedRepros = 0;
+
+/**
+ * Persist a shrunk repro; a failed write is reported and counted.
+ * @return the verb phrase for the caller's summary line.
+ */
+const char *
+saveRepro(const std::string &path,
+          const std::vector<check::FuzzRecord> &shrunk)
+{
+    workload::TraceIoResult io = check::writeReproArtifact(path, shrunk);
+    if (io.failed()) {
+        std::fprintf(stderr, "gdifffuzz: cannot write repro: %s\n",
+                     io.message.c_str());
+        ++unsavedRepros;
+        return "NOT written to";
+    }
+    return "written to";
+}
+
 /**
  * Diff one pair over the stream; on divergence, shrink and persist a
  * repro artifact. @return true if the pair is clean.
@@ -179,10 +200,10 @@ diffPair(const Options &o, const std::string &name,
         check::shrinkStream(stream, still_fails);
     std::string path =
         o.outDir + "/" + check::reproArtifactName(name, o.seed);
-    check::writeReproArtifact(path, shrunk);
+    const char *saved = saveRepro(path, shrunk);
     std::printf("gdifffuzz: %-10s shrunk %zu -> %zu records, repro "
-                "written to %s\n",
-                name.c_str(), stream.size(), shrunk.size(),
+                "%s %s\n",
+                name.c_str(), stream.size(), shrunk.size(), saved,
                 path.c_str());
     return false;
 }
@@ -224,10 +245,10 @@ diffBatchFamily(const Options &o, const std::string &name,
         std::string path =
             o.outDir + "/" +
             check::reproArtifactName("batch-" + name, o.seed);
-        check::writeReproArtifact(path, shrunk);
+        const char *saved = saveRepro(path, shrunk);
         std::printf("gdifffuzz: batch %-10s shrunk %zu -> %zu "
-                    "records, repro written to %s\n",
-                    name.c_str(), stream.size(), shrunk.size(),
+                    "records, repro %s %s\n",
+                    name.c_str(), stream.size(), shrunk.size(), saved,
                     path.c_str());
         return false;
     }
@@ -297,7 +318,7 @@ main(int argc, char **argv)
         // other trace-cache configs): report the typed status instead
         // of dying inside the trace reader.
         workload::TraceIoResult io;
-        if (!check::readReproArtifactOr(o.replay, stream, &io)) {
+        if (!check::readReproArtifact(o.replay, stream, &io)) {
             std::fprintf(stderr,
                          "gdifffuzz: cannot replay %s: %s (%s)\n",
                          o.replay.c_str(),
@@ -340,6 +361,12 @@ main(int argc, char **argv)
 
     if (o.pipelinePhase && o.replay.empty())
         failures += pipelinePhase(o) != 0;
+
+    if (unsavedRepros) {
+        std::printf("gdifffuzz: %d repro artifact(s) not written\n",
+                    unsavedRepros);
+        failures += unsavedRepros;
+    }
 
     if (failures) {
         std::printf("gdifffuzz: FAILED (%d)\n", failures);

@@ -171,7 +171,10 @@ main(int argc, char **argv)
                 std::string path =
                     o.artifactDir + "/" +
                     check::mineArtifactName(report.targetName, c);
-                check::writeReproArtifact(path, ex.stream);
+                workload::TraceIoResult io =
+                    check::writeReproArtifact(path, ex.stream);
+                if (io.failed())
+                    fatal("%s", io.message.c_str());
                 std::printf("gdiffmine: cluster %zu exemplar written "
                             "to %s\n",
                             c, path.c_str());

@@ -29,6 +29,7 @@
 #include "predictors/markov.hh"
 #include "runner/factory.hh"
 #include "sim/profile.hh"
+#include "util/logging.hh"
 #include "util/parse.hh"
 #include "workload/assembler.hh"
 #include "workload/trace_io.hh"
@@ -124,18 +125,44 @@ parse(int argc, char **argv)
     return o;
 }
 
-std::unique_ptr<workload::TraceSource>
-makeSource(const Options &o)
+/** The stream a run consumes: a kernel's executor or a trace replay. */
+struct Stream
 {
-    if (!o.trace.empty())
-        return std::make_unique<workload::TraceFileSource>(o.trace);
-    if (!o.program.empty()) {
+    std::unique_ptr<workload::TraceSource> source;
+    const workload::TraceReader *replay = nullptr; ///< set by --trace
+};
+
+Stream
+makeStream(const Options &o)
+{
+    Stream s;
+    if (!o.trace.empty()) {
+        auto reader = std::make_unique<workload::TraceReader>();
+        reader->open(o.trace);
+        s.replay = reader.get();
+        s.source = std::move(reader);
+    } else if (!o.program.empty()) {
         workload::Workload w =
             workload::assembleWorkloadFile(o.program);
-        return w.makeExecutor();
+        s.source = w.makeExecutor();
+    } else {
+        workload::Workload w =
+            workload::makeWorkload(o.workload, o.seed);
+        s.source = w.makeExecutor();
     }
-    workload::Workload w = workload::makeWorkload(o.workload, o.seed);
-    return w.makeExecutor();
+    return s;
+}
+
+/**
+ * fatal() if a --trace replay failed to open or stopped on a damaged
+ * block rather than at its end: a run over a truncated or corrupt
+ * trace must not print results.
+ */
+void
+requireIntact(const Stream &s)
+{
+    if (s.replay && s.replay->status().failed())
+        fatal("%s", s.replay->status().message.c_str());
 }
 
 std::unique_ptr<predictors::ValuePredictor>
@@ -145,21 +172,24 @@ makePredictor(const std::string &name, const Options &o)
 }
 
 int
-runRecord(const Options &o)
+runRecord(const Options &o, const Stream &in)
 {
-    auto src = makeSource(o);
     workload::TraceWriter writer(o.record);
     // Record chunk-at-a-time: each full chunk lands as one on-disk
     // block, the final partial chunk is trimmed to the budget.
     auto chunk = std::make_unique<workload::TraceChunk>();
-    while (writer.written() < o.instructions && src->fill(*chunk)) {
+    while (writer.status().ok() && writer.written() < o.instructions &&
+           in.source->fill(*chunk)) {
         uint64_t remaining = o.instructions - writer.written();
         if (chunk->size > remaining)
             chunk->size = static_cast<uint32_t>(remaining);
         writer.append(*chunk);
     }
     uint64_t written = writer.written();
-    writer.close();
+    workload::TraceIoResult closed = writer.close();
+    if (closed.failed())
+        fatal("%s", closed.message.c_str());
+    requireIntact(in);
     std::printf("wrote %llu records to %s\n",
                 static_cast<unsigned long long>(written),
                 o.record.c_str());
@@ -167,9 +197,8 @@ runRecord(const Options &o)
 }
 
 int
-runProfile(const Options &o)
+runProfile(const Options &o, const Stream &in)
 {
-    auto src = makeSource(o);
     std::vector<std::unique_ptr<predictors::ValuePredictor>> preds;
     sim::ProfileConfig pcfg;
     pcfg.maxInstructions = o.instructions;
@@ -179,7 +208,8 @@ runProfile(const Options &o)
         preds.push_back(makePredictor(n, o));
         runner.addPredictor(*preds.back());
     }
-    runner.run(*src);
+    runner.run(*in.source);
+    requireIntact(in);
     std::printf("%-10s %10s %10s %10s\n", "predictor", "accuracy",
                 "coverage", "gated-acc");
     for (const auto &s : runner.results()) {
@@ -192,9 +222,8 @@ runProfile(const Options &o)
 }
 
 int
-runAddress(const Options &o)
+runAddress(const Options &o, const Stream &in)
 {
-    auto src = makeSource(o);
     std::vector<std::unique_ptr<predictors::ValuePredictor>> preds;
     sim::ProfileConfig pcfg;
     pcfg.maxInstructions = o.instructions;
@@ -207,7 +236,8 @@ runAddress(const Options &o)
     predictors::MarkovPredictor mk_all(256 * 1024, 4);
     predictors::MarkovPredictor mk_miss(256 * 1024, 4);
     runner.setMarkov(mk_all, mk_miss);
-    runner.run(*src);
+    runner.run(*in.source);
+    requireIntact(in);
     std::printf("D-cache miss rate: %.2f%%\n",
                 100.0 * runner.dcacheMissRate());
     std::printf("%-10s %9s %9s | %9s %9s (missing loads)\n",
@@ -223,9 +253,8 @@ runAddress(const Options &o)
 }
 
 int
-runPipeline(const Options &o)
+runPipeline(const Options &o, const Stream &in)
 {
-    auto src = makeSource(o);
     // The gdiff schemes default to the paper's pipeline order of 32
     // unless the user asked for a larger window explicitly.
     unsigned order = o.order > 8 ? o.order : 32;
@@ -235,7 +264,8 @@ runPipeline(const Options &o)
     pipeline::OooPipeline pipe(pipeline::PipelineConfig::paper(),
                                *scheme);
     pipeline::PipelineStats s =
-        pipe.run(*src, o.instructions, o.warmup);
+        pipe.run(*in.source, o.instructions, o.warmup);
+    requireIntact(in);
     std::printf("scheme           %s\n", scheme->name().c_str());
     std::printf("instructions     %llu\n",
                 static_cast<unsigned long long>(s.instructions));
@@ -264,13 +294,18 @@ int
 main(int argc, char **argv)
 {
     Options o = parse(argc, argv);
+    int (*run)(const Options &, const Stream &) = nullptr;
     if (!o.record.empty())
-        return runRecord(o);
-    if (o.mode == "profile")
-        return runProfile(o);
-    if (o.mode == "address")
-        return runAddress(o);
-    if (o.mode == "pipeline")
-        return runPipeline(o);
-    usage(argv[0]);
+        run = runRecord;
+    else if (o.mode == "profile")
+        run = runProfile;
+    else if (o.mode == "address")
+        run = runAddress;
+    else if (o.mode == "pipeline")
+        run = runPipeline;
+    else
+        usage(argv[0]);
+    Stream in = makeStream(o);
+    requireIntact(in);
+    return run(o, in);
 }

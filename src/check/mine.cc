@@ -31,15 +31,6 @@ fnvMix64(uint64_t &h, uint64_t v)
     }
 }
 
-void
-fnvMixStr(uint64_t &h, const std::string &s)
-{
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= kFnvPrime;
-    }
-}
-
 bool
 knownFamily(const std::string &family, bool oracle)
 {

@@ -59,7 +59,7 @@ reproArtifactName(const std::string &pairName, uint64_t seed)
                         static_cast<unsigned long long>(seed));
 }
 
-void
+workload::TraceIoResult
 writeReproArtifact(const std::string &path,
                    const std::vector<FuzzRecord> &stream)
 {
@@ -78,35 +78,19 @@ writeReproArtifact(const std::string &path,
         r.value = stream[i].value;
         writer.append(r);
     }
-    writer.close();
-}
-
-std::vector<FuzzRecord>
-readReproArtifact(const std::string &path)
-{
-    workload::TraceFileSource source(path);
-    std::vector<FuzzRecord> stream;
-    workload::TraceRecord r;
-    while (source.next(r)) {
-        if (r.producesValue())
-            stream.push_back(FuzzRecord{r.pc, r.value});
-    }
-    return stream;
+    return writer.close();
 }
 
 bool
-readReproArtifactOr(const std::string &path,
-                    std::vector<FuzzRecord> &stream,
-                    workload::TraceIoResult *result)
+readReproArtifact(const std::string &path,
+                  std::vector<FuzzRecord> &stream,
+                  workload::TraceIoResult *result)
 {
-    workload::TraceFileReader reader;
-    workload::TraceIoResult r = reader.open(path);
+    workload::TraceReader reader;
+    reader.open(path); // a failed open is sticky: fill() stops at once
     std::vector<FuzzRecord> records;
     auto chunk = std::make_unique<workload::TraceChunk>();
-    while (r.ok()) {
-        r = reader.read(*chunk);
-        if (!r.ok())
-            break;
+    while (reader.fill(*chunk)) {
         for (uint32_t i = 0; i < chunk->size; ++i) {
             if (chunk->producesValue(i))
                 records.push_back(
@@ -114,8 +98,8 @@ readReproArtifactOr(const std::string &path,
         }
     }
     if (result)
-        *result = r;
-    if (!r.end())
+        *result = reader.status();
+    if (!reader.status().end())
         return false;
     stream = std::move(records);
     return true;

@@ -55,28 +55,27 @@ shrinkStream(const std::vector<FuzzRecord> &stream,
 std::string reproArtifactName(const std::string &pairName,
                               uint64_t seed);
 
-/** Write @p stream to @p path as a trace-io v2 file. */
-void writeReproArtifact(const std::string &path,
-                        const std::vector<FuzzRecord> &stream);
-
 /**
- * Read a repro artifact back as a (pc, value) stream. Any trace-io
- * v2 file works: only value-producing records are kept.
+ * Write @p stream to @p path as a trace file (TraceWriter's default
+ * format). @return Ok, or the typed write failure.
  */
-std::vector<FuzzRecord> readReproArtifact(const std::string &path);
+workload::TraceIoResult
+writeReproArtifact(const std::string &path,
+                   const std::vector<FuzzRecord> &stream);
 
 /**
- * Typed-error form of readReproArtifact() for untrusted artifacts
- * (gdifffuzz --replay takes arbitrary user paths): a missing,
- * corrupt, truncated, or wrong-version file comes back as the
- * TraceIoResult instead of fatal().
+ * Read a repro artifact back as a (pc, value) stream: any trace file
+ * works, and only value-producing records are kept. Artifact paths
+ * are untrusted (gdifffuzz --replay takes arbitrary user paths), so a
+ * missing, corrupt, truncated, or wrong-version file comes back as
+ * the typed TraceIoResult.
  *
  * @return true with the records in @p stream; false with @p result
  * (if non-null) holding the typed status and message.
  */
-bool readReproArtifactOr(const std::string &path,
-                         std::vector<FuzzRecord> &stream,
-                         workload::TraceIoResult *result = nullptr);
+bool readReproArtifact(const std::string &path,
+                       std::vector<FuzzRecord> &stream,
+                       workload::TraceIoResult *result = nullptr);
 
 } // namespace check
 } // namespace gdiff

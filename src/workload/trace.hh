@@ -147,7 +147,7 @@ struct TraceChunk
  * Executor does) avoids the buffering indirection entirely.
  *
  * Implementations: workload::Executor (functional execution of a
- * synthetic kernel), TraceFileSource (binary trace replay),
+ * synthetic kernel), TraceReader (binary trace replay),
  * CachedTraceSource (in-memory shared-trace replay), and test
  * fixtures that replay canned sequences.
  */

@@ -156,7 +156,7 @@ DiskTraceCache::load(const std::string &workload, uint64_t seed,
 
     // Decode the whole entry; read() verifies the per-block digests
     // and the trailing whole-file digest before End is reported.
-    TraceBufferReader reader;
+    TraceReader reader;
     TraceIoResult r = reader.open(map.bytes, map.size);
     std::vector<std::unique_ptr<TraceChunk>> chunks;
     while (r.ok()) {
@@ -208,11 +208,17 @@ DiskTraceCache::store(const std::string &workload, uint64_t seed,
         formatString("%s.tmp.%d", path.c_str(),
                      static_cast<int>(::getpid()));
 
-    {
-        TraceWriter writer(tmp, traceVersionV3);
-        for (const auto &chunk : trace.chunks())
-            writer.append(*chunk);
-        writer.close();
+    TraceWriter writer(tmp, traceVersionV3);
+    for (const auto &chunk : trace.chunks())
+        writer.append(*chunk);
+    TraceIoResult written = writer.close();
+    if (written.failed()) {
+        // A full disk or an unwritable temp path costs this entry,
+        // never the process: the caller keeps its in-memory trace.
+        warn("cannot store trace cache entry '%s' (%s)", path.c_str(),
+             written.message.c_str());
+        ::unlink(tmp.c_str());
+        return;
     }
 
     // Atomic publish: concurrent writers both produce identical

@@ -20,7 +20,7 @@
  *    concurrent writers race safely (both produce identical bytes;
  *    last rename wins);
  *  - loads mmap the entry read-only and decode through
- *    TraceBufferReader; any corruption — truncation, flipped bytes,
+ *    TraceReader; any corruption — truncation, flipped bytes,
  *    digest mismatch — quarantines the entry (renamed to
  *    `<entry>.corrupt`) and reports a miss so the caller regenerates;
  *  - eviction is a byte-capped LRU over entry mtimes: a load hit
@@ -93,6 +93,7 @@ class DiskTraceCache
     /**
      * Persist @p trace as the entry for (workload, seed, records)
      * via temp file + atomic rename, then run the eviction sweep.
+     * A failed write or rename warns and stores nothing.
      */
     void store(const std::string &workload, uint64_t seed,
                uint64_t records, const MaterializedTrace &trace);

@@ -470,15 +470,15 @@ checkHeader(const FileHeader &h, const std::string &name,
 {
     if (h.magic != traceMagic) {
         return ioError(TraceIoStatus::BadMagic,
-                       formatString("'%s' is not a gdiff trace "
-                                    "(bad magic)",
+                       formatString("%s is not a gdiff trace (bad "
+                                    "magic)",
                                     name.c_str()));
     }
     if (h.version < traceVersionMin || h.version > maxVersion) {
         return ioError(
             TraceIoStatus::BadVersion,
-            formatString("trace '%s' has format version %u; this "
-                         "reader supports versions %u..%u",
+            formatString("%s has format version %u; this reader "
+                         "supports versions %u..%u",
                          name.c_str(), h.version, traceVersionMin,
                          maxVersion));
     }
@@ -497,11 +497,14 @@ TraceWriter::TraceWriter(const std::string &p, uint32_t version)
     GDIFF_ASSERT(ver == traceVersionV2 || ver == traceVersionV3,
                  "unsupported trace write version %u", ver);
     file = std::fopen(path.c_str(), "wb");
-    if (!file)
-        fatal("cannot create trace file '%s'", path.c_str());
+    if (!file) {
+        st = ioError(TraceIoStatus::IoError,
+                     formatString("cannot create trace file '%s'",
+                                  path.c_str()));
+        return;
+    }
     FileHeader h{traceMagic, ver, 0};
-    if (std::fwrite(&h, sizeof(h), 1, file) != 1)
-        fatal("cannot write trace header to '%s'", path.c_str());
+    writeRaw(&h, sizeof(h), "header");
 }
 
 TraceWriter::~TraceWriter()
@@ -512,6 +515,8 @@ TraceWriter::~TraceWriter()
 void
 TraceWriter::append(const TraceRecord &r)
 {
+    if (st.failed())
+        return;
     GDIFF_ASSERT(file != nullptr, "append to a closed TraceWriter");
     if (!pending)
         pending = std::make_unique<TraceChunk>();
@@ -524,6 +529,8 @@ TraceWriter::append(const TraceRecord &r)
 void
 TraceWriter::append(const TraceChunk &chunk)
 {
+    if (st.failed())
+        return;
     GDIFF_ASSERT(file != nullptr, "append to a closed TraceWriter");
     if (chunk.empty())
         return;
@@ -544,36 +551,46 @@ TraceWriter::flushPending()
 }
 
 void
+TraceWriter::writeRaw(const void *data, size_t bytes, const char *what)
+{
+    if (st.failed() || bytes == 0)
+        return;
+    if (std::fwrite(data, 1, bytes, file) != bytes) {
+        st = ioError(TraceIoStatus::IoError,
+                     formatString("cannot write trace %s to '%s'", what,
+                                  path.c_str()));
+    }
+}
+
+void
 TraceWriter::writeBlock(const TraceChunk &chunk)
 {
     const uint32_t n = chunk.size;
     GDIFF_ASSERT(n > 0 && n <= TraceChunk::capacity,
                  "trace block size %u out of range", n);
-
-    auto writeRaw = [&](const void *data, size_t bytes) {
-        if (bytes > 0 &&
-            std::fwrite(data, 1, bytes, file) != bytes) {
-            fatal("short write while appending a trace block");
-        }
+    if (st.failed())
+        return;
+    auto writeCol = [&](const void *data, size_t bytes) {
+        writeRaw(data, bytes, "block");
     };
 
     auto cols = std::make_unique<BlockColumns>();
     gatherInstColumns(chunk, *cols);
 
     if (ver == traceVersionV2) {
-        writeRaw(&n, sizeof(n));
-        writeRaw(cols->op.data(), n);
-        writeRaw(cols->rd.data(), n);
-        writeRaw(cols->rs1.data(), n);
-        writeRaw(cols->rs2.data(), n);
-        writeRaw(chunk.flags.data(), n);
-        writeRaw(cols->target.data(), size_t(n) * 4);
-        writeRaw(cols->imm.data(), size_t(n) * 8);
-        writeRaw(chunk.seq.data(), size_t(n) * 8);
-        writeRaw(chunk.pc.data(), size_t(n) * 8);
-        writeRaw(chunk.nextPc.data(), size_t(n) * 8);
-        writeRaw(chunk.value.data(), size_t(n) * 8);
-        writeRaw(chunk.effAddr.data(), size_t(n) * 8);
+        writeCol(&n, sizeof(n));
+        writeCol(cols->op.data(), n);
+        writeCol(cols->rd.data(), n);
+        writeCol(cols->rs1.data(), n);
+        writeCol(cols->rs2.data(), n);
+        writeCol(chunk.flags.data(), n);
+        writeCol(cols->target.data(), size_t(n) * 4);
+        writeCol(cols->imm.data(), size_t(n) * 8);
+        writeCol(chunk.seq.data(), size_t(n) * 8);
+        writeCol(chunk.pc.data(), size_t(n) * 8);
+        writeCol(chunk.nextPc.data(), size_t(n) * 8);
+        writeCol(chunk.value.data(), size_t(n) * 8);
+        writeCol(chunk.effAddr.data(), size_t(n) * 8);
         return;
     }
 
@@ -675,359 +692,249 @@ TraceWriter::writeBlock(const TraceChunk &chunk)
     fileDigest = codec::fnv1a(&bh, sizeof(bh), fileDigest);
     fileDigest =
         codec::fnv1a(payload.data(), payload.size(), fileDigest);
-    writeRaw(&bh, sizeof(bh));
-    writeRaw(payload.data(), payload.size());
+    writeCol(&bh, sizeof(bh));
+    writeCol(payload.data(), payload.size());
 }
 
-void
+TraceIoResult
 TraceWriter::close()
 {
     if (!file)
-        return;
+        return st;
     flushPending();
     if (ver == traceVersionV3) {
         FooterV3 foot{footerMagic, 0, fileDigest};
-        if (std::fwrite(&foot, sizeof(foot), 1, file) != 1)
-            fatal("cannot write trace footer to '%s'", path.c_str());
+        writeRaw(&foot, sizeof(foot), "footer");
     }
     // Finalise the record count in the header.
-    FileHeader h{traceMagic, ver, count};
-    if (std::fseek(file, 0, SEEK_SET) != 0 ||
-        std::fwrite(&h, sizeof(h), 1, file) != 1) {
-        fatal("cannot finalise trace header");
+    if (!st.failed() && std::fseek(file, 0, SEEK_SET) != 0) {
+        st = ioError(TraceIoStatus::IoError,
+                     formatString("cannot finalise trace header in "
+                                  "'%s'",
+                                  path.c_str()));
     }
-    std::fclose(file);
+    FileHeader h{traceMagic, ver, count};
+    writeRaw(&h, sizeof(h), "header");
+    // fclose() flushes the stdio buffer: a full disk can surface here.
+    if (std::fclose(file) != 0 && !st.failed()) {
+        st = ioError(TraceIoStatus::IoError,
+                     formatString("cannot close trace file '%s'",
+                                  path.c_str()));
+    }
     file = nullptr;
+    return st;
 }
 
-// ------------------------------------------------- TraceFileReader
+// ----------------------------------------------------- TraceReader
 
-TraceFileReader::TraceFileReader()
-    : scratch(std::make_unique<detail::TraceDecodeScratch>())
+TraceReader::TraceReader()
+    : last(ioError(TraceIoStatus::IoError,
+                   "read from an unopened trace reader")),
+      scratch(std::make_unique<detail::TraceDecodeScratch>())
 {}
 
-TraceFileReader::~TraceFileReader()
+TraceReader::~TraceReader()
+{
+    reset();
+}
+
+void
+TraceReader::reset()
 {
     if (file)
         std::fclose(file);
+    file = nullptr;
+    image = cursor = end = nullptr;
+    resetBuffer();
 }
 
 TraceIoResult
-TraceFileReader::open(const std::string &p, uint32_t maxVersion)
+TraceReader::open(const std::string &path, uint32_t maxVersion)
 {
-    if (file) {
-        std::fclose(file);
-        file = nullptr;
-    }
-    path = p;
+    reset();
+    name = formatString("trace '%s'", path.c_str());
     file = std::fopen(path.c_str(), "rb");
     if (!file) {
-        return ioError(TraceIoStatus::IoError,
-                       formatString("cannot open trace file '%s'",
-                                    path.c_str()));
+        return last = ioError(TraceIoStatus::IoError,
+                              formatString("cannot open trace file "
+                                           "'%s'",
+                                           path.c_str()));
     }
-    FileHeader h{};
-    if (std::fread(&h, sizeof(h), 1, file) != 1) {
-        return ioError(TraceIoStatus::Truncated,
-                       formatString("trace file '%s' is truncated",
-                                    path.c_str()));
-    }
-    TraceIoResult r = checkHeader(h, path, maxVersion, &ver, &total);
-    if (r.failed())
-        return r;
-    consumed = 0;
-    runningDigest = codec::fnvOffsetBasis;
-    footerVerified = false;
-    return TraceIoResult{};
+    return start(maxVersion);
 }
 
 TraceIoResult
-TraceFileReader::read(TraceChunk &chunk)
+TraceReader::open(const uint8_t *data, size_t size,
+                  uint32_t maxVersion)
 {
-    chunk.clear();
-    if (!file) {
-        return ioError(TraceIoStatus::IoError,
-                       "read from an unopened trace reader");
-    }
-
-    auto truncated = [&]() {
-        return ioError(
-            TraceIoStatus::Truncated,
-            formatString("trace '%s' truncated after %llu of %llu "
-                         "records",
-                         path.c_str(),
-                         static_cast<unsigned long long>(consumed),
-                         static_cast<unsigned long long>(total)));
-    };
-
-    if (consumed >= total) {
-        if (ver == traceVersionV3 && !footerVerified) {
-            FooterV3 foot{};
-            if (std::fread(&foot, sizeof(foot), 1, file) != 1) {
-                return ioError(
-                    TraceIoStatus::Truncated,
-                    formatString("trace '%s' is truncated (missing "
-                                 "footer)",
-                                 path.c_str()));
-            }
-            if (foot.magic != footerMagic) {
-                return ioError(
-                    TraceIoStatus::Corrupt,
-                    formatString("trace '%s' has a corrupt footer",
-                                 path.c_str()));
-            }
-            if (foot.digest != runningDigest) {
-                return ioError(
-                    TraceIoStatus::DigestMismatch,
-                    formatString("trace '%s' file digest mismatch "
-                                 "(corrupt or tampered stream)",
-                                 path.c_str()));
-            }
-            footerVerified = true;
-        }
-        return ioError(TraceIoStatus::End, "");
-    }
-
-    if (ver == traceVersionV2) {
-        uint32_t n = 0;
-        if (std::fread(&n, sizeof(n), 1, file) != 1)
-            return truncated();
-        if (n == 0 || n > TraceChunk::capacity ||
-            n > total - consumed) {
-            return ioError(
-                TraceIoStatus::Corrupt,
-                formatString("trace '%s' has a corrupt block of %u "
-                             "records",
-                             path.c_str(), n));
-        }
-        blockBuf.resize(v2RecordBytes * n);
-        if (std::fread(blockBuf.data(), 1, blockBuf.size(), file) !=
-            blockBuf.size()) {
-            return truncated();
-        }
-        decodeColumnsV2(blockBuf.data(), n, chunk, *scratch);
-        consumed += n;
-        return TraceIoResult{};
-    }
-
-    BlockHeaderV3 bh{};
-    if (std::fread(&bh, sizeof(bh), 1, file) != 1)
-        return truncated();
-    if (bh.n == 0 || bh.n > TraceChunk::capacity ||
-        bh.n > total - consumed || bh.payloadBytes == 0 ||
-        bh.payloadBytes > maxV3PayloadBytes) {
-        return ioError(
-            TraceIoStatus::Corrupt,
-            formatString("trace '%s' has a corrupt block header "
-                         "(%u records, %u payload bytes)",
-                         path.c_str(), bh.n, bh.payloadBytes));
-    }
-    blockBuf.resize(bh.payloadBytes);
-    if (std::fread(blockBuf.data(), 1, blockBuf.size(), file) !=
-        blockBuf.size()) {
-        return truncated();
-    }
-    if (codec::fnv1a(blockBuf.data(), blockBuf.size()) != bh.digest) {
-        return ioError(
-            TraceIoStatus::DigestMismatch,
-            formatString("trace '%s' block digest mismatch after "
-                         "%llu records",
-                         path.c_str(),
-                         static_cast<unsigned long long>(consumed)));
-    }
-    std::string why;
-    if (!decodeColumnsV3(blockBuf.data(), blockBuf.size(), bh.n,
-                         chunk, *scratch, &why)) {
-        return ioError(
-            TraceIoStatus::Corrupt,
-            formatString("trace '%s' has a corrupt block: %s",
-                         path.c_str(), why.c_str()));
-    }
-    runningDigest = codec::fnv1a(&bh, sizeof(bh), runningDigest);
-    runningDigest =
-        codec::fnv1a(blockBuf.data(), blockBuf.size(), runningDigest);
-    consumed += bh.n;
-    return TraceIoResult{};
-}
-
-TraceIoResult
-TraceFileReader::rewind()
-{
-    if (!file) {
-        return ioError(TraceIoStatus::IoError,
-                       "rewind of an unopened trace reader");
-    }
-    if (std::fseek(file, sizeof(FileHeader), SEEK_SET) != 0) {
-        return ioError(TraceIoStatus::IoError,
-                       formatString("cannot rewind trace file '%s'",
-                                    path.c_str()));
-    }
-    consumed = 0;
-    runningDigest = codec::fnvOffsetBasis;
-    footerVerified = false;
-    return TraceIoResult{};
-}
-
-// ----------------------------------------------- TraceBufferReader
-
-TraceBufferReader::TraceBufferReader()
-    : scratch(std::make_unique<detail::TraceDecodeScratch>())
-{}
-
-TraceBufferReader::~TraceBufferReader() = default;
-
-TraceIoResult
-TraceBufferReader::open(const uint8_t *data, size_t size,
-                        uint32_t maxVersion)
-{
-    cursor = nullptr;
-    end = nullptr;
-    if (size < sizeof(FileHeader)) {
-        return ioError(TraceIoStatus::Truncated,
-                       "trace image is smaller than its header");
-    }
-    FileHeader h{};
-    std::memcpy(&h, data, sizeof(h));
-    TraceIoResult r =
-        checkHeader(h, "<buffer>", maxVersion, &ver, &total);
-    if (r.failed())
-        return r;
-    cursor = data + sizeof(FileHeader);
+    reset();
+    name = "trace image";
+    image = cursor = data;
     end = data + size;
-    consumed = 0;
-    runningDigest = codec::fnvOffsetBasis;
-    return TraceIoResult{};
+    return start(maxVersion);
 }
 
 TraceIoResult
-TraceBufferReader::read(TraceChunk &chunk)
+TraceReader::start(uint32_t maxVersion)
+{
+    const uint8_t *p = take(sizeof(FileHeader));
+    if (!p) {
+        last = ioError(TraceIoStatus::Truncated,
+                       formatString("%s is truncated (missing header)",
+                                    name.c_str()));
+    } else {
+        FileHeader h{};
+        std::memcpy(&h, p, sizeof(h));
+        last = checkHeader(h, name, maxVersion, &ver, &total);
+    }
+    if (last.failed())
+        reset();
+    consumed = 0;
+    runningDigest = codec::fnvOffsetBasis;
+    return last;
+}
+
+const uint8_t *
+TraceReader::take(size_t n)
+{
+    if (!file) {
+        if (static_cast<size_t>(end - cursor) < n)
+            return nullptr;
+        const uint8_t *p = cursor;
+        cursor += n;
+        return p;
+    }
+    if (blockBuf.size() < n)
+        blockBuf.resize(n);
+    if (std::fread(blockBuf.data(), 1, n, file) != n)
+        return nullptr;
+    return blockBuf.data();
+}
+
+TraceIoResult
+TraceReader::read(TraceChunk &chunk)
 {
     chunk.clear();
-    if (!cursor) {
-        return ioError(TraceIoStatus::IoError,
-                       "read from an unopened trace image");
-    }
+    if (last.ok())
+        last = readBlock(chunk);
+    return last;
+}
 
+TraceIoResult
+TraceReader::readBlock(TraceChunk &chunk)
+{
     auto truncated = [&]() {
         return ioError(
             TraceIoStatus::Truncated,
-            formatString("trace image truncated after %llu of %llu "
-                         "records",
+            formatString("%s truncated after %llu of %llu records",
+                         name.c_str(),
                          static_cast<unsigned long long>(consumed),
                          static_cast<unsigned long long>(total)));
     };
 
     if (consumed >= total) {
         if (ver == traceVersionV3) {
+            const uint8_t *p = take(sizeof(FooterV3));
+            if (!p) {
+                return ioError(TraceIoStatus::Truncated,
+                               formatString("%s is truncated (missing "
+                                            "footer)",
+                                            name.c_str()));
+            }
             FooterV3 foot{};
-            if (static_cast<size_t>(end - cursor) < sizeof(foot))
-                return truncated();
-            std::memcpy(&foot, cursor, sizeof(foot));
+            std::memcpy(&foot, p, sizeof(foot));
             if (foot.magic != footerMagic) {
                 return ioError(TraceIoStatus::Corrupt,
-                               "trace image has a corrupt footer");
+                               formatString("%s has a corrupt footer",
+                                            name.c_str()));
             }
             if (foot.digest != runningDigest) {
-                return ioError(TraceIoStatus::DigestMismatch,
-                               "trace image file digest mismatch "
-                               "(corrupt or tampered stream)");
+                return ioError(
+                    TraceIoStatus::DigestMismatch,
+                    formatString("%s file digest mismatch (corrupt or "
+                                 "tampered stream)",
+                                 name.c_str()));
             }
         }
         return ioError(TraceIoStatus::End, "");
     }
 
     if (ver == traceVersionV2) {
-        if (static_cast<size_t>(end - cursor) < 4)
+        const uint8_t *p = take(sizeof(uint32_t));
+        if (!p)
             return truncated();
-        uint32_t n = readLE32(cursor);
+        uint32_t n = readLE32(p);
         if (n == 0 || n > TraceChunk::capacity ||
             n > total - consumed) {
-            return ioError(
-                TraceIoStatus::Corrupt,
-                formatString("trace image has a corrupt block of %u "
-                             "records",
-                             n));
+            return ioError(TraceIoStatus::Corrupt,
+                           formatString("%s has a corrupt block of %u "
+                                        "records",
+                                        name.c_str(), n));
         }
-        if (static_cast<size_t>(end - cursor - 4) <
-            v2RecordBytes * n) {
+        p = take(v2RecordBytes * n);
+        if (!p)
             return truncated();
-        }
-        decodeColumnsV2(cursor + 4, n, chunk, *scratch);
-        cursor += 4 + v2RecordBytes * n;
+        decodeColumnsV2(p, n, chunk, *scratch);
         consumed += n;
         return TraceIoResult{};
     }
 
-    BlockHeaderV3 bh{};
-    if (static_cast<size_t>(end - cursor) < sizeof(bh))
+    const uint8_t *p = take(sizeof(BlockHeaderV3));
+    if (!p)
         return truncated();
-    std::memcpy(&bh, cursor, sizeof(bh));
+    BlockHeaderV3 bh{};
+    std::memcpy(&bh, p, sizeof(bh));
     if (bh.n == 0 || bh.n > TraceChunk::capacity ||
         bh.n > total - consumed || bh.payloadBytes == 0 ||
         bh.payloadBytes > maxV3PayloadBytes) {
         return ioError(
             TraceIoStatus::Corrupt,
-            formatString("trace image has a corrupt block header "
-                         "(%u records, %u payload bytes)",
-                         bh.n, bh.payloadBytes));
+            formatString("%s has a corrupt block header (%u records, "
+                         "%u payload bytes)",
+                         name.c_str(), bh.n, bh.payloadBytes));
     }
-    if (static_cast<size_t>(end - cursor - sizeof(bh)) <
-        bh.payloadBytes) {
+    const uint8_t *payload = take(bh.payloadBytes);
+    if (!payload)
         return truncated();
-    }
-    const uint8_t *payload = cursor + sizeof(bh);
     if (codec::fnv1a(payload, bh.payloadBytes) != bh.digest) {
         return ioError(
             TraceIoStatus::DigestMismatch,
-            formatString("trace image block digest mismatch after "
-                         "%llu records",
+            formatString("%s block digest mismatch after %llu records",
+                         name.c_str(),
                          static_cast<unsigned long long>(consumed)));
     }
     std::string why;
     if (!decodeColumnsV3(payload, bh.payloadBytes, bh.n, chunk,
                          *scratch, &why)) {
-        return ioError(
-            TraceIoStatus::Corrupt,
-            formatString("trace image has a corrupt block: %s",
-                         why.c_str()));
+        return ioError(TraceIoStatus::Corrupt,
+                       formatString("%s has a corrupt block: %s",
+                                    name.c_str(), why.c_str()));
     }
     runningDigest = codec::fnv1a(&bh, sizeof(bh), runningDigest);
     runningDigest =
         codec::fnv1a(payload, bh.payloadBytes, runningDigest);
-    cursor += sizeof(bh) + bh.payloadBytes;
     consumed += bh.n;
     return TraceIoResult{};
 }
 
-// ------------------------------------------------ TraceFileSource
-
-TraceFileSource::TraceFileSource(const std::string &p) : path(p)
+TraceIoResult
+TraceReader::rewind()
 {
-    TraceIoResult r = reader.open(path);
-    if (r.failed())
-        fatal("%s", r.message.c_str());
-}
-
-TraceFileSource::~TraceFileSource() = default;
-
-bool
-TraceFileSource::fill(TraceChunk &chunk)
-{
-    TraceIoResult r = reader.read(chunk);
-    if (r.ok())
-        return true;
-    if (r.end())
-        return false;
-    fatal("%s", r.message.c_str());
-}
-
-void
-TraceFileSource::rewind()
-{
-    TraceIoResult r = reader.rewind();
-    if (r.failed())
-        fatal("%s", r.message.c_str());
+    if (file) {
+        if (std::fseek(file, sizeof(FileHeader), SEEK_SET) != 0) {
+            return last = ioError(TraceIoStatus::IoError,
+                                  formatString("cannot rewind %s",
+                                               name.c_str()));
+        }
+    } else if (image) {
+        cursor = image + sizeof(FileHeader);
+    } else {
+        return last; // never opened, or the open failed
+    }
+    consumed = 0;
+    runningDigest = codec::fnvOffsetBasis;
     resetBuffer();
+    return last = TraceIoResult{};
 }
 
 } // namespace workload

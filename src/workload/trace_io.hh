@@ -30,17 +30,14 @@
  * Readers accept both transparently and reject anything else with an
  * error naming the found and supported versions.
  *
- * Two reader APIs exist:
- *
- *  - TraceFileReader / TraceBufferReader return *typed* errors
- *    (TraceIoStatus) and never terminate the process: corrupt input —
- *    truncations, flipped bytes, hostile varints — yields a clean
- *    status the caller can recover from. The persistent trace cache
- *    uses this to quarantine and regenerate corrupt entries.
- *
- *  - TraceFileSource is the TraceSource adapter for simulation
- *    drivers; it wraps TraceFileReader and keeps the historical
- *    contract of fatal() on any malformed file.
+ * One reader, TraceReader, decodes both a file and an in-memory
+ * image (an mmap'd persistent cache entry) and is the TraceSource
+ * that replays either. Trace I/O never terminates the process: every
+ * malformed input (missing file, wrong magic or version, truncation,
+ * flipped bytes, hostile varints) and every failed write comes back
+ * as a typed TraceIoResult. The persistent trace cache uses this to
+ * quarantine corrupt entries and survive failed stores; command-line
+ * tools turn a failure into fatal() in main().
  */
 
 #ifndef GDIFF_WORKLOAD_TRACE_IO_HH
@@ -94,13 +91,20 @@ struct TraceIoResult
     bool failed() const { return !ok() && !end(); }
 };
 
-/** Writes TraceRecords to a binary trace file in chunked blocks. */
+/**
+ * Writes TraceRecords to a binary trace file in chunked blocks.
+ *
+ * Failures never terminate the process: the first one (the file
+ * cannot be created, a write comes up short, the header cannot be
+ * finalised) is kept in status(), every later append is dropped, and
+ * close() returns it.
+ */
 class TraceWriter
 {
   public:
     /**
-     * Open @p path for writing (truncates). Calls fatal() if the
-     * file cannot be created.
+     * Open @p path for writing (truncates). On failure status() is
+     * an IoError naming the path.
      *
      * @param version on-disk format: traceVersionV3 (default,
      * stride-delta compressed) or traceVersionV2 (raw columns).
@@ -118,8 +122,14 @@ class TraceWriter
     /** Append a whole chunk as one block. */
     void append(const TraceChunk &chunk);
 
-    /** Flush, finalise the header (and v3 footer), close. Idempotent. */
-    void close();
+    /**
+     * Flush, finalise the header (and v3 footer), close. Idempotent.
+     * @return Ok, or the first failure of this writer.
+     */
+    TraceIoResult close();
+
+    /** @return Ok, or the first failure so far (sticky). */
+    const TraceIoResult &status() const { return st; }
 
     /** @return records written so far. */
     uint64_t written() const { return count; }
@@ -134,37 +144,44 @@ class TraceWriter
     /** Encode and write one block in the selected format. */
     void writeBlock(const TraceChunk &chunk);
 
+    /** Write @p bytes at @p data; records an IoError on failure. */
+    void writeRaw(const void *data, size_t bytes, const char *what);
+
     std::FILE *file = nullptr;
     std::string path;
     uint32_t ver = traceVersionV3;
     uint64_t count = 0;
     uint64_t fileDigest = 0; ///< running FNV over v3 block bytes
+    TraceIoResult st;
     std::unique_ptr<TraceChunk> pending;
     /// reusable encode scratch (payload build + candidate encodings)
     std::vector<uint8_t> payload, candA, candB, candC, candD;
 };
 
 namespace detail {
-/// decode scratch shared by the readers (heap-allocated: ~100 KiB)
+/// block decode scratch (heap-allocated: ~250 KiB)
 struct TraceDecodeScratch;
 } // namespace detail
 
 /**
- * Streaming trace-file reader with typed, recoverable errors.
+ * Replays a binary trace, from a file or from an in-memory image,
+ * with typed, recoverable errors.
  *
- * Unlike TraceFileSource this never calls fatal(): every malformed
- * input — wrong magic/version, truncation, corrupt blocks, digest
- * mismatches — comes back as a TraceIoResult so callers (the
- * persistent disk cache, the corruption tests) can handle it.
+ * read() produces one on-disk block per call and verifies it: block
+ * structure and digest for v3, and at the end of a v3 stream the
+ * whole-file digest footer, before End is reported. Failures are
+ * sticky: once a read fails, every later read() and fill() reports
+ * the same failure, so a driver that only sees fill() return false
+ * can tell a clean end from a damaged stream through status().
  */
-class TraceFileReader
+class TraceReader : public TraceSource
 {
   public:
-    TraceFileReader();
-    ~TraceFileReader();
+    TraceReader();
+    ~TraceReader() override;
 
-    TraceFileReader(const TraceFileReader &) = delete;
-    TraceFileReader &operator=(const TraceFileReader &) = delete;
+    TraceReader(const TraceReader &) = delete;
+    TraceReader &operator=(const TraceReader &) = delete;
 
     /**
      * Open and validate @p path's header.
@@ -177,100 +194,64 @@ class TraceFileReader
                        uint32_t maxVersion = traceVersionMax);
 
     /**
+     * Open the @p size-byte trace image at @p data. Non-owning: the
+     * bytes must outlive the reader.
+     */
+    TraceIoResult open(const uint8_t *data, size_t size,
+                       uint32_t maxVersion = traceVersionMax);
+
+    /**
      * Read the next block into @p chunk.
      * @return Ok with records in @p chunk, End at the clean end of
      * the stream (after footer verification for v3), or an error.
      */
     TraceIoResult read(TraceChunk &chunk);
 
-    /** Rewind to the first record. */
+    /** TraceSource: read().ok(); see status() for why it stopped. */
+    bool fill(TraceChunk &chunk) override { return read(chunk).ok(); }
+
+    /** Rewind to the first record (clears a sticky End or error). */
     TraceIoResult rewind();
+
+    /** @return the result of the last open(), read() or rewind(). */
+    const TraceIoResult &status() const { return last; }
 
     /** @return total records the header promises. */
     uint64_t totalRecords() const { return total; }
 
-    /** @return the file's format version (valid after open()). */
+    /** @return the stream's format version (valid after open()). */
     uint32_t version() const { return ver; }
 
   private:
+    /** Validate the header and reset the stream position. */
+    TraceIoResult start(uint32_t maxVersion);
+
+    /** Decode the next block (or the v3 footer) into @p chunk. */
+    TraceIoResult readBlock(TraceChunk &chunk);
+
+    /**
+     * @return the next @p n bytes of the stream, or nullptr if it
+     * ends first. A file is read into blockBuf; an image is a view.
+     */
+    const uint8_t *take(size_t n);
+
+    /** Close the file, forget the image, drop buffered records. */
+    void reset();
+
     std::FILE *file = nullptr;
-    std::string path;
+    const uint8_t *image = nullptr, *cursor = nullptr, *end = nullptr;
+    std::string name; ///< for messages: "trace 'path'" or "trace image"
     uint32_t ver = 0;
     uint64_t total = 0;
     uint64_t consumed = 0;
     uint64_t runningDigest = 0;
-    bool footerVerified = false;
+    TraceIoResult last;
     std::vector<uint8_t> blockBuf;
     std::unique_ptr<detail::TraceDecodeScratch> scratch;
 };
 
-/**
- * Decodes a complete in-memory trace image (e.g. an mmap'd persistent
- * cache entry) with the same typed-error contract as TraceFileReader.
- * Non-owning: the span must outlive the reader.
- */
-class TraceBufferReader
-{
-  public:
-    TraceBufferReader();
-    ~TraceBufferReader();
-
-    TraceBufferReader(const TraceBufferReader &) = delete;
-    TraceBufferReader &operator=(const TraceBufferReader &) = delete;
-
-    /** Validate the header of the @p size bytes at @p data. */
-    TraceIoResult open(const uint8_t *data, size_t size,
-                       uint32_t maxVersion = traceVersionMax);
-
-    /** Read the next block into @p chunk (see TraceFileReader::read). */
-    TraceIoResult read(TraceChunk &chunk);
-
-    /** @return total records the header promises. */
-    uint64_t totalRecords() const { return total; }
-
-    /** @return the image's format version (valid after open()). */
-    uint32_t version() const { return ver; }
-
-  private:
-    const uint8_t *cursor = nullptr;
-    const uint8_t *end = nullptr;
-    uint32_t ver = 0;
-    uint64_t total = 0;
-    uint64_t consumed = 0;
-    uint64_t runningDigest = 0;
-    std::unique_ptr<detail::TraceDecodeScratch> scratch;
-};
-
-/**
- * Replays a binary trace file as a TraceSource. fill() reads one
- * on-disk block per call; the per-record next() comes from the
- * buffered TraceSource default.
- */
-class TraceFileSource : public TraceSource
-{
-  public:
-    /**
-     * Open @p path. Calls fatal() on missing file, bad magic, or
-     * version mismatch.
-     */
-    explicit TraceFileSource(const std::string &path);
-    ~TraceFileSource() override;
-
-    TraceFileSource(const TraceFileSource &) = delete;
-    TraceFileSource &operator=(const TraceFileSource &) = delete;
-
-    bool fill(TraceChunk &chunk) override;
-
-    /** @return total records the header promises. */
-    uint64_t totalRecords() const { return reader.totalRecords(); }
-
-    /** Rewind to the first record (for multi-pass experiments). */
-    void rewind();
-
-  private:
-    TraceFileReader reader;
-    std::string path;
-};
+/// The image reader's former name, kept for the benchmark's probes.
+using TraceBufferReader = TraceReader;
 
 /**
  * The v3 codec's phase/period detector, exported for phase-aware

@@ -116,8 +116,9 @@ TEST(BatchIdentity, PredictBatchAndUpdateBatchMatchScalar)
             bool p = b->predict(pcs[n / 2 + l], v);
             ASSERT_EQ(p, out.predicted[l] != 0)
                 << family << " lane " << l;
-            if (p)
+            if (p) {
                 ASSERT_EQ(v, out.value[l]) << family << " lane " << l;
+            }
         }
     }
 }
@@ -154,8 +155,9 @@ TEST(BatchIdentity, ChunkWrappersGatherValueLanes)
         int64_t v = 0;
         bool p = scalar.predict(chunk.pc[i], v);
         ASSERT_EQ(p, out.predicted[l] != 0) << "lane " << l;
-        if (p)
+        if (p) {
             ASSERT_EQ(v, out.value[l]) << "lane " << l;
+        }
         scalar.update(chunk.pc[i], chunk.value[i]);
     }
 
@@ -174,8 +176,9 @@ TEST(BatchIdentity, ChunkWrappersGatherValueLanes)
         bool pa = scalar2.predict(chunk.pc[producing[l]], a);
         bool pb = batch2.predict(chunk.pc[producing[l]], b);
         ASSERT_EQ(pa, pb);
-        if (pa)
+        if (pa) {
             ASSERT_EQ(a, b);
+        }
     }
 }
 
@@ -237,8 +240,9 @@ TEST(BatchIdentity, MarkovFusedBatchMatchesScalar)
         bool hit = b.predict(guess);
         b.update(addrs[l]);
         ASSERT_EQ(hit, hits[l] != 0) << "lane " << l;
-        if (hit)
+        if (hit) {
             ASSERT_EQ(guess, guesses[l]) << "lane " << l;
+        }
     }
 }
 

@@ -209,7 +209,7 @@ TEST(ShrinkTest, TrialBudgetIsRespected)
 
 // ------------------------------------------------- repro artifacts
 
-TEST(ArtifactTest, RoundTripsThroughTraceIoV2)
+TEST(ArtifactTest, RoundTripsThroughTraceIoV3)
 {
     FuzzStreamConfig cfg;
     cfg.seed = 17;
@@ -217,8 +217,9 @@ TEST(ArtifactTest, RoundTripsThroughTraceIoV2)
     std::vector<FuzzRecord> stream = fuzzValueStream(cfg);
     std::string path = std::string(::testing::TempDir()) + "/" +
                        reproArtifactName("gdiff", 17);
-    writeReproArtifact(path, stream);
-    std::vector<FuzzRecord> back = readReproArtifact(path);
+    ASSERT_TRUE(writeReproArtifact(path, stream).ok());
+    std::vector<FuzzRecord> back;
+    ASSERT_TRUE(readReproArtifact(path, back));
     EXPECT_EQ(stream, back);
     EXPECT_EQ(streamDigest(stream), streamDigest(back));
     std::remove(path.c_str());
@@ -241,7 +242,7 @@ TEST(ArtifactTest, TypedReaderRoundTripsGoodArtifacts)
     writeReproArtifact(path, stream);
     std::vector<FuzzRecord> back;
     workload::TraceIoResult io;
-    ASSERT_TRUE(readReproArtifactOr(path, back, &io));
+    ASSERT_TRUE(readReproArtifact(path, back, &io));
     EXPECT_EQ(io.status, workload::TraceIoStatus::End);
     EXPECT_EQ(back, stream);
     std::remove(path.c_str());
@@ -249,9 +250,9 @@ TEST(ArtifactTest, TypedReaderRoundTripsGoodArtifacts)
 
 TEST(ArtifactTest, TypedReaderReportsCorruptionInsteadOfDying)
 {
-    // Regression: gdifffuzz --replay used to fatal() inside
-    // TraceFileSource on a damaged artifact. The typed reader must
-    // return the failure status and leave the process alive.
+    // Regression: gdifffuzz --replay used to fatal() inside the
+    // trace reader on a damaged artifact. The reader must return the
+    // failure status and leave the process alive.
     FuzzStreamConfig cfg;
     cfg.seed = 29;
     cfg.records = 150;
@@ -283,7 +284,7 @@ TEST(ArtifactTest, TypedReaderReportsCorruptionInsteadOfDying)
         fwrite(flipped.data(), 1, flipped.size(), w);
         fclose(w);
     }
-    EXPECT_FALSE(readReproArtifactOr(bad, back, &io));
+    EXPECT_FALSE(readReproArtifact(bad, back, &io));
     EXPECT_NE(io.status, workload::TraceIoStatus::End);
     EXPECT_NE(io.status, workload::TraceIoStatus::Ok);
 
@@ -297,7 +298,7 @@ TEST(ArtifactTest, TypedReaderReportsCorruptionInsteadOfDying)
         fclose(w);
     }
     back.clear();
-    EXPECT_FALSE(readReproArtifactOr(bad, back, &io));
+    EXPECT_FALSE(readReproArtifact(bad, back, &io));
     EXPECT_NE(io.status, workload::TraceIoStatus::End);
 
     // Not a trace file at all.
@@ -308,11 +309,11 @@ TEST(ArtifactTest, TypedReaderReportsCorruptionInsteadOfDying)
         fclose(w);
     }
     back.clear();
-    EXPECT_FALSE(readReproArtifactOr(bad, back, &io));
+    EXPECT_FALSE(readReproArtifact(bad, back, &io));
     EXPECT_EQ(io.status, workload::TraceIoStatus::BadMagic);
 
     // Missing file.
-    EXPECT_FALSE(readReproArtifactOr(
+    EXPECT_FALSE(readReproArtifact(
         "/nonexistent-dir/repro.gdtr", back, &io));
     EXPECT_EQ(io.status, workload::TraceIoStatus::IoError);
 

@@ -88,9 +88,10 @@ TEST(PredictAhead, FallbackFamiliesMatchPredict)
                 int64_t v = 0;
                 ASSERT_EQ(p->predictAhead(r.pc, ahead, v), predicted)
                     << family << " ahead=" << ahead;
-                if (predicted)
+                if (predicted) {
                     ASSERT_EQ(v, base)
                         << family << " ahead=" << ahead;
+                }
             }
             if (&r - stream.data() > 200)
                 break; // a slice is plenty per family

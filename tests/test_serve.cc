@@ -110,7 +110,7 @@ TEST(FramingTest, RoundTripsPayloads)
 {
     Pair p;
     std::string payload;
-    for (const std::string msg :
+    for (const auto &msg :
          {std::string(""), std::string("{}"),
           std::string(1000, 'x')}) {
         ASSERT_TRUE(writeFrame(p.a.get(), msg));

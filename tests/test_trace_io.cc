@@ -2,7 +2,7 @@
  * @file
  * Trace-file round-trip tests: records survive write/read unchanged,
  * replayed traces drive the same predictor results as live execution,
- * and malformed files are rejected.
+ * and malformed files are rejected with typed, sticky errors.
  */
 
 #include <gtest/gtest.h>
@@ -48,7 +48,8 @@ TEST(TraceIo, RoundTripPreservesRecords)
         EXPECT_EQ(writer.written(), original.size());
     }
 
-    TraceFileSource src(path);
+    TraceReader src;
+    ASSERT_TRUE(src.open(path).ok());
     EXPECT_EQ(src.totalRecords(), original.size());
     TraceRecord r;
     size_t i = 0;
@@ -70,6 +71,9 @@ TEST(TraceIo, RoundTripPreservesRecords)
         ++i;
     }
     EXPECT_EQ(i, original.size());
+    // End is sticky too: the v3 footer is not read a second time.
+    EXPECT_FALSE(src.next(r));
+    EXPECT_TRUE(src.status().end()) << src.status().message;
     std::remove(path.c_str());
 }
 
@@ -103,7 +107,8 @@ TEST(TraceIo, ReplayMatchesLiveExecution)
     auto live = w.makeExecutor();
     double live_acc = run(*live);
 
-    TraceFileSource replay(path);
+    TraceReader replay;
+    ASSERT_TRUE(replay.open(path).ok());
     double replay_acc = run(replay);
 
     EXPECT_DOUBLE_EQ(live_acc, replay_acc);
@@ -121,13 +126,15 @@ TEST(TraceIo, RewindReplaysFromTheTop)
         for (int i = 0; i < 100 && exec->next(r); ++i)
             writer.append(r);
     }
-    TraceFileSource src(path);
+    TraceReader src;
+    ASSERT_TRUE(src.open(path).ok());
     TraceRecord first;
     ASSERT_TRUE(src.next(first));
     TraceRecord r;
     while (src.next(r)) {
     }
-    src.rewind();
+    EXPECT_TRUE(src.status().end());
+    ASSERT_TRUE(src.rewind().ok());
     TraceRecord again;
     ASSERT_TRUE(src.next(again));
     EXPECT_EQ(again.seq, first.seq);
@@ -135,10 +142,31 @@ TEST(TraceIo, RewindReplaysFromTheTop)
     std::remove(path.c_str());
 }
 
-TEST(TraceIoDeath, MissingFileIsFatal)
+// ------------------------------------------------- typed errors
+//
+// Malformed input comes back as a TraceIoStatus with a message; the
+// process survives. Command-line tools turn these into fatal().
+
+TEST(TraceIoErrors, MissingFileIsIoError)
 {
-    EXPECT_EXIT(TraceFileSource src("/nonexistent/nope.bin"),
-                ::testing::ExitedWithCode(1), "cannot open");
+    TraceReader reader;
+    TraceIoResult res = reader.open("/nonexistent/nope.bin");
+    EXPECT_EQ(res.status, TraceIoStatus::IoError);
+    EXPECT_NE(res.message.find("cannot open"), std::string::npos)
+        << res.message;
+}
+
+TEST(TraceIoErrors, WriterOnDirectoryReportsIoError)
+{
+    // A directory cannot be opened for writing, even by root.
+    TraceWriter writer(::testing::TempDir());
+    TraceRecord r;
+    writer.append(r); // dropped: the writer has already failed
+    TraceIoResult res = writer.close();
+    EXPECT_EQ(res.status, TraceIoStatus::IoError);
+    EXPECT_NE(res.message.find("cannot create"), std::string::npos)
+        << res.message;
+    EXPECT_EQ(writer.status().status, TraceIoStatus::IoError);
 }
 
 // ------------------------------------------------- version matrix
@@ -165,7 +193,7 @@ writeSmallTrace(const char *tag, uint32_t version)
 TEST(TraceIoVersionMatrix, V2ReaderRejectsV3FileNamingBothVersions)
 {
     std::string path = writeSmallTrace("v2rdr_v3file", traceVersionV3);
-    TraceFileReader reader;
+    TraceReader reader;
     TraceIoResult res = reader.open(path, traceVersionV2);
     EXPECT_EQ(res.status, TraceIoStatus::BadVersion);
     // The error must name what was found and what would have worked.
@@ -181,7 +209,7 @@ TEST(TraceIoVersionMatrix, V3ReaderAcceptsV2FileTransparently)
     std::string v3 = writeSmallTrace("matrix_v3", traceVersionV3);
 
     auto drain = [](const std::string &path) {
-        TraceFileReader reader;
+        TraceReader reader;
         TraceIoResult res = reader.open(path);
         EXPECT_TRUE(res.ok()) << res.message;
         std::vector<TraceRecord> records;
@@ -210,7 +238,7 @@ TEST(TraceIoVersionMatrix, EachEraReaderAcceptsItsOwnFormat)
 {
     for (uint32_t ver : {traceVersionV2, traceVersionV3}) {
         std::string path = writeSmallTrace("matrix_own", ver);
-        TraceFileReader reader;
+        TraceReader reader;
         TraceIoResult res = reader.open(path, ver);
         EXPECT_TRUE(res.ok()) << "v" << ver << ": " << res.message;
         EXPECT_EQ(reader.version(), ver);
@@ -218,59 +246,59 @@ TEST(TraceIoVersionMatrix, EachEraReaderAcceptsItsOwnFormat)
     }
 }
 
-TEST(TraceIoDeath, WrongVersionIsFatal)
+/** Write @p bytes bytes of @p data to a fresh file at @p path. */
+void
+writeBytes(const std::string &path, const void *data, size_t bytes)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(data, 1, bytes, f);
+    std::fclose(f);
+}
+
+TEST(TraceIoErrors, WrongVersionIsBadVersion)
 {
     std::string path = tempPath("badversion");
-    {
-        // A structurally valid header whose version field is from
-        // the future: magic "GDTR", version 999, zero records.
-        std::FILE *f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        const uint32_t magic = 0x52544447; // "GDTR"
-        const uint32_t version = 999;
-        const uint64_t count = 0;
-        std::fwrite(&magic, sizeof(magic), 1, f);
-        std::fwrite(&version, sizeof(version), 1, f);
-        std::fwrite(&count, sizeof(count), 1, f);
-        std::fclose(f);
-    }
-    EXPECT_EXIT(TraceFileSource src(path),
-                ::testing::ExitedWithCode(1), "version 999");
+    // A structurally valid header whose version field is from the
+    // future: magic "GDTR", version 999, zero records.
+    const uint32_t header[4] = {0x52544447, 999, 0, 0};
+    writeBytes(path, header, sizeof(header));
+    TraceReader reader;
+    TraceIoResult res = reader.open(path);
+    EXPECT_EQ(res.status, TraceIoStatus::BadVersion);
+    EXPECT_NE(res.message.find("version 999"), std::string::npos)
+        << res.message;
     std::remove(path.c_str());
 }
 
-TEST(TraceIoDeath, TruncatedHeaderIsFatal)
+TEST(TraceIoErrors, TruncatedHeaderIsTruncated)
 {
     std::string path = tempPath("shortheader");
-    {
-        // Only half a header: valid magic, then EOF.
-        std::FILE *f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        const uint32_t magic = 0x52544447;
-        std::fwrite(&magic, sizeof(magic), 1, f);
-        std::fclose(f);
-    }
-    EXPECT_EXIT(TraceFileSource src(path),
-                ::testing::ExitedWithCode(1), "truncated");
+    // Only half a header: valid magic, then EOF.
+    const uint32_t magic = 0x52544447;
+    writeBytes(path, &magic, sizeof(magic));
+    TraceReader reader;
+    TraceIoResult res = reader.open(path);
+    EXPECT_EQ(res.status, TraceIoStatus::Truncated);
+    EXPECT_NE(res.message.find("truncated"), std::string::npos)
+        << res.message;
     std::remove(path.c_str());
 }
 
-TEST(TraceIoDeath, BadMagicIsFatal)
+TEST(TraceIoErrors, JunkIsBadMagic)
 {
     std::string path = tempPath("badmagic");
-    {
-        std::FILE *f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        const char junk[32] = "this is not a trace file";
-        std::fwrite(junk, sizeof(junk), 1, f);
-        std::fclose(f);
-    }
-    EXPECT_EXIT(TraceFileSource src(path),
-                ::testing::ExitedWithCode(1), "bad magic");
+    const char junk[32] = "this is not a trace file";
+    writeBytes(path, junk, sizeof(junk));
+    TraceReader reader;
+    TraceIoResult res = reader.open(path);
+    EXPECT_EQ(res.status, TraceIoStatus::BadMagic);
+    EXPECT_NE(res.message.find("bad magic"), std::string::npos)
+        << res.message;
     std::remove(path.c_str());
 }
 
-TEST(TraceIoDeath, TruncatedFileIsFatal)
+TEST(TraceIoErrors, TruncatedFileStopsFillAndStaysTruncated)
 {
     std::string path = tempPath("trunc");
     {
@@ -280,7 +308,7 @@ TEST(TraceIoDeath, TruncatedFileIsFatal)
         TraceRecord r;
         for (int i = 0; i < 10 && exec->next(r); ++i)
             writer.append(r);
-        writer.close();
+        EXPECT_TRUE(writer.close().ok());
     }
     // Chop the last record in half.
     {
@@ -291,14 +319,65 @@ TEST(TraceIoDeath, TruncatedFileIsFatal)
         std::fclose(f);
         ASSERT_EQ(0, truncate(path.c_str(), size - 32));
     }
-    TraceFileSource src(path);
-    TraceRecord r;
-    EXPECT_EXIT(
-        {
-            while (src.next(r)) {
-            }
-        },
-        ::testing::ExitedWithCode(1), "truncated");
+    TraceReader src;
+    ASSERT_TRUE(src.open(path).ok());
+    auto chunk = std::make_unique<TraceChunk>();
+    while (src.fill(*chunk)) {
+    }
+    TraceIoResult res = src.status();
+    EXPECT_EQ(res.status, TraceIoStatus::Truncated);
+    EXPECT_NE(res.message.find("truncated"), std::string::npos)
+        << res.message;
+
+    // Sticky: every later read and fill reports the same failure.
+    TraceIoResult again = src.read(*chunk);
+    EXPECT_EQ(again.status, TraceIoStatus::Truncated);
+    EXPECT_EQ(again.message, res.message);
+    EXPECT_EQ(chunk->size, 0u);
+    EXPECT_FALSE(src.fill(*chunk));
+    EXPECT_EQ(src.status().message, res.message);
+    std::remove(path.c_str());
+}
+
+TEST(TraceIoErrors, DamagedBlockFailureIsSticky)
+{
+    // Two blocks; a flipped byte in the first block's payload. A
+    // reader that forgot the failure would decode block two next.
+    std::string path = tempPath("sticky");
+    {
+        TraceWriter writer(path);
+        Workload w = makeWorkload("bzip2", 1);
+        auto exec = w.makeExecutor();
+        TraceRecord r;
+        for (uint32_t i = 0; i < TraceChunk::capacity + 100; ++i) {
+            ASSERT_TRUE(exec->next(r));
+            writer.append(r);
+        }
+        ASSERT_TRUE(writer.close().ok());
+    }
+    {
+        std::FILE *f = std::fopen(path.c_str(), "rb+");
+        ASSERT_NE(f, nullptr);
+        // file header (16 bytes) + first block header (16 bytes)
+        std::fseek(f, 16 + 16 + 1, SEEK_SET);
+        int c = std::fgetc(f);
+        std::fseek(f, 16 + 16 + 1, SEEK_SET);
+        std::fputc(c ^ 0x20, f);
+        std::fclose(f);
+    }
+    TraceReader reader;
+    ASSERT_TRUE(reader.open(path).ok());
+    auto chunk = std::make_unique<TraceChunk>();
+    TraceIoResult first = reader.read(*chunk);
+    EXPECT_EQ(first.status, TraceIoStatus::DigestMismatch)
+        << first.message;
+    for (int i = 0; i < 2; ++i) {
+        TraceIoResult again = reader.read(*chunk);
+        EXPECT_EQ(again.status, first.status);
+        EXPECT_EQ(again.message, first.message);
+        EXPECT_EQ(chunk->size, 0u);
+    }
+    EXPECT_FALSE(reader.fill(*chunk));
     std::remove(path.c_str());
 }
 

@@ -131,7 +131,7 @@ TraceIoResult
 decodeImage(const std::vector<uint8_t> &image,
             std::vector<TraceRecord> *out = nullptr)
 {
-    TraceBufferReader reader;
+    TraceReader reader;
     TraceIoResult res = reader.open(image.data(), image.size());
     if (res.failed())
         return res;
@@ -146,13 +146,13 @@ decodeImage(const std::vector<uint8_t> &image,
     }
 }
 
-/** Same, streaming from a file through TraceFileReader. */
+/** Same, streaming from a file. */
 TraceIoResult
 decodeFile(const std::string &path,
            std::vector<TraceRecord> *out = nullptr,
            uint32_t maxVersion = traceVersionMax)
 {
-    TraceFileReader reader;
+    TraceReader reader;
     TraceIoResult res = reader.open(path, maxVersion);
     if (res.failed())
         return res;
@@ -521,6 +521,28 @@ TEST(DiskTraceCache, EvictionHonoursByteCap)
     removeTree(root);
 }
 
+TEST(DiskTraceCache, FailedStoreWarnsAndStoresNothing)
+{
+    std::string root = tempRoot("squat");
+    ASSERT_EQ(::mkdir(root.c_str(), 0755), 0);
+    // A directory squatting on the store's temp path makes the
+    // TraceWriter fail to create it (mkdir, not chmod: root-proof).
+    std::string tmp = root + "/" +
+                      DiskTraceCache::entryName("micro.stride", 1, 5000) +
+                      ".tmp." + std::to_string(::getpid());
+    ASSERT_EQ(::mkdir(tmp.c_str(), 0755), 0);
+
+    DiskTraceCache::Config cfg;
+    cfg.root = root;
+    DiskTraceCache disk(cfg);
+    auto trace = MaterializedTrace::generate("micro.stride", 1, 5000);
+    disk.store("micro.stride", 1, 5000, *trace); // returns, no exit
+    EXPECT_EQ(disk.snapshot().stores, 0u);
+    EXPECT_EQ(disk.load("micro.stride", 1, 5000), nullptr);
+    EXPECT_EQ(disk.snapshot().misses, 1u);
+    removeTree(root);
+}
+
 // -------------------------------------------------- cross-process
 
 /** @return the child's exit code, or -1 on abnormal termination. */
@@ -624,7 +646,8 @@ TEST(TraceV3Equivalence, V2AndV3ReplaysDriveIdenticalResults)
     writeRecords(v3, records, traceVersionV3);
 
     auto run = [](const std::string &path) {
-        TraceFileSource src(path);
+        TraceReader src;
+        EXPECT_TRUE(src.open(path).ok());
         core::GDiffConfig cfg;
         cfg.order = 8;
         cfg.tableEntries = 0;
