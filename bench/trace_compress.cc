@@ -78,8 +78,8 @@ timedWrite(const workload::MaterializedTrace &trace,
 {
     auto t0 = Clock::now();
     workload::TraceWriter writer(path, version);
-    for (const auto &chunk : trace.chunks())
-        writer.append(*chunk);
+    for (size_t i = 0; i < trace.blockCount(); ++i)
+        writer.append(trace.block(i));
     *status = writer.close();
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }

@@ -45,6 +45,25 @@ sort build/warm2.jsonl > build/warm2.sorted
 cmp build/warm1.sorted build/warm2.sorted || {
     echo "trace cache: disk-replayed sweep differs from cold run"
     exit 1; }
+# The same for a sampled grid, whose disk-loaded traces decode only
+# the blocks the strata pass and the measured windows read.
+rm -f build/warm1s.jsonl build/warm2s.jsonl
+for run in 1 2; do
+    ./build/examples/gdiffrun \
+        --grid 'workload=mcf,gzip;mode=pipeline;scheme=hgvq' \
+        --threads=4 --instructions=400000 --warmup=20000 \
+        --sample-budget=40960 --sample-windows=4096 \
+        --deterministic --no-table --out build/warm${run}s.jsonl \
+        --trace-cache-dir build/check_trace_cache 2> build/warm${run}s.log
+done
+grep -q 'trace cache: 0 generated' build/warm2s.log || {
+    echo "trace cache: sampled warm restart regenerated traces"
+    cat build/warm2s.log; exit 1; }
+sort build/warm1s.jsonl > build/warm1s.sorted
+sort build/warm2s.jsonl > build/warm2s.sorted
+cmp build/warm1s.sorted build/warm2s.sorted || {
+    echo "trace cache: disk-replayed sampled sweep differs from cold run"
+    exit 1; }
 # Batch-vs-scalar prediction gate: the fused batch protocol must hold
 # >= 2x records/sec on the gated families (stride, fcm, gdiff), with
 # per-trial checksum identity between the two paths.

@@ -52,10 +52,13 @@ profileStrata(workload::TraceSource &src, const WindowGrid &grid,
     // subranges. Records outside a scan prefix (the vast majority at
     // realistic window sizes) cost a few index computations per
     // chunk, so the pass stays cheap next to the measured windows.
+    // Whole chunks before the region are stepped over, and only the
+    // pc and value columns are read: a disk-loaded trace decodes
+    // those two columns and nothing else.
     const uint64_t end = grid.measuredStart + grid.measuredRecords;
-    uint64_t pos = 0;
+    uint64_t pos = src.skipChunks(grid.measuredStart);
     while (pos < end) {
-        const workload::TraceChunk *c = src.fillRef(*scratch);
+        const workload::TraceChunk *c = src.fillPcValue(*scratch);
         if (!c)
             break; // stream shorter than promised: default keys stay
         const uint64_t cStart = pos;

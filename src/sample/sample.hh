@@ -10,8 +10,9 @@
  *     trace is cut into equal candidate windows of
  *     JobSpec::sampleWindow records.
  *
- *  2. A cheap profiling pass streams the whole region once (no timing
- *     model) and fingerprints each window with the v3 codec's
+ *  2. A cheap profiling pass streams the pc and value columns of the
+ *     whole region once (no timing model; a disk-loaded trace decodes
+ *     no other column) and fingerprints each window with the v3 codec's
  *     phase/period detector (workload::detectStridePeriod on the
  *     value and pc columns of the window's scan prefix). Windows with
  *     the same (value-period, pc-period) fingerprint — i.e. the same
@@ -22,9 +23,10 @@
  *     total) is spread by Neyman allocation — proportional to each
  *     stratum's weight times its pilot standard deviation — and the
  *     chosen windows are simulated. Each window job fast-forwards to
- *     its offset with workload::SkipTraceSource (a chunk-pointer walk
- *     over the shared cached trace, not simulation), functionally
- *     warms caches/predictors over up to kFunctionalWarmup records,
+ *     its offset with workload::SkipTraceSource (a walk over the
+ *     shared cached trace's block index that decodes only the block
+ *     the offset splits, not simulation), functionally warms
+ *     caches/predictors over up to kFunctionalWarmup records,
  *     timing-warms kWarmupWindows window lengths, then measures.
  *
  *  4. The per-window metrics are combined by the stratified

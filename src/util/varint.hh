@@ -124,6 +124,27 @@ fnv1a(const void *data, size_t bytes, uint64_t h = fnvOffsetBasis)
     }
     return h;
 }
+
+/**
+ * Fold the same @p bytes bytes into two running FNV-1a digests in one
+ * pass: afterwards *@p a == fnv1a(data, bytes, a0) and *@p b ==
+ * fnv1a(data, bytes, b0). Each digest is a serial multiply chain, so
+ * interleaving two independent chains costs about one pass, not two —
+ * a trace reader checks a block digest and extends the whole-file
+ * digest over the same payload bytes this way.
+ */
+inline void
+fnv1aPair(const void *data, size_t bytes, uint64_t *a, uint64_t *b)
+{
+    const uint8_t *p = static_cast<const uint8_t *>(data);
+    uint64_t ha = *a, hb = *b;
+    for (size_t i = 0; i < bytes; ++i) {
+        ha = (ha ^ p[i]) * fnvPrime;
+        hb = (hb ^ p[i]) * fnvPrime;
+    }
+    *a = ha;
+    *b = hb;
+}
 /// @}
 
 /// @name column codecs (element counts are fixed by the caller)

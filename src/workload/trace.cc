@@ -123,6 +123,18 @@ TraceSource::fillRef(TraceChunk &scratch)
     return fill(scratch) ? &scratch : nullptr;
 }
 
+const TraceChunk *
+TraceSource::fillPcValue(TraceChunk &scratch)
+{
+    return fillRef(scratch);
+}
+
+uint64_t
+TraceSource::skipChunks(uint64_t)
+{
+    return 0;
+}
+
 void
 TraceSource::resetBuffer()
 {
@@ -141,6 +153,7 @@ void
 SkipTraceSource::skipPrefix()
 {
     skipped = true;
+    toSkip -= inner.skipChunks(toSkip);
     if (toSkip == 0)
         return;
     if (!skipScratch)

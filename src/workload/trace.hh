@@ -182,6 +182,22 @@ class TraceSource
      */
     virtual const TraceChunk *fillRef(TraceChunk &scratch);
 
+    /**
+     * Like fillRef(), but only the size, pc and value columns of the
+     * returned chunk need be valid. A replay source holding
+     * compressed blocks decodes just those two columns; the default
+     * is fillRef().
+     */
+    virtual const TraceChunk *fillPcValue(TraceChunk &scratch);
+
+    /**
+     * Step over whole chunks without producing them, for as long as
+     * the next chunk ends within @p maxRecords records. Call it before
+     * reading any record. @return records skipped. The default skips
+     * nothing: its caller then reads the records it wants to drop.
+     */
+    virtual uint64_t skipChunks(uint64_t maxRecords);
+
   protected:
     /**
      * Drop any records the default next() has buffered but not yet
@@ -201,12 +217,15 @@ class TraceSource
  * simulator (src/sample/): a measured window at stream offset S warms
  * and measures a SkipTraceSource(inner, S - warmup).
  *
- * The skip itself never simulates anything: over a CachedTraceSource
- * it walks frozen chunk references, so fast-forwarding costs one
- * pointer chase per 4096 records. When the skip boundary lands inside
- * a chunk the tail is copied once into an owned chunk (inner sources
- * may hand out frozen or scratch-backed chunks that must not be
- * mutated); every following chunk is passed through zero-copy.
+ * The skip itself never simulates anything. It first steps over every
+ * whole chunk it drops through the inner source's skipChunks() hook:
+ * a CachedTraceSource advances its block cursor without decoding
+ * anything, so fast-forwarding costs a few index reads per 4096
+ * records. Only the chunk that the skip boundary splits is read, and
+ * its tail is copied once into an owned chunk (inner sources may hand
+ * out frozen or scratch-backed chunks that must not be mutated);
+ * every following chunk is passed through zero-copy. A source without
+ * the hook is drained chunk by chunk instead.
  *
  * Non-owning: @p inner must outlive this source. If the inner stream
  * is shorter than @p skip, this source is empty.

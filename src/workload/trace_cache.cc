@@ -1,5 +1,6 @@
 #include "workload/trace_cache.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 
@@ -13,6 +14,26 @@ namespace workload {
 
 // ------------------------------------------------ MaterializedTrace
 
+struct MaterializedTrace::DiskImage
+{
+    std::unique_ptr<uint8_t[]> bytes;
+    size_t size = 0;
+    std::vector<TraceBlockRef> index;
+    Fallback fallback;
+    std::once_flag fallbackOnce;
+    std::shared_ptr<const MaterializedTrace> replacement;
+    /// replacement.get() once the fallback has run
+    std::atomic<const MaterializedTrace *> replaced{nullptr};
+};
+
+MaterializedTrace::MaterializedTrace() = default;
+
+MaterializedTrace::~MaterializedTrace()
+{
+    for (size_t i = 0; i < numBlocks; ++i)
+        delete slots[i].load(std::memory_order_relaxed);
+}
+
 std::shared_ptr<const MaterializedTrace>
 MaterializedTrace::generate(const std::string &workload, uint64_t seed,
                             uint64_t maxRecords)
@@ -20,34 +41,160 @@ MaterializedTrace::generate(const std::string &workload, uint64_t seed,
     auto trace = std::make_shared<MaterializedTrace>();
     Workload w = makeWorkload(workload, seed);
     auto exec = w.makeExecutor();
-    trace->chunkList.reserve(
-        static_cast<size_t>(maxRecords / TraceChunk::capacity) + 1);
+    // The executor fills whole chunks, so the budget bounds the block
+    // count.
+    const size_t maxBlocks =
+        static_cast<size_t>(maxRecords / TraceChunk::capacity) + 1;
+    trace->slots = std::make_unique<std::atomic<TraceChunk *>[]>(maxBlocks);
     uint64_t remaining = maxRecords;
-    while (remaining > 0) {
+    while (remaining > 0 && trace->numBlocks < maxBlocks) {
         auto chunk = std::make_unique<TraceChunk>();
         if (!exec->fill(*chunk))
             break;
-        // The executor fills whole chunks; trim the final one to the
-        // requested budget so the frozen stream ends exactly where a
-        // live consumer would stop.
+        // Trim the final chunk to the requested budget so the frozen
+        // stream ends exactly where a live consumer would stop.
         if (chunk->size > remaining)
             chunk->size = static_cast<uint32_t>(remaining);
         remaining -= chunk->size;
         trace->recordCount += chunk->size;
-        trace->chunkList.push_back(std::move(chunk));
+        trace->slots[trace->numBlocks++].store(chunk.release(),
+                                               std::memory_order_relaxed);
     }
+    trace->decodedCount.store(trace->numBlocks,
+                              std::memory_order_relaxed);
     return trace;
 }
 
 std::shared_ptr<const MaterializedTrace>
-MaterializedTrace::fromChunks(
-    std::vector<std::unique_ptr<TraceChunk>> chunks)
+MaterializedTrace::fromImage(std::unique_ptr<uint8_t[]> image,
+                             size_t imageBytes,
+                             std::vector<TraceBlockRef> index,
+                             Fallback fallback)
 {
+    GDIFF_ASSERT(fallback != nullptr,
+                 "a disk-loaded trace needs a fallback");
     auto trace = std::make_shared<MaterializedTrace>();
-    trace->chunkList = std::move(chunks);
-    for (const auto &chunk : trace->chunkList)
-        trace->recordCount += chunk->size;
+    trace->numBlocks = index.size();
+    trace->slots =
+        std::make_unique<std::atomic<TraceChunk *>[]>(index.size());
+    for (const TraceBlockRef &b : index)
+        trace->recordCount += b.records;
+    trace->disk = std::make_unique<DiskImage>();
+    trace->disk->bytes = std::move(image);
+    trace->disk->size = imageBytes;
+    trace->disk->index = std::move(index);
+    trace->disk->fallback = std::move(fallback);
     return trace;
+}
+
+const MaterializedTrace *
+MaterializedTrace::replacement() const
+{
+    return disk ? disk->replaced.load(std::memory_order_acquire)
+                : nullptr;
+}
+
+size_t
+MaterializedTrace::blockCount() const
+{
+    if (const MaterializedTrace *r = replacement())
+        return r->blockCount();
+    return numBlocks;
+}
+
+uint32_t
+MaterializedTrace::blockRecords(size_t i) const
+{
+    if (const MaterializedTrace *r = replacement())
+        return r->blockRecords(i);
+    if (disk)
+        return disk->index[i].records;
+    return slots[i].load(std::memory_order_acquire)->size;
+}
+
+const TraceChunk &
+MaterializedTrace::block(size_t i) const
+{
+    if (const MaterializedTrace *r = replacement())
+        return r->block(i);
+    if (const TraceChunk *c = slots[i].load(std::memory_order_acquire))
+        return *c;
+    return decodeBlock(i);
+}
+
+const TraceChunk &
+MaterializedTrace::decodeBlock(size_t i) const
+{
+    auto fresh = std::make_unique<TraceChunk>();
+    TraceIoResult r =
+        decodeTraceBlock(disk->bytes.get(), disk->index[i], *fresh);
+    decodeCount.fetch_add(1, std::memory_order_relaxed);
+    GDIFF_OBS_COUNT("trace_cache.block_decode", 1);
+    if (r.failed())
+        return fallBack(r).block(i);
+    // Publish once: a thread that lost the race frees its copy and
+    // reads the winner's, so every reader sees one block object.
+    TraceChunk *expected = nullptr;
+    if (slots[i].compare_exchange_strong(expected, fresh.get(),
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+        decodedCount.fetch_add(1, std::memory_order_relaxed);
+        return *fresh.release();
+    }
+    return *expected;
+}
+
+const TraceChunk &
+MaterializedTrace::pcValue(size_t i, TraceChunk &scratch) const
+{
+    if (const MaterializedTrace *r = replacement())
+        return r->pcValue(i, scratch);
+    if (const TraceChunk *c = slots[i].load(std::memory_order_acquire))
+        return *c;
+    TraceIoResult r = decodeTraceBlock(disk->bytes.get(),
+                                       disk->index[i], scratch, true);
+    if (r.failed())
+        return fallBack(r).pcValue(i, scratch);
+    return scratch;
+}
+
+const MaterializedTrace &
+MaterializedTrace::fallBack(const TraceIoResult &why) const
+{
+    std::call_once(disk->fallbackOnce, [&] {
+        disk->replacement = disk->fallback(why);
+        GDIFF_ASSERT(disk->replacement != nullptr,
+                     "trace fallback returned no trace");
+        disk->replaced.store(disk->replacement.get(),
+                             std::memory_order_release);
+    });
+    return *replacement();
+}
+
+bool
+MaterializedTrace::decoded(size_t i) const
+{
+    return slots[i].load(std::memory_order_acquire) != nullptr;
+}
+
+uint64_t
+MaterializedTrace::records() const
+{
+    if (const MaterializedTrace *r = replacement())
+        return r->records();
+    return recordCount;
+}
+
+size_t
+MaterializedTrace::bytes() const
+{
+    size_t b = decodedCount.load(std::memory_order_relaxed) *
+               sizeof(TraceChunk);
+    if (disk)
+        b += disk->size;
+    if (const MaterializedTrace *r = replacement())
+        b += r->bytes();
+    return b;
 }
 
 // ------------------------------------------------ CachedTraceSource
@@ -63,22 +210,38 @@ CachedTraceSource::CachedTraceSource(
 bool
 CachedTraceSource::fill(TraceChunk &chunk)
 {
-    const auto &chunks = trace->chunks();
-    if (cursor >= chunks.size()) {
+    if (cursor >= trace->blockCount()) {
         chunk.clear();
         return false;
     }
-    chunk.assign(*chunks[cursor++]);
+    chunk.assign(trace->block(cursor++));
     return true;
 }
 
 const TraceChunk *
 CachedTraceSource::fillRef(TraceChunk &)
 {
-    const auto &chunks = trace->chunks();
-    if (cursor >= chunks.size())
+    if (cursor >= trace->blockCount())
         return nullptr;
-    return chunks[cursor++].get();
+    return &trace->block(cursor++);
+}
+
+const TraceChunk *
+CachedTraceSource::fillPcValue(TraceChunk &scratch)
+{
+    if (cursor >= trace->blockCount())
+        return nullptr;
+    return &trace->pcValue(cursor++, scratch);
+}
+
+uint64_t
+CachedTraceSource::skipChunks(uint64_t maxRecords)
+{
+    uint64_t skipped = 0;
+    while (cursor < trace->blockCount() &&
+           skipped + trace->blockRecords(cursor) <= maxRecords)
+        skipped += trace->blockRecords(cursor++);
+    return skipped;
 }
 
 void
@@ -149,7 +312,7 @@ TraceCache::acquire(const std::string &workload, uint64_t seed,
         if (it != entries.end()) {
             ++counters.hits;
             GDIFF_OBS_COUNT("trace_cache.hit", 1);
-            if (it->second.bytes > 0) {
+            if (it->second.trace) {
                 // Finished entry: refresh its LRU position.
                 lru.erase(it->second.lruPos);
                 lru.push_back(key);
@@ -207,8 +370,7 @@ TraceCache::acquire(const std::string &workload, uint64_t seed,
             ++counters.generations;
         auto it = entries.find(key);
         if (it != entries.end()) {
-            it->second.bytes = trace->bytes();
-            residentBytes += trace->bytes();
+            it->second.trace = trace;
             lru.push_back(key);
             it->second.lruPos = std::prev(lru.end());
             evictLocked();
@@ -223,20 +385,33 @@ TraceCache::acquire(const std::string &workload, uint64_t seed,
     return out;
 }
 
+size_t
+TraceCache::residentBytesLocked() const
+{
+    size_t bytes = 0;
+    for (const auto &[key, e] : entries)
+        if (e.trace)
+            bytes += e.trace->bytes();
+    return bytes;
+}
+
 void
 TraceCache::evictLocked()
 {
     if (cfg.maxBytes == 0)
         return;
+    size_t resident = residentBytesLocked();
     // Never evict the most-recent entry: a triple larger than the
     // whole cap still has to live long enough to be replayed.
-    while (residentBytes > cfg.maxBytes && lru.size() > 1) {
+    while (resident > cfg.maxBytes && lru.size() > 1) {
         Key victim = lru.front();
         lru.pop_front();
         auto it = entries.find(victim);
         GDIFF_ASSERT(it != entries.end(),
                      "trace-cache LRU points at a missing entry");
-        residentBytes -= it->second.bytes;
+        // A trace may have grown since the sum (another reader
+        // decoding a block): never wrap below zero.
+        resident -= std::min(resident, it->second.trace->bytes());
         entries.erase(it);
         ++counters.evictions;
     }
@@ -250,7 +425,7 @@ TraceCache::snapshot() const
     {
         std::lock_guard<std::mutex> guard(lock);
         s = counters;
-        s.residentBytes = residentBytes;
+        s.residentBytes = residentBytesLocked();
         s.entries = entries.size();
         tier = disk;
     }
@@ -272,7 +447,6 @@ TraceCache::clear()
     std::lock_guard<std::mutex> guard(lock);
     entries.clear();
     lru.clear();
-    residentBytes = 0;
     counters = Stats();
 }
 

@@ -18,14 +18,18 @@
  *    generated one, so per-job metrics are bit-identical with the
  *    cache on or off, at any thread count;
  *  - bounded footprint: entries are LRU-evicted once the configured
- *    byte cap is exceeded. Evicted traces stay alive (shared_ptr)
- *    until their last in-flight replayer finishes.
+ *    byte cap is exceeded. A trace loaded from the disk tier stays
+ *    compressed until its blocks are read, so its size is re-read
+ *    before every eviction pass. Evicted traces stay alive
+ *    (shared_ptr) until their last in-flight replayer finishes.
  */
 
 #ifndef GDIFF_WORKLOAD_TRACE_CACHE_HH
 #define GDIFF_WORKLOAD_TRACE_CACHE_HH
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <list>
 #include <map>
@@ -35,6 +39,7 @@
 #include <vector>
 
 #include "workload/trace.hh"
+#include "workload/trace_io.hh"
 
 namespace gdiff {
 namespace workload {
@@ -43,12 +48,41 @@ class DiskTraceCache;
 
 /**
  * An immutable materialized trace: the first @c records() records of
- * one (workload, seed) stream, stored as a vector of SoA chunks.
- * Shared read-only between any number of replaying jobs.
+ * one (workload, seed) stream, as blocks of up to TraceChunk::capacity
+ * records. Shared read-only between any number of replaying jobs.
+ *
+ * A block is in one of two states. A generated trace has every block
+ * decoded. A trace loaded from the disk tier holds the verified v3
+ * image and its block index, and decodes a block the first time a
+ * reader touches it; the decoded block is published once (an atomic
+ * slot, first writer wins) and stays for the trace's lifetime, so a
+ * trace that is replayed in full many times is decoded once. Readers
+ * that need only the pc and value columns (the sampler's profiling
+ * pass) get them decoded into their own scratch, and nothing is
+ * published.
+ *
+ * Every digest of a disk image was checked at load, so a block can
+ * fail to decode only in a file whose digests were forged. That
+ * failure does not reach the reader: the trace calls its fallback
+ * once, which quarantines the entry and regenerates the triple, and
+ * serves every later block from the regenerated trace.
  */
 class MaterializedTrace
 {
   public:
+    /**
+     * Supplies the trace to serve when a disk-loaded block fails to
+     * decode; called at most once, with the decode failure.
+     */
+    using Fallback = std::function<std::shared_ptr<const MaterializedTrace>(
+        const TraceIoResult &)>;
+
+    MaterializedTrace();
+    ~MaterializedTrace();
+
+    MaterializedTrace(const MaterializedTrace &) = delete;
+    MaterializedTrace &operator=(const MaterializedTrace &) = delete;
+
     /**
      * Execute @p workload (makeWorkload(@p workload, @p seed)) and
      * freeze its first @p maxRecords records. Fewer are stored if the
@@ -59,38 +93,75 @@ class MaterializedTrace
              uint64_t maxRecords);
 
     /**
-     * Adopt already-decoded chunks (the disk tier's loader). The
-     * stream must be in order; record count is the sum of the chunk
-     * sizes.
+     * Adopt a v3 image of @p imageBytes bytes that indexTraceImage()
+     * verified into @p index (the disk tier's loader). No block is
+     * decoded yet. @p fallback must be callable.
      */
     static std::shared_ptr<const MaterializedTrace>
-    fromChunks(std::vector<std::unique_ptr<TraceChunk>> chunks);
+    fromImage(std::unique_ptr<uint8_t[]> image, size_t imageBytes,
+              std::vector<TraceBlockRef> index, Fallback fallback);
 
-    /** @return the frozen chunks, in stream order. */
-    const std::vector<std::unique_ptr<TraceChunk>> &chunks() const
+    /** @return blocks in the stream. */
+    size_t blockCount() const;
+
+    /** @return records in block @p i, without decoding it. */
+    uint32_t blockRecords(size_t i) const;
+
+    /** @return block @p i, decoding it on first touch. */
+    const TraceChunk &block(size_t i) const;
+
+    /**
+     * @return block @p i if it is decoded, else its size, pc and value
+     * columns decoded into @p scratch (nothing is published).
+     */
+    const TraceChunk &pcValue(size_t i, TraceChunk &scratch) const;
+
+    /** @return whether block @p i is decoded and resident. */
+    bool decoded(size_t i) const;
+
+    /** @return full-block decodes so far (lost publish races count). */
+    uint64_t blockDecodes() const
     {
-        return chunkList;
+        return decodeCount.load(std::memory_order_relaxed);
     }
 
     /** @return records stored. */
-    uint64_t records() const { return recordCount; }
+    uint64_t records() const;
 
-    /** @return approximate resident bytes (for the cache cap). */
-    size_t bytes() const
-    {
-        return chunkList.size() * sizeof(TraceChunk);
-    }
+    /**
+     * @return approximate resident bytes (for the cache cap): the
+     * image plus the decoded blocks. Grows as blocks are decoded.
+     */
+    size_t bytes() const;
 
   private:
-    std::vector<std::unique_ptr<TraceChunk>> chunkList;
+    /// a disk-loaded trace's image, index and fallback state
+    struct DiskImage;
+
+    /** @return the fallback trace once it has replaced this one. */
+    const MaterializedTrace *replacement() const;
+
+    /** Decode, publish and return block @p i. */
+    const TraceChunk &decodeBlock(size_t i) const;
+
+    /** Switch to the fallback trace (once) after @p why. */
+    const MaterializedTrace &fallBack(const TraceIoResult &why) const;
+
+    /// decoded blocks, null until first touched; owned
+    std::unique_ptr<std::atomic<TraceChunk *>[]> slots;
+    size_t numBlocks = 0;
     uint64_t recordCount = 0;
+    /// null for a generated trace
+    std::unique_ptr<DiskImage> disk;
+    mutable std::atomic<size_t> decodedCount{0};
+    mutable std::atomic<uint64_t> decodeCount{0};
 };
 
 /**
  * Replays a MaterializedTrace as a TraceSource. Holds a shared
  * reference, so the trace outlives any cache eviction while a replay
- * is in flight. fill() copies the next frozen chunk into the
- * caller's buffer; nothing in the shared trace is ever written.
+ * is in flight. fillRef() hands out the trace's own blocks and fill()
+ * copies them; nothing a reader sees is ever written again.
  */
 class CachedTraceSource : public TraceSource
 {
@@ -103,12 +174,18 @@ class CachedTraceSource : public TraceSource
     /** Hands out the frozen chunk itself: replay never copies. */
     const TraceChunk *fillRef(TraceChunk &scratch) override;
 
+    /** Decodes only pc and value for a block not yet decoded. */
+    const TraceChunk *fillPcValue(TraceChunk &scratch) override;
+
+    /** Steps over whole blocks without decoding them. */
+    uint64_t skipChunks(uint64_t maxRecords) override;
+
     /** Rewind to the first record (multi-pass experiments). */
     void rewind();
 
   private:
     std::shared_ptr<const MaterializedTrace> trace;
-    size_t cursor = 0; ///< next chunk index
+    size_t cursor = 0; ///< next block index
 };
 
 /** The shared trace cache. */
@@ -223,9 +300,15 @@ class TraceCache
     {
         std::shared_future<std::shared_ptr<const MaterializedTrace>>
             future;
-        size_t bytes = 0; ///< 0 until materialization finishes
+        /// null until materialization finishes
+        std::shared_ptr<const MaterializedTrace> trace;
         std::list<Key>::iterator lruPos;
     };
+
+    /** @return the finished entries' bytes(), read now: a
+     *  disk-loaded trace grows as its blocks are decoded. Caller
+     *  holds @c lock. */
+    size_t residentBytesLocked() const;
 
     /** Evict LRU entries until under the cap. Caller holds @c lock. */
     void evictLocked();
@@ -237,7 +320,6 @@ class TraceCache
     std::map<Key, Entry> entries;
     /// LRU order, most recent at the back; only finished entries
     std::list<Key> lru;
-    size_t residentBytes = 0;
     Stats counters;
 };
 

@@ -1,7 +1,6 @@
 #include "workload/trace_disk_cache.hh"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -55,43 +54,80 @@ endsWith(const std::string &s, const char *suffix)
            s.compare(s.size() - n, n, suffix) == 0;
 }
 
-/** A read-only mmap of a whole file; empty data() on failure. */
-struct MappedFile
+/**
+ * Read all of @p path into an owned buffer (no mmap: the bytes that
+ * are verified at load are the bytes later decodes read, whatever
+ * happens to the file). @return false when it cannot be read.
+ */
+bool
+readWholeFile(const std::string &path, std::unique_ptr<uint8_t[]> *data,
+              size_t *size)
 {
-    const uint8_t *bytes = nullptr;
-    size_t size = 0;
-
-    explicit MappedFile(const std::string &path)
-    {
-        int fd = ::open(path.c_str(), O_RDONLY);
-        if (fd < 0)
-            return;
-        struct stat st{};
-        if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-            ::close(fd);
-            return;
+    int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0)
+        return false;
+    struct stat st{};
+    bool ok = ::fstat(fd, &st) == 0 && st.st_size >= 0;
+    if (ok) {
+        *size = static_cast<size_t>(st.st_size);
+        data->reset(new uint8_t[*size]);
+        size_t got = 0;
+        while (ok && got < *size) {
+            ssize_t n = ::read(fd, data->get() + got, *size - got);
+            if (n < 0 && errno == EINTR)
+                continue;
+            ok = n > 0;
+            got += ok ? static_cast<size_t>(n) : 0;
         }
-        size = static_cast<size_t>(st.st_size);
-        if (size > 0) {
-            void *m = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE,
-                             fd, 0);
-            if (m == MAP_FAILED) {
-                size = 0;
-            } else {
-                bytes = static_cast<const uint8_t *>(m);
-            }
+    }
+    ::close(fd);
+    return ok;
+}
+
+/** Rename a corrupt entry aside for post-mortem inspection. */
+void
+quarantineFile(const std::string &path, const TraceIoResult &why)
+{
+    std::string quarantine = path + ".corrupt";
+    ::rename(path.c_str(), quarantine.c_str());
+    warn("trace cache entry '%s' is corrupt (%s: %s); "
+         "quarantined and regenerating",
+         path.c_str(), traceIoStatusName(why.status),
+         why.message.c_str());
+}
+
+/**
+ * The disk tier's own layout rules, on top of the format's: an entry
+ * holds at most the @p records its name promises, and every block
+ * but the last is full, as the stores write them. A regenerated trace
+ * then has the same blocks as the entry it replaces.
+ */
+TraceIoResult
+checkEntryLayout(const std::vector<TraceBlockRef> &index,
+                 uint64_t records)
+{
+    uint64_t total = 0;
+    for (size_t i = 0; i < index.size(); ++i) {
+        total += index[i].records;
+        if (i + 1 < index.size() &&
+            index[i].records != TraceChunk::capacity) {
+            return TraceIoResult{
+                TraceIoStatus::Corrupt,
+                formatString("block %zu holds %u records; only the "
+                             "last block may be partial",
+                             i, index[i].records)};
         }
-        ::close(fd);
     }
-
-    ~MappedFile()
-    {
-        if (bytes)
-            ::munmap(const_cast<uint8_t *>(bytes), size);
+    if (total > records) {
+        return TraceIoResult{
+            TraceIoStatus::Corrupt,
+            formatString("entry holds %llu records, more than the "
+                         "%llu its name promises",
+                         static_cast<unsigned long long>(total),
+                         static_cast<unsigned long long>(records))};
     }
-
-    bool ok() const { return bytes != nullptr; }
-};
+    return TraceIoResult{};
+}
 
 } // anonymous namespace
 
@@ -146,51 +182,68 @@ DiskTraceCache::load(const std::string &workload, uint64_t seed,
         path = cfg.root + "/" + entryName(workload, seed, records);
     }
 
-    MappedFile map(path);
-    if (!map.ok()) {
+    std::unique_ptr<uint8_t[]> image;
+    size_t size = 0;
+    if (!readWholeFile(path, &image, &size)) {
         std::lock_guard<std::mutex> guard(lock);
         ++counters.misses;
         GDIFF_OBS_COUNT("trace_disk.miss", 1);
         return nullptr;
     }
 
-    // Decode the whole entry; read() verifies the per-block digests
-    // and the trailing whole-file digest before End is reported.
-    TraceReader reader;
-    TraceIoResult r = reader.open(map.bytes, map.size);
-    std::vector<std::unique_ptr<TraceChunk>> chunks;
-    while (r.ok()) {
-        auto chunk = std::make_unique<TraceChunk>();
-        r = reader.read(*chunk);
-        if (r.ok())
-            chunks.push_back(std::move(chunk));
-    }
-
+    // Verify the whole entry once, decoding nothing: blocks decode
+    // when a reader first touches them.
+    std::vector<TraceBlockRef> index;
+    TraceIoResult r = indexTraceImage(image.get(), size, &index);
+    if (r.ok())
+        r = checkEntryLayout(index, records);
     if (r.failed()) {
-        // Quarantine for post-mortem inspection and report a miss so
-        // the caller regenerates (and re-stores) the entry.
-        std::string quarantine = path + ".corrupt";
-        ::rename(path.c_str(), quarantine.c_str());
-        warn("trace cache entry '%s' is corrupt (%s: %s); "
-             "quarantined and regenerating",
-             path.c_str(), traceIoStatusName(r.status),
-             r.message.c_str());
-        std::lock_guard<std::mutex> guard(lock);
-        ++counters.misses;
-        ++counters.corruptRecoveries;
-        GDIFF_OBS_COUNT("trace_disk.miss", 1);
-        GDIFF_OBS_COUNT("trace_disk.corrupt_recovery", 1);
+        // Report a miss so the caller regenerates (and re-stores).
+        quarantineFile(path, r);
+        countCorrupt(true);
         return nullptr;
     }
 
     // Verified hit: bump the entry's mtime so the cross-process LRU
     // sweep sees it as recently used.
     ::utimensat(AT_FDCWD, path.c_str(), nullptr, 0);
+    {
+        std::lock_guard<std::mutex> guard(lock);
+        ++counters.hits;
+        GDIFF_OBS_COUNT("trace_disk.hit", 1);
+    }
 
+    // A block that fails to decode after its digests verified means
+    // the digests were forged. Quarantine the entry, regenerate the
+    // triple once and re-store it; the trace serves every later
+    // block from the regenerated one.
+    std::weak_ptr<DiskTraceCache> self = weak_from_this();
+    auto fallback = [self, path, workload, seed,
+                     records](const TraceIoResult &why) {
+        quarantineFile(path, why);
+        std::shared_ptr<DiskTraceCache> tier = self.lock();
+        if (tier)
+            tier->countCorrupt(false);
+        auto fresh = MaterializedTrace::generate(workload, seed, records);
+        if (tier)
+            tier->store(workload, seed, records, *fresh);
+        return fresh;
+    };
+    return MaterializedTrace::fromImage(std::move(image), size,
+                                        std::move(index),
+                                        std::move(fallback));
+}
+
+void
+DiskTraceCache::countCorrupt(bool miss)
+{
     std::lock_guard<std::mutex> guard(lock);
-    ++counters.hits;
-    GDIFF_OBS_COUNT("trace_disk.hit", 1);
-    return MaterializedTrace::fromChunks(std::move(chunks));
+    if (miss) {
+        ++counters.misses;
+        GDIFF_OBS_COUNT("trace_disk.miss", 1);
+    }
+    ++counters.corruptRecoveries;
+    GDIFF_OBS_COUNT("trace_disk.corrupt_recovery", 1);
 }
 
 void
@@ -209,8 +262,8 @@ DiskTraceCache::store(const std::string &workload, uint64_t seed,
                      static_cast<int>(::getpid()));
 
     TraceWriter writer(tmp, traceVersionV3);
-    for (const auto &chunk : trace.chunks())
-        writer.append(*chunk);
+    for (size_t i = 0; i < trace.blockCount(); ++i)
+        writer.append(trace.block(i));
     TraceIoResult written = writer.close();
     if (written.failed()) {
         // A full disk or an unwritable temp path costs this entry,

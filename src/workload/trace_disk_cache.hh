@@ -19,10 +19,16 @@
  *    into place, so a crash mid-write never leaves a half-entry and
  *    concurrent writers race safely (both produce identical bytes;
  *    last rename wins);
- *  - loads mmap the entry read-only and decode through
- *    TraceReader; any corruption — truncation, flipped bytes,
+ *  - loads read the entry into an owned buffer and verify all of it
+ *    (indexTraceImage: header, block headers and digests, column
+ *    directories, record count, footer and file digest) without
+ *    decoding a column. Any corruption — truncation, flipped bytes,
  *    digest mismatch — quarantines the entry (renamed to
- *    `<entry>.corrupt`) and reports a miss so the caller regenerates;
+ *    `<entry>.corrupt`) and reports a miss so the caller
+ *    regenerates. A verified entry becomes a MaterializedTrace that
+ *    decodes each block on first touch; a block that still fails to
+ *    decode (forged digests) quarantines the entry then, and the
+ *    trace falls back to a regenerated copy;
  *  - eviction is a byte-capped LRU over entry mtimes: a load hit
  *    bumps the entry's mtime, and any process that pushes the
  *    directory over the cap deletes oldest-first (never the entry it
@@ -48,7 +54,7 @@ namespace gdiff {
 namespace workload {
 
 /** The on-disk trace tier. Thread-safe; shared by one process. */
-class DiskTraceCache
+class DiskTraceCache : public std::enable_shared_from_this<DiskTraceCache>
 {
   public:
     struct Config
@@ -65,8 +71,9 @@ class DiskTraceCache
         uint64_t misses = 0;  ///< lookups with no usable entry
         uint64_t stores = 0;  ///< entries persisted
         uint64_t evictions = 0; ///< entries deleted by the LRU sweep
-        /// corrupt entries detected, quarantined, and re-reported as
-        /// misses so the caller regenerates
+        /// corrupt entries detected, quarantined and regenerated: at
+        /// load (also counted as a miss) or, for an entry with forged
+        /// digests, when a block fails to decode (after its hit)
         uint64_t corruptRecoveries = 0;
     };
 
@@ -83,8 +90,8 @@ class DiskTraceCache
     /**
      * Look up the entry for (workload, seed, records).
      *
-     * @return the decoded trace on a verified hit; nullptr on a miss
-     * or after quarantining a corrupt entry.
+     * @return the verified, not yet decoded trace on a hit; nullptr
+     * on a miss or after quarantining a corrupt entry.
      */
     std::shared_ptr<const MaterializedTrace>
     load(const std::string &workload, uint64_t seed,
@@ -116,6 +123,9 @@ class DiskTraceCache
      *  the directory is under the byte cap. @p keep (an absolute
      *  path, possibly empty) is never evicted. */
     void sweepLocked(const std::string &keep);
+
+    /** Count a corrupt entry (and, with @p miss, a miss). */
+    void countCorrupt(bool miss);
 
     /** Ensure the root directory exists. @return false (and warn,
      *  once) when it cannot be created. */

@@ -356,44 +356,54 @@ decodeColumn(uint8_t tag, const uint8_t *data, uint32_t len,
     }
 }
 
+/// v3 columns in on-disk order, with their raw element widths
+struct ColumnInfo
+{
+    const char *name;
+    uint32_t elemBytes;
+};
+constexpr ColumnInfo kColumns[numColumns] = {
+    {"op", 1},    {"rd", 1},     {"rs1", 1},   {"rs2", 1},
+    {"flags", 1}, {"target", 4}, {"imm", 8},   {"seq", 8},
+    {"pc", 8},    {"nextPc", 8}, {"value", 8}, {"effAddr", 8},
+};
+/// indices into kColumns of the columns decoding treats specially
+constexpr unsigned colTarget = 5, colImm = 6, colPc = 8, colValue = 10;
+
+/** @return whether codec @p tag can encode a column of @p elemBytes. */
+bool
+tagFits(uint8_t tag, uint32_t elemBytes)
+{
+    if (elemBytes == 1)
+        return tag == codecRaw || tag == codecByteRle ||
+               tag == codecByteRleT;
+    return tag == codecRaw || tag == codecDeltaVarint ||
+           tag == codecDeltaRle || tag == codecDeltaRleT ||
+           tag == codecDeltaVarintT;
+}
+
+/** One column's tag and encoded bytes inside a block payload. */
+struct ColumnSpan
+{
+    uint8_t tag;
+    const uint8_t *data;
+    uint32_t len;
+};
+
 /**
- * Decode a complete v3 column section (@p bytes bytes at @p payload)
- * into @p chunk. On failure @p why names the offending column.
+ * Walk a v3 block's column directory (@p bytes bytes at @p payload,
+ * @p n records): every column needs a tag valid for its width, a raw
+ * column exactly its raw length, and the lengths must use up the
+ * payload exactly. On failure @p why names the offending column.
  */
 bool
-decodeColumnsV3(const uint8_t *payload, size_t bytes, uint32_t n,
-                TraceChunk &chunk, detail::TraceDecodeScratch &s,
-                std::string *why)
+splitColumns(const uint8_t *payload, size_t bytes, uint32_t n,
+             ColumnSpan (&cols)[numColumns], std::string *why)
 {
     const uint8_t *p = payload;
     const uint8_t *end = payload + bytes;
-
-    struct ColumnDest
-    {
-        const char *name;
-        size_t elemBytes;
-        uint64_t *dest64;
-        uint8_t *dest8;
-    };
-    // On-disk column order. Wide signed/narrow columns stage through
-    // scratch lanes; unsigned 64-bit columns decode in place.
-    const ColumnDest columns[numColumns] = {
-        {"op", 1, nullptr, s.cols.op.data()},
-        {"rd", 1, nullptr, s.cols.rd.data()},
-        {"rs1", 1, nullptr, s.cols.rs1.data()},
-        {"rs2", 1, nullptr, s.cols.rs2.data()},
-        {"flags", 1, nullptr, chunk.flags.data()},
-        {"target", 4, s.lanes.data(), nullptr},
-        {"imm", 8, s.lanes.data(), nullptr},
-        {"seq", 8, chunk.seq.data(), nullptr},
-        {"pc", 8, chunk.pc.data(), nullptr},
-        {"nextPc", 8, chunk.nextPc.data(), nullptr},
-        {"value", 8, s.lanes.data(), nullptr},
-        {"effAddr", 8, chunk.effAddr.data(), nullptr},
-    };
-
     for (unsigned c = 0; c < numColumns; ++c) {
-        const ColumnDest &col = columns[c];
+        const ColumnInfo &col = kColumns[c];
         if (end - p < 5) {
             *why = "column directory truncated";
             return false;
@@ -406,36 +416,153 @@ decodeColumnsV3(const uint8_t *payload, size_t bytes, uint32_t n,
                    "' overruns the block payload";
             return false;
         }
-        if (!decodeColumn(tag, p, len, n, col.elemBytes, col.dest64,
-                          col.dest8, s)) {
-            *why = std::string("column '") + col.name +
-                   "' payload is malformed";
+        if (!tagFits(tag, col.elemBytes) ||
+            (tag == codecRaw && len != size_t(col.elemBytes) * n)) {
+            *why = formatString("column '%s' has a bad codec tag %u "
+                                "or length %u",
+                                col.name, tag, len);
             return false;
         }
+        cols[c] = ColumnSpan{tag, p, len};
         p += len;
-
-        // Move staged lanes into their typed destinations.
-        if (col.dest64 == s.lanes.data()) {
-            if (col.name[0] == 't') { // target
-                for (uint32_t i = 0; i < n; ++i)
-                    s.cols.target[i] =
-                        static_cast<uint32_t>(s.lanes[i]);
-            } else if (col.name[0] == 'i') { // imm
-                std::memcpy(s.cols.imm.data(), s.lanes.data(),
-                            size_t(n) * 8);
-            } else { // value
-                std::memcpy(chunk.value.data(), s.lanes.data(),
-                            size_t(n) * 8);
-            }
-        }
     }
     if (p != end) {
         *why = "trailing bytes after the last column";
         return false;
     }
-    scatterInstColumns(chunk, s.cols, n);
+    return true;
+}
+
+/**
+ * Decode the columns of a split v3 block into @p chunk: all of them,
+ * or with @p pcValueOnly just pc and value. On failure @p why names
+ * the offending column.
+ */
+bool
+decodeColumnsV3(const ColumnSpan (&cols)[numColumns], uint32_t n,
+                TraceChunk &chunk, detail::TraceDecodeScratch &s,
+                bool pcValueOnly, std::string *why)
+{
+    // Signed and narrow columns stage through scratch lanes; unsigned
+    // 64-bit columns, and value (int64_t may alias uint64_t), decode
+    // in place.
+    uint64_t *const dest64[numColumns] = {
+        nullptr,
+        nullptr,
+        nullptr,
+        nullptr,
+        nullptr,
+        s.lanes.data(), // target
+        s.lanes.data(), // imm
+        chunk.seq.data(),
+        chunk.pc.data(),
+        chunk.nextPc.data(),
+        reinterpret_cast<uint64_t *>(chunk.value.data()),
+        chunk.effAddr.data(),
+    };
+    uint8_t *const dest8[numColumns] = {
+        s.cols.op.data(),  s.cols.rd.data(),  s.cols.rs1.data(),
+        s.cols.rs2.data(), chunk.flags.data(),
+    };
+
+    for (unsigned c = 0; c < numColumns; ++c) {
+        if (pcValueOnly && c != colPc && c != colValue)
+            continue;
+        const ColumnSpan &col = cols[c];
+        if (!decodeColumn(col.tag, col.data, col.len, n,
+                          kColumns[c].elemBytes, dest64[c], dest8[c],
+                          s)) {
+            *why = std::string("column '") + kColumns[c].name +
+                   "' payload is malformed";
+            return false;
+        }
+        if (c == colTarget) { // narrow the staged lanes
+            for (uint32_t i = 0; i < n; ++i)
+                s.cols.target[i] = static_cast<uint32_t>(s.lanes[i]);
+        } else if (c == colImm) {
+            std::memcpy(s.cols.imm.data(), s.lanes.data(),
+                        size_t(n) * 8);
+        }
+    }
+    if (!pcValueOnly)
+        scatterInstColumns(chunk, s.cols, n);
     chunk.size = n;
     return true;
+}
+
+/** Validate a v3 block header against the records still promised. */
+TraceIoResult
+checkBlockHeader(const BlockHeaderV3 &bh, uint64_t remaining,
+                 const std::string &name)
+{
+    if (bh.n == 0 || bh.n > TraceChunk::capacity || bh.n > remaining ||
+        bh.payloadBytes == 0 || bh.payloadBytes > maxV3PayloadBytes) {
+        return ioError(
+            TraceIoStatus::Corrupt,
+            formatString("%s has a corrupt block header (%u records, "
+                         "%u payload bytes)",
+                         name.c_str(), bh.n, bh.payloadBytes));
+    }
+    return TraceIoResult{};
+}
+
+/**
+ * Fold a v3 block (header @p bh, then its payload) into the running
+ * whole-file digest @p fileDigest, checking the payload against the
+ * block digest in the same pass. @p consumed is for the message.
+ */
+TraceIoResult
+digestBlock(const BlockHeaderV3 &bh, const uint8_t *payload,
+            uint64_t *fileDigest, uint64_t consumed,
+            const std::string &name)
+{
+    uint64_t block = codec::fnvOffsetBasis;
+    uint64_t file = codec::fnv1a(&bh, sizeof(bh), *fileDigest);
+    codec::fnv1aPair(payload, bh.payloadBytes, &block, &file);
+    if (block != bh.digest) {
+        return ioError(
+            TraceIoStatus::DigestMismatch,
+            formatString("%s block digest mismatch after %llu records",
+                         name.c_str(),
+                         static_cast<unsigned long long>(consumed)));
+    }
+    *fileDigest = file;
+    return TraceIoResult{};
+}
+
+/** Check the v3 footer at @p p (nullptr: missing) against @p digest. */
+TraceIoResult
+checkFooter(const uint8_t *p, uint64_t digest, const std::string &name)
+{
+    if (!p) {
+        return ioError(TraceIoStatus::Truncated,
+                       formatString("%s is truncated (missing footer)",
+                                    name.c_str()));
+    }
+    FooterV3 foot{};
+    std::memcpy(&foot, p, sizeof(foot));
+    if (foot.magic != footerMagic) {
+        return ioError(TraceIoStatus::Corrupt,
+                       formatString("%s has a corrupt footer",
+                                    name.c_str()));
+    }
+    if (foot.digest != digest) {
+        return ioError(TraceIoStatus::DigestMismatch,
+                       formatString("%s file digest mismatch (corrupt or "
+                                    "tampered stream)",
+                                    name.c_str()));
+    }
+    return ioError(TraceIoStatus::End, "");
+}
+
+/// per-thread decode scratch for decodeTraceBlock()
+detail::TraceDecodeScratch &
+threadScratch()
+{
+    thread_local std::unique_ptr<detail::TraceDecodeScratch> s;
+    if (!s)
+        s = std::make_unique<detail::TraceDecodeScratch>();
+    return *s;
 }
 
 /** Decode a raw v2 column section (exactly v2RecordBytes*n bytes). */
@@ -833,29 +960,9 @@ TraceReader::readBlock(TraceChunk &chunk)
     };
 
     if (consumed >= total) {
-        if (ver == traceVersionV3) {
-            const uint8_t *p = take(sizeof(FooterV3));
-            if (!p) {
-                return ioError(TraceIoStatus::Truncated,
-                               formatString("%s is truncated (missing "
-                                            "footer)",
-                                            name.c_str()));
-            }
-            FooterV3 foot{};
-            std::memcpy(&foot, p, sizeof(foot));
-            if (foot.magic != footerMagic) {
-                return ioError(TraceIoStatus::Corrupt,
-                               formatString("%s has a corrupt footer",
-                                            name.c_str()));
-            }
-            if (foot.digest != runningDigest) {
-                return ioError(
-                    TraceIoStatus::DigestMismatch,
-                    formatString("%s file digest mismatch (corrupt or "
-                                 "tampered stream)",
-                                 name.c_str()));
-            }
-        }
+        if (ver == traceVersionV3)
+            return checkFooter(take(sizeof(FooterV3)), runningDigest,
+                               name);
         return ioError(TraceIoStatus::End, "");
     }
 
@@ -884,36 +991,125 @@ TraceReader::readBlock(TraceChunk &chunk)
         return truncated();
     BlockHeaderV3 bh{};
     std::memcpy(&bh, p, sizeof(bh));
-    if (bh.n == 0 || bh.n > TraceChunk::capacity ||
-        bh.n > total - consumed || bh.payloadBytes == 0 ||
-        bh.payloadBytes > maxV3PayloadBytes) {
-        return ioError(
-            TraceIoStatus::Corrupt,
-            formatString("%s has a corrupt block header (%u records, "
-                         "%u payload bytes)",
-                         name.c_str(), bh.n, bh.payloadBytes));
-    }
+    TraceIoResult r = checkBlockHeader(bh, total - consumed, name);
+    if (r.failed())
+        return r;
     const uint8_t *payload = take(bh.payloadBytes);
     if (!payload)
         return truncated();
-    if (codec::fnv1a(payload, bh.payloadBytes) != bh.digest) {
-        return ioError(
-            TraceIoStatus::DigestMismatch,
-            formatString("%s block digest mismatch after %llu records",
-                         name.c_str(),
-                         static_cast<unsigned long long>(consumed)));
-    }
+    uint64_t digest = runningDigest;
+    r = digestBlock(bh, payload, &digest, consumed, name);
+    if (r.failed())
+        return r;
+    ColumnSpan cols[numColumns];
     std::string why;
-    if (!decodeColumnsV3(payload, bh.payloadBytes, bh.n, chunk,
-                         *scratch, &why)) {
+    if (!splitColumns(payload, bh.payloadBytes, bh.n, cols, &why) ||
+        !decodeColumnsV3(cols, bh.n, chunk, *scratch, false, &why)) {
         return ioError(TraceIoStatus::Corrupt,
                        formatString("%s has a corrupt block: %s",
                                     name.c_str(), why.c_str()));
     }
-    runningDigest = codec::fnv1a(&bh, sizeof(bh), runningDigest);
-    runningDigest =
-        codec::fnv1a(payload, bh.payloadBytes, runningDigest);
+    runningDigest = digest;
     consumed += bh.n;
+    return TraceIoResult{};
+}
+
+// ------------------------------------------- verified image blocks
+
+TraceIoResult
+indexTraceImage(const uint8_t *data, size_t size,
+                std::vector<TraceBlockRef> *blocks)
+{
+    const std::string name = "trace image";
+    blocks->clear();
+    std::vector<TraceBlockRef> index;
+    const uint8_t *p = data;
+    const uint8_t *end = data + size;
+    auto truncated = [&](uint64_t consumed, uint64_t total) {
+        return ioError(
+            TraceIoStatus::Truncated,
+            formatString("%s truncated after %llu of %llu records",
+                         name.c_str(),
+                         static_cast<unsigned long long>(consumed),
+                         static_cast<unsigned long long>(total)));
+    };
+
+    if (size < sizeof(FileHeader)) {
+        return ioError(TraceIoStatus::Truncated,
+                       name + " is truncated (missing header)");
+    }
+    FileHeader h{};
+    std::memcpy(&h, p, sizeof(h));
+    p += sizeof(h);
+    uint32_t version = 0;
+    uint64_t total = 0;
+    TraceIoResult r =
+        checkHeader(h, name, traceVersionMax, &version, &total);
+    if (r.failed())
+        return r;
+    if (version != traceVersionV3) {
+        return ioError(TraceIoStatus::BadVersion,
+                       formatString("%s has format version %u; only "
+                                    "version %u can be indexed",
+                                    name.c_str(), version,
+                                    traceVersionV3));
+    }
+
+    uint64_t consumed = 0;
+    uint64_t digest = codec::fnvOffsetBasis;
+    while (consumed < total) {
+        if (static_cast<size_t>(end - p) < sizeof(BlockHeaderV3))
+            return truncated(consumed, total);
+        BlockHeaderV3 bh{};
+        std::memcpy(&bh, p, sizeof(bh));
+        p += sizeof(bh);
+        r = checkBlockHeader(bh, total - consumed, name);
+        if (r.failed())
+            return r;
+        if (static_cast<size_t>(end - p) < bh.payloadBytes)
+            return truncated(consumed, total);
+        r = digestBlock(bh, p, &digest, consumed, name);
+        if (r.failed())
+            return r;
+        ColumnSpan cols[numColumns];
+        std::string why;
+        if (!splitColumns(p, bh.payloadBytes, bh.n, cols, &why)) {
+            return ioError(TraceIoStatus::Corrupt,
+                           formatString("%s has a corrupt block: %s",
+                                        name.c_str(), why.c_str()));
+        }
+        index.push_back(TraceBlockRef{static_cast<size_t>(p - data),
+                                      bh.n, bh.payloadBytes});
+        p += bh.payloadBytes;
+        consumed += bh.n;
+    }
+    const uint8_t *foot =
+        static_cast<size_t>(end - p) >= sizeof(FooterV3) ? p : nullptr;
+    r = checkFooter(foot, digest, name);
+    if (r.end() && static_cast<size_t>(end - p) != sizeof(FooterV3)) {
+        r = ioError(TraceIoStatus::Corrupt,
+                    name + " has trailing bytes after the footer");
+    }
+    if (!r.end())
+        return r;
+    *blocks = std::move(index);
+    return TraceIoResult{};
+}
+
+TraceIoResult
+decodeTraceBlock(const uint8_t *image, const TraceBlockRef &ref,
+                 TraceChunk &chunk, bool pcValueOnly)
+{
+    ColumnSpan cols[numColumns];
+    std::string why;
+    if (!splitColumns(image + ref.payload, ref.payloadBytes,
+                      ref.records, cols, &why) ||
+        !decodeColumnsV3(cols, ref.records, chunk, threadScratch(),
+                         pcValueOnly, &why)) {
+        chunk.clear();
+        return ioError(TraceIoStatus::Corrupt,
+                       "trace image has a corrupt block: " + why);
+    }
     return TraceIoResult{};
 }
 

@@ -31,8 +31,12 @@
  * error naming the found and supported versions.
  *
  * One reader, TraceReader, decodes both a file and an in-memory
- * image (an mmap'd persistent cache entry) and is the TraceSource
- * that replays either. Trace I/O never terminates the process: every
+ * image and is the TraceSource that replays either. The persistent
+ * cache instead verifies a whole image once (indexTraceImage) and
+ * decodes single blocks on demand (decodeTraceBlock), so a reader
+ * that touches a few blocks pays for those alone.
+ *
+ * Trace I/O never terminates the process: every
  * malformed input (missing file, wrong magic or version, truncation,
  * flipped bytes, hostile varints) and every failed write comes back
  * as a typed TraceIoResult. The persistent trace cache uses this to
@@ -252,6 +256,41 @@ class TraceReader : public TraceSource
 
 /// The image reader's former name, kept for the benchmark's probes.
 using TraceBufferReader = TraceReader;
+
+/** Where one block of a verified v3 trace image lives. */
+struct TraceBlockRef
+{
+    size_t payload = 0;        ///< byte offset of the column payload
+    uint32_t records = 0;      ///< records in the block
+    uint32_t payloadBytes = 0; ///< length of the column payload
+};
+
+/**
+ * Verify a whole v3 trace image without decoding any column, and
+ * index its blocks. Checks the header, every block header, every
+ * block digest, every column directory (a codec tag valid for its
+ * column, lengths that sum to the payload), the record-count sum, the
+ * footer magic and the whole-file digest. What is left for
+ * decodeTraceBlock() is the inside of each column's encoding, which
+ * only a file with forged digests can get wrong.
+ *
+ * @return Ok with one entry per block in @p blocks, or the first
+ * failure (v2 images are rejected as BadVersion: only v3 carries
+ * the digests this check rests on).
+ */
+TraceIoResult indexTraceImage(const uint8_t *data, size_t size,
+                              std::vector<TraceBlockRef> *blocks);
+
+/**
+ * Decode the block @p ref of an image that indexTraceImage()
+ * verified into @p chunk. With @p pcValueOnly only the size, pc and
+ * value columns of @p chunk are written.
+ * @return Ok, or Corrupt when a column's encoding is malformed.
+ */
+TraceIoResult decodeTraceBlock(const uint8_t *image,
+                               const TraceBlockRef &ref,
+                               TraceChunk &chunk,
+                               bool pcValueOnly = false);
 
 /**
  * The v3 codec's phase/period detector, exported for phase-aware

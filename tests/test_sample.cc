@@ -14,9 +14,12 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "predictors/stride.hh"
 #include "runner/runner.hh"
@@ -618,6 +621,56 @@ TEST(SampledJob, DeterministicAcrossRunsAndThreadCounts)
         EXPECT_EQ(a.metrics[i].second, c.metrics[i].second)
             << a.metrics[i].first << " differs at 4 threads";
     }
+}
+
+TEST(SampledJob, DiskLoadedTraceMatchesGeneratedTrace)
+{
+    // A disk-loaded trace decodes blocks on demand (pc/value only in
+    // the profiling pass, whole blocks in the windows); the sampled
+    // result must not notice, in either mode or at any thread count.
+    const std::string root = ::testing::TempDir() + "/gdiff_sample_disk_" +
+                             std::to_string(::getpid());
+    runner::JobSpec pipe = pipelineSpec();
+    pipe.scheme = "hgvq";
+    runner::JobSpec prof;
+    prof.mode = runner::JobMode::Profile;
+    prof.workload = "gzip";
+    prof.predictor = "stride";
+    prof.seed = 1;
+    prof.instructions = 50'000;
+    prof.warmup = 10'000;
+    prof.sampleBudget = 20'000;
+    prof.sampleWindow = 4096;
+
+    for (const runner::JobSpec &spec : {pipe, prof}) {
+        std::filesystem::remove_all(root);
+        workload::TraceCache generated;
+        {
+            workload::TraceCache store;
+            store.setDiskRoot(root);
+            ASSERT_TRUE(store.acquire(spec.workload, spec.seed,
+                                      spec.warmup + spec.instructions)
+                            .generated);
+        }
+        for (unsigned threads : {1u, 4u}) {
+            runner::JobResult want = runSampledJob(spec, &generated, threads);
+            workload::TraceCache disk;
+            disk.setDiskRoot(root);
+            runner::JobResult got = runSampledJob(spec, &disk, threads);
+            workload::TraceCache::Stats st = disk.snapshot();
+            EXPECT_EQ(st.diskHits, 1u) << spec.label();
+            EXPECT_EQ(st.generations, 0u) << spec.label();
+            EXPECT_TRUE(got.traceFromDisk) << spec.label();
+            ASSERT_EQ(got.metrics.size(), want.metrics.size());
+            for (size_t i = 0; i < want.metrics.size(); ++i) {
+                EXPECT_EQ(got.metrics[i].first, want.metrics[i].first);
+                EXPECT_EQ(got.metrics[i].second, want.metrics[i].second)
+                    << spec.label() << " " << want.metrics[i].first
+                    << " at " << threads << " threads";
+            }
+        }
+    }
+    std::filesystem::remove_all(root);
 }
 
 TEST(SampledJob, SeedSelectsDifferentWindows)

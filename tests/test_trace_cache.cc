@@ -106,7 +106,7 @@ TEST(MaterializedTraceTest, ReplayIsRecordIdenticalToRegeneration)
                                              records);
     ASSERT_EQ(trace->records(), records);
     EXPECT_EQ(trace->bytes(),
-              trace->chunks().size() * sizeof(TraceChunk));
+              trace->blockCount() * sizeof(TraceChunk));
 
     CachedTraceSource replay(trace);
     auto fresh = makeWorkload("micro.pairsum", 7).makeExecutor();

@@ -17,6 +17,10 @@
  *    process* (fork) can populate the cache and this one replays it
  *    bit-identically, including under concurrent writers racing on
  *    the same entry;
+ *  - lazy disk-loaded traces: damage in blocks no reader touches is
+ *    still caught at acquire, a forged-digest block is served by
+ *    regeneration, skips decode nothing they skip, and replays decode
+ *    each block once, concurrently too;
  *  - equivalence: v2 and v3 replays drive identical predictor
  *    results, and sweeps through the disk tier are bit-identical to
  *    uncached runs at 1 and 4 threads.
@@ -30,6 +34,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <dirent.h>
@@ -89,9 +95,9 @@ generateRecords(const std::string &kernel, uint64_t seed, uint64_t n)
     auto trace = MaterializedTrace::generate(kernel, seed, n);
     std::vector<TraceRecord> out;
     out.reserve(trace->records());
-    for (const auto &chunk : trace->chunks())
-        for (uint32_t i = 0; i < chunk->size; ++i)
-            out.push_back(chunk->record(i));
+    for (size_t b = 0; b < trace->blockCount(); ++b)
+        for (uint32_t i = 0; i < trace->block(b).size; ++i)
+            out.push_back(trace->block(b).record(i));
     return out;
 }
 
@@ -236,15 +242,15 @@ TEST(TraceV3RoundTrip, ChunkAndRecordAppendProduceIdenticalBytes)
     std::string b = tempRoot("byrecord") + ".gdtr";
     {
         TraceWriter writer(a);
-        for (const auto &chunk : trace->chunks())
-            writer.append(*chunk);
+        for (size_t c = 0; c < trace->blockCount(); ++c)
+            writer.append(trace->block(c));
         writer.close();
     }
     {
         TraceWriter writer(b);
-        for (const auto &chunk : trace->chunks())
-            for (uint32_t i = 0; i < chunk->size; ++i)
-                writer.append(chunk->record(i));
+        for (size_t c = 0; c < trace->blockCount(); ++c)
+            for (uint32_t i = 0; i < trace->block(c).size; ++i)
+                writer.append(trace->block(c).record(i));
         writer.close();
     }
     EXPECT_EQ(slurp(a), slurp(b));
@@ -403,6 +409,38 @@ TEST(TraceV3Corruption, HostileVarintsAreRejected)
         codec::decodeDeltaRle(exact.data(), exact.size(), out, 4));
 }
 
+TEST(Fnv1aPair, EqualsTwoSequentialDigests)
+{
+    std::vector<uint8_t> big(size_t(1) << 20);
+    uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (uint8_t &b : big) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        b = static_cast<uint8_t>(x);
+    }
+    const uint8_t odd[13] = {1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233,
+                             0xff};
+    struct Buf
+    {
+        const uint8_t *data;
+        size_t bytes;
+    };
+    for (Buf buf : {Buf{nullptr, 0}, Buf{odd, sizeof(odd)},
+                    Buf{big.data(), big.size()}}) {
+        // Two different starting states, as a block digest (fresh)
+        // and a running file digest (mid-stream) have.
+        uint64_t a = codec::fnvOffsetBasis;
+        uint64_t b = codec::fnv1a("GDTR", 4);
+        codec::fnv1aPair(buf.data, buf.bytes, &a, &b);
+        EXPECT_EQ(a, codec::fnv1a(buf.data, buf.bytes))
+            << buf.bytes << " bytes";
+        EXPECT_EQ(b, codec::fnv1a(buf.data, buf.bytes,
+                                  codec::fnv1a("GDTR", 4)))
+            << buf.bytes << " bytes";
+    }
+}
+
 // ------------------------------------------------ persistent tier
 
 TEST(DiskTraceCache, StoreThenLoadRoundTrips)
@@ -418,10 +456,10 @@ TEST(DiskTraceCache, StoreThenLoadRoundTrips)
     auto loaded = disk.load("micro.stride", 1, 5000);
     ASSERT_NE(loaded, nullptr);
     EXPECT_EQ(loaded->records(), trace->records());
-    ASSERT_EQ(loaded->chunks().size(), trace->chunks().size());
-    for (size_t c = 0; c < trace->chunks().size(); ++c) {
-        const TraceChunk &a = *trace->chunks()[c];
-        const TraceChunk &b = *loaded->chunks()[c];
+    ASSERT_EQ(loaded->blockCount(), trace->blockCount());
+    for (size_t c = 0; c < trace->blockCount(); ++c) {
+        const TraceChunk &a = trace->block(c);
+        const TraceChunk &b = loaded->block(c);
         ASSERT_EQ(a.size, b.size);
         for (uint32_t i = 0; i < a.size; ++i) {
             EXPECT_EQ(a.value[i], b.value[i]);
@@ -718,6 +756,310 @@ TEST(TraceV3Equivalence, DiskCachedSweepBitIdenticalToUncached)
     }
     TraceCache::global().setDiskRoot("");
     TraceCache::global().clear();
+    removeTree(root);
+}
+
+// ------------------------------------------- lazy disk-tier traces
+
+/** Write @p bytes over @p path. */
+void
+spill(const std::string &path, const std::vector<uint8_t> &bytes)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr) << path;
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
+              bytes.size());
+    std::fclose(f);
+}
+
+/** Every record @p src still yields, through fillRef(). */
+std::vector<TraceRecord>
+drainRecords(TraceSource &src)
+{
+    std::vector<TraceRecord> out;
+    auto scratch = std::make_unique<TraceChunk>();
+    while (const TraceChunk *c = src.fillRef(*scratch))
+        for (uint32_t i = 0; i < c->size; ++i)
+            out.push_back(c->record(i));
+    return out;
+}
+
+/** @return the stored, not yet decoded entry for (@p kernel, 1, @p n)
+ *  under @p root, storing it first if needed. */
+std::shared_ptr<const MaterializedTrace>
+loadLazy(const std::string &root, const std::string &kernel, uint64_t n)
+{
+    DiskTraceCache::Config cfg;
+    cfg.root = root;
+    auto disk = std::make_shared<DiskTraceCache>(cfg);
+    auto trace = disk->load(kernel, 1, n);
+    if (!trace) {
+        disk->store(kernel, 1, n, *MaterializedTrace::generate(kernel, 1, n));
+        trace = disk->load(kernel, 1, n);
+    }
+    return trace;
+}
+
+/** Recompute every block digest and the file digest of a v3 image
+ *  whose block structure is intact (a forger's work). */
+void
+forgeDigests(std::vector<uint8_t> &bytes)
+{
+    auto le32 = [&](size_t at) {
+        uint32_t v;
+        std::memcpy(&v, bytes.data() + at, 4);
+        return v;
+    };
+    uint64_t fileDigest = codec::fnvOffsetBasis;
+    size_t at = 16;
+    while (at + 16 < bytes.size()) { // stop at the 16-byte footer
+        uint32_t payloadBytes = le32(at + 4);
+        uint64_t digest =
+            codec::fnv1a(bytes.data() + at + 16, payloadBytes);
+        std::memcpy(bytes.data() + at + 8, &digest, 8);
+        fileDigest = codec::fnv1a(bytes.data() + at, 16 + payloadBytes,
+                                  fileDigest);
+        at += 16 + payloadBytes;
+    }
+    std::memcpy(bytes.data() + bytes.size() - 8, &fileDigest, 8);
+}
+
+/** @return the offset and length of column @p col of block @p b. */
+std::pair<size_t, uint32_t>
+columnSpan(const std::vector<uint8_t> &bytes, const TraceBlockRef &b,
+           unsigned col)
+{
+    size_t at = b.payload;
+    for (unsigned c = 0;; ++c) {
+        uint32_t len;
+        std::memcpy(&len, bytes.data() + at + 1, 4);
+        if (c == col)
+            return {at + 5, len};
+        at += 5 + len;
+    }
+}
+
+constexpr uint64_t kLazyRecords = 5 * TraceChunk::capacity + 100;
+
+TEST(LazyDiskTrace, DamageAnywhereQuarantinesAtAcquire)
+{
+    // Verification at load covers blocks no reader will touch: each
+    // case must be caught by acquire itself, before any decode.
+    const std::string kernel = "mcf";
+    std::string root = tempRoot("lazydamage");
+    std::string entry =
+        root + "/" + DiskTraceCache::entryName(kernel, 1, kLazyRecords);
+    std::vector<TraceRecord> want =
+        generateRecords(kernel, 1, kLazyRecords);
+    {
+        TraceCache cache;
+        cache.setDiskRoot(root);
+        ASSERT_TRUE(cache.acquire(kernel, 1, kLazyRecords).generated);
+    }
+    const std::vector<uint8_t> good = slurp(entry);
+    std::vector<TraceBlockRef> index;
+    ASSERT_TRUE(indexTraceImage(good.data(), good.size(), &index).ok());
+    ASSERT_EQ(index.size(), 6u);
+
+    auto flipped = [&](size_t at) {
+        std::vector<uint8_t> b = good;
+        b[at] ^= 0x10;
+        return b;
+    };
+    std::vector<std::pair<std::string, std::vector<uint8_t>>> cases;
+    const TraceBlockRef &last = index.back();
+    cases.emplace_back("flip in the last block",
+                       flipped(last.payload + last.payloadBytes / 2));
+    for (size_t field : {0u, 4u, 8u, 15u})
+        cases.emplace_back("flip in block 3's header at +" +
+                               std::to_string(field),
+                           flipped(index[3].payload - 16 + field));
+    cases.emplace_back("flip in the footer magic",
+                       flipped(good.size() - 14));
+    cases.emplace_back("flip in the footer digest",
+                       flipped(good.size() - 3));
+    for (size_t keep : {good.size() / 2, good.size() - 1})
+        cases.emplace_back(
+            "truncation to " + std::to_string(keep) + " bytes",
+            std::vector<uint8_t>(good.begin(), good.begin() + keep));
+
+    for (const auto &[what, bytes] : cases) {
+        spill(entry, bytes);
+        ::unlink((entry + ".corrupt").c_str());
+        TraceCache cache;
+        cache.setDiskRoot(root);
+        TraceCache::Acquired acq = cache.acquire(kernel, 1, kLazyRecords);
+        EXPECT_TRUE(acq.generated) << what;
+        EXPECT_FALSE(acq.fromDisk) << what;
+        TraceCache::Stats s = cache.snapshot();
+        EXPECT_EQ(s.diskCorruptRecoveries, 1u) << what;
+        EXPECT_EQ(s.diskHits, 0u) << what;
+        struct stat st;
+        EXPECT_EQ(::stat((entry + ".corrupt").c_str(), &st), 0)
+            << what << ": not quarantined";
+        expectSameRecords(drainRecords(*acq.source), want, what);
+    }
+    removeTree(root);
+}
+
+TEST(LazyDiskTrace, ForgedDigestBlockIsServedByRegeneration)
+{
+    // A malformed varint with both digests recomputed passes every
+    // check at load and fails only when its block is decoded. The
+    // stream must not abort or shorten: the trace quarantines the
+    // entry, regenerates once, and serves the rest from the copy.
+    // Column 7 (seq) is read only by a full decode; column 8 (pc)
+    // also by the pc/value decode of the sampler's profiling pass.
+    const std::string kernel = "mcf";
+    std::vector<TraceRecord> want =
+        generateRecords(kernel, 1, kLazyRecords);
+    for (unsigned col : {7u, 8u}) {
+        std::string root = tempRoot("forged");
+        std::string entry = root + "/" +
+                            DiskTraceCache::entryName(kernel, 1,
+                                                      kLazyRecords);
+        {
+            TraceCache cache;
+            cache.setDiskRoot(root);
+            cache.acquire(kernel, 1, kLazyRecords);
+        }
+        std::vector<uint8_t> bytes = slurp(entry);
+        std::vector<TraceBlockRef> index;
+        ASSERT_TRUE(
+            indexTraceImage(bytes.data(), bytes.size(), &index).ok());
+        auto [at, len] = columnSpan(bytes, index[2], col);
+        const uint8_t tag = bytes[at - 5];
+        ASSERT_TRUE(tag == 1 || tag == 2 || tag == 4 || tag == 6)
+            << "column " << col << " is not varint-coded (tag "
+            << int(tag) << ")";
+        std::memset(bytes.data() + at, 0xff, len); // never-ending varints
+        forgeDigests(bytes);
+        ASSERT_TRUE(
+            indexTraceImage(bytes.data(), bytes.size(), &index).ok());
+        spill(entry, bytes);
+
+        TraceCache cache;
+        cache.setDiskRoot(root);
+        TraceCache::Acquired acq = cache.acquire(kernel, 1, kLazyRecords);
+        EXPECT_TRUE(acq.fromDisk);
+        if (col == 8) {
+            // The profiling pass's view first: pc and value only.
+            auto scratch = std::make_unique<TraceChunk>();
+            uint64_t r = 0;
+            while (const TraceChunk *c = acq.source->fillPcValue(*scratch))
+                for (uint32_t i = 0; i < c->size; ++i, ++r) {
+                    ASSERT_LT(r, want.size());
+                    ASSERT_EQ(c->pc[i], want[r].pc) << "record " << r;
+                    ASSERT_EQ(c->value[i], want[r].value) << "record " << r;
+                }
+            EXPECT_EQ(r, want.size());
+            acq = cache.acquire(kernel, 1, kLazyRecords);
+        }
+        expectSameRecords(drainRecords(*acq.source), want,
+                          "forged column " + std::to_string(col));
+        TraceCache::Stats s = cache.snapshot();
+        EXPECT_EQ(s.diskCorruptRecoveries, 1u);
+        EXPECT_EQ(s.diskStores, 1u) << "regenerated entry not re-stored";
+        struct stat st;
+        EXPECT_EQ(::stat((entry + ".corrupt").c_str(), &st), 0);
+
+        // The re-stored entry is sound: a fresh cache replays it.
+        TraceCache next;
+        next.setDiskRoot(root);
+        TraceCache::Acquired again = next.acquire(kernel, 1, kLazyRecords);
+        EXPECT_TRUE(again.fromDisk);
+        expectSameRecords(drainRecords(*again.source), want, "re-stored");
+        EXPECT_EQ(next.snapshot().diskCorruptRecoveries, 0u);
+        removeTree(root);
+    }
+}
+
+TEST(LazyDiskTrace, SkipDecodesNoSkippedBlock)
+{
+    const std::string kernel = "mcf";
+    std::string root = tempRoot("lazyskip");
+    std::vector<TraceRecord> want =
+        generateRecords(kernel, 1, kLazyRecords);
+    const uint64_t offsets[] = {0,    1,    4095,         4096,
+                                4097, 12300, kLazyRecords, kLazyRecords + 7};
+    for (uint64_t skip : offsets) {
+        auto trace = loadLazy(root, kernel, kLazyRecords);
+        ASSERT_NE(trace, nullptr);
+        ASSERT_EQ(trace->blockDecodes(), 0u);
+        CachedTraceSource base(trace);
+        SkipTraceSource src(base, skip);
+        std::vector<TraceRecord> got = drainRecords(src);
+
+        std::vector<TraceRecord> tail(
+            want.begin() + std::min<uint64_t>(skip, want.size()),
+            want.end());
+        expectSameRecords(got, tail, "skip " + std::to_string(skip));
+        // Blocks that end at or before the skip offset are skipped.
+        size_t skippedBlocks = 0;
+        for (uint64_t end = 0; skippedBlocks < trace->blockCount();
+             ++skippedBlocks) {
+            end += trace->blockRecords(skippedBlocks);
+            if (end > skip)
+                break;
+        }
+        for (size_t b = 0; b < trace->blockCount(); ++b)
+            EXPECT_EQ(trace->decoded(b), b >= skippedBlocks)
+                << "skip " << skip << ", block " << b;
+        EXPECT_EQ(trace->blockDecodes(),
+                  trace->blockCount() - skippedBlocks)
+            << "skip " << skip;
+    }
+    removeTree(root);
+}
+
+TEST(LazyDiskTrace, FullReplaysDecodeEachBlockOnce)
+{
+    const std::string kernel = "mcf";
+    std::string root = tempRoot("lazyonce");
+    std::vector<TraceRecord> want =
+        generateRecords(kernel, 1, kLazyRecords);
+    auto trace = loadLazy(root, kernel, kLazyRecords);
+    ASSERT_NE(trace, nullptr);
+    const size_t image = trace->bytes();
+    EXPECT_LT(image, trace->blockCount() * sizeof(TraceChunk));
+
+    for (int pass = 0; pass < 2; ++pass) {
+        CachedTraceSource replay(trace);
+        expectSameRecords(drainRecords(replay), want,
+                          "pass " + std::to_string(pass));
+        EXPECT_EQ(trace->blockDecodes(), trace->blockCount())
+            << "pass " << pass;
+    }
+    EXPECT_EQ(trace->bytes(),
+              image + trace->blockCount() * sizeof(TraceChunk));
+    removeTree(root);
+}
+
+TEST(LazyDiskTrace, ConcurrentReplaysAgree)
+{
+    const std::string kernel = "mcf";
+    std::string root = tempRoot("lazyrace");
+    std::vector<TraceRecord> want =
+        generateRecords(kernel, 1, kLazyRecords);
+    auto trace = loadLazy(root, kernel, kLazyRecords);
+    ASSERT_NE(trace, nullptr);
+
+    std::vector<std::vector<TraceRecord>> got(4);
+    std::vector<std::thread> threads;
+    for (auto &g : got)
+        threads.emplace_back([&trace, &g] {
+            CachedTraceSource replay(trace);
+            g = drainRecords(replay);
+        });
+    for (std::thread &t : threads)
+        t.join();
+    for (size_t i = 0; i < got.size(); ++i)
+        expectSameRecords(got[i], want,
+                          "replay " + std::to_string(i));
+    for (size_t b = 0; b < trace->blockCount(); ++b)
+        EXPECT_TRUE(trace->decoded(b)) << "block " << b;
+    // Lost publish races decode twice but publish once.
+    EXPECT_GE(trace->blockDecodes(), trace->blockCount());
     removeTree(root);
 }
 
