@@ -48,11 +48,11 @@ class FillerHgvq : public pipeline::VpScheme
 
   protected:
     bool
-    doPredict(uint64_t pc, unsigned ahead, int64_t &value,
-              uint64_t &token) override
+    doPredict(uint64_t pc, unsigned ahead,
+              pipeline::VpDecision &d) override
     {
         bool predicted = gd.predictWithWindow(
-            pc, queue.windowAtDispatch(), value);
+            pc, queue.windowAtDispatch(), d.value);
         int64_t fill = 0;
         switch (filler) {
           case Filler::Zero:
@@ -64,7 +64,7 @@ class FillerHgvq : public pipeline::VpScheme
             stride.predictAhead(pc, ahead, fill);
             break;
         }
-        token = queue.pushSpeculative(fill);
+        d.token = queue.pushSpeculative(fill);
         return predicted;
     }
 

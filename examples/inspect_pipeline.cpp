@@ -51,14 +51,13 @@ class RecordingScheme : public pipeline::VpScheme
 
   protected:
     bool
-    doPredict(uint64_t pc, unsigned, int64_t &value,
-              uint64_t &token) override
+    doPredict(uint64_t pc, unsigned, pipeline::VpDecision &d) override
     {
-        pipeline::VpDecision d = inner.predictAtDispatch(pc);
-        value = d.value;
-        token = tokens.size();
-        tokens.push_back(d);
-        return d.predicted;
+        pipeline::VpDecision inner_d = inner.predictAtDispatch(pc);
+        d.value = inner_d.value;
+        d.token = tokens.size();
+        tokens.push_back(inner_d);
+        return inner_d.predicted;
     }
 
     void

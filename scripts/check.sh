@@ -107,6 +107,11 @@ rm -f build/smoke.jsonl build/smoke.csv build/smoke.manifest
 # Differential fuzz smoke: oracles vs production predictors, pipeline
 # invariants, and the mutation-sanity self-test.
 ./build/examples/gdifffuzz --cases=1000 --seed=1
+# The same pipeline path under ASan/UBSan, when a sanitizer tree is
+# configured as in CI's sanitize job (cmake -B build-asan ...).
+if [ -x build-asan/examples/gdifffuzz ]; then
+    ./build-asan/examples/gdifffuzz --cases=300 --seed=1
+fi
 rm -rf build/fuzz-repros && mkdir -p build/fuzz-repros
 ./build/examples/gdifffuzz --cases=1000 --seed=1 --mutate \
     --out-dir=build/fuzz-repros --no-pipeline

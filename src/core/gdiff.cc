@@ -1,6 +1,10 @@
 #include "core/gdiff.hh"
 
+#include <algorithm>
+
+#include "util/bits.hh"
 #include "util/simd.hh"
+#include "util/simd_inline.hh"
 
 namespace gdiff {
 namespace core {
@@ -14,12 +18,58 @@ wrapAdd(int64_t a, int64_t b)
                                 static_cast<uint64_t>(b));
 }
 
-int64_t
-wrapSub(int64_t a, int64_t b)
+/**
+ * The batch sweep over one tile of lanes, written once over a kernel
+ * set (util/simd_inline.hh). Lane j's entry is entries[j]; its window
+ * is the newest-first stream at windows - j, position k at
+ * (windows - j)[k], holding clamp(avail0 + j, 0, order) values. Per
+ * lane it does what predictFrom() then trainOn() do, with the
+ * difference pass, the comparators and the store fused into one
+ * kernel over memory that is already in position order.
+ */
+template <typename Kernels, typename Entry>
+inline void
+sweepLanes(Entry *const *entries, const int64_t *actuals,
+           const int64_t *windows, uint32_t lanes, unsigned order,
+           int64_t avail0, uint8_t *predicted, int64_t *value)
 {
-    return static_cast<int64_t>(static_cast<uint64_t>(a) -
-                                static_cast<uint64_t>(b));
+    for (uint32_t j = 0; j < lanes; ++j) {
+        Entry &e = *entries[j];
+        const int64_t *w = windows - j;
+        const int64_t avail = avail0 + j;
+        const unsigned count =
+            avail <= 0 ? 0u
+                       : (avail < static_cast<int64_t>(order)
+                              ? static_cast<unsigned>(avail)
+                              : order);
+        const unsigned lim = count < e.diffCount ? count : e.diffCount;
+        // distance -1 (none selected) wraps far past lim.
+        const unsigned k = static_cast<unsigned>(e.distance);
+        if (k < lim) {
+            predicted[j] = 1;
+            value[j] = wrapAdd(w[k], e.diffs[k]);
+        }
+        const uint64_t eq =
+            Kernels::diffMatchStore(actuals[j], w, e.diffs.data(),
+                                    count) &
+            mask(lim);
+        if (eq)
+            e.distance = static_cast<int16_t>(__builtin_ctzll(eq));
+        e.diffCount = static_cast<uint8_t>(count);
+    }
 }
+
+#if GDIFF_HAVE_AVX2_KERNELS
+template <typename Entry>
+GDIFF_AVX2_CLONE void
+sweepLanesAvx2(Entry *const *entries, const int64_t *actuals,
+               const int64_t *windows, uint32_t lanes, unsigned order,
+               int64_t avail0, uint8_t *predicted, int64_t *value)
+{
+    sweepLanes<simd::Avx2Kernels>(entries, actuals, windows, lanes,
+                                  order, avail0, predicted, value);
+}
+#endif
 
 } // anonymous namespace
 
@@ -30,49 +80,56 @@ GDiffPredictor::GDiffPredictor(const GDiffConfig &config)
 }
 
 bool
+GDiffPredictor::predictFrom(const Entry &e, const ValueWindow &window,
+                            int64_t &value)
+{
+    if (e.distance < 0)
+        return false;
+    unsigned k = static_cast<unsigned>(e.distance);
+    if (k >= window.count || k >= e.diffCount)
+        return false;
+    value = wrapAdd(window[k], e.diffs[k]);
+    return true;
+}
+
+void
+GDiffPredictor::trainOn(Entry &e, const ValueWindow &window,
+                        int64_t actual)
+{
+    // Compute the fresh differences against the window where it
+    // lives (position k at window.newest[-k]).
+    std::array<int64_t, maxOrder> cur;
+    unsigned n = window.count;
+    simd::diffAgainstWindow(actual, window.newest, cur.data(), n);
+
+    // Detect a match against the stored differences; select the
+    // closest matching distance (paper Fig. 5's parallel comparators
+    // with nearest-first priority).
+    unsigned compare = n < e.diffCount ? n : e.diffCount;
+    int match = simd::firstEqual(cur.data(), e.diffs.data(), compare);
+    if (match >= 0)
+        e.distance = static_cast<int16_t>(match);
+    // Either way, the freshly calculated differences are stored
+    // (paper §3: on no match the new diffs replace the old ones and
+    // the distance field is left alone). Stored diffs beyond
+    // diffCount are never read, so only the live prefix is written.
+    std::copy_n(cur.data(), n, e.diffs.data());
+    e.diffCount = static_cast<uint8_t>(n);
+}
+
+bool
 GDiffPredictor::predictWithWindow(uint64_t pc, const ValueWindow &window,
                                   int64_t &value)
 {
     const Entry *e = table.probe(pc);
-    if (!e || e->distance < 0)
-        return false;
-    unsigned k = static_cast<unsigned>(e->distance);
-    if (k >= window.count || k >= e->diffCount)
-        return false;
-    value = wrapAdd(window.values[k], e->diffs[k]);
-    return true;
+    return e && predictFrom(*e, window, value);
 }
 
 void
 GDiffPredictor::trainWithWindow(uint64_t pc, const ValueWindow &window,
                                 int64_t actual)
 {
-    Entry &e = table.lookup(pc);
-
-    // Compute the fresh differences against the visible window.
-    std::array<int64_t, maxOrder> cur{};
-    unsigned n = window.count;
-    for (unsigned i = 0; i < n; ++i)
-        cur[i] = wrapSub(actual, window.values[i]);
-
-    // Detect a match against the stored differences; select the
-    // closest matching distance (paper Fig. 5's parallel comparators
-    // with nearest-first priority).
-    unsigned compare = n < e.diffCount ? n : e.diffCount;
-    int match = -1;
-    for (unsigned i = 0; i < compare; ++i) {
-        if (cur[i] == e.diffs[i]) {
-            match = static_cast<int>(i);
-            break;
-        }
-    }
-    if (match >= 0)
-        e.distance = static_cast<int16_t>(match);
-    // Either way, the freshly calculated differences are stored
-    // (paper §3: on no match the new diffs replace the old ones and
-    // the distance field is left alone).
-    e.diffs = cur;
-    e.diffCount = static_cast<uint8_t>(n);
+    trainOn(table.lookup(pc), window, actual);
 }
 
 bool
@@ -97,56 +154,45 @@ GDiffPredictor::predictUpdateBatch(const uint64_t *pcs,
     const unsigned order = cfg.order;
     const unsigned delay = cfg.valueDelay;
 
-    // Linearize the stream: the queue's retained history (oldest
-    // first), then the batch's own actuals. Within the batch, lane
-    // l's visible window is the `order` stream values ending
-    // delay+1 before its own position — plain pointer arithmetic,
-    // where the scalar path re-walks the ring per record:
-    // window value k lives at wtop[-k] with wtop = ext+h+l-1-delay.
+    // Linearize the stream newest-first: the batch's actuals, then
+    // the queue's retained history. Lane l's visible window (the
+    // `order` values ending delay+1 before its own position) is then
+    // the run starting at rev[n - l + delay], in position order, and
+    // the queue is pushed once at the end instead of once per lane.
     extScratch.resize(static_cast<size_t>(order) + delay + n);
-    const size_t h = gvq.copyRecent(extScratch.data());
-    for (uint32_t l = 0; l < n; ++l)
-        extScratch[h + l] = actuals[l];
-    const int64_t *const ext = extScratch.data();
+    int64_t *const rev = extScratch.data();
+    std::reverse_copy(actuals, actuals + n, rev);
+    const size_t h = gvq.copyRecent(rev + n);
+    std::reverse(rev + n, rev + n + h);
 
-    std::array<int64_t, maxOrder> cur;
-    for (uint32_t l = 0; l < n; ++l) {
-        const int64_t actual = actuals[l];
-        const int64_t avail =
-            static_cast<int64_t>(h) + l - static_cast<int64_t>(delay);
-        const unsigned wcount =
-            avail <= 0 ? 0u
-                       : (avail < static_cast<int64_t>(order)
-                              ? static_cast<unsigned>(avail)
-                              : order);
-        Entry &e = table.lookup(pcs[l]);
-        if (wcount > 0) {
-            const int64_t *wtop = ext + (h + l - 1 - delay);
-            if (e.distance >= 0) {
-                unsigned k = static_cast<unsigned>(e.distance);
-                if (k < wcount && k < e.diffCount) {
-                    out.predicted[l] = 1;
-                    out.value[l] = wrapAdd(
-                        wtop[-static_cast<ptrdiff_t>(k)], e.diffs[k]);
-                }
-            }
-            simd::diffAgainstWindow(actual, wtop, cur.data(), wcount);
-            unsigned compare =
-                wcount < e.diffCount ? wcount : e.diffCount;
-            int match =
-                simd::firstEqual(cur.data(), e.diffs.data(), compare);
-            if (match >= 0)
-                e.distance = static_cast<int16_t>(match);
-            for (unsigned i = 0; i < wcount; ++i)
-                e.diffs[i] = cur[i];
+#if GDIFF_HAVE_AVX2_KERNELS
+    const bool avx2 = simd::activeMode() == simd::Mode::Avx2;
+#endif
+    // Tiles of lanes: resolve the tile's entries in one pass, then
+    // sweep them in lane order (lookups depend only on the PCs).
+    constexpr uint32_t kTile = 64;
+    Entry *tile[kTile];
+    for (uint32_t base = 0; base < n; base += kTile) {
+        const uint32_t m = std::min(kTile, n - base);
+        table.lookupLanes(pcs + base, m, tile);
+        const int64_t *windows = rev + (n - base + delay);
+        const int64_t avail0 = static_cast<int64_t>(h) + base -
+                               static_cast<int64_t>(delay);
+        uint8_t *predicted = out.predicted.data() + base;
+        int64_t *value = out.value.data() + base;
+#if GDIFF_HAVE_AVX2_KERNELS
+        if (avx2) {
+            sweepLanesAvx2(tile, actuals + base, windows, m, order,
+                           avail0, predicted, value);
+            continue;
         }
-        // Stored diffs beyond diffCount are never read, so only the
-        // live prefix needs rewriting (the scalar path zero-fills).
-        e.diffCount = static_cast<uint8_t>(wcount);
+#endif
+        sweepLanes<simd::PortableKernels>(tile, actuals + base, windows,
+                                          m, order, avail0, predicted,
+                                          value);
     }
 
-    for (uint32_t l = 0; l < n; ++l)
-        gvq.push(actuals[l]);
+    gvq.pushRange(actuals, n);
 }
 
 } // namespace core

@@ -68,9 +68,10 @@ class GDiffPredictor : public predictors::ValuePredictor
 
     /**
      * Fused batch over the internal queue: linearizes the queue plus
-     * the batch's own actuals into a flat stream, then per lane does
-     * one table lookup, an n-diff reconstruction and a nearest-first
-     * match via the SIMD kernels (util/simd.hh). Bit-identical to the
+     * the batch's own actuals into one newest-first stream, resolves
+     * the table entries a tile of lanes at a time, then per lane
+     * predicts and runs one fused diff-match-store kernel
+     * (util/simd_inline.hh) over its window. Bit-identical to the
      * scalar predict/update interleave.
      */
     void predictUpdateBatch(const uint64_t *pcs,
@@ -121,6 +122,14 @@ class GDiffPredictor : public predictors::ValuePredictor
         uint8_t diffCount = 0;   ///< valid stored diffs
         int16_t distance = -1;   ///< selected k, -1 = none
     };
+
+    /** @return true, setting value, if e predicts from window. */
+    static bool predictFrom(const Entry &e, const ValueWindow &window,
+                            int64_t &value);
+
+    /** Train e on actual against window (paper §3 update). */
+    static void trainOn(Entry &e, const ValueWindow &window,
+                        int64_t actual);
 
     GDiffConfig cfg;
     predictors::PcIndexedTable<Entry> table;

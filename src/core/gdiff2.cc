@@ -64,14 +64,14 @@ GDiff2Predictor::predictWithWindow(uint64_t pc,
       case Form::Single:
         if (e->j >= window.count || e->single.empty())
             return false;
-        value = wrapAdd(window.values[e->j],
+        value = wrapAdd(window[e->j],
                         e->single[e->j]);
         return true;
       case Form::PairAdd:
         if (e->k >= window.count || e->pairAdd.empty())
             return false;
-        value = wrapAdd(wrapAdd(window.values[e->j],
-                                window.values[e->k]),
+        value = wrapAdd(wrapAdd(window[e->j],
+                                window[e->k]),
                         e->pairAdd[addIndex(e->j, e->k)]);
         return true;
       case Form::PairSub:
@@ -79,8 +79,8 @@ GDiff2Predictor::predictWithWindow(uint64_t pc,
             e->pairSub.empty()) {
             return false;
         }
-        value = wrapAdd(wrapSub(window.values[e->j],
-                                window.values[e->k]),
+        value = wrapAdd(wrapSub(window[e->j],
+                                window[e->k]),
                         e->pairSub[subIndex(e->j, e->k)]);
         return true;
       case Form::None:
@@ -103,18 +103,18 @@ GDiff2Predictor::trainWithWindow(uint64_t pc, const ValueWindow &window,
     std::vector<int64_t> cur_sub(
         static_cast<size_t>(cfg.order) * (cfg.order - 1), 0);
     for (unsigned i = 0; i < n; ++i)
-        cur_single[i] = wrapSub(actual, window.values[i]);
+        cur_single[i] = wrapSub(actual, window[i]);
     for (unsigned j = 0; j < n; ++j) {
         for (unsigned k = 0; k < n; ++k) {
             if (j < k) {
                 cur_add[addIndex(j, k)] = wrapSub(
-                    actual, wrapAdd(window.values[j],
-                                    window.values[k]));
+                    actual, wrapAdd(window[j],
+                                    window[k]));
             }
             if (j != k) {
                 cur_sub[subIndex(j, k)] = wrapSub(
-                    actual, wrapSub(window.values[j],
-                                    window.values[k]));
+                    actual, wrapSub(window[j],
+                                    window[k]));
             }
         }
     }
@@ -199,11 +199,7 @@ GDiff2Predictor::predictUpdateBatch(const uint64_t *pcs,
         const size_t have = h + l;
         w.count = static_cast<unsigned>(
             have < cfg.order ? have : cfg.order);
-        if (w.count > 0) {
-            const int64_t *wtop = ext + (h + l - 1);
-            for (unsigned k = 0; k < w.count; ++k)
-                w.values[k] = wtop[-static_cast<ptrdiff_t>(k)];
-        }
+        w.newest = w.count > 0 ? ext + (h + l - 1) : nullptr;
         int64_t v = 0;
         if (predictWithWindow(pcs[l], w, v)) {
             out.predicted[l] = 1;
@@ -212,8 +208,7 @@ GDiff2Predictor::predictUpdateBatch(const uint64_t *pcs,
         trainWithWindow(pcs[l], w, actuals[l]);
     }
 
-    for (uint32_t l = 0; l < n; ++l)
-        gvq.push(actuals[l]);
+    gvq.pushRange(actuals, n);
 }
 
 double

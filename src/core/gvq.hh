@@ -15,7 +15,8 @@
 #ifndef GDIFF_CORE_GVQ_HH
 #define GDIFF_CORE_GVQ_HH
 
-#include <array>
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 
 #include "util/logging.hh"
@@ -28,14 +29,24 @@ namespace core {
 inline constexpr unsigned maxOrder = 64;
 
 /**
- * A snapshot of the n most recent visible queue values.
- * values[k] is the value produced k+1 value-productions before the
- * reference point; count may be < order while the queue warms up.
+ * A view of the n most recent visible queue values, read where they
+ * live: window position k (the value produced k+1 value-productions
+ * before the reference point) is at newest[-k]. count may be < order
+ * while the queue warms up, and newest is only dereferenced for
+ * k < count. A view taken from a queue is valid until the queue's
+ * next push.
  */
 struct ValueWindow
 {
-    std::array<int64_t, maxOrder> values{};
+    const int64_t *newest = nullptr;
     unsigned count = 0;
+
+    /** @return window position k (k < count). */
+    int64_t
+    operator[](unsigned k) const
+    {
+        return newest[-static_cast<ptrdiff_t>(k)];
+    }
 };
 
 /**
@@ -60,16 +71,18 @@ class GlobalValueQueue
     /** Append a newly produced value. */
     void push(int64_t v) { hist.push(v); }
 
+    /** push() each of v[0..n) in order. */
+    void pushRange(const int64_t *v, size_t n) { hist.pushRange(v, n); }
+
     /** @return the delay-shifted visible window. */
     ValueWindow
     visibleWindow() const
     {
-        ValueWindow w;
         size_t have = hist.size() > delay_ ? hist.size() - delay_ : 0;
-        w.count = static_cast<unsigned>(
-            have > order_ ? order_ : have);
-        for (unsigned k = 0; k < w.count; ++k)
-            w.values[k] = hist[delay_ + k];
+        ValueWindow w;
+        w.count = static_cast<unsigned>(have > order_ ? order_ : have);
+        if (w.count > 0)
+            w.newest = hist.at(delay_);
         return w;
     }
 
@@ -92,8 +105,8 @@ class GlobalValueQueue
     copyRecent(int64_t *dst) const
     {
         const size_t have = hist.size();
-        for (size_t j = 0; j < have; ++j)
-            dst[j] = hist[have - 1 - j];
+        if (have > 0) // oldest at at(have - 1), newer ones above it
+            std::copy_n(hist.at(have - 1), have, dst);
         return have;
     }
 
@@ -194,23 +207,28 @@ class HybridGvq
     uint64_t totalPushes() const { return hist.totalPushes(); }
 
   private:
-    /** Window of the `order` slots before absolute position `end`
-     * (exclusive). Slots that have left the ring are dropped. */
+    /**
+     * Window of the `order` slots before absolute position `end`
+     * (exclusive): at most `order` slots, none before slot 0, and
+     * none that has left the ring.
+     */
     ValueWindow
     windowEndingAt(uint64_t end) const
     {
-        ValueWindow w;
         uint64_t newest = hist.totalPushes();
         GDIFF_ASSERT(end <= newest, "window past the queue head");
-        for (unsigned k = 0; k < order_; ++k) {
-            if (end < static_cast<uint64_t>(k) + 1)
-                break; // ran off the beginning of time
-            uint64_t want = end - 1 - k; // absolute slot index
-            uint64_t age = newest - 1 - want;
-            if (age >= hist.size())
-                break; // slot already evicted from the ring
-            w.values[w.count++] = hist[static_cast<size_t>(age)];
-        }
+        uint64_t age = newest - end; // age of slot end - 1
+        ValueWindow w;
+        if (age >= hist.size())
+            return w; // every slot before end has been evicted
+        uint64_t n = hist.size() - age;
+        if (n > end)
+            n = end;
+        if (n > order_)
+            n = order_;
+        w.count = static_cast<unsigned>(n);
+        if (w.count > 0)
+            w.newest = hist.at(static_cast<size_t>(age));
         return w;
     }
 

@@ -24,8 +24,9 @@ namespace pipeline {
  * When enabled, the timing model runs a second, independent set of
  * books — an explicit ROB window, retire-bandwidth counters, per-cycle
  * issue counts — and cross-checks them against the cycle numbers the
- * model computes. Violations are counted and the first few described
- * in PipelineStats::checkReports.
+ * model computes, along with the writeback queue's robSize bound.
+ * Violations are counted and the first few described in
+ * PipelineStats::checkReports.
  */
 struct CheckConfig
 {

@@ -4,8 +4,10 @@
 #include <cinttypes>
 #include <deque>
 #include <memory>
+#include <unordered_map>
 
 #include "obs/obs.hh"
+#include "util/bits.hh"
 #include "util/logging.hh"
 
 namespace gdiff {
@@ -24,31 +26,39 @@ constexpr size_t issueRingSize = 1 << 16;
 OooPipeline::OooPipeline(const PipelineConfig &config, VpScheme &s)
     : cfg(config), scheme(s), bpred(config), icache(config.icache),
       dcache(config.dcache), issueCount(issueRingSize, 0),
-      issueTag(issueRingSize, ~uint64_t(0))
+      issueTag(issueRingSize, ~uint64_t(0)),
+      pending(size_t(1) << ceilLog2(std::max(1u, config.robSize)))
 {
+}
+
+void
+OooPipeline::queueWriteback(const PendingWriteback &wb)
+{
+    GDIFF_ASSERT(pendingTail - pendingHead < pending.size(),
+                 "writeback ring full at %zu entries", pending.size());
+    const uint64_t mask = pending.size() - 1;
+    uint64_t i = pendingTail++;
+    while (i > pendingHead &&
+           pending[(i - 1) & mask].completeCycle > wb.completeCycle) {
+        pending[i & mask] = pending[(i - 1) & mask];
+        --i;
+    }
+    pending[i & mask] = wb;
 }
 
 void
 OooPipeline::drainWritebacksBefore(uint64_t cycle, PipelineStats &stats)
 {
-    // Collect the completion-order run, then train the scheme with
-    // one batched call (schemes wrapping batch-capable predictors
-    // update chunk-at-a-time).
-    drainScratch.clear();
-    while (!pending.empty() && pending.top().completeCycle < cycle) {
-        const PendingWriteback wb = pending.top();
-        pending.pop();
+    const uint64_t mask = pending.size() - 1;
+    while (pendingHead < pendingTail &&
+           pending[pendingHead & mask].completeCycle < cycle) {
+        const PendingWriteback &wb = pending[pendingHead++ & mask];
         ++producerWritebacks;
         if (wb.measured) {
             stats.valueDelay.record(producerWritebacks -
                                     wb.producedAtDispatch);
         }
-        drainScratch.push_back({wb.pc, wb.decision, wb.value});
-    }
-    if (!drainScratch.empty()) {
-        scheme.writebackBatch(
-            drainScratch.data(),
-            static_cast<uint32_t>(drainScratch.size()));
+        scheme.writeback(wb.pc, wb.decision, wb.value);
     }
 }
 
@@ -390,13 +400,21 @@ OooPipeline::run(workload::TraceSource &src, uint64_t max_instructions,
         if (produces) {
             PendingWriteback wb;
             wb.completeCycle = complete_cycle;
-            wb.seq = seq;
             wb.pc = r.pc;
             wb.value = r.value;
             wb.decision = decision;
             wb.producedAtDispatch = producerWritebacks;
             wb.measured = measure;
-            pending.push(wb);
+            queueWriteback(wb);
+            if (chk.enabled && pendingTail - pendingHead > cfg.robSize) {
+                // Every writeback of seq - robSize or older completes
+                // before this record's dispatch, so at most robSize
+                // (this one included) can be waiting.
+                violate(formatString(
+                    "writeback queue holds %" PRIu64 " entries after "
+                    "seq %" PRIu64 ", more than the %u-entry ROB",
+                    pendingTail - pendingHead, seq, cfg.robSize));
+            }
         }
 
         // ---- statistics ------------------------------------------------------

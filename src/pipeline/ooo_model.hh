@@ -8,9 +8,9 @@
  * behaviour, branch/indirect misprediction redirects, ROB occupancy,
  * issue bandwidth, operand readiness through registers and memory,
  * and D-cache latency. Predictor training happens in *completion*
- * order via a pending-writeback queue, which is what exposes value
- * delay (Fig. 12) and SGVQ execution variation (Fig. 13) exactly as
- * the paper describes.
+ * order via a sorted pending-writeback queue, which is what exposes
+ * value delay (Fig. 12) and SGVQ execution variation (Fig. 13) exactly
+ * as the paper describes.
  *
  * Value speculation follows the paper's aggressive machine model
  * (§7, after Sazeides' "great latency" model): a confident prediction
@@ -24,9 +24,7 @@
 #define GDIFF_PIPELINE_OOO_MODEL_HH
 
 #include <cstdint>
-#include <queue>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/cache.hh"
@@ -124,26 +122,25 @@ class OooPipeline
                       uint64_t functionalWarmup = 0);
 
   private:
+    /** A completed producer waiting to train the scheme. */
     struct PendingWriteback
     {
         uint64_t completeCycle = 0;
-        uint64_t seq = 0;
         uint64_t pc = 0;
         int64_t value = 0;
         VpDecision decision;
         uint64_t producedAtDispatch = 0;
         bool measured = false;
-
-        bool
-        operator>(const PendingWriteback &o) const
-        {
-            // Completion-time order; sequence breaks ties so equal-
-            // cycle writebacks drain in program order.
-            return completeCycle != o.completeCycle
-                       ? completeCycle > o.completeCycle
-                       : seq > o.seq;
-        }
     };
+
+    /**
+     * Queue a writeback, keeping the live entries sorted by
+     * (completeCycle, seq). Writebacks arrive in seq order and the
+     * scan from the tail stops at the first entry completing no
+     * later, so equal-cycle writebacks keep program order. New
+     * completions land near the tail, so the scan is short.
+     */
+    void queueWriteback(const PendingWriteback &wb);
 
     /** Apply all pending writebacks strictly before the cycle. */
     void drainWritebacksBefore(uint64_t cycle, PipelineStats &stats);
@@ -162,12 +159,17 @@ class OooPipeline
     std::vector<uint32_t> issueCount;
     std::vector<uint64_t> issueTag;
 
-    std::priority_queue<PendingWriteback,
-                        std::vector<PendingWriteback>,
-                        std::greater<PendingWriteback>>
-        pending;
-
-    std::vector<WritebackItem> drainScratch; ///< batched drain run
+    /**
+     * Writebacks in completion order: a ring of power-of-two size
+     * holding absolute positions [pendingHead, pendingTail). At most
+     * robSize are live: record seq + robSize dispatches no earlier
+     * than retire(seq) > complete(seq), and the drain before that
+     * dispatch applies every writeback completing before it, so the
+     * ring is sized once, to robSize rounded up to a power of two.
+     */
+    std::vector<PendingWriteback> pending;
+    uint64_t pendingHead = 0;
+    uint64_t pendingTail = 0;
 
     uint64_t producerWritebacks = 0; ///< count of applied producer wbs
 };

@@ -14,8 +14,8 @@ VpDecision
 VpScheme::predictAtDispatch(uint64_t pc)
 {
     VpDecision d;
-    uint32_t &outstanding = inflight[pc];
-    d.predicted = doPredict(pc, outstanding, d.value, d.token);
+    uint32_t &outstanding = inflight.lookup(pc);
+    d.predicted = doPredict(pc, outstanding, d);
     d.confident = d.predicted && conf.confident(pc);
     cov.record(d.confident);
     ++outstanding;
@@ -25,9 +25,9 @@ VpScheme::predictAtDispatch(uint64_t pc)
 void
 VpScheme::writeback(uint64_t pc, const VpDecision &d, int64_t actual)
 {
-    auto it = inflight.find(pc);
-    if (it != inflight.end() && it->second > 0)
-        --it->second;
+    uint32_t &outstanding = inflight.lookup(pc);
+    if (outstanding > 0)
+        --outstanding;
     if (d.predicted) {
         bool correct = (d.value == actual);
         accRaw.record(correct);
@@ -36,38 +36,6 @@ VpScheme::writeback(uint64_t pc, const VpDecision &d, int64_t actual)
         conf.train(pc, correct);
     }
     doWriteback(pc, d, actual);
-}
-
-void
-VpScheme::writebackBatch(const WritebackItem *items, uint32_t n)
-{
-    // Phase 1 — bookkeeping. Within a drain batch nothing reads the
-    // in-flight counts or the confidence table (both are next read at
-    // predictAtDispatch), so applying every item's bookkeeping before
-    // any scheme training is indistinguishable from the interleaved
-    // scalar order.
-    for (uint32_t l = 0; l < n; ++l) {
-        const WritebackItem &it = items[l];
-        auto inf = inflight.find(it.pc);
-        if (inf != inflight.end() && inf->second > 0)
-            --inf->second;
-        if (it.decision.predicted) {
-            bool correct = (it.decision.value == it.actual);
-            accRaw.record(correct);
-            if (it.decision.confident)
-                accGated.record(correct);
-            conf.train(it.pc, correct);
-        }
-    }
-    // Phase 2 — scheme training, in completion order.
-    doWritebackBatch(items, n);
-}
-
-void
-VpScheme::doWritebackBatch(const WritebackItem *items, uint32_t n)
-{
-    for (uint32_t l = 0; l < n; ++l)
-        doWriteback(items[l].pc, items[l].decision, items[l].actual);
 }
 
 // --------------------------------------------------------- LocalScheme
@@ -80,29 +48,15 @@ LocalScheme::LocalScheme(
 }
 
 bool
-LocalScheme::doPredict(uint64_t pc, unsigned ahead, int64_t &value,
-                       uint64_t &token)
+LocalScheme::doPredict(uint64_t pc, unsigned ahead, VpDecision &d)
 {
-    token = 0;
-    return inner->predictAhead(pc, ahead, value);
+    return inner->predictAhead(pc, ahead, d.value);
 }
 
 void
 LocalScheme::doWriteback(uint64_t pc, const VpDecision &, int64_t actual)
 {
     inner->update(pc, actual);
-}
-
-void
-LocalScheme::doWritebackBatch(const WritebackItem *items, uint32_t n)
-{
-    pcScratch.resize(n);
-    actualScratch.resize(n);
-    for (uint32_t l = 0; l < n; ++l) {
-        pcScratch[l] = items[l].pc;
-        actualScratch[l] = items[l].actual;
-    }
-    inner->updateBatch(pcScratch.data(), actualScratch.data(), n);
 }
 
 // ---------------------------------------------------------- SgvqScheme
@@ -113,11 +67,9 @@ SgvqScheme::SgvqScheme(const core::GDiffConfig &gdiff_cfg)
 }
 
 bool
-SgvqScheme::doPredict(uint64_t pc, unsigned, int64_t &value,
-                      uint64_t &token)
+SgvqScheme::doPredict(uint64_t pc, unsigned, VpDecision &d)
 {
-    token = 0;
-    return gd.predictWithWindow(pc, queue.visibleWindow(), value);
+    return gd.predictWithWindow(pc, queue.visibleWindow(), d.value);
 }
 
 void
@@ -143,37 +95,32 @@ HgvqScheme::HgvqScheme(const core::GDiffConfig &gdiff_cfg,
 }
 
 bool
-HgvqScheme::doPredict(uint64_t pc, unsigned ahead, int64_t &value,
-                      uint64_t &token)
+HgvqScheme::doPredict(uint64_t pc, unsigned ahead, VpDecision &d)
 {
-    Candidates c;
-
     // gdiff candidate: from the dispatch-ordered window, *before*
     // pushing this instruction's own slot.
-    c.haveGdiff =
-        gd.predictWithWindow(pc, queue.windowAtDispatch(), c.gdiffValue);
+    d.haveGdiff =
+        gd.predictWithWindow(pc, queue.windowAtDispatch(), d.gdiffValue);
 
     // Local-stride candidate (in-flight-compensated): fills this
     // instruction's queue slot (overwritten with the real result at
     // writeback) and competes as a prediction source — the scheme
     // integrates local and global stride locality (paper §5).
-    c.haveFiller =
-        localStride.predictAhead(pc, ahead, c.fillerValue);
+    d.haveFiller = localStride.predictAhead(pc, ahead, d.fillerValue);
 
-    token = queue.pushSpeculative(c.haveFiller ? c.fillerValue : 0);
-    inFlightCandidates.emplace(token, c);
+    d.token = queue.pushSpeculative(d.haveFiller ? d.fillerValue : 0);
 
     // Per-PC component choice: take the candidate whose component
     // confidence is currently higher (gdiff wins ties — it is the
     // added capability under study).
-    if (c.haveGdiff &&
-        (!c.haveFiller ||
+    if (d.haveGdiff &&
+        (!d.haveFiller ||
          gdiffConf.level(pc) >= fillerConf.level(pc))) {
-        value = c.gdiffValue;
+        d.value = d.gdiffValue;
         return true;
     }
-    if (c.haveFiller) {
-        value = c.fillerValue;
+    if (d.haveFiller) {
+        d.value = d.fillerValue;
         return true;
     }
     return false;
@@ -188,15 +135,11 @@ HgvqScheme::doWriteback(uint64_t pc, const VpDecision &d, int64_t actual)
     gd.trainWithWindow(pc, queue.windowBeforeSlot(d.token), actual);
     localStride.update(pc, actual);
 
-    auto it = inFlightCandidates.find(d.token);
-    if (it != inFlightCandidates.end()) {
-        const Candidates &c = it->second;
-        if (c.haveGdiff)
-            gdiffConf.train(pc, c.gdiffValue == actual);
-        if (c.haveFiller)
-            fillerConf.train(pc, c.fillerValue == actual);
-        inFlightCandidates.erase(it);
-    }
+    // Each chooser component trains on its own candidate's outcome.
+    if (d.haveGdiff)
+        gdiffConf.train(pc, d.gdiffValue == actual);
+    if (d.haveFiller)
+        fillerConf.train(pc, d.fillerValue == actual);
 }
 
 } // namespace pipeline

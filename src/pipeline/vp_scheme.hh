@@ -27,12 +27,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "core/gdiff.hh"
 #include "core/gvq.hh"
 #include "predictors/confidence.hh"
 #include "predictors/stride.hh"
+#include "predictors/table.hh"
 #include "predictors/value_predictor.hh"
 #include "stats/counter.hh"
 
@@ -45,15 +45,17 @@ struct VpDecision
     bool predicted = false; ///< the predictor produced a value
     bool confident = false; ///< passes the confidence gate
     int64_t value = 0;      ///< the predicted value
-    uint64_t token = 0;     ///< scheme-private (e.g. HGVQ slot id)
-};
 
-/** One completed instruction handed to a batched writeback drain. */
-struct WritebackItem
-{
-    uint64_t pc = 0;
-    VpDecision decision;
-    int64_t actual = 0;
+    /// @name Scheme-private state carried from dispatch to writeback
+    /// @{
+    uint64_t token = 0; ///< e.g. the HGVQ slot id
+    /// HGVQ's two component candidates, so each chooser component
+    /// trains on its own outcome
+    bool haveGdiff = false;
+    bool haveFiller = false;
+    int64_t gdiffValue = 0;
+    int64_t fillerValue = 0;
+    /// @}
 };
 
 /** Base class: confidence gating + statistics. */
@@ -79,17 +81,6 @@ class VpScheme
      */
     void writeback(uint64_t pc, const VpDecision &d, int64_t actual);
 
-    /**
-     * Batched writeback drain: items are a contiguous run of
-     * completion-order writebacks with no interleaved dispatches, so
-     * the per-item bookkeeping (in-flight counts, accuracy stats,
-     * confidence training — none of it read again until the next
-     * dispatch) can run as one pass, followed by one scheme-level
-     * training pass (doWritebackBatch). Equivalent to calling
-     * writeback() per item in order.
-     */
-    void writebackBatch(const WritebackItem *items, uint32_t n);
-
     /// @name Statistics (paper Figs. 13/16 metrics)
     /// @{
     const stats::Ratio &coverage() const { return cov; }
@@ -99,30 +90,24 @@ class VpScheme
 
   protected:
     /**
-     * Scheme-specific prediction.
+     * Scheme-specific prediction: sets d.value when predicting, and
+     * any scheme-private fields of d that its writeback needs.
      * @param ahead in-flight instances of this PC (dispatched, not
      *              yet written back) — the table staleness local
      *              computational predictors extrapolate across.
      * @return true if predicted.
      */
-    virtual bool doPredict(uint64_t pc, unsigned ahead, int64_t &value,
-                           uint64_t &token) = 0;
+    virtual bool doPredict(uint64_t pc, unsigned ahead,
+                           VpDecision &d) = 0;
 
     /** Scheme-specific training at writeback. */
     virtual void doWriteback(uint64_t pc, const VpDecision &d,
                              int64_t actual) = 0;
 
-    /**
-     * Scheme-specific batched training. Default: doWriteback per
-     * item, in order. Schemes wrapping a batch-capable predictor
-     * override this to train chunk-at-a-time.
-     */
-    virtual void doWritebackBatch(const WritebackItem *items,
-                                  uint32_t n);
-
   private:
     predictors::ConfidenceTable conf;
-    std::unordered_map<uint64_t, uint32_t> inflight;
+    /// per-PC in-flight count (dispatched, not yet written back)
+    predictors::PcIndexedTable<uint32_t> inflight;
     stats::Ratio cov;
     stats::Ratio accGated;
     stats::Ratio accRaw;
@@ -136,7 +121,7 @@ class NoPrediction : public VpScheme
 
   protected:
     bool
-    doPredict(uint64_t, unsigned, int64_t &, uint64_t &) override
+    doPredict(uint64_t, unsigned, VpDecision &) override
     {
         return false;
     }
@@ -158,18 +143,14 @@ class LocalScheme : public VpScheme
     std::string name() const override { return display; }
 
   protected:
-    bool doPredict(uint64_t pc, unsigned ahead, int64_t &value,
-                   uint64_t &token) override;
+    bool doPredict(uint64_t pc, unsigned ahead,
+                   VpDecision &d) override;
     void doWriteback(uint64_t pc, const VpDecision &d,
                      int64_t actual) override;
-    void doWritebackBatch(const WritebackItem *items,
-                          uint32_t n) override;
 
   private:
     std::unique_ptr<predictors::ValuePredictor> inner;
     std::string display;
-    std::vector<uint64_t> pcScratch;    ///< batch training lanes
-    std::vector<int64_t> actualScratch; ///< batch training lanes
 };
 
 /** gdiff over the speculative GVQ (paper §4, Fig. 13). */
@@ -183,8 +164,8 @@ class SgvqScheme : public VpScheme
     std::string name() const override { return "gdiff(SGVQ)"; }
 
   protected:
-    bool doPredict(uint64_t pc, unsigned ahead, int64_t &value,
-                   uint64_t &token) override;
+    bool doPredict(uint64_t pc, unsigned ahead,
+                   VpDecision &d) override;
     void doWriteback(uint64_t pc, const VpDecision &d,
                      int64_t actual) override;
 
@@ -220,29 +201,18 @@ class HgvqScheme : public VpScheme
     std::string name() const override { return "gdiff(HGVQ)"; }
 
   protected:
-    bool doPredict(uint64_t pc, unsigned ahead, int64_t &value,
-                   uint64_t &token) override;
+    bool doPredict(uint64_t pc, unsigned ahead,
+                   VpDecision &d) override;
     void doWriteback(uint64_t pc, const VpDecision &d,
                      int64_t actual) override;
 
   private:
-    /** Both candidate predictions captured at dispatch, keyed by the
-     * HGVQ slot id, so each component trains on its own outcome. */
-    struct Candidates
-    {
-        int64_t gdiffValue = 0;
-        int64_t fillerValue = 0;
-        bool haveGdiff = false;
-        bool haveFiller = false;
-    };
-
     core::GDiffPredictor gd;
     core::HybridGvq queue;
     predictors::StridePredictor localStride;
     /// per-component selection confidence (the hybrid chooser)
     predictors::ConfidenceTable gdiffConf;
     predictors::ConfidenceTable fillerConf;
-    std::unordered_map<uint64_t, Candidates> inFlightCandidates;
 };
 
 } // namespace pipeline

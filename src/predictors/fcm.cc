@@ -124,8 +124,9 @@ DfcmPredictor::update(uint64_t pc, int64_t actual)
  * invalidates its snapshot (an earlier lane rolled the history); the
  * work stage detects that by value and recomputes the index, so a
  * stale snapshot only ever wastes its prefetch. Entry pointers stay
- * valid across the window in both table modes: vector storage is
- * never resized, and unordered_map nodes are stable under rehash.
+ * valid across the window in both table modes: the limited table is
+ * never resized, and unlimited entries live in a deque, whose
+ * elements never move (predictors/table.hh).
  */
 void
 DfcmPredictor::predictUpdateBatch(const uint64_t *pcs,

@@ -25,6 +25,12 @@ namespace gdiff {
  * ago (0 = newest). Until the buffer fills, out-of-range entries read
  * as value-initialised T (matching hardware tables that power up
  * zeroed).
+ *
+ * The storage is mirrored: every slot is kept twice, at i and at
+ * i + capacity, so the elements of ages k, k+1, ... up to age
+ * capacity-1 sit at descending addresses from at(k) with no index
+ * wrap. A window over the history is then one pointer, which is how
+ * the gdiff paths read it (window position j at top[-j]).
  */
 template <typename T>
 class RingHistory
@@ -32,7 +38,7 @@ class RingHistory
   public:
     /** @param capacity maximum number of retained elements (> 0). */
     explicit RingHistory(size_t capacity)
-        : buf(capacity), head(0), count(0)
+        : cap(capacity), buf(2 * capacity), head(0), count(0)
     {
         GDIFF_ASSERT(capacity > 0, "RingHistory needs capacity > 0");
     }
@@ -41,11 +47,27 @@ class RingHistory
     void
     push(const T &v)
     {
-        head = (head + 1) % buf.size();
+        if (++head == cap)
+            head = 0;
         buf[head] = v;
-        if (count < buf.size())
+        buf[head + cap] = v;
+        if (count < cap)
             ++count;
         ++pushes;
+    }
+
+    /**
+     * Append @p n elements in order (v[n-1] ends up newest): the same
+     * contents and totalPushes() as n push() calls, but only the last
+     * capacity() of them are written — the rest would be evicted.
+     */
+    void
+    pushRange(const T *v, size_t n)
+    {
+        const size_t skip = n > cap ? n - cap : 0;
+        for (size_t i = skip; i < n; ++i)
+            push(v[i]);
+        pushes += skip;
     }
 
     /**
@@ -58,8 +80,20 @@ class RingHistory
     {
         if (k >= count)
             return T();
-        size_t idx = (head + buf.size() - k) % buf.size();
-        return buf[idx];
+        return buf[head + cap - k];
+    }
+
+    /**
+     * @param k age of an element (k < capacity()).
+     * @return a pointer p to the slot of age k, with the slot of age
+     *         k + j at p[-j] for every k + j < capacity(). Slots of
+     *         age >= size() hold stale or value-initialised data.
+     */
+    const T *
+    at(size_t k) const
+    {
+        GDIFF_ASSERT(k < cap, "RingHistory age %zu past capacity", k);
+        return &buf[head + cap - k];
     }
 
     /**
@@ -77,8 +111,9 @@ class RingHistory
     {
         if (k >= count)
             return false;
-        size_t idx = (head + buf.size() - k) % buf.size();
+        size_t idx = head + cap - k;
         buf[idx] = v;
+        buf[idx >= cap ? idx - cap : idx + cap] = v;
         return true;
     }
 
@@ -86,7 +121,7 @@ class RingHistory
     size_t size() const { return count; }
 
     /** @return the fixed capacity. */
-    size_t capacity() const { return buf.size(); }
+    size_t capacity() const { return cap; }
 
     /** @return true if no element has been pushed yet. */
     bool empty() const { return count == 0; }
@@ -106,8 +141,9 @@ class RingHistory
     }
 
   private:
-    std::vector<T> buf;
-    size_t head;
+    size_t cap;
+    std::vector<T> buf; ///< 2 * cap: slot i mirrored at i + cap
+    size_t head;        ///< slot of the newest element, in [0, cap)
     size_t count;
     uint64_t pushes = 0;
 };

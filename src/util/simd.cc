@@ -5,13 +5,7 @@
 
 #include "util/bits.hh"
 #include "util/logging.hh"
-
-#if defined(__x86_64__) || defined(_M_X64)
-#define GDIFF_SIMD_X86 1
-#include <immintrin.h>
-#else
-#define GDIFF_SIMD_X86 0
-#endif
+#include "util/simd_inline.hh"
 
 namespace gdiff {
 namespace simd {
@@ -130,7 +124,6 @@ countSecondDiffZeroScalar(const uint64_t *v, size_t n, size_t L)
 // -------------------------------------------------------- AVX2 kernels
 
 #if GDIFF_SIMD_X86 && defined(__GNUC__)
-#define GDIFF_AVX2_FN __attribute__((target("avx2")))
 
 /**
  * Exact 64x64 -> low-64 multiply of four lanes. AVX2 has no 64-bit

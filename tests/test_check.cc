@@ -363,6 +363,38 @@ TEST(PipelineInvariantTest, KernelWorkloadHoldsInvariants)
                                        : stats.checkReports.front());
 }
 
+TEST(PipelineInvariantTest, WritebackQueueBoundHoldsAtEveryRobSize)
+{
+    // The writeback queue never holds more than robSize entries; the
+    // checker reports any excess. Small ROBs stall dispatch on nearly
+    // every record, large ones let long-latency producers pile up.
+    auto run = [](const workload::Workload &w, const char *scheme_name,
+                  unsigned rob, uint64_t n, uint64_t warmup) {
+        auto scheme = runner::makeScheme(scheme_name, 16, 0);
+        pipeline::PipelineConfig cfg;
+        cfg.robSize = rob;
+        cfg.check.enabled = true;
+        pipeline::OooPipeline pipe(cfg, *scheme);
+        auto exec = w.makeExecutor();
+        pipeline::PipelineStats stats = pipe.run(*exec, n, warmup);
+        EXPECT_EQ(stats.checkViolations, 0u)
+            << w.program.name() << " " << scheme_name << " rob " << rob
+            << ": "
+            << (stats.checkReports.empty() ? "(no report)"
+                                           : stats.checkReports.front());
+    };
+    for (unsigned rob : {1u, 4u, 64u, 200u}) {
+        for (uint64_t seed : {3, 5}) {
+            FuzzProgramConfig pcfg;
+            pcfg.seed = seed;
+            workload::Workload w = fuzzProgram(pcfg);
+            run(w, "hgvq", rob, 1'000'000'000, 0);
+        }
+        run(workload::makeWorkload("mcf", 1), "baseline", rob, 40'000,
+            5'000);
+    }
+}
+
 TEST(PipelineInvariantTest, DisabledCheckingReportsNothing)
 {
     FuzzProgramConfig pcfg;

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "core/gdiff.hh"
+#include "util/random.hh"
+#include "util/simd.hh"
 
 namespace gdiff {
 namespace core {
@@ -201,10 +205,8 @@ TEST(GDiff, UnlimitedTableNeverConflicts)
 TEST(GDiff, ExternalWindowInterface)
 {
     GDiffPredictor p(unlimited(4));
-    ValueWindow w;
-    w.count = 2;
-    w.values[0] = 50;
-    w.values[1] = 30;
+    const int64_t hist[] = {30, 50}; // oldest first: w[0] = 50
+    ValueWindow w{hist + 1, 2};
 
     // Train twice with the correlated value at window position 1.
     p.trainWithWindow(pcB, w, 37); // diffs recorded
@@ -226,12 +228,8 @@ TEST(GDiff, PrefersClosestMatchingDistance)
     // Identical values at distances 0 and 3: the selected distance
     // must be 0 (nearest-first priority).
     GDiffPredictor p(unlimited(4));
-    ValueWindow w;
-    w.count = 4;
-    w.values[0] = 10;
-    w.values[1] = 777;
-    w.values[2] = 888;
-    w.values[3] = 10;
+    const int64_t hist[] = {10, 888, 777, 10}; // w[0] = 10, w[3] = 10
+    ValueWindow w{hist + 3, 4};
     p.trainWithWindow(pcB, w, 15);
     p.trainWithWindow(pcB, w, 15);
     int64_t guess = 0;
@@ -239,8 +237,8 @@ TEST(GDiff, PrefersClosestMatchingDistance)
     EXPECT_EQ(guess, 15);
 
     // Move only the distant copy: prediction must follow position 0.
-    ValueWindow w2 = w;
-    w2.values[3] = -555;
+    const int64_t hist2[] = {-555, 888, 777, 10}; // w2[3] = -555
+    ValueWindow w2{hist2 + 3, 4};
     ASSERT_TRUE(p.predictWithWindow(pcB, w2, guess));
     EXPECT_EQ(guess, 15);
 }
@@ -257,6 +255,71 @@ TEST(GDiff, WrapsAroundOnOverflow)
     p.update(pcA, big);
     ASSERT_TRUE(p.predict(pcB, guess));
     EXPECT_EQ(guess, big);
+}
+
+TEST(GDiff, BatchMatchesScalarAcrossShapes)
+{
+    // The batch sweep (newest-first stream, tiles of 64 lanes, fused
+    // kernel) against predict()/update() for orders around the 4-wide
+    // kernel step, value delays, both table modes, chunk sizes that
+    // split tiles and the queue's warm-up, and both kernel sets.
+    Xorshift64Star rng(5);
+    std::vector<uint64_t> pcs(3000);
+    std::vector<int64_t> vals(pcs.size());
+    int64_t counters[24] = {};
+    for (size_t i = 0; i < pcs.size(); ++i) {
+        unsigned k = static_cast<unsigned>(rng.below(24));
+        pcs[i] = 0x400000 + 4 * k;
+        counters[k] += k;
+        vals[i] = k < 16 ? counters[k]
+                         : static_cast<int64_t>(rng.next() >> 60);
+    }
+    std::vector<simd::Mode> modes = {simd::Mode::Scalar};
+    if (simd::cpuSupportsAvx2())
+        modes.push_back(simd::Mode::Avx2);
+    for (simd::Mode mode : modes) {
+        simd::setModeForTest(mode);
+        for (unsigned order : {1u, 3u, 4u, 5u, 8u, 13u, 64u}) {
+            for (unsigned delay : {0u, 2u, 9u}) {
+                for (size_t entries : {size_t(0), size_t(8)}) {
+                    for (uint32_t chunk : {1u, 7u, 64u, 65u, 4096u}) {
+                        GDiffConfig cfg;
+                        cfg.order = order;
+                        cfg.valueDelay = delay;
+                        cfg.tableEntries = entries;
+                        GDiffPredictor s(cfg), b(cfg);
+                        predictors::PredictionBatch out;
+                        for (size_t base = 0; base < pcs.size();
+                             base += chunk) {
+                            const uint32_t n = static_cast<uint32_t>(
+                                std::min<size_t>(chunk,
+                                                 pcs.size() - base));
+                            b.predictUpdateBatch(pcs.data() + base,
+                                                 vals.data() + base, n,
+                                                 out);
+                            for (uint32_t l = 0; l < n; ++l) {
+                                int64_t v = 0;
+                                const bool p = s.predict(pcs[base + l], v);
+                                ASSERT_EQ(p, out.predicted[l] != 0)
+                                    << "order " << order << " delay "
+                                    << delay << " entries " << entries
+                                    << " chunk " << chunk << " rec "
+                                    << base + l;
+                                if (p) {
+                                    ASSERT_EQ(v, out.value[l]);
+                                }
+                                s.update(pcs[base + l], vals[base + l]);
+                            }
+                        }
+                        EXPECT_EQ(s.tableConflictRate(),
+                                  b.tableConflictRate());
+                    }
+                }
+            }
+        }
+    }
+    simd::setModeForTest(simd::cpuSupportsAvx2() ? simd::Mode::Avx2
+                                                 : simd::Mode::Scalar);
 }
 
 } // namespace

@@ -131,20 +131,12 @@ TEST(GDiff2, ShortWindowSuppressesPrediction)
     GDiff2Predictor p(unlimited(8));
     // Two trainings where only the (1,3) sum relation repeats: every
     // single residual changes, so the selected form must be PairAdd.
-    ValueWindow w1;
-    w1.count = 4;
-    w1.values[0] = 100;
-    w1.values[1] = 200;
-    w1.values[2] = 300;
-    w1.values[3] = 400;
+    const int64_t h1[] = {400, 300, 200, 100}; // oldest first
+    ValueWindow w1{h1 + 3, 4};                 // w1[0] = 100
     p.trainWithWindow(pcA, w1, 700); // w[1] + w[3] + 100
 
-    ValueWindow w2;
-    w2.count = 4;
-    w2.values[0] = 151;
-    w2.values[1] = 310;
-    w2.values[2] = 333;
-    w2.values[3] = 420;
+    const int64_t h2[] = {420, 333, 310, 151};
+    ValueWindow w2{h2 + 3, 4};
     p.trainWithWindow(pcA, w2, 830); // w[1] + w[3] + 100 again
 
     int64_t guess;
@@ -152,9 +144,8 @@ TEST(GDiff2, ShortWindowSuppressesPrediction)
     EXPECT_EQ(guess, 830);
 
     // A window shorter than the learned pair suppresses prediction.
-    ValueWindow short_w;
-    short_w.count = 1;
-    short_w.values[0] = 100;
+    const int64_t h3[] = {100};
+    ValueWindow short_w{h3, 1};
     EXPECT_FALSE(p.predictWithWindow(pcA, short_w, guess));
 }
 

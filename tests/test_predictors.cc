@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+#include <vector>
+
 #include "predictors/confidence.hh"
 #include "predictors/fcm.hh"
 #include "predictors/last_value.hh"
@@ -13,6 +17,7 @@
 #include "predictors/pi.hh"
 #include "predictors/stride.hh"
 #include "predictors/table.hh"
+#include "util/random.hh"
 
 namespace gdiff {
 namespace predictors {
@@ -292,6 +297,83 @@ TEST(Table, UnlimitedProbeMissingReturnsNull)
 {
     PcIndexedTable<int> t(0);
     EXPECT_EQ(t.probe(0x1234), nullptr);
+    // A probe inserts nothing, for the extreme pcs too.
+    for (uint64_t pc : {uint64_t(0), ~uint64_t(0), uint64_t(0x40)})
+        EXPECT_EQ(t.probe(pc), nullptr);
+    EXPECT_EQ(t.lookups(), 0u);
+    t.lookup(0) = 5;
+    EXPECT_EQ(t.probe(~uint64_t(0)), nullptr);
+    EXPECT_EQ(t.probe(0x40), nullptr);
+    ASSERT_NE(t.probe(0), nullptr);
+    EXPECT_EQ(*t.probe(0), 5);
+}
+
+TEST(Table, UnlimitedModeMatchesMapModel)
+{
+    // Random inserts and probes against std::unordered_map, over a
+    // key set with the extreme pcs and enough distinct keys to force
+    // many rehashes of the open-addressing slots.
+    Xorshift64Star rng(17);
+    PcIndexedTable<int64_t> t(0);
+    std::unordered_map<uint64_t, int64_t> model;
+    std::vector<uint64_t> keys = {0, ~uint64_t(0), 4, ~uint64_t(0) - 3};
+    for (int i = 0; i < 3000; ++i)
+        keys.push_back(i % 2 ? rng.next()
+                             : 0x400000 + 4 * rng.below(4096));
+    for (int step = 0; step < 60000; ++step) {
+        uint64_t pc = keys[rng.below(keys.size())];
+        switch (rng.below(3)) {
+          case 0: {
+            int64_t v = static_cast<int64_t>(rng.next());
+            t.lookup(pc) = v;
+            model[pc] = v;
+            break;
+          }
+          case 1:
+            // lookup() of a new pc value-initialises its entry
+            EXPECT_EQ(t.lookup(pc), model[pc]);
+            break;
+          default: {
+            const int64_t *e = t.probe(pc);
+            auto it = model.find(pc);
+            ASSERT_EQ(e != nullptr, it != model.end()) << pc;
+            if (e) {
+                EXPECT_EQ(*e, it->second);
+            }
+          }
+        }
+    }
+    for (uint64_t pc : keys) {
+        const int64_t *e = t.probe(pc);
+        auto it = model.find(pc);
+        ASSERT_EQ(e != nullptr, it != model.end()) << pc;
+        if (e) {
+            EXPECT_EQ(*e, it->second);
+        }
+    }
+    EXPECT_GT(model.size(), 2000u);
+    EXPECT_EQ(t.conflicts(), 0u);
+}
+
+TEST(Table, UnlimitedReferencesSurviveGrowth)
+{
+    // Batch loops hold entry references across later lookups
+    // (predictors/fcm.cc), so entries must never move.
+    PcIndexedTable<uint64_t> t(0);
+    uint64_t &first = t.lookup(0x400000);
+    first = 42;
+    std::vector<uint64_t *> refs;
+    for (uint64_t i = 0; i < 5000; ++i) {
+        uint64_t &e = t.lookup(0x500000 + 4 * i);
+        e = i;
+        refs.push_back(&e);
+    }
+    EXPECT_EQ(&t.lookup(0x400000), &first);
+    EXPECT_EQ(first, 42u);
+    for (uint64_t i = 0; i < refs.size(); ++i) {
+        EXPECT_EQ(refs[i], t.probe(0x500000 + 4 * i));
+        EXPECT_EQ(*refs[i], i);
+    }
 }
 
 TEST(Table, LimitedModeAliases)
@@ -313,6 +395,36 @@ TEST(Table, LimitedModeDistinctIndicesNoConflict)
     t.lookup(0x400004);
     t.lookup(0x400008);
     EXPECT_EQ(t.conflicts(), 0u);
+}
+
+TEST(Table, LookupLanesMatchesLookupLoop)
+{
+    // Both modes: the same entries, in order, and the same lookup and
+    // conflict counts as one lookup() per lane.
+    Xorshift64Star rng(77);
+    std::vector<uint64_t> pcs(3000);
+    for (auto &pc : pcs)
+        pc = rng.below(4) == 0 ? rng.next() : 0x400000 + 4 * rng.below(700);
+    pcs[5] = 0;
+    pcs[6] = ~uint64_t(0);
+    for (size_t entries : {size_t(0), size_t(64)}) {
+        PcIndexedTable<uint64_t> a(entries), b(entries);
+        std::vector<uint64_t *> lanes(pcs.size());
+        for (size_t base = 0; base < pcs.size(); base += 64) {
+            size_t m = std::min<size_t>(64, pcs.size() - base);
+            a.lookupLanes(pcs.data() + base, m, lanes.data() + base);
+            for (size_t i = base; i < base + m; ++i)
+                ++*lanes[i];
+        }
+        for (uint64_t pc : pcs)
+            ++b.lookup(pc);
+        EXPECT_EQ(a.lookups(), b.lookups()) << entries;
+        EXPECT_EQ(a.conflicts(), b.conflicts()) << entries;
+        for (size_t i = 0; i < pcs.size(); ++i) {
+            ASSERT_EQ(lanes[i], a.probe(pcs[i])) << entries << " " << i;
+            ASSERT_EQ(*lanes[i], *b.probe(pcs[i])) << entries << " " << i;
+        }
+    }
 }
 
 TEST(TableDeath, NonPowerOfTwoRejected)

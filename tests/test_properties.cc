@@ -107,7 +107,7 @@ TEST_P(GvqDelayProperty, WindowIsShiftedHistory)
                 : 0;
         ASSERT_EQ(w.count, expect_count);
         for (unsigned k = 0; k < w.count; ++k)
-            EXPECT_EQ(w.values[k], reference[delay + k]);
+            EXPECT_EQ(w[k], reference[delay + k]);
     }
 }
 

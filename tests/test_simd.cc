@@ -16,6 +16,7 @@
 #include "util/bits.hh"
 #include "util/random.hh"
 #include "util/simd.hh"
+#include "util/simd_inline.hh"
 
 namespace gdiff {
 namespace {
@@ -131,7 +132,8 @@ TEST_F(SimdKernels, FirstEqualFindsSmallestIndex)
         std::vector<int64_t> a(rawA.begin(), rawA.end());
         std::vector<int64_t> b(n);
         for (size_t i = 0; i < n; ++i)
-            b[i] = a[i] + 1; // no match anywhere
+            b[i] = static_cast<int64_t>(static_cast<uint64_t>(a[i]) +
+                                        1); // no match anywhere
         // Plant matches at every position in turn (and keep a later
         // duplicate match to prove the *first* index wins).
         for (size_t hit = 0; hit <= n; ++hit) {
@@ -153,6 +155,46 @@ TEST_F(SimdKernels, FirstEqualFindsSmallestIndex)
                 break; // exhaustive sweep only for small lanes
         }
     }
+}
+
+TEST_F(SimdKernels, DiffMatchStoreMatchesPortableAndReference)
+{
+#if GDIFF_HAVE_AVX2_KERNELS
+    for (size_t n : kSizes) {
+        if (n > 64)
+            continue; // the mask holds at most 64 positions
+        auto rawW = randomLane(n, 61 + n);
+        auto rawD = randomLane(n, 67 + n);
+        std::vector<int64_t> w(rawW.begin(), rawW.end());
+        const int64_t actual = std::numeric_limits<int64_t>::min() + 3;
+        // Stored diffs: random, with every third position planted
+        // equal to the fresh difference (wrapping included).
+        std::vector<int64_t> stored(rawD.begin(), rawD.end());
+        uint64_t expectMask = 0;
+        for (size_t k = 0; k < n; k += 3) {
+            stored[k] = static_cast<int64_t>(
+                static_cast<uint64_t>(actual) -
+                static_cast<uint64_t>(w[k]));
+            expectMask |= uint64_t(1) << k;
+        }
+        std::vector<int64_t> avx = stored, sc = stored;
+        const uint64_t mAvx = simd::Avx2Kernels::diffMatchStore(
+            actual, w.data(), avx.data(), n);
+        const uint64_t mSc = simd::PortableKernels::diffMatchStore(
+            actual, w.data(), sc.data(), n);
+        ASSERT_EQ(mAvx, mSc) << "n=" << n;
+        ASSERT_EQ(mSc, expectMask) << "n=" << n;
+        for (size_t k = 0; k < n; ++k) {
+            const int64_t expect = static_cast<int64_t>(
+                static_cast<uint64_t>(actual) -
+                static_cast<uint64_t>(w[k]));
+            ASSERT_EQ(avx[k], expect) << "n=" << n << " k=" << k;
+            ASSERT_EQ(sc[k], expect) << "n=" << n << " k=" << k;
+        }
+    }
+#else
+    GTEST_SKIP() << "AVX2 kernel set not compiled";
+#endif
 }
 
 TEST_F(SimdKernels, CountSecondDiffZeroMatchesScalarReference)
@@ -196,7 +238,8 @@ TEST_F(SimdKernels, RandomizedParityFuzz)
         // misses.
         if (rng.below(2) == 0)
             for (size_t i = 1 + rng.below(n); i < n; ++i)
-                a[i] = a[i - 1] + static_cast<int64_t>(rng.below(5));
+                a[i] = static_cast<int64_t>(
+                    static_cast<uint64_t>(a[i - 1]) + rng.below(5));
 
         std::vector<int64_t> b = a;
         size_t flips = rng.below(n + 1);
