@@ -25,8 +25,16 @@ done
     --json=build/BENCH_trace_v3.json
 # Persistent trace cache: a second process sweeping over the same
 # cache dir must regenerate nothing (serve every trace from disk)
-# and produce bit-identical results.
-rm -rf build/check_trace_cache build/warm1.jsonl build/warm2.jsonl
+# and produce bit-identical results. Both runs replay v3 images (a
+# cold miss streams its generation into the entry and replays that),
+# so a run without a disk tier, which replays the generated trace,
+# anchors them: no tier == cold == warm.
+rm -rf build/check_trace_cache build/warm0.jsonl build/warm1.jsonl \
+    build/warm2.jsonl
+env -u GDIFF_TRACE_CACHE_DIR ./build/examples/gdiffrun \
+    --grid 'workload=mcf,gzip;predictor=stride,gdiff' \
+    --threads=4 --instructions=100000 --warmup=20000 \
+    --deterministic --no-table --out build/warm0.jsonl
 ./build/examples/gdiffrun \
     --grid 'workload=mcf,gzip;predictor=stride,gdiff' \
     --threads=4 --instructions=100000 --warmup=20000 \
@@ -40,14 +48,23 @@ rm -rf build/check_trace_cache build/warm1.jsonl build/warm2.jsonl
 grep -q 'trace cache: 0 generated' build/warm2.log || {
     echo "trace cache: warm restart regenerated traces"
     cat build/warm2.log; exit 1; }
+sort build/warm0.jsonl > build/warm0.sorted
 sort build/warm1.jsonl > build/warm1.sorted
 sort build/warm2.jsonl > build/warm2.sorted
+cmp build/warm0.sorted build/warm1.sorted || {
+    echo "trace cache: cold disk-tier sweep differs from the run without a tier"
+    exit 1; }
 cmp build/warm1.sorted build/warm2.sorted || {
     echo "trace cache: disk-replayed sweep differs from cold run"
     exit 1; }
 # The same for a sampled grid, whose disk-loaded traces decode only
 # the blocks the strata pass and the measured windows read.
-rm -f build/warm1s.jsonl build/warm2s.jsonl
+rm -f build/warm0s.jsonl build/warm1s.jsonl build/warm2s.jsonl
+env -u GDIFF_TRACE_CACHE_DIR ./build/examples/gdiffrun \
+    --grid 'workload=mcf,gzip;mode=pipeline;scheme=hgvq' \
+    --threads=4 --instructions=400000 --warmup=20000 \
+    --sample-budget=40960 --sample-windows=4096 \
+    --deterministic --no-table --out build/warm0s.jsonl
 for run in 1 2; do
     ./build/examples/gdiffrun \
         --grid 'workload=mcf,gzip;mode=pipeline;scheme=hgvq' \
@@ -59,8 +76,12 @@ done
 grep -q 'trace cache: 0 generated' build/warm2s.log || {
     echo "trace cache: sampled warm restart regenerated traces"
     cat build/warm2s.log; exit 1; }
+sort build/warm0s.jsonl > build/warm0s.sorted
 sort build/warm1s.jsonl > build/warm1s.sorted
 sort build/warm2s.jsonl > build/warm2s.sorted
+cmp build/warm0s.sorted build/warm1s.sorted || {
+    echo "trace cache: cold sampled sweep differs from the run without a tier"
+    exit 1; }
 cmp build/warm1s.sorted build/warm2s.sorted || {
     echo "trace cache: disk-replayed sampled sweep differs from cold run"
     exit 1; }

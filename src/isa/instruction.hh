@@ -69,12 +69,14 @@ inline constexpr uint64_t instBytes = 4;
  */
 struct Instruction
 {
+    // Ordered so that the struct packs into 16 bytes: every trace
+    // record carries one.
     Opcode op = Opcode::Nop;
     Reg rd = 0;   ///< destination register (if writesRegister(op))
     Reg rs1 = 0;  ///< first source / base address register
     Reg rs2 = 0;  ///< second source / store data register
-    int64_t imm = 0;       ///< immediate / memory offset
     uint32_t target = 0;   ///< control-transfer target (instr index)
+    int64_t imm = 0;       ///< immediate / memory offset
 
     /**
      * @return true if this dynamic instruction produces a value the
@@ -115,6 +117,9 @@ struct Instruction
     /** Render the instruction as assembly text (for debugging). */
     std::string toString() const;
 };
+
+static_assert(sizeof(Instruction) == 16,
+              "Instruction should pack into 16 bytes");
 
 /** @return the byte PC of the instruction at the given index. */
 constexpr uint64_t

@@ -63,7 +63,7 @@ struct TraceRecord
  * control) is pre-decoded into a flags byte at push() time so the
  * profile loops reduce to a flag test plus column reads.
  *
- * Chunks are ~260 KiB; heap-allocate them (the consumers and the
+ * Chunks are ~230 KiB; heap-allocate them (the consumers and the
  * TraceSource base class do) rather than placing one on the stack of
  * a deep call chain.
  */
@@ -177,7 +177,7 @@ class TraceSource
      * next batch, or nullptr at end of stream. The default fills
      * @p scratch via fill() and returns &scratch; replay sources
      * that already hold frozen chunks return them directly, skipping
-     * the ~260 KiB copy per batch. The returned chunk is only valid
+     * the ~230 KiB copy per batch. The returned chunk is only valid
      * until the next call on this source.
      */
     virtual const TraceChunk *fillRef(TraceChunk &scratch);

@@ -12,6 +12,58 @@
 namespace gdiff {
 namespace workload {
 
+namespace {
+
+/**
+ * The executor of one (workload, seed) stream, timing its set-up and
+ * its fill() calls alone. A disk-tier miss interleaves the fills with
+ * the v3 encode and write, and only the former are generation time.
+ */
+class TimedExecutor : public TraceSource
+{
+  public:
+    TimedExecutor(const std::string &workload, uint64_t seed)
+        : startNs(obs::nowNs()), w(makeWorkload(workload, seed)),
+          exec(w.makeExecutor()), spentNs(obs::nowNs() - startNs)
+    {}
+
+    bool
+    fill(TraceChunk &chunk) override
+    {
+        const uint64_t t0 = obs::nowNs();
+        bool more = exec->fill(chunk);
+        spentNs += obs::nowNs() - t0;
+        return more;
+    }
+
+    /** @return wall seconds spent generating. */
+    double seconds() const { return static_cast<double>(spentNs) / 1e9; }
+
+    /**
+     * Fold the generation time into the trace.generate timer and
+     * record it as one span: it starts with the set-up and lasts the
+     * generation time, not the encode and write between the fills.
+     */
+    void
+    report(const std::string &workload) const
+    {
+        if (!obs::enabled())
+            return;
+        obs::Registry &reg = obs::Registry::local();
+        reg.addTimer("trace.generate", spentNs);
+        reg.addSpan("trace.generate", startNs, spentNs,
+                    {{"workload", workload}});
+    }
+
+  private:
+    uint64_t startNs;
+    Workload w;
+    std::unique_ptr<Executor> exec;
+    uint64_t spentNs;
+};
+
+} // anonymous namespace
+
 // ------------------------------------------------ MaterializedTrace
 
 struct MaterializedTrace::DiskImage
@@ -335,8 +387,9 @@ TraceCache::acquire(const std::string &workload, uint64_t seed,
         GDIFF_OBS_COUNT("trace_cache.miss", 1);
 
         // A memory miss falls through to the persistent tier before
-        // paying for a generation; fresh generations are persisted
-        // for later processes.
+        // paying for a generation. A disk miss streams the generation
+        // straight into a new entry and keeps only its verified image,
+        // as a hit would.
         std::shared_ptr<DiskTraceCache> tier;
         {
             std::lock_guard<std::mutex> guard(lock);
@@ -346,8 +399,17 @@ TraceCache::acquire(const std::string &workload, uint64_t seed,
         if (tier) {
             trace = tier->load(workload, seed, records);
             out.fromDisk = (trace != nullptr);
+            if (!trace) {
+                TimedExecutor exec(workload, seed);
+                trace = tier->store(workload, seed, records, exec);
+                exec.report(workload);
+                out.generated = true;
+                out.generateSeconds = exec.seconds();
+            }
         }
         if (!trace) {
+            // No tier, or the store failed (it warned): serve an
+            // in-memory trace.
             auto t0 = std::chrono::steady_clock::now();
             {
                 obs::ScopedTimer obsGen("trace.generate",
@@ -359,9 +421,7 @@ TraceCache::acquire(const std::string &workload, uint64_t seed,
             std::chrono::duration<double> dt =
                 std::chrono::steady_clock::now() - t0;
             out.generated = true;
-            out.generateSeconds = dt.count();
-            if (tier)
-                tier->store(workload, seed, records, *trace);
+            out.generateSeconds += dt.count();
         }
         promise.set_value(trace);
 

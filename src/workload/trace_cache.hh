@@ -8,7 +8,12 @@
  * for a triple runs the functional Executor once and freezes the
  * stream into an immutable chunked buffer; every later request —
  * including concurrent requests from other runner threads — replays
- * the shared buffer read-only through a cursor source.
+ * the shared buffer read-only through a cursor source. With a
+ * persistent tier (trace_disk_cache.hh) every trace is held the same
+ * way, whether the tier hit or missed: as its verified v3 image,
+ * decoded a block at a time on first touch. A tier miss streams the
+ * Executor's chunks straight into the new entry and adopts the bytes
+ * it wrote, so it never holds the decoded trace.
  *
  * Guarantees:
  *  - exactly-once generation: concurrent acquires of the same triple
@@ -18,7 +23,7 @@
  *    generated one, so per-job metrics are bit-identical with the
  *    cache on or off, at any thread count;
  *  - bounded footprint: entries are LRU-evicted once the configured
- *    byte cap is exceeded. A trace loaded from the disk tier stays
+ *    byte cap is exceeded. A trace backed by the disk tier stays
  *    compressed until its blocks are read, so its size is re-read
  *    before every eviction pass. Evicted traces stay alive
  *    (shared_ptr) until their last in-flight replayer finishes.
@@ -52,14 +57,14 @@ class DiskTraceCache;
  * records. Shared read-only between any number of replaying jobs.
  *
  * A block is in one of two states. A generated trace has every block
- * decoded. A trace loaded from the disk tier holds the verified v3
- * image and its block index, and decodes a block the first time a
- * reader touches it; the decoded block is published once (an atomic
- * slot, first writer wins) and stays for the trace's lifetime, so a
- * trace that is replayed in full many times is decoded once. Readers
- * that need only the pc and value columns (the sampler's profiling
- * pass) get them decoded into their own scratch, and nothing is
- * published.
+ * decoded. A trace backed by the disk tier (loaded on a hit, or
+ * encoded on a miss) holds the verified v3 image and its block index,
+ * and decodes a block the first time a reader touches it; the
+ * decoded block is published once (an atomic slot, first writer
+ * wins) and stays for the trace's lifetime, so a trace that is
+ * replayed in full many times is decoded once. Readers that need only
+ * the pc and value columns (the sampler's profiling pass) get them
+ * decoded into their own scratch, and nothing is published.
  *
  * Every digest of a disk image was checked at load, so a block can
  * fail to decode only in a file whose digests were forged. That
@@ -233,7 +238,11 @@ class TraceCache
         bool generated = false;
         /// true when *this call* loaded the trace from the disk tier
         bool fromDisk = false;
-        /// wall seconds this call spent generating (0 on replay)
+        /**
+         * Wall seconds this call spent generating (0 on replay): the
+         * executor's set-up and its fill() calls. On a disk-tier miss
+         * the v3 encode and write between the fills are not counted.
+         */
         double generateSeconds = 0.0;
     };
 
@@ -262,8 +271,9 @@ class TraceCache
 
     /**
      * Attach (or, with an empty @p root, detach) the persistent disk
-     * tier. Misses fall through to disk before generating, and fresh
-     * generations are persisted for later processes.
+     * tier. Misses fall through to disk before generating, and a disk
+     * miss generates straight into a new entry for later processes,
+     * keeping only the image it wrote.
      */
     void setDiskRoot(const std::string &root,
                      size_t maxBytes = size_t(2) << 30);

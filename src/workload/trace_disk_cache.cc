@@ -212,11 +212,22 @@ DiskTraceCache::load(const std::string &workload, uint64_t seed,
         ++counters.hits;
         GDIFF_OBS_COUNT("trace_disk.hit", 1);
     }
+    return adopt(path, std::move(image), size, std::move(index),
+                 workload, seed, records);
+}
 
+std::shared_ptr<const MaterializedTrace>
+DiskTraceCache::adopt(const std::string &path,
+                      std::unique_ptr<uint8_t[]> image, size_t size,
+                      std::vector<TraceBlockRef> index,
+                      const std::string &workload, uint64_t seed,
+                      uint64_t records)
+{
     // A block that fails to decode after its digests verified means
     // the digests were forged. Quarantine the entry, regenerate the
     // triple once and re-store it; the trace serves every later
-    // block from the regenerated one.
+    // block from the regenerated one, decoded, so recovery does not
+    // rest on the decoder that just failed.
     std::weak_ptr<DiskTraceCache> self = weak_from_this();
     auto fallback = [self, path, workload, seed,
                      records](const TraceIoResult &why) {
@@ -225,8 +236,10 @@ DiskTraceCache::load(const std::string &workload, uint64_t seed,
         if (tier)
             tier->countCorrupt(false);
         auto fresh = MaterializedTrace::generate(workload, seed, records);
-        if (tier)
-            tier->store(workload, seed, records, *fresh);
+        if (tier) {
+            CachedTraceSource replay(fresh);
+            tier->store(workload, seed, records, replay);
+        }
         return fresh;
     };
     return MaterializedTrace::fromImage(std::move(image), size,
@@ -246,33 +259,64 @@ DiskTraceCache::countCorrupt(bool miss)
     GDIFF_OBS_COUNT("trace_disk.corrupt_recovery", 1);
 }
 
-void
+std::shared_ptr<const MaterializedTrace>
 DiskTraceCache::store(const std::string &workload, uint64_t seed,
-                      uint64_t records, const MaterializedTrace &trace)
+                      uint64_t records, TraceSource &source)
 {
     std::string path;
     {
         std::lock_guard<std::mutex> guard(lock);
         if (!ensureRootLocked())
-            return;
+            return nullptr;
         path = cfg.root + "/" + entryName(workload, seed, records);
     }
     std::string tmp =
         formatString("%s.tmp.%d", path.c_str(),
                      static_cast<int>(::getpid()));
 
-    TraceWriter writer(tmp, traceVersionV3);
-    for (size_t i = 0; i < trace.blockCount(); ++i)
-        writer.append(trace.block(i));
-    TraceIoResult written = writer.close();
+    // Encode chunk by chunk: one decoded chunk is all this holds.
+    TraceIoResult written;
+    {
+        TraceWriter writer(tmp, traceVersionV3);
+        auto chunk = std::make_unique<TraceChunk>();
+        uint64_t remaining = records;
+        while (remaining > 0 && writer.status().ok() &&
+               source.fill(*chunk)) {
+            // Trim the final chunk to the budget, as
+            // MaterializedTrace::generate() does.
+            if (chunk->size > remaining)
+                chunk->size = static_cast<uint32_t>(remaining);
+            remaining -= chunk->size;
+            writer.append(*chunk);
+        }
+        written = writer.close();
+    }
+
+    // Adopt the bytes just written, verified as a load verifies
+    // them, before the rename publishes them: once the entry exists,
+    // another process's sweep may delete it.
+    std::unique_ptr<uint8_t[]> image;
+    size_t size = 0;
+    std::vector<TraceBlockRef> index;
+    if (written.ok() && !readWholeFile(tmp, &image, &size)) {
+        written = TraceIoResult{
+            TraceIoStatus::IoError,
+            formatString("cannot read back '%s'", tmp.c_str())};
+    }
+    if (written.ok())
+        written = indexTraceImage(image.get(), size, &index);
+    if (written.ok())
+        written = checkEntryLayout(index, records);
     if (written.failed()) {
         // A full disk or an unwritable temp path costs this entry,
-        // never the process: the caller keeps its in-memory trace.
+        // never the process: the caller serves an in-memory trace.
         warn("cannot store trace cache entry '%s' (%s)", path.c_str(),
              written.message.c_str());
         ::unlink(tmp.c_str());
-        return;
+        return nullptr;
     }
+    auto trace = adopt(path, std::move(image), size, std::move(index),
+                       workload, seed, records);
 
     // Atomic publish: concurrent writers both produce identical
     // bytes (generation is deterministic), so whichever rename lands
@@ -281,13 +325,14 @@ DiskTraceCache::store(const std::string &workload, uint64_t seed,
         warn("cannot publish trace cache entry '%s' (%s)",
              path.c_str(), std::strerror(errno));
         ::unlink(tmp.c_str());
-        return;
+        return trace;
     }
 
     std::lock_guard<std::mutex> guard(lock);
     ++counters.stores;
     GDIFF_OBS_COUNT("trace_disk.store", 1);
     sweepLocked(path);
+    return trace;
 }
 
 void

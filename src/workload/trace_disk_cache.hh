@@ -15,20 +15,26 @@
  * is needed.
  *
  * Durability and concurrency:
- *  - stores write to `<entry>.tmp.<pid>` and atomically rename(2)
- *    into place, so a crash mid-write never leaves a half-entry and
- *    concurrent writers race safely (both produce identical bytes;
- *    last rename wins);
+ *  - stores stream a TraceSource (the executor, on a TraceCache
+ *    miss) chunk by chunk into `<entry>.tmp.<pid>`, so a miss never
+ *    holds the decoded trace. The written bytes are read back and
+ *    verified as a load verifies them, and the store keeps that image
+ *    as its trace before it atomically rename(2)s the file into
+ *    place: a crash mid-write never leaves a half-entry, concurrent
+ *    writers race safely (both produce identical bytes; last rename
+ *    wins), and another process's sweep cannot delete the entry from
+ *    under the store that just wrote it;
  *  - loads read the entry into an owned buffer and verify all of it
  *    (indexTraceImage: header, block headers and digests, column
  *    directories, record count, footer and file digest) without
  *    decoding a column. Any corruption — truncation, flipped bytes,
  *    digest mismatch — quarantines the entry (renamed to
  *    `<entry>.corrupt`) and reports a miss so the caller
- *    regenerates. A verified entry becomes a MaterializedTrace that
- *    decodes each block on first touch; a block that still fails to
- *    decode (forged digests) quarantines the entry then, and the
- *    trace falls back to a regenerated copy;
+ *    regenerates. A verified entry, loaded or just stored, becomes a
+ *    MaterializedTrace that decodes each block on first touch; a
+ *    block that still fails to decode (forged digests) quarantines
+ *    the entry then, and the trace falls back to a regenerated,
+ *    fully decoded copy;
  *  - eviction is a byte-capped LRU over entry mtimes: a load hit
  *    bumps the entry's mtime, and any process that pushes the
  *    directory over the cap deletes oldest-first (never the entry it
@@ -47,6 +53,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "workload/trace_cache.hh"
 
@@ -98,12 +105,21 @@ class DiskTraceCache : public std::enable_shared_from_this<DiskTraceCache>
          uint64_t records);
 
     /**
-     * Persist @p trace as the entry for (workload, seed, records)
-     * via temp file + atomic rename, then run the eviction sweep.
-     * A failed write or rename warns and stores nothing.
+     * Persist the first @p records records @p source produces as the
+     * entry for (workload, seed, records), trimming the last chunk to
+     * the budget. The chunks stream through a v3 TraceWriter into a
+     * temp file, one at a time; the written bytes are read back,
+     * verified as load() verifies an entry, and adopted before an
+     * atomic rename publishes them and the eviction sweep runs.
+     *
+     * @return the adopted, not yet decoded trace, as load() would
+     * return it. A failed write or verification warns, stores nothing
+     * and returns nullptr; a failed rename warns and stores nothing,
+     * but the verified trace is still returned.
      */
-    void store(const std::string &workload, uint64_t seed,
-               uint64_t records, const MaterializedTrace &trace);
+    std::shared_ptr<const MaterializedTrace>
+    store(const std::string &workload, uint64_t seed, uint64_t records,
+          TraceSource &source);
 
     /** @return a point-in-time snapshot of the counters. */
     Stats snapshot() const;
@@ -123,6 +139,13 @@ class DiskTraceCache : public std::enable_shared_from_this<DiskTraceCache>
      *  the directory is under the byte cap. @p keep (an absolute
      *  path, possibly empty) is never evicted. */
     void sweepLocked(const std::string &keep);
+
+    /** @return the verified image of @p path's entry as a trace
+     *  whose fallback quarantines the entry and regenerates. */
+    std::shared_ptr<const MaterializedTrace>
+    adopt(const std::string &path, std::unique_ptr<uint8_t[]> image,
+          size_t size, std::vector<TraceBlockRef> index,
+          const std::string &workload, uint64_t seed, uint64_t records);
 
     /** Count a corrupt entry (and, with @p miss, a miss). */
     void countCorrupt(bool miss);

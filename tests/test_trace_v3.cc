@@ -21,6 +21,11 @@
  *    still caught at acquire, a forged-digest block is served by
  *    regeneration, skips decode nothing they skip, and replays decode
  *    each block once, concurrently too;
+ *  - streamed disk-tier misses: a miss encodes the executor's chunks
+ *    straight into the entry and keeps only the verified image; the
+ *    replay and the entry bytes match a generated trace's, and a
+ *    failed store or a cold key raced by threads still serves one
+ *    correct trace;
  *  - equivalence: v2 and v3 replays drive identical predictor
  *    results, and sweeps through the disk tier are bit-identical to
  *    uncached runs at 1 and 4 threads.
@@ -44,10 +49,12 @@
 #include <unistd.h>
 
 #include "core/gdiff.hh"
+#include "isa/program_builder.hh"
 #include "runner/runner.hh"
 #include "runner/sinks.hh"
 #include "sim/profile.hh"
 #include "util/varint.hh"
+#include "workload/executor.hh"
 #include "workload/trace_cache.hh"
 #include "workload/trace_disk_cache.hh"
 #include "workload/trace_io.hh"
@@ -443,6 +450,17 @@ TEST(Fnv1aPair, EqualsTwoSequentialDigests)
 
 // ------------------------------------------------ persistent tier
 
+/** Store @p trace as the entry (@p kernel, @p seed, @p n) through a
+ *  replay of it. @return what the store returns. */
+std::shared_ptr<const MaterializedTrace>
+storeReplay(DiskTraceCache &disk, const std::string &kernel,
+            uint64_t seed, uint64_t n,
+            std::shared_ptr<const MaterializedTrace> trace)
+{
+    CachedTraceSource replay(std::move(trace));
+    return disk.store(kernel, seed, n, replay);
+}
+
 TEST(DiskTraceCache, StoreThenLoadRoundTrips)
 {
     std::string root = tempRoot("storeload");
@@ -452,7 +470,7 @@ TEST(DiskTraceCache, StoreThenLoadRoundTrips)
 
     auto trace = MaterializedTrace::generate("micro.stride", 1, 5000);
     EXPECT_EQ(disk.load("micro.stride", 1, 5000), nullptr);
-    disk.store("micro.stride", 1, 5000, *trace);
+    storeReplay(disk, "micro.stride", 1, 5000, trace);
     auto loaded = disk.load("micro.stride", 1, 5000);
     ASSERT_NE(loaded, nullptr);
     EXPECT_EQ(loaded->records(), trace->records());
@@ -549,8 +567,8 @@ TEST(DiskTraceCache, EvictionHonoursByteCap)
 
     auto a = MaterializedTrace::generate("micro.stride", 1, 5000);
     auto b = MaterializedTrace::generate("micro.stride", 2, 5000);
-    disk.store("micro.stride", 1, 5000, *a);
-    disk.store("micro.stride", 2, 5000, *b); // sweeps seed 1 out
+    storeReplay(disk, "micro.stride", 1, 5000, a);
+    storeReplay(disk, "micro.stride", 2, 5000, b); // sweeps seed 1 out
 
     EXPECT_EQ(disk.load("micro.stride", 1, 5000), nullptr);
     EXPECT_NE(disk.load("micro.stride", 2, 5000), nullptr);
@@ -574,7 +592,8 @@ TEST(DiskTraceCache, FailedStoreWarnsAndStoresNothing)
     cfg.root = root;
     DiskTraceCache disk(cfg);
     auto trace = MaterializedTrace::generate("micro.stride", 1, 5000);
-    disk.store("micro.stride", 1, 5000, *trace); // returns, no exit
+    // Returns, no exit.
+    EXPECT_EQ(storeReplay(disk, "micro.stride", 1, 5000, trace), nullptr);
     EXPECT_EQ(disk.snapshot().stores, 0u);
     EXPECT_EQ(disk.load("micro.stride", 1, 5000), nullptr);
     EXPECT_EQ(disk.snapshot().misses, 1u);
@@ -794,7 +813,8 @@ loadLazy(const std::string &root, const std::string &kernel, uint64_t n)
     auto disk = std::make_shared<DiskTraceCache>(cfg);
     auto trace = disk->load(kernel, 1, n);
     if (!trace) {
-        disk->store(kernel, 1, n, *MaterializedTrace::generate(kernel, 1, n));
+        storeReplay(*disk, kernel, 1, n,
+                    MaterializedTrace::generate(kernel, 1, n));
         trace = disk->load(kernel, 1, n);
     }
     return trace;
@@ -1060,6 +1080,290 @@ TEST(LazyDiskTrace, ConcurrentReplaysAgree)
         EXPECT_TRUE(trace->decoded(b)) << "block " << b;
     // Lost publish races decode twice but publish once.
     EXPECT_GE(trace->blockDecodes(), trace->blockCount());
+    removeTree(root);
+}
+
+// ------------------------------------------- streamed disk-tier misses
+
+/** Compare @p got with @p want block by block, column by column. */
+void
+expectSameBlocks(const MaterializedTrace &got,
+                 const std::vector<const TraceChunk *> &want,
+                 const std::string &what)
+{
+    ASSERT_EQ(got.blockCount(), want.size()) << what;
+    for (size_t b = 0; b < want.size(); ++b) {
+        const TraceChunk &g = got.block(b), &w = *want[b];
+        ASSERT_EQ(g.size, w.size) << what << ", block " << b;
+        for (uint32_t i = 0; i < w.size; ++i) {
+            bool same = g.inst[i].op == w.inst[i].op &&
+                        g.inst[i].rd == w.inst[i].rd &&
+                        g.inst[i].rs1 == w.inst[i].rs1 &&
+                        g.inst[i].rs2 == w.inst[i].rs2 &&
+                        g.inst[i].target == w.inst[i].target &&
+                        g.inst[i].imm == w.inst[i].imm &&
+                        g.seq[i] == w.seq[i] && g.pc[i] == w.pc[i] &&
+                        g.nextPc[i] == w.nextPc[i] &&
+                        g.value[i] == w.value[i] &&
+                        g.effAddr[i] == w.effAddr[i] &&
+                        g.flags[i] == w.flags[i];
+            ASSERT_TRUE(same) << what << ": block " << b << ", record "
+                              << i << " differs";
+        }
+    }
+}
+
+/** @return the blocks of @p trace, in order. */
+std::vector<const TraceChunk *>
+blocksOf(const MaterializedTrace &trace)
+{
+    std::vector<const TraceChunk *> out;
+    for (size_t b = 0; b < trace.blockCount(); ++b)
+        out.push_back(&trace.block(b));
+    return out;
+}
+
+TEST(StreamedDiskMiss, MissKeepsOnlyTheVerifiedImage)
+{
+    const std::string kernel = "mcf";
+    std::string root = tempRoot("streamimage");
+    std::string entry =
+        root + "/" + DiskTraceCache::entryName(kernel, 1, kLazyRecords);
+
+    // The store itself: nothing decoded, only the image resident.
+    {
+        DiskTraceCache::Config cfg;
+        cfg.root = root;
+        auto disk = std::make_shared<DiskTraceCache>(cfg);
+        Workload w = makeWorkload(kernel, 1);
+        auto exec = w.makeExecutor();
+        auto trace = disk->store(kernel, 1, kLazyRecords, *exec);
+        ASSERT_NE(trace, nullptr);
+        EXPECT_EQ(trace->records(), kLazyRecords);
+        EXPECT_EQ(trace->blockDecodes(), 0u);
+        for (size_t b = 0; b < trace->blockCount(); ++b)
+            EXPECT_FALSE(trace->decoded(b)) << "block " << b;
+        EXPECT_EQ(trace->bytes(), slurp(entry).size());
+        EXPECT_EQ(disk->snapshot().stores, 1u);
+        EXPECT_EQ(disk->snapshot().hits, 0u);
+    }
+    ::unlink(entry.c_str());
+
+    // Through the cache: one generation, one store, no disk hit, and
+    // the resident bytes are the image's until a replay decodes.
+    TraceCache cache;
+    cache.setDiskRoot(root);
+    TraceCache::Acquired acq = cache.acquire(kernel, 1, kLazyRecords);
+    EXPECT_TRUE(acq.generated);
+    EXPECT_FALSE(acq.fromDisk);
+    EXPECT_GT(acq.generateSeconds, 0.0);
+    TraceCache::Stats s = cache.snapshot();
+    EXPECT_EQ(s.generations, 1u);
+    EXPECT_EQ(s.diskStores, 1u);
+    EXPECT_EQ(s.diskHits, 0u);
+    const size_t image = slurp(entry).size();
+    ASSERT_GT(image, 0u);
+    EXPECT_EQ(s.residentBytes, image);
+
+    std::vector<TraceRecord> got = drainRecords(*acq.source);
+    expectSameRecords(got, generateRecords(kernel, 1, kLazyRecords),
+                      "streamed miss replay");
+    const size_t blocks = (kLazyRecords + TraceChunk::capacity - 1) /
+                          TraceChunk::capacity;
+    EXPECT_EQ(cache.snapshot().residentBytes,
+              image + blocks * sizeof(TraceChunk));
+    removeTree(root);
+}
+
+TEST(StreamedDiskMiss, ReplayMatchesGenerateColumnForColumn)
+{
+    // Budgets that are not multiples of the block size, so the last
+    // chunk is trimmed, and one that is.
+    const std::pair<const char *, uint64_t> cases[] = {
+        {"mcf", kLazyRecords},
+        {"micro.periodic", 3 * TraceChunk::capacity + 1},
+        {"gzip", TraceChunk::capacity - 1},
+        {"micro.affine", 2 * TraceChunk::capacity},
+    };
+    std::string root = tempRoot("streamcols");
+    DiskTraceCache::Config cfg;
+    cfg.root = root;
+    auto disk = std::make_shared<DiskTraceCache>(cfg);
+    for (const auto &[kernel, n] : cases) {
+        Workload w = makeWorkload(kernel, 3);
+        auto exec = w.makeExecutor();
+        auto streamed = disk->store(kernel, 3, n, *exec);
+        ASSERT_NE(streamed, nullptr) << kernel;
+        auto want = MaterializedTrace::generate(kernel, 3, n);
+        EXPECT_EQ(streamed->records(), n) << kernel;
+        expectSameBlocks(*streamed, blocksOf(*want), kernel);
+    }
+    removeTree(root);
+}
+
+TEST(StreamedDiskMiss, KernelThatHaltsBeforeItsBudget)
+{
+    // 3 set-up records, then 3000 trips of a 5-record loop: the
+    // stream halts at 15003 records, short of the budget, and its
+    // last block is partial.
+    auto program = [] {
+        using namespace isa::reg;
+        isa::ProgramBuilder b("halting");
+        isa::Label top = b.newLabel();
+        b.li(t0, 0);
+        b.li(t1, 3000);
+        b.li(s8, 0x100000);
+        b.bind(top);
+        b.addi(t0, t0, 1);
+        b.addi(s1, s1, 8);
+        b.store(s1, s8, 0);
+        b.load(s2, s8, 0);
+        b.blt(t0, t1, top);
+        b.halt();
+        return b.build();
+    };
+    const uint64_t budget = 20000, halted = 15003;
+
+    // What MaterializedTrace::generate() keeps: every chunk the
+    // executor fills, up to the budget.
+    Executor reference(program());
+    std::vector<std::unique_ptr<TraceChunk>> chunks;
+    for (;;) {
+        auto c = std::make_unique<TraceChunk>();
+        if (!reference.fill(*c))
+            break;
+        chunks.push_back(std::move(c));
+    }
+    std::vector<const TraceChunk *> want;
+    uint64_t total = 0;
+    for (const auto &c : chunks) {
+        want.push_back(c.get());
+        total += c->size;
+    }
+    ASSERT_EQ(total, halted);
+
+    std::string root = tempRoot("streamhalt");
+    DiskTraceCache::Config cfg;
+    cfg.root = root;
+    auto disk = std::make_shared<DiskTraceCache>(cfg);
+    Executor exec(program());
+    auto streamed = disk->store("halting", 1, budget, exec);
+    ASSERT_NE(streamed, nullptr);
+    EXPECT_EQ(streamed->records(), halted);
+    expectSameBlocks(*streamed, want, "halting kernel");
+    // The stored entry loads back as the same stream.
+    auto loaded = disk->load("halting", 1, budget);
+    ASSERT_NE(loaded, nullptr);
+    expectSameBlocks(*loaded, want, "halting kernel, reloaded");
+    removeTree(root);
+}
+
+TEST(StreamedDiskMiss, EntryIsByteIdenticalToAStoredGeneration)
+{
+    const std::string kernel = "mcf";
+    std::string streamedRoot = tempRoot("streambytes");
+    std::string storedRoot = tempRoot("storedbytes");
+    {
+        TraceCache cache;
+        cache.setDiskRoot(streamedRoot);
+        ASSERT_TRUE(cache.acquire(kernel, 1, kLazyRecords).generated);
+    }
+    {
+        DiskTraceCache::Config cfg;
+        cfg.root = storedRoot;
+        DiskTraceCache disk(cfg);
+        ASSERT_NE(storeReplay(disk, kernel, 1, kLazyRecords,
+                              MaterializedTrace::generate(kernel, 1,
+                                                          kLazyRecords)),
+                  nullptr);
+    }
+    const std::string name =
+        DiskTraceCache::entryName(kernel, 1, kLazyRecords);
+    std::vector<uint8_t> streamed = slurp(streamedRoot + "/" + name);
+    std::vector<uint8_t> stored = slurp(storedRoot + "/" + name);
+    ASSERT_FALSE(streamed.empty());
+    EXPECT_TRUE(streamed == stored)
+        << "streamed entry (" << streamed.size()
+        << " bytes) differs from the stored generation ("
+        << stored.size() << " bytes)";
+    removeTree(streamedRoot);
+    removeTree(storedRoot);
+}
+
+TEST(StreamedDiskMiss, SquattedTempPathStillServes)
+{
+    const std::string kernel = "micro.periodic";
+    const uint64_t n = 9000;
+    std::string root = tempRoot("streamsquat");
+    ASSERT_EQ(::mkdir(root.c_str(), 0755), 0);
+    std::string tmp = root + "/" + DiskTraceCache::entryName(kernel, 1, n) +
+                      ".tmp." + std::to_string(::getpid());
+    ASSERT_EQ(::mkdir(tmp.c_str(), 0755), 0);
+
+    TraceCache cache;
+    cache.setDiskRoot(root);
+    TraceCache::Acquired acq = cache.acquire(kernel, 1, n); // no exit
+    EXPECT_TRUE(acq.generated);
+    EXPECT_FALSE(acq.fromDisk);
+    TraceCache::Stats s = cache.snapshot();
+    EXPECT_EQ(s.diskStores, 0u);
+    EXPECT_EQ(s.generations, 1u);
+    expectSameRecords(drainRecords(*acq.source),
+                      generateRecords(kernel, 1, n), "squatted store");
+    removeTree(root);
+}
+
+TEST(StreamedDiskMiss, FailedRenameServesTheVerifiedImage)
+{
+    // A directory squatting on the entry path fails the rename (and
+    // the load) but not the write: the verified image still serves.
+    const std::string kernel = "micro.stride";
+    const uint64_t n = 9000;
+    std::string root = tempRoot("streamrename");
+    ASSERT_EQ(::mkdir(root.c_str(), 0755), 0);
+    std::string entry = root + "/" + DiskTraceCache::entryName(kernel, 1, n);
+    ASSERT_EQ(::mkdir(entry.c_str(), 0755), 0);
+
+    TraceCache cache;
+    cache.setDiskRoot(root);
+    TraceCache::Acquired acq = cache.acquire(kernel, 1, n);
+    EXPECT_TRUE(acq.generated);
+    EXPECT_FALSE(acq.fromDisk);
+    TraceCache::Stats s = cache.snapshot();
+    EXPECT_EQ(s.diskStores, 0u);
+    EXPECT_LT(s.residentBytes, sizeof(TraceChunk))
+        << "the failed rename did not serve the compressed image";
+    expectSameRecords(drainRecords(*acq.source),
+                      generateRecords(kernel, 1, n), "failed rename");
+    removeTree(root);
+}
+
+TEST(StreamedDiskMiss, ConcurrentColdAcquiresGenerateAndStoreOnce)
+{
+    const std::string kernel = "mcf";
+    std::string root = tempRoot("streamrace");
+    std::vector<TraceRecord> want =
+        generateRecords(kernel, 1, kLazyRecords);
+    TraceCache cache;
+    cache.setDiskRoot(root);
+
+    std::vector<std::vector<TraceRecord>> got(4);
+    std::vector<std::thread> threads;
+    for (auto &g : got)
+        threads.emplace_back([&cache, &kernel, &g] {
+            TraceCache::Acquired acq =
+                cache.acquire(kernel, 1, kLazyRecords);
+            g = drainRecords(*acq.source);
+        });
+    for (std::thread &t : threads)
+        t.join();
+    for (size_t i = 0; i < got.size(); ++i)
+        expectSameRecords(got[i], want, "thread " + std::to_string(i));
+    TraceCache::Stats s = cache.snapshot();
+    EXPECT_EQ(s.generations, 1u);
+    EXPECT_EQ(s.diskStores, 1u);
+    EXPECT_EQ(s.misses, 1u);
+    EXPECT_EQ(s.hits, 3u);
     removeTree(root);
 }
 
