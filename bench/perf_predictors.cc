@@ -204,26 +204,6 @@ BM_Markov(benchmark::State &state)
 }
 BENCHMARK(BM_Markov);
 
-void
-BM_Markov_Batch(benchmark::State &state)
-{
-    predictors::MarkovPredictor p(256 * 1024, 4);
-    const Stream &s = stream();
-    std::vector<uint64_t> addrs(Stream::size);
-    for (size_t i = 0; i < Stream::size; ++i)
-        addrs[i] = static_cast<uint64_t>(s.values[i]) & ~7ull;
-    std::vector<uint8_t> hits(Stream::size);
-    std::vector<uint64_t> guesses(Stream::size);
-    for (auto _ : state) {
-        p.predictUpdateBatch(addrs.data(), Stream::size, hits.data(),
-                             guesses.data());
-        benchmark::DoNotOptimize(hits.data());
-    }
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations()) * Stream::size);
-}
-BENCHMARK(BM_Markov_Batch);
-
 // ------------------------------------------- batch-vs-scalar gate
 
 using Clock = std::chrono::steady_clock;

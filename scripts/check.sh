@@ -136,8 +136,10 @@ fi
 rm -rf build/fuzz-repros && mkdir -p build/fuzz-repros
 ./build/examples/gdifffuzz --cases=1000 --seed=1 --mutate \
     --out-dir=build/fuzz-repros --no-pipeline
-# Serving smoke: a daemon-fed sweep must be bit-identical to the same
-# grid run in-process, and SIGTERM must drain cleanly (exit 0).
+# Serving smoke: an out-of-range order must be refused with its
+# validation message while the daemon keeps serving, a daemon-fed
+# sweep must be bit-identical to the same grid run in-process, and
+# SIGTERM must drain cleanly (exit 0).
 SOCK=build/check_gdiffd.sock
 rm -f "$SOCK" build/check_daemon.jsonl build/check_local.jsonl
 ./build/examples/gdiffd --socket "$SOCK" --workers 4 &
@@ -147,6 +149,18 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 ./build/examples/gdiffctl --socket "$SOCK" ping
+if ./build/examples/gdiffctl --socket "$SOCK" submit \
+    --grid 'workload=mcf;predictor=gdiff;order=65' \
+    --instructions=2000 --warmup=100 2> build/check_bad_order.log; then
+    echo "serving smoke: gdiffd accepted order=65"
+    kill "$DAEMON" 2>/dev/null; exit 1
+fi
+grep -q 'gdiff order 65 is out of range' build/check_bad_order.log || {
+    echo "serving smoke: order=65 refused without its message"
+    kill "$DAEMON" 2>/dev/null; exit 1; }
+./build/examples/gdiffctl --socket "$SOCK" ping | grep -qx pong || {
+    echo "serving smoke: daemon stopped answering after order=65"
+    kill "$DAEMON" 2>/dev/null; exit 1; }
 ./build/examples/gdiffctl --socket "$SOCK" submit \
     --grid 'workload=mcf,parser;predictor=stride,dfcm,gdiff' \
     --instructions=100000 --warmup=20000 \

@@ -24,6 +24,7 @@
 #ifndef GDIFF_CORE_GDIFF_HH
 #define GDIFF_CORE_GDIFF_HH
 
+#include <array>
 #include <cstdint>
 
 #include "core/gvq.hh"

@@ -27,7 +27,8 @@ GDiff2Predictor::GDiff2Predictor(const GDiff2Config &config)
     : cfg(config), table(cfg.tableEntries, cfg.hashIndex),
       gvq(cfg.order, 0)
 {
-    GDIFF_ASSERT(cfg.order >= 2 && cfg.order <= 16,
+    GDIFF_ASSERT(cfg.order >= gdiff2MinOrder &&
+                     cfg.order <= gdiff2MaxOrder,
                  "gdiff2 order %u out of range (pair storage is "
                  "quadratic)",
                  cfg.order);
@@ -180,35 +181,6 @@ GDiff2Predictor::update(uint64_t pc, int64_t actual)
 {
     trainWithWindow(pc, gvq.visibleWindow(), actual);
     gvq.push(actual);
-}
-
-void
-GDiff2Predictor::predictUpdateBatch(const uint64_t *pcs,
-                                    const int64_t *actuals, uint32_t n,
-                                    predictors::PredictionBatch &out)
-{
-    out.reset(n);
-    extScratch.resize(static_cast<size_t>(cfg.order) + n);
-    const size_t h = gvq.copyRecent(extScratch.data());
-    for (uint32_t l = 0; l < n; ++l)
-        extScratch[h + l] = actuals[l];
-    const int64_t *const ext = extScratch.data();
-
-    ValueWindow w;
-    for (uint32_t l = 0; l < n; ++l) {
-        const size_t have = h + l;
-        w.count = static_cast<unsigned>(
-            have < cfg.order ? have : cfg.order);
-        w.newest = w.count > 0 ? ext + (h + l - 1) : nullptr;
-        int64_t v = 0;
-        if (predictWithWindow(pcs[l], w, v)) {
-            out.predicted[l] = 1;
-            out.value[l] = v;
-        }
-        trainWithWindow(pcs[l], w, actuals[l]);
-    }
-
-    gvq.pushRange(actuals, n);
 }
 
 double

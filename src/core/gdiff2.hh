@@ -37,10 +37,15 @@
 namespace gdiff {
 namespace core {
 
+/// Order range of the two-term predictor: a pair needs two window
+/// positions, and pair storage is O(order^2).
+inline constexpr unsigned gdiff2MinOrder = 2;
+inline constexpr unsigned gdiff2MaxOrder = 16;
+
 /** Configuration of the two-term predictor. */
 struct GDiff2Config
 {
-    /// window size; pair storage is O(order^2), so keep modest
+    /// window size, gdiff2MinOrder..gdiff2MaxOrder
     unsigned order = 8;
     /// prediction-table entries; 0 = unlimited
     size_t tableEntries = 0;
@@ -58,15 +63,6 @@ class GDiff2Predictor : public predictors::ValuePredictor
 
     bool predict(uint64_t pc, int64_t &value) override;
     void update(uint64_t pc, int64_t actual) override;
-
-    /**
-     * Fused batch over the internal queue: one linearization of the
-     * queue plus the batch's actuals replaces the two per-record ring
-     * walks (predict + train each rebuilt the visible window).
-     */
-    void predictUpdateBatch(const uint64_t *pcs,
-                            const int64_t *actuals, uint32_t n,
-                            predictors::PredictionBatch &out) override;
 
     /// @name External-window interface (mirrors GDiffPredictor)
     /// @{
@@ -105,7 +101,6 @@ class GDiff2Predictor : public predictors::ValuePredictor
     GlobalValueQueue gvq;
     uint64_t singleSelections = 0;
     uint64_t pairSelections = 0;
-    std::vector<int64_t> extScratch; ///< batch: linearized stream
 };
 
 } // namespace core

@@ -27,7 +27,6 @@
 #include "util/bits.hh"
 #include "util/logging.hh"
 #include "util/ring_history.hh"
-#include "util/simd.hh"
 
 namespace gdiff {
 namespace predictors {
@@ -76,39 +75,6 @@ class GFcmPredictor : public ValuePredictor
             mix64(static_cast<uint64_t>(actual)) & 0xffff));
     }
 
-    /**
-     * Fused batch: the PC hash and the per-value 16-bit folds are
-     * context-free, so both lanes are vectorized up front; the loop
-     * keeps only the inherently sequential parts (the context-hash
-     * mix and the context rebuild, which depend on every earlier
-     * lane's value).
-     */
-    void
-    predictUpdateBatch(const uint64_t *pcs, const int64_t *actuals,
-                       uint32_t n, PredictionBatch &out) override
-    {
-        out.reset(n);
-        pcMixScratch.resize(n);
-        foldScratch.resize(n);
-        for (uint32_t l = 0; l < n; ++l)
-            pcMixScratch[l] = pcs[l] >> 2;
-        simd::mix64Lane(pcMixScratch.data(), pcMixScratch.data(), n);
-        simd::fold16Lane(actuals, foldScratch.data(), n);
-        const uint64_t idxMask = mask(bits);
-        Entry *const tbl = table.data();
-        for (uint32_t l = 0; l < n; ++l) {
-            Entry &e = tbl[static_cast<size_t>(
-                (pcMixScratch[l] ^ mix64(contextHash)) & idxMask)];
-            if (e.valid) {
-                out.predicted[l] = 1;
-                out.value[l] = e.value;
-            }
-            e.value = actuals[l];
-            e.valid = true;
-            pushContext(foldScratch[l]);
-        }
-    }
-
   private:
     struct Entry
     {
@@ -119,32 +85,32 @@ class GFcmPredictor : public ValuePredictor
     size_t
     indexOf(uint64_t pc) const
     {
-        return static_cast<size_t>(
-            (mix64(pc >> 2) ^ mix64(contextHash)) & mask(bits));
+        return static_cast<size_t>((mix64(pc >> 2) ^ contextMix) &
+                                   mask(bits));
     }
 
     /**
      * Push one folded value into the global window and rebuild the
      * rolling hash from the retained folds (never-pushed slots read
      * as 0 — exactly the fold of the value-initialised history the
-     * hash used to be built from, since mix64(0) == 0).
+     * hash used to be built from, since mix64(0) == 0). The hash is
+     * mixed once here, not in each indexOf() until the next push.
      */
     void
     pushContext(uint16_t fold)
     {
         folds.push(fold);
-        contextHash = 0;
+        uint64_t contextHash = 0;
         for (unsigned k = 0; k < cfg.order; ++k)
             contextHash = (contextHash << 16) | folds[k];
+        contextMix = mix64(contextHash);
     }
 
     GFcmConfig cfg;
     unsigned bits;
     std::vector<Entry> table;
     RingHistory<uint16_t> folds;
-    uint64_t contextHash = 0;
-    std::vector<uint64_t> pcMixScratch; ///< batch: mix64(pc>>2) lanes
-    std::vector<uint16_t> foldScratch;  ///< batch: value-fold lanes
+    uint64_t contextMix = 0; ///< mix64 of the context hash
 };
 
 } // namespace predictors

@@ -82,47 +82,6 @@ class HybridLocalPredictor : public ValuePredictor
         dfcm.update(pc, actual);
     }
 
-    /**
-     * Fused batch. The scalar pair computes each component's
-     * prediction twice per record (once to answer, once to train the
-     * chooser); component state cannot change in between, so the
-     * fused loop computes sv/dv once per lane and reuses them for
-     * both the answer and the chooser update.
-     */
-    void
-    predictUpdateBatch(const uint64_t *pcs, const int64_t *actuals,
-                       uint32_t n, PredictionBatch &out) override
-    {
-        out.reset(n);
-        for (uint32_t l = 0; l < n; ++l) {
-            const uint64_t pc = pcs[l];
-            const int64_t actual = actuals[l];
-            int64_t sv = 0, dv = 0;
-            bool have_s = stride.predict(pc, sv);
-            bool have_d = dfcm.predict(pc, dv);
-            if (have_s || have_d) {
-                const Entry *e = chooser.probe(pc);
-                bool prefer_dfcm = e && e->select >= 2;
-                out.predicted[l] = 1;
-                out.value[l] =
-                    (have_d && (prefer_dfcm || !have_s)) ? dv : sv;
-            }
-            if (have_s && have_d &&
-                (sv == actual) != (dv == actual)) {
-                Entry &e = chooser.lookup(pc);
-                if (dv == actual) {
-                    if (e.select < 3)
-                        ++e.select;
-                } else {
-                    if (e.select > 0)
-                        --e.select;
-                }
-            }
-            stride.update(pc, actual);
-            dfcm.update(pc, actual);
-        }
-    }
-
   private:
     struct Entry
     {

@@ -68,17 +68,6 @@ class LastValuePredictor : public ValuePredictor
         }
     }
 
-    void
-    updateBatch(const uint64_t *pcs, const int64_t *actuals,
-                uint32_t n) override
-    {
-        for (uint32_t l = 0; l < n; ++l) {
-            Entry &e = table.lookup(pcs[l]);
-            e.last = actuals[l];
-            e.seen = true;
-        }
-    }
-
   private:
     struct Entry
     {

@@ -1,7 +1,6 @@
 #include "predictors/markov.hh"
 
 #include "util/logging.hh"
-#include "util/simd.hh"
 
 namespace gdiff {
 namespace predictors {
@@ -67,53 +66,6 @@ MarkovPredictor::update(uint64_t addr)
     }
     lastAddr = addr;
     haveLast = true;
-}
-
-void
-MarkovPredictor::predictUpdateBatch(const uint64_t *addrs, uint32_t n,
-                                    uint8_t *hits, uint64_t *guesses)
-{
-    mixScratch.resize(n);
-    simd::mix64Lane(addrs, mixScratch.data(), n);
-    for (uint32_t l = 0; l < n; ++l) {
-        hits[l] = 0;
-        const uint64_t addr = addrs[l];
-        ++useClock;
-        if (haveLast) {
-            const uint64_t setMix =
-                l == 0 ? mix64(lastAddr) : mixScratch[l - 1];
-            Way *const base =
-                &ways[static_cast<size_t>(setMix & (numSets - 1)) *
-                      assoc_];
-            Way *slot = nullptr;
-            for (unsigned i = 0; i < assoc_; ++i) {
-                if (base[i].valid && base[i].tag == lastAddr) {
-                    slot = &base[i];
-                    break;
-                }
-            }
-            if (slot) {
-                hits[l] = 1;
-                guesses[l] = slot->next;
-            } else {
-                slot = &base[0];
-                for (unsigned i = 0; i < assoc_; ++i) {
-                    if (!base[i].valid) {
-                        slot = &base[i];
-                        break;
-                    }
-                    if (base[i].lastUse < slot->lastUse)
-                        slot = &base[i];
-                }
-            }
-            slot->valid = true;
-            slot->tag = lastAddr;
-            slot->next = addr;
-            slot->lastUse = useClock;
-        }
-        lastAddr = addr;
-        haveLast = true;
-    }
 }
 
 } // namespace predictors

@@ -49,20 +49,6 @@ class MarkovPredictor
      */
     void update(uint64_t addr);
 
-    /**
-     * Fused batch over a stream segment: per lane, predict() then
-     * update(addrs[l]) — but with one set walk instead of two (the
-     * tag-hit slot of the predict is the training slot) and the
-     * address hashes precomputed as a SIMD lane (lane l's set index
-     * hashes addrs[l-1]).
-     *
-     * @param hits    set to 1 on a tag hit (coverage gate), else 0.
-     * @param guesses the predicted next address for hit lanes
-     *        (untouched elsewhere).
-     */
-    void predictUpdateBatch(const uint64_t *addrs, uint32_t n,
-                            uint8_t *hits, uint64_t *guesses);
-
     /** @return total entries. */
     size_t entries() const { return numSets * assoc_; }
 
@@ -83,7 +69,6 @@ class MarkovPredictor
     uint64_t useClock = 0;
     uint64_t lastAddr = 0;
     bool haveLast = false;
-    std::vector<uint64_t> mixScratch; ///< batch: mix64(addr) lanes
 };
 
 } // namespace predictors

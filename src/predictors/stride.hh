@@ -121,35 +121,6 @@ class StridePredictor : public ValuePredictor
         }
     }
 
-    void
-    updateBatch(const uint64_t *pcs, const int64_t *actuals,
-                uint32_t n) override
-    {
-        const bool two_delta = twoDelta;
-        for (uint32_t l = 0; l < n; ++l) {
-            Entry &e = table.lookup(pcs[l]);
-            const int64_t actual = actuals[l];
-            const uint64_t seen = e.seen;
-            const uint64_t ns = static_cast<uint64_t>(actual) -
-                                static_cast<uint64_t>(e.last);
-            const uint64_t sm =
-                two_delta
-                    ? seen &
-                          static_cast<uint64_t>(-static_cast<int64_t>(
-                              static_cast<int64_t>(ns) ==
-                              e.lastStride))
-                    : seen;
-            e.stride = static_cast<int64_t>(
-                (ns & sm) |
-                (static_cast<uint64_t>(e.stride) & ~sm));
-            e.lastStride = static_cast<int64_t>(
-                (ns & seen) |
-                (static_cast<uint64_t>(e.lastStride) & ~seen));
-            e.last = actual;
-            e.seen = ~0ull;
-        }
-    }
-
     /** @return conflict (aliasing) rate of the underlying table. */
     double tableConflictRate() const { return table.conflictRate(); }
 

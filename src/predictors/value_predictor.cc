@@ -1,7 +1,5 @@
 #include "predictors/value_predictor.hh"
 
-#include <cassert>
-
 #include "workload/trace.hh"
 
 namespace gdiff {
@@ -22,72 +20,6 @@ gatherValueLanes(const workload::TraceChunk &chunk, uint32_t limit,
         ++lanes;
     }
     return lanes;
-}
-
-namespace {
-
-/** Scratch lane arrays for the chunk entry points. */
-struct LaneScratch
-{
-    std::vector<uint64_t> pcs;
-    std::vector<int64_t> values;
-    std::vector<uint32_t> records;
-
-    LaneScratch()
-        : pcs(workload::TraceChunk::capacity),
-          values(workload::TraceChunk::capacity),
-          records(workload::TraceChunk::capacity)
-    {}
-};
-
-LaneScratch &
-scratch()
-{
-    thread_local LaneScratch s;
-    return s;
-}
-
-} // anonymous namespace
-
-void
-ValuePredictor::predictChunk(const workload::TraceChunk &chunk,
-                             PredictionBatch &out)
-{
-    LaneScratch &s = scratch();
-    const uint32_t lanes =
-        gatherValueLanes(chunk, chunk.size, s.pcs.data(),
-                         s.values.data(), s.records.data());
-    predictBatch(s.pcs.data(), lanes, out);
-    out.record.assign(s.records.begin(), s.records.begin() + lanes);
-}
-
-void
-ValuePredictor::updateChunk(const workload::TraceChunk &chunk,
-                            std::span<const int64_t> actuals)
-{
-    LaneScratch &s = scratch();
-    const uint32_t lanes =
-        gatherValueLanes(chunk, chunk.size, s.pcs.data(),
-                         s.values.data(), s.records.data());
-    const int64_t *train = s.values.data();
-    if (!actuals.empty()) {
-        assert(actuals.size() == lanes &&
-               "updateChunk: one actual per value-producing record");
-        train = actuals.data();
-    }
-    updateBatch(s.pcs.data(), train, lanes);
-}
-
-void
-ValuePredictor::predictUpdateChunk(const workload::TraceChunk &chunk,
-                                   PredictionBatch &out)
-{
-    LaneScratch &s = scratch();
-    const uint32_t lanes =
-        gatherValueLanes(chunk, chunk.size, s.pcs.data(),
-                         s.values.data(), s.records.data());
-    predictUpdateBatch(s.pcs.data(), s.values.data(), lanes, out);
-    out.record.assign(s.records.begin(), s.records.begin() + lanes);
 }
 
 } // namespace predictors

@@ -10,24 +10,22 @@
  * OOO pipeline separates them by the real dispatch-to-writeback
  * latency, with in-flight instances in between).
  *
- * The scalar pair is the semantic specification. The hot consumers
- * (sim/profile, the vp_scheme training path) drive the *batch*
- * protocol instead: whole lanes of (pc, actual) pairs per call, with
- * chunk-level conveniences over workload::TraceChunk. Every batch
- * entry point has a default that loops the scalar calls, so a new
- * predictor only ever implements predict()/update(); the hot families
- * override predictUpdateBatch() with fused single-lookup loops (see
- * docs/INTERNALS.md §10). Batched and scalar paths are required to be
- * bit-identical — src/check's scalar-vs-batch differ and the
- * gdifffuzz --batch mode police that the same way production-vs-
- * oracle divergence is policed.
+ * The scalar pair is the semantic specification. The profile drivers
+ * (sim/profile) drive the *batch* protocol instead: whole lanes of
+ * (pc, actual) pairs per call. Every batch entry point has a default
+ * that loops the scalar calls, so a new predictor only ever
+ * implements predict()/update(); a family overrides
+ * predictUpdateBatch() with a fused loop only where that measurably
+ * pays (see docs/INTERNALS.md §10). Batched and scalar paths are
+ * required to be bit-identical — src/check's scalar-vs-batch differ
+ * and the gdifffuzz --batch mode police that the same way
+ * production-vs-oracle divergence is policed.
  */
 
 #ifndef GDIFF_PREDICTORS_VALUE_PREDICTOR_HH
 #define GDIFF_PREDICTORS_VALUE_PREDICTOR_HH
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -41,15 +39,12 @@ namespace predictors {
 
 /**
  * Per-lane outcome of a batch prediction call. Lanes are dense:
- * lane l is the l-th record the call predicted for (for the chunk
- * entry points, the l-th value-producing record of the chunk;
- * record[l] holds its chunk index).
+ * lane l is the l-th record the call predicted for.
  */
 struct PredictionBatch
 {
     std::vector<int64_t> value;    ///< predicted value (when predicted)
     std::vector<uint8_t> predicted;///< 1 if the lane was predicted
-    std::vector<uint32_t> record;  ///< chunk record index (chunk APIs)
 
     /** Size for @p lanes lanes, zeroing predicted/value. */
     void
@@ -57,7 +52,6 @@ struct PredictionBatch
     {
         value.assign(lanes, 0);
         predicted.assign(lanes, 0);
-        record.clear();
     }
 
     size_t lanes() const { return predicted.size(); }
@@ -107,7 +101,7 @@ class ValuePredictor
         return predict(pc, value);
     }
 
-    /// @name Batch protocol (array form)
+    /// @name Batch protocol
     /// Semantics are defined by the scalar calls: each batch entry
     /// point must behave exactly as its default loop below. The fused
     /// form exists because the scalar protocol *interleaves* predict
@@ -167,41 +161,15 @@ class ValuePredictor
         }
     }
     /// @}
-
-    /// @name Batch protocol (chunk form)
-    /// Gather the chunk's value-producing records into dense lanes
-    /// (out.record maps lanes back to chunk indices), then forward to
-    /// the array form. Non-virtual: predictors customize the array
-    /// entry points.
-    /// @{
-
-    /** predictBatch over the chunk's value-producing records. */
-    void predictChunk(const workload::TraceChunk &chunk,
-                      PredictionBatch &out);
-
-    /**
-     * updateBatch over the chunk's value-producing records.
-     *
-     * @param actuals empty = train on the chunk's value column;
-     *        otherwise one actual per value-producing record (in
-     *        chunk order) — e.g. load addresses in the address study.
-     */
-    void updateChunk(const workload::TraceChunk &chunk,
-                     std::span<const int64_t> actuals = {});
-
-    /** predictUpdateBatch over the chunk's value-producing records. */
-    void predictUpdateChunk(const workload::TraceChunk &chunk,
-                            PredictionBatch &out);
-    /// @}
 };
 
 /**
  * Gather the dense value-producing lanes of @p chunk, considering
  * only records [0, limit): lane arrays receive the pc and produced
  * value, records[l] the chunk record index. Arrays must hold
- * TraceChunk::capacity elements. @return the lane count. Shared by
- * the chunk entry points above and the profile drivers (which gather
- * once for many predictors).
+ * TraceChunk::capacity elements. @return the lane count. The value
+ * profile driver gathers once and feeds the lanes to every
+ * predictor.
  */
 uint32_t gatherValueLanes(const workload::TraceChunk &chunk,
                           uint32_t limit, uint64_t *pcs,

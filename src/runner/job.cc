@@ -2,6 +2,9 @@
 
 #include <sstream>
 
+#include "core/gdiff2.hh"
+#include "core/gvq.hh"
+#include "util/bits.hh"
 #include "util/logging.hh"
 
 namespace gdiff {
@@ -72,6 +75,31 @@ JobSpec::validateOr(std::string *error) const
                << sampleWindow << " records";
             return fail(os.str());
         }
+    }
+    // The predictor and scheme constructors assert these limits, so
+    // a spec from outside the program must fail here, not abort.
+    const std::string &family =
+        mode == JobMode::Profile ? predictor : scheme;
+    unsigned minOrder = 0, maxOrder = 0; // 0: the family has no order
+    if (family == "gdiff" || family == "sgvq" || family == "hgvq") {
+        minOrder = 1;
+        maxOrder = core::maxOrder;
+    } else if (family == "gdiff2") {
+        minOrder = core::gdiff2MinOrder;
+        maxOrder = core::gdiff2MaxOrder;
+    }
+    if (maxOrder != 0 && (order < minOrder || order > maxOrder)) {
+        std::ostringstream os;
+        os << "job " << label() << ": " << family << " order " << order
+           << " is out of range (" << minOrder << ".." << maxOrder
+           << ")";
+        return fail(os.str());
+    }
+    if (tableEntries != 0 && !isPowerOfTwo(tableEntries)) {
+        std::ostringstream os;
+        os << "job " << label() << ": table size " << tableEntries
+           << " is not a power of two (0 = unlimited)";
+        return fail(os.str());
     }
     return true;
 }

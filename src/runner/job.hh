@@ -73,6 +73,10 @@ struct JobSpec
      * 0 or warmup >= instructions — and, when sampling, degenerate
      * window geometry (zero-length windows, a window longer than the
      * measured region, a budget too small for even one window).
+     * Also reject what the predictor and scheme constructors would
+     * abort on: an order outside gdiff's, sgvq's and hgvq's
+     * 1..core::maxOrder or gdiff2's gdiff2MinOrder..gdiff2MaxOrder,
+     * and a table size that is neither 0 nor a power of two.
      * Calls fatal() naming the job. runJob() validates every spec
      * before executing it.
      */

@@ -1,6 +1,8 @@
 #include "runner/sweep_spec.hh"
 
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "util/logging.hh"
 #include "util/parse.hh"
@@ -151,8 +153,13 @@ SweepSpec::tryParseGrid(const std::string &grid, SweepSpec &out,
             if (!numeric(false, parsed))
                 return badNumber(axis);
             spec.orders.clear();
-            for (uint64_t v : parsed)
+            for (uint64_t v : parsed) {
+                if (v > std::numeric_limits<unsigned>::max()) {
+                    return fail("axis 'order': " + std::to_string(v) +
+                                " is out of range");
+                }
                 spec.orders.push_back(static_cast<unsigned>(v));
+            }
         } else if (axis == "table") {
             if (!numeric(true, spec.tables)) // 0 = unlimited
                 return badNumber(axis);

@@ -224,17 +224,10 @@ AddressProfileRunner::run(workload::TraceSource &src)
     constexpr uint32_t cap = workload::TraceChunk::capacity;
     std::vector<uint64_t> pcs(cap);
     std::vector<int64_t> actuals(cap);
-    std::vector<uint64_t> addrs(cap);
     std::vector<uint32_t> records(cap);
     std::vector<uint8_t> miss(cap);
     std::vector<uint8_t> correct(cap);
     std::vector<uint8_t> confident(cap);
-    std::vector<uint64_t> missAddrs(cap);
-    std::vector<uint32_t> missLaneOf(cap);
-    std::vector<uint8_t> hits(cap);
-    std::vector<uint64_t> guesses(cap);
-    std::vector<uint8_t> mhits(cap);
-    std::vector<uint64_t> mguesses(cap);
     predictors::PredictionBatch batch;
 
     while (executed < budget) {
@@ -265,7 +258,6 @@ AddressProfileRunner::run(workload::TraceSource &src)
             if (!chunk->isLoad(j))
                 continue;
             pcs[lanes] = chunk->pc[j];
-            addrs[lanes] = effAddr;
             actuals[lanes] = static_cast<int64_t>(effAddr);
             records[lanes] = j;
             miss[lanes] = !dcache.access(effAddr);
@@ -318,44 +310,32 @@ AddressProfileRunner::run(workload::TraceSource &src)
                 updateHist->record((obs::nowNs() - tP) / 1000);
         }
 
-        // Pass 3 — the Markov pair: the all-loads stream, then the
-        // gathered miss stream (whose lanes remember their load lane
-        // for the measured gate).
-        if (markovAll && lanes > 0) {
+        // Pass 3 — the Markov pair, one load lane at a time: the
+        // all-loads predictor sees every lane, the miss predictor only
+        // the missing ones.
+        if (markovAll) {
             AddressSeries &ms = series.back();
-            markovAll->predictUpdateBatch(addrs.data(), lanes,
-                                          hits.data(), guesses.data());
-            uint64_t cov = 0, acc = 0;
-            uint32_t misses = 0;
+            uint64_t cov = 0, acc = 0, mcov = 0, macc = 0, mtot = 0;
             for (uint32_t l = 0; l < lanes; ++l) {
-                if (miss[l]) {
-                    missAddrs[misses] = addrs[l];
-                    missLaneOf[misses] = l;
-                    ++misses;
-                }
-                if (l < mlane)
-                    continue;
-                if (hits[l]) {
+                const uint64_t addr = static_cast<uint64_t>(actuals[l]);
+                const bool measured = l >= mlane;
+                uint64_t guess = 0;
+                if (markovAll->predict(guess) && measured) {
                     ++cov;
-                    acc += guesses[l] == addrs[l];
+                    acc += guess == addr;
                 }
+                markovAll->update(addr);
+                if (!miss[l])
+                    continue;
+                mtot += measured;
+                if (markovMiss->predict(guess) && measured) {
+                    ++mcov;
+                    macc += guess == addr;
+                }
+                markovMiss->update(addr);
             }
             ms.coverageAll.addBatch(cov, lanes - mlane);
             ms.accuracyAll.addBatch(acc, cov);
-
-            markovMiss->predictUpdateBatch(missAddrs.data(), misses,
-                                           mhits.data(),
-                                           mguesses.data());
-            uint64_t mcov = 0, macc = 0, mtot = 0;
-            for (uint32_t m = 0; m < misses; ++m) {
-                if (missLaneOf[m] < mlane)
-                    continue;
-                ++mtot;
-                if (mhits[m]) {
-                    ++mcov;
-                    macc += mguesses[m] == missAddrs[m];
-                }
-            }
             ms.coverageMiss.addBatch(mcov, mtot);
             ms.accuracyMiss.addBatch(macc, mcov);
         }

@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "util/bits.hh"
 #include "util/logging.hh"
 #include "util/simd_inline.hh"
 
@@ -78,21 +77,6 @@ setModeForTest(Mode m)
 namespace {
 
 void
-mix64LaneScalar(const uint64_t *in, uint64_t *out, size_t n)
-{
-    for (size_t i = 0; i < n; ++i)
-        out[i] = mix64(in[i]);
-}
-
-void
-fold16LaneScalar(const int64_t *in, uint16_t *out, size_t n)
-{
-    for (size_t i = 0; i < n; ++i)
-        out[i] = static_cast<uint16_t>(
-            mix64(static_cast<uint64_t>(in[i])) & 0xffff);
-}
-
-void
 diffAgainstWindowScalar(int64_t actual, const int64_t *wtop,
                         int64_t *out, size_t n)
 {
@@ -124,73 +108,6 @@ countSecondDiffZeroScalar(const uint64_t *v, size_t n, size_t L)
 // -------------------------------------------------------- AVX2 kernels
 
 #if GDIFF_SIMD_X86 && defined(__GNUC__)
-
-/**
- * Exact 64x64 -> low-64 multiply of four lanes. AVX2 has no 64-bit
- * integer multiply; decompose into 32-bit partial products via
- * _mm256_mul_epu32: lo(a*b) = lo32(a)*lo32(b)
- *                           + ((lo32(a)*hi32(b) + hi32(a)*lo32(b)) << 32).
- */
-GDIFF_AVX2_FN inline __m256i
-mullo64(__m256i a, __m256i b)
-{
-    __m256i a_hi = _mm256_srli_epi64(a, 32);
-    __m256i b_hi = _mm256_srli_epi64(b, 32);
-    __m256i lolo = _mm256_mul_epu32(a, b);
-    __m256i lohi = _mm256_mul_epu32(a, b_hi);
-    __m256i hilo = _mm256_mul_epu32(a_hi, b);
-    __m256i cross = _mm256_add_epi64(lohi, hilo);
-    return _mm256_add_epi64(lolo, _mm256_slli_epi64(cross, 32));
-}
-
-/** Four-lane mix64 (SplitMix64 finisher), bit-exact vs util/bits.hh. */
-GDIFF_AVX2_FN inline __m256i
-mix64x4(__m256i z)
-{
-    const __m256i m1 = _mm256_set1_epi64x(
-        static_cast<long long>(0xbf58476d1ce4e5b9ull));
-    const __m256i m2 = _mm256_set1_epi64x(
-        static_cast<long long>(0x94d049bb133111ebull));
-    z = _mm256_xor_si256(z, _mm256_srli_epi64(z, 30));
-    z = mullo64(z, m1);
-    z = _mm256_xor_si256(z, _mm256_srli_epi64(z, 27));
-    z = mullo64(z, m2);
-    return _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
-}
-
-GDIFF_AVX2_FN void
-mix64LaneAvx2(const uint64_t *in, uint64_t *out, size_t n)
-{
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(in + i));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + i),
-                            mix64x4(v));
-    }
-    for (; i < n; ++i)
-        out[i] = mix64(in[i]);
-}
-
-GDIFF_AVX2_FN void
-fold16LaneAvx2(const int64_t *in, uint16_t *out, size_t n)
-{
-    size_t i = 0;
-    alignas(32) uint64_t tmp[4];
-    for (; i + 4 <= n; i += 4) {
-        __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(in + i));
-        _mm256_store_si256(reinterpret_cast<__m256i *>(tmp),
-                           mix64x4(v));
-        out[i + 0] = static_cast<uint16_t>(tmp[0]);
-        out[i + 1] = static_cast<uint16_t>(tmp[1]);
-        out[i + 2] = static_cast<uint16_t>(tmp[2]);
-        out[i + 3] = static_cast<uint16_t>(tmp[3]);
-    }
-    for (; i < n; ++i)
-        out[i] = static_cast<uint16_t>(
-            mix64(static_cast<uint64_t>(in[i])) & 0xffff);
-}
 
 GDIFF_AVX2_FN void
 diffAgainstWindowAvx2(int64_t actual, const int64_t *wtop,
@@ -265,30 +182,6 @@ countSecondDiffZeroAvx2(const uint64_t *v, size_t n, size_t L)
 } // anonymous namespace
 
 // ---------------------------------------------------- public entries
-
-void
-mix64Lane(const uint64_t *in, uint64_t *out, size_t n)
-{
-#if GDIFF_SIMD_X86 && defined(__GNUC__)
-    if (gMode == Mode::Avx2) {
-        mix64LaneAvx2(in, out, n);
-        return;
-    }
-#endif
-    mix64LaneScalar(in, out, n);
-}
-
-void
-fold16Lane(const int64_t *in, uint16_t *out, size_t n)
-{
-#if GDIFF_SIMD_X86 && defined(__GNUC__)
-    if (gMode == Mode::Avx2) {
-        fold16LaneAvx2(in, out, n);
-        return;
-    }
-#endif
-    fold16LaneScalar(in, out, n);
-}
 
 void
 diffAgainstWindow(int64_t actual, const int64_t *wtop, int64_t *out,

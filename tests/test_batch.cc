@@ -8,10 +8,11 @@
  * spread of chunk sizes (1 record, a prime, SIMD-width multiples, a
  * full trace chunk), and both SIMD kernel sets. The remaining tests
  * pin the protocol pieces the differ does not reach: predict-only and
- * update-only batches, the chunk-gathering wrappers, the confidence
- * table's fused gate-and-train, and the Markov address predictor.
+ * update-only batches, the lane gather the profile drivers use, and
+ * the confidence table's fused gate-and-train.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -23,7 +24,6 @@
 #include "check/fuzzer.hh"
 #include "check/reference.hh"
 #include "predictors/confidence.hh"
-#include "predictors/markov.hh"
 #include "predictors/stride.hh"
 #include "predictors/value_predictor.hh"
 #include "util/random.hh"
@@ -123,14 +123,14 @@ TEST(BatchIdentity, PredictBatchAndUpdateBatchMatchScalar)
     }
 }
 
-// Chunk wrappers gather only the value-producing records into dense
-// lanes and record the chunk index of each lane.
+// gatherValueLanes keeps only the value-producing records of
+// [0, limit) as dense lanes and records the chunk index of each lane;
+// predictUpdateBatch over those lanes matches the scalar calls.
 TEST(BatchIdentity, ChunkWrappersGatherValueLanes)
 {
     workload::TraceChunk chunk;
     chunk.clear();
     Xorshift64Star rng(7);
-    std::vector<uint32_t> producing;
     chunk.size = 512;
     for (uint32_t i = 0; i < chunk.size; ++i) {
         chunk.pc[i] = 0x1000 + (i % 37) * 4;
@@ -138,46 +138,42 @@ TEST(BatchIdentity, ChunkWrappersGatherValueLanes)
         bool produces = (rng.next() & 3) != 0;
         chunk.flags[i] =
             produces ? workload::TraceChunk::flagProducesValue : 0;
-        if (produces)
-            producing.push_back(i);
     }
 
-    predictors::StridePredictor batch(0);
-    predictors::StridePredictor scalar(0);
-    predictors::PredictionBatch out;
-    batch.predictUpdateChunk(chunk, out);
-
-    ASSERT_EQ(out.lanes(), producing.size());
-    ASSERT_EQ(out.record.size(), producing.size());
-    for (size_t l = 0; l < producing.size(); ++l) {
-        const uint32_t i = producing[l];
-        ASSERT_EQ(out.record[l], i);
-        int64_t v = 0;
-        bool p = scalar.predict(chunk.pc[i], v);
-        ASSERT_EQ(p, out.predicted[l] != 0) << "lane " << l;
-        if (p) {
-            ASSERT_EQ(v, out.value[l]) << "lane " << l;
+    constexpr uint32_t cap = workload::TraceChunk::capacity;
+    std::vector<uint64_t> pcs(cap);
+    std::vector<int64_t> values(cap);
+    std::vector<uint32_t> records(cap);
+    for (uint32_t limit : {chunk.size, 300u, cap}) {
+        std::vector<uint32_t> producing;
+        for (uint32_t i = 0; i < std::min(limit, chunk.size); ++i) {
+            if (chunk.flags[i] & workload::TraceChunk::flagProducesValue)
+                producing.push_back(i);
         }
-        scalar.update(chunk.pc[i], chunk.value[i]);
-    }
+        const uint32_t lanes = predictors::gatherValueLanes(
+            chunk, limit, pcs.data(), values.data(), records.data());
+        ASSERT_EQ(lanes, producing.size()) << "limit " << limit;
+        for (uint32_t l = 0; l < lanes; ++l) {
+            const uint32_t i = producing[l];
+            ASSERT_EQ(records[l], i) << "limit " << limit;
+            ASSERT_EQ(pcs[l], chunk.pc[i]);
+            ASSERT_EQ(values[l], chunk.value[i]);
+        }
 
-    // updateChunk with an explicit actuals span (the address-study
-    // path) trains on the supplied values, not the chunk column.
-    std::vector<int64_t> addrs(producing.size());
-    for (size_t l = 0; l < addrs.size(); ++l)
-        addrs[l] = static_cast<int64_t>(0x80000 + 64 * l);
-    predictors::StridePredictor batch2(0);
-    predictors::StridePredictor scalar2(0);
-    batch2.updateChunk(chunk, addrs);
-    for (size_t l = 0; l < producing.size(); ++l)
-        scalar2.update(chunk.pc[producing[l]], addrs[l]);
-    for (size_t l = 0; l < producing.size(); ++l) {
-        int64_t a = 0, b = 0;
-        bool pa = scalar2.predict(chunk.pc[producing[l]], a);
-        bool pb = batch2.predict(chunk.pc[producing[l]], b);
-        ASSERT_EQ(pa, pb);
-        if (pa) {
-            ASSERT_EQ(a, b);
+        predictors::StridePredictor batch(0);
+        predictors::StridePredictor scalar(0);
+        predictors::PredictionBatch out;
+        batch.predictUpdateBatch(pcs.data(), values.data(), lanes, out);
+        ASSERT_EQ(out.lanes(), lanes);
+        for (uint32_t l = 0; l < lanes; ++l) {
+            const uint32_t i = producing[l];
+            int64_t v = 0;
+            bool p = scalar.predict(chunk.pc[i], v);
+            ASSERT_EQ(p, out.predicted[l] != 0) << "lane " << l;
+            if (p) {
+                ASSERT_EQ(v, out.value[l]) << "lane " << l;
+            }
+            scalar.update(chunk.pc[i], chunk.value[i]);
         }
     }
 }
@@ -209,41 +205,6 @@ TEST(BatchIdentity, ConfidenceEvaluateBatchMatchesScalar)
     // Post-state identity: counters agree per PC.
     for (uint32_t k = 0; k < 64; ++k)
         ASSERT_EQ(a.level(0x2000 + k * 4), b.level(0x2000 + k * 4));
-}
-
-TEST(BatchIdentity, MarkovFusedBatchMatchesScalar)
-{
-    predictors::MarkovPredictor a(4096, 4);
-    predictors::MarkovPredictor b(4096, 4);
-    Xorshift64Star rng(23);
-    constexpr uint32_t kLanes = 4096;
-    // Address stream with recurring chains plus noise, chunked in
-    // awkward block sizes.
-    std::vector<uint64_t> addrs(kLanes);
-    for (uint32_t l = 0; l < kLanes; ++l) {
-        if (rng.next() & 1)
-            addrs[l] = 0x10000 + (l % 97) * 64;
-        else
-            addrs[l] = rng.next() & ~0x3full;
-    }
-    std::vector<uint8_t> hits(kLanes, 0);
-    std::vector<uint64_t> guesses(kLanes, 0);
-    for (uint32_t base = 0; base < kLanes;) {
-        uint32_t n = std::min<uint32_t>(77, kLanes - base);
-        a.predictUpdateBatch(addrs.data() + base, n,
-                             hits.data() + base,
-                             guesses.data() + base);
-        base += n;
-    }
-    for (uint32_t l = 0; l < kLanes; ++l) {
-        uint64_t guess = 0;
-        bool hit = b.predict(guess);
-        b.update(addrs[l]);
-        ASSERT_EQ(hit, hits[l] != 0) << "lane " << l;
-        if (hit) {
-            ASSERT_EQ(guess, guesses[l]) << "lane " << l;
-        }
-    }
 }
 
 } // namespace

@@ -1,17 +1,26 @@
 /**
  * @file
  * Profile-driver tests: the predict-then-update protocol, warmup
- * exclusion, confidence-gated statistics, and the load-address runner
- * with its D-cache miss classification.
+ * exclusion, confidence-gated statistics, the load-address runner
+ * with its D-cache miss classification, and exact counts on real
+ * kernels.
  */
+
+#include <cstdint>
+#include <iterator>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/gdiff.hh"
 #include "isa/program_builder.hh"
 #include "predictors/stride.hh"
+#include "runner/factory.hh"
 #include "sim/profile.hh"
 #include "workload/executor.hh"
+#include "workload/workload.hh"
 
 namespace gdiff {
 namespace sim {
@@ -210,6 +219,138 @@ TEST(AddressProfile, HitHeavyWalkHasFewMisses)
     runner.run(exec);
     EXPECT_LT(runner.dcacheMissRate(), 0.05);
     EXPECT_EQ(runner.results()[0].coverageMiss.total(), 0u);
+}
+
+/** Exact hit and total counts of one stats::Ratio. */
+struct RatioPin
+{
+    uint64_t hits;
+    uint64_t total;
+};
+
+std::string
+show(const stats::Ratio &r)
+{
+    return "{" + std::to_string(r.hits()) + ", " +
+           std::to_string(r.total()) + "}";
+}
+
+bool
+matches(const stats::Ratio &r, const RatioPin &pin)
+{
+    return r.hits() == pin.hits && r.total() == pin.total;
+}
+
+/** Run length of the real-kernel pins below. */
+ProfileConfig
+pinConfig()
+{
+    ProfileConfig cfg;
+    cfg.maxInstructions = 200'000;
+    cfg.warmupInstructions = 20'000;
+    return cfg;
+}
+
+struct ValuePin
+{
+    const char *workload;
+    const char *family;
+    RatioPin accuracyAll;
+    RatioPin accuracyGated;
+    RatioPin coverage;
+};
+
+// The scalar-vs-batch differ sees only fuzzed streams; these pin each
+// family's counts on real kernels, in the factory's configuration
+// (order 8, 8192-entry tables), so a change to a predictor's per-record
+// path that alters a count shows up here.
+const ValuePin kValuePins[] = {
+    {"mcf", "gfcm", {493, 171042}, {2, 27}, {27, 171042}},
+    {"mcf", "hybrid", {119143, 171042}, {111472, 153705}, {153705, 171042}},
+    {"mcf", "gdiff2", {148546, 171042}, {147633, 159671}, {159671, 171042}},
+    {"gzip", "gfcm", {427, 144194}, {0, 27}, {27, 144194}},
+    {"gzip", "hybrid", {26669, 144194}, {23514, 32311}, {32311, 144194}},
+    {"gzip", "gdiff2", {100926, 144194}, {99632, 104016}, {104016, 144194}},
+};
+
+TEST(ValueProfile, RealKernelCountsArePinned)
+{
+    for (const char *name : {"mcf", "gzip"}) {
+        std::vector<const ValuePin *> pins;
+        std::vector<std::unique_ptr<predictors::ValuePredictor>> preds;
+        ValueProfileRunner runner(pinConfig());
+        for (const ValuePin &pin : kValuePins) {
+            if (std::string(pin.workload) != name)
+                continue;
+            pins.push_back(&pin);
+            preds.push_back(runner::makePredictor(pin.family, 8, 8192));
+            runner.addPredictor(*preds.back());
+        }
+        workload::Workload w = workload::makeWorkload(name, 1);
+        runner.run(*w.makeExecutor());
+        for (size_t i = 0; i < pins.size(); ++i) {
+            const ValuePin &pin = *pins[i];
+            const ProfileSeries &s = runner.results()[i];
+            EXPECT_TRUE(matches(s.accuracyAll, pin.accuracyAll) &&
+                        matches(s.accuracyGated, pin.accuracyGated) &&
+                        matches(s.coverage, pin.coverage))
+                << "actual: {\"" << name << "\", \"" << pin.family
+                << "\", " << show(s.accuracyAll) << ", "
+                << show(s.accuracyGated) << ", " << show(s.coverage)
+                << "},";
+        }
+    }
+}
+
+struct AddressPin
+{
+    const char *series;
+    RatioPin coverageAll;
+    RatioPin accuracyAll;
+    RatioPin coverageMiss;
+    RatioPin accuracyMiss;
+};
+
+// The Fig. 18 configuration on mcf: local stride and gdiff over
+// 4096-entry tables, and the 256K-entry Markov pair.
+const AddressPin kAddressPins[] = {
+    {"stride", {77311, 79051}, {64844, 77311}, {22170, 22914}, {16654, 22170}},
+    {"gdiff", {78363, 79051}, {75702, 78363}, {22226, 22914}, {20925, 22226}},
+    {"markov", {31254, 79051}, {8179, 31254}, {2376, 22914}, {631, 2376}},
+};
+constexpr double kMcfDcacheMissRate = 0.23278026365767118;
+
+TEST(AddressProfile, RealKernelCountsArePinned)
+{
+    predictors::StridePredictor ls(4096);
+    core::GDiffConfig gcfg;
+    gcfg.order = 8;
+    gcfg.tableEntries = 4096;
+    core::GDiffPredictor gs(gcfg);
+    predictors::MarkovPredictor mkAll(256 * 1024, 4);
+    predictors::MarkovPredictor mkMiss(256 * 1024, 4);
+    AddressProfileRunner runner(pinConfig());
+    runner.addPredictor(ls);
+    runner.addPredictor(gs);
+    runner.setMarkov(mkAll, mkMiss);
+    workload::Workload w = workload::makeWorkload("mcf", 1);
+    runner.run(*w.makeExecutor());
+
+    ASSERT_EQ(runner.results().size(), std::size(kAddressPins));
+    for (size_t i = 0; i < runner.results().size(); ++i) {
+        const AddressPin &pin = kAddressPins[i];
+        const AddressSeries &s = runner.results()[i];
+        EXPECT_EQ(s.name, pin.series);
+        EXPECT_TRUE(matches(s.coverageAll, pin.coverageAll) &&
+                    matches(s.accuracyAll, pin.accuracyAll) &&
+                    matches(s.coverageMiss, pin.coverageMiss) &&
+                    matches(s.accuracyMiss, pin.accuracyMiss))
+            << "actual: {\"" << s.name << "\", " << show(s.coverageAll)
+            << ", " << show(s.accuracyAll) << ", "
+            << show(s.coverageMiss) << ", " << show(s.accuracyMiss)
+            << "},";
+    }
+    EXPECT_EQ(runner.dcacheMissRate(), kMcfDcacheMissRate);
 }
 
 } // namespace

@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "core/gdiff2.hh"
+#include "core/gvq.hh"
 #include "runner/factory.hh"
 #include "runner/runner.hh"
 #include "stats/table.hh"
@@ -80,6 +82,22 @@ TEST(SweepSpecTest, NumericAxes)
     EXPECT_EQ(s.tables, (std::vector<uint64_t>{0, 8192}));
     EXPECT_EQ(s.seeds, (std::vector<uint64_t>{7}));
     EXPECT_EQ(s.instructionWindows, (std::vector<uint64_t>{5000}));
+}
+
+TEST(SweepSpecTest, OrderAboveUnsignedRangeIsRejected)
+{
+    // Narrowed to unsigned, 2^32 + 8 would run as order 8 and 2^32 as
+    // order 0.
+    for (const char *grid : {"order=4294967304", "order=4294967296"}) {
+        SweepSpec s;
+        std::string error;
+        EXPECT_FALSE(SweepSpec::tryParseGrid(grid, s, &error)) << grid;
+        EXPECT_NE(error.find("out of range"), std::string::npos)
+            << error;
+    }
+    SweepSpec s;
+    ASSERT_TRUE(SweepSpec::tryParseGrid("order=4294967295", s, nullptr));
+    EXPECT_EQ(s.orders, (std::vector<unsigned>{4294967295u}));
 }
 
 TEST(SweepSpecDeath, UnknownAxisIsFatal)
@@ -571,6 +589,65 @@ TEST(FactoryTest, EveryRegisteredNameConstructs)
     for (const auto &name : schemeNames()) {
         auto s = makeScheme(name, 16, 1024);
         ASSERT_NE(s, nullptr) << name;
+    }
+}
+
+// validateOr rejects, per family, each order and table size whose
+// constructor would abort, and admits the limits themselves.
+TEST(JobSpecTest, ValidateOrRejectsWhatConstructorsAbortOn)
+{
+    struct Case
+    {
+        JobMode mode;
+        const char *family;
+        unsigned order;
+        uint64_t table;
+        const char *error; ///< nullptr = valid
+    };
+    const Case cases[] = {
+        {JobMode::Profile, "gdiff", 0, 8192, "order 0 is out of range"},
+        {JobMode::Profile, "gdiff", 1, 8192, nullptr},
+        {JobMode::Profile, "gdiff", core::maxOrder, 8192, nullptr},
+        {JobMode::Profile, "gdiff", 65, 8192, "order 65 is out of range"},
+        {JobMode::Profile, "gdiff2", 1, 8192, "order 1 is out of range"},
+        {JobMode::Profile, "gdiff2", core::gdiff2MinOrder, 8192, nullptr},
+        {JobMode::Profile, "gdiff2", core::gdiff2MaxOrder, 8192, nullptr},
+        {JobMode::Profile, "gdiff2", 17, 8192, "order 17 is out of range"},
+        {JobMode::Pipeline, "sgvq", 65, 8192, "order 65 is out of range"},
+        {JobMode::Pipeline, "hgvq", 65, 8192, "order 65 is out of range"},
+        {JobMode::Pipeline, "hgvq", core::maxOrder, 8192, nullptr},
+        // Families without an order ignore it.
+        {JobMode::Profile, "stride", 65, 8192, nullptr},
+        {JobMode::Pipeline, "l_stride", 4294967295u, 8192, nullptr},
+        {JobMode::Profile, "stride", 8, 1000, "not a power of two"},
+        {JobMode::Profile, "gdiff2", 8, 1000, "not a power of two"},
+        {JobMode::Pipeline, "hgvq", 8, 1000, "not a power of two"},
+        {JobMode::Profile, "dfcm", 8, 0, nullptr},
+        {JobMode::Profile, "dfcm", 8, 1024, nullptr},
+    };
+    for (const Case &c : cases) {
+        JobSpec spec;
+        spec.mode = c.mode;
+        (c.mode == JobMode::Profile ? spec.predictor : spec.scheme) =
+            c.family;
+        spec.order = c.order;
+        spec.tableEntries = c.table;
+        std::string error;
+        const bool ok = spec.validateOr(&error);
+        if (!c.error) {
+            EXPECT_TRUE(ok) << spec.label() << ": " << error;
+            // What validateOr admits must construct.
+            if (c.mode == JobMode::Profile)
+                EXPECT_NE(makePredictor(c.family, c.order, c.table),
+                          nullptr);
+            else
+                EXPECT_NE(makeScheme(c.family, c.order, c.table),
+                          nullptr);
+            continue;
+        }
+        EXPECT_FALSE(ok) << spec.label();
+        EXPECT_NE(error.find(c.error), std::string::npos)
+            << spec.label() << ": " << error;
     }
 }
 

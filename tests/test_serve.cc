@@ -15,6 +15,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -416,6 +417,52 @@ TEST(DaemonTest, InvalidSampleSpecGetsAnErrorFrameNotACrash)
     EXPECT_TRUE(client.submit(req, &error)) << error;
     EXPECT_TRUE(client.streamResults(nullptr, nullptr, &error))
         << error;
+}
+
+TEST(DaemonTest, OutOfRangeOrderAndTableGetErrorFramesNotACrash)
+{
+    DaemonConfig cfg;
+    cfg.socketPath = testSocketPath();
+    cfg.workers = 1;
+    Daemon daemon(cfg);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+
+    Client client;
+    ASSERT_TRUE(client.connect(cfg.socketPath, &error)) << error;
+
+    // Each of these reached a constructor assert, which aborted the
+    // whole daemon.
+    const std::pair<const char *, const char *> bad[] = {
+        {"workload=mcf;predictor=gdiff;order=65",
+         "gdiff order 65 is out of range"},
+        {"workload=mcf;predictor=gdiff2;order=1",
+         "gdiff2 order 1 is out of range"},
+        {"workload=mcf;predictor=gdiff2;order=17",
+         "gdiff2 order 17 is out of range"},
+        {"workload=mcf;scheme=sgvq;order=65",
+         "sgvq order 65 is out of range"},
+        {"workload=mcf;scheme=hgvq;order=65",
+         "hgvq order 65 is out of range"},
+        {"workload=mcf;predictor=stride;table=1000",
+         "not a power of two"},
+        {"workload=mcf;predictor=gdiff;order=4294967304",
+         "out of range"},
+        {"workload=mcf;predictor=gdiff;order=4294967296",
+         "out of range"},
+    };
+    for (const auto &[grid, message] : bad) {
+        SubmitRequest req;
+        req.grid = grid;
+        req.instructions = 2000;
+        req.warmup = 100;
+        EXPECT_FALSE(client.submit(req, &error)) << grid;
+        EXPECT_NE(error.find(message), std::string::npos)
+            << grid << ": " << error;
+    }
+
+    EXPECT_TRUE(client.ping(&error)) << error;
+    EXPECT_EQ(submitSmallGrid(client, "after").size(), 4u);
 }
 
 TEST(DaemonTest, SecondClientIsServedEntirelyFromTheSharedCache)
