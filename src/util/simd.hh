@@ -4,9 +4,10 @@
  *
  * gdiff (docs/INTERNALS.md §10) leans on two data-parallel passes:
  * building a lane of differences against a window, and finding the
- * first matching position among stored differences. The stride-period
- * scan leans on a third: counting zero second differences. Each pass
- * has two implementations:
+ * first matching position among stored differences. The period scans
+ * lean on two more: counting zero second differences (wide columns,
+ * and the sampled simulator's strata), and counting lag-L equal bytes
+ * (the v3 encoder's u8 columns). Each pass has two implementations:
  *
  *  - a portable scalar loop, always compiled and always tested;
  *  - a hand-rolled AVX2 variant compiled with a per-function target
@@ -89,6 +90,14 @@ int firstEqual(const int64_t *a, const int64_t *b, size_t n);
  * without the lane kernel. Returns 0 when n <= 2L.
  */
 size_t countSecondDiffZero(const uint64_t *v, size_t n, size_t L);
+
+/**
+ * @return how many i in [L, n) have v[i] == v[i-L]. This is the inner
+ * loop of the v3 encoder's period scan over u8 columns (opcodes,
+ * registers, flags), run once per candidate period. Returns 0 when
+ * n <= L.
+ */
+size_t countLagEqualBytes(const uint8_t *v, size_t n, size_t L);
 
 } // namespace simd
 } // namespace gdiff

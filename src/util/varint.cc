@@ -3,17 +3,6 @@
 namespace gdiff {
 namespace codec {
 
-void
-encodeDeltaVarint(const uint64_t *v, uint32_t n,
-                  std::vector<uint8_t> &out)
-{
-    uint64_t prev = 0;
-    for (uint32_t i = 0; i < n; ++i) {
-        putVarint(out, zigzagEncode(static_cast<int64_t>(v[i] - prev)));
-        prev = v[i];
-    }
-}
-
 bool
 decodeDeltaVarint(const uint8_t *p, size_t bytes, uint64_t *v,
                   uint32_t n)
@@ -30,27 +19,6 @@ decodeDeltaVarint(const uint8_t *p, size_t bytes, uint64_t *v,
         v[i] = prev;
     }
     return p == end;
-}
-
-void
-encodeDeltaRle(const uint64_t *v, uint32_t n,
-               std::vector<uint8_t> &out)
-{
-    uint64_t prev = 0;
-    uint32_t i = 0;
-    while (i < n) {
-        uint64_t delta = v[i] - prev;
-        uint32_t run = 1;
-        uint64_t at = v[i];
-        while (i + run < n && v[i + run] - at == delta) {
-            at = v[i + run];
-            ++run;
-        }
-        putVarint(out, zigzagEncode(static_cast<int64_t>(delta)));
-        putVarint(out, run);
-        prev = at;
-        i += run;
-    }
 }
 
 bool
@@ -81,21 +49,6 @@ decodeDeltaRle(const uint8_t *p, size_t bytes, uint64_t *v,
         }
     }
     return p == end;
-}
-
-void
-encodeByteRle(const uint8_t *v, uint32_t n, std::vector<uint8_t> &out)
-{
-    uint32_t i = 0;
-    while (i < n) {
-        uint8_t byte = v[i];
-        uint32_t run = 1;
-        while (i + run < n && v[i + run] == byte)
-            ++run;
-        out.push_back(byte);
-        putVarint(out, run);
-        i += run;
-    }
 }
 
 bool

@@ -34,9 +34,9 @@
 #ifndef GDIFF_UTIL_VARINT_HH
 #define GDIFF_UTIL_VARINT_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace gdiff {
 namespace codec {
@@ -61,9 +61,43 @@ zigzagDecode(uint64_t v)
            -static_cast<int64_t>(v & 1);
 }
 
-/** Append the LEB128 encoding of @p v to @p out. */
+/** @return the length of @p v's LEB128 encoding (1..maxVarintBytes). */
+inline constexpr size_t
+varintBytes(uint64_t v)
+{
+    // ceil(bits / 7) for bits in 1..64, as a multiply and a shift.
+    const unsigned bits = static_cast<unsigned>(std::bit_width(v | 1));
+    return (9 * bits + 64) >> 6;
+}
+
+/// @name output sinks
+/// Each column codec below has one body, a template over where its
+/// bytes go. A sink is anything with push_back(uint8_t): a
+/// std::vector, a CountingSink that sizes an encoding exactly without
+/// storing it, or a WritingSink that stores it into space the caller
+/// reserved at that size.
+/// @{
+
+/** Counts the bytes an encoding would take. */
+struct CountingSink
+{
+    size_t bytes = 0;
+
+    void push_back(uint8_t) { ++bytes; }
+};
+
+/** Stores bytes through a cursor; the caller reserved the space. */
+struct WritingSink
+{
+    uint8_t *p;
+
+    void push_back(uint8_t b) { *p++ = b; }
+};
+
+/** Append the LEB128 encoding of @p v to the sink @p out. */
+template <typename Sink>
 inline void
-putVarint(std::vector<uint8_t> &out, uint64_t v)
+putVarint(Sink &out, uint64_t v)
 {
     while (v >= 0x80) {
         out.push_back(static_cast<uint8_t>(v) | 0x80);
@@ -71,6 +105,15 @@ putVarint(std::vector<uint8_t> &out, uint64_t v)
     }
     out.push_back(static_cast<uint8_t>(v));
 }
+
+/** Counting form: the length alone, without the byte loop. */
+inline void
+putVarint(CountingSink &out, uint64_t v)
+{
+    out.bytes += varintBytes(v);
+}
+
+/// @}
 
 /**
  * Decode one LEB128 varint from [p, end).
@@ -148,11 +191,162 @@ fnv1aPair(const void *data, size_t bytes, uint64_t *a, uint64_t *b)
 /// @}
 
 /// @name column codecs (element counts are fixed by the caller)
+///
+/// Every encoder reads its column in *phase order* with period L:
+/// v[0], v[L], v[2L], ..., then v[1], v[1 + L], ..., and so on up to
+/// phase L - 1. With L = 1 that is plain order; with the loop's
+/// period it is the phase-transposed column the T codecs store, read
+/// in place.
 /// @{
 
-/** Append zigzag-varint deltas of v[0..n) to @p out (v[-1] := 0). */
-void encodeDeltaVarint(const uint64_t *v, uint32_t n,
-                       std::vector<uint8_t> &out);
+/** Call @p f on each element of v[0..n) in phase order (period @p L). */
+template <typename T, typename F>
+inline void
+forEachInPhaseOrder(const T *v, uint32_t n, uint32_t L, F &&f)
+{
+    for (uint32_t phase = 0; phase < L; ++phase)
+        for (uint32_t i = phase; i < n; i += L)
+            f(v[i]);
+}
+
+/**
+ * The run-length body deltaRle and byteRle share, fed one element at
+ * a time: a run continues while the next element equals the run's
+ * first, and each run becomes its element, written by
+ * Value::put(out, x), then the varint run length.
+ */
+template <typename Sink, typename T, typename Value>
+struct RunEncoder
+{
+    Sink &out;
+    T runValue{};
+    uint32_t run = 0;
+
+    void
+    push(T x)
+    {
+        if (run != 0 && x == runValue) {
+            ++run;
+            return;
+        }
+        flush();
+        runValue = x;
+        run = 1;
+    }
+
+    void
+    flush()
+    {
+        if (run == 0)
+            return;
+        Value::put(out, runValue);
+        putVarint(out, run);
+        run = 0;
+    }
+};
+
+/** deltaRle's run element: the delta as a zigzag varint. */
+struct ZigzagVarintValue
+{
+    template <typename Sink>
+    static void
+    put(Sink &out, uint64_t d)
+    {
+        putVarint(out, zigzagEncode(static_cast<int64_t>(d)));
+    }
+};
+
+/** byteRle's run element: the byte itself. */
+struct ByteValue
+{
+    template <typename Sink>
+    static void
+    put(Sink &out, uint8_t b)
+    {
+        out.push_back(b);
+    }
+};
+
+/** deltaVarint's body, fed one delta at a time: a zigzag varint each. */
+template <typename Sink>
+struct DeltaVarintEncoder
+{
+    Sink &out;
+
+    void push(uint64_t d) { ZigzagVarintValue::put(out, d); }
+    void flush() {}
+};
+
+/// deltaRle's body: (zigzag-varint delta, varint run) pairs
+template <typename Sink>
+using DeltaRleEncoder = RunEncoder<Sink, uint64_t, ZigzagVarintValue>;
+
+/**
+ * Feed the deltas of v[0..n), read in phase order (period @p L), to
+ * every delta encoder in @p enc in one pass, then flush them: several
+ * codecs sized or written over one read of the column. Each delta is
+ * from the element read before it (the first from 0), so a column of
+ * L interleaved strides reads as L constant-delta runs.
+ */
+template <typename... Encoders>
+inline void
+encodeDeltas(const uint64_t *v, uint32_t n, uint32_t L,
+             Encoders &...enc)
+{
+    uint64_t prev = 0;
+    forEachInPhaseOrder(v, n, L, [&](uint64_t x) {
+        const uint64_t d = x - prev;
+        prev = x;
+        (enc.push(d), ...);
+    });
+    (enc.flush(), ...);
+}
+
+/** Write zigzag-varint deltas of v[0..n), in phase order, to @p out. */
+template <typename Sink>
+inline void
+encodeDeltaVarint(const uint64_t *v, uint32_t n, uint32_t L, Sink &out)
+{
+    DeltaVarintEncoder<Sink> enc{out};
+    encodeDeltas(v, n, L, enc);
+}
+
+/** Write deltaRle pairs covering v[0..n), in phase order, to @p out. */
+template <typename Sink>
+inline void
+encodeDeltaRle(const uint64_t *v, uint32_t n, uint32_t L, Sink &out)
+{
+    DeltaRleEncoder<Sink> enc{out};
+    encodeDeltas(v, n, L, enc);
+}
+
+/**
+ * Size deltaVarint and deltaRle of v[0..n), in phase order, exactly
+ * and in one pass: *@p varint and *@p rle receive the byte counts
+ * encodeDeltaVarint() and encodeDeltaRle() would write.
+ */
+inline void
+sizeDeltaCodecs(const uint64_t *v, uint32_t n, uint32_t L,
+                size_t *varint, size_t *rle)
+{
+    CountingSink varintCount, rleCount;
+    DeltaVarintEncoder<CountingSink> a{varintCount};
+    DeltaRleEncoder<CountingSink> b{rleCount};
+    encodeDeltas(v, n, L, a, b);
+    *varint = varintCount.bytes;
+    *rle = rleCount.bytes;
+}
+
+/** Write (byte, varint run) pairs covering v[0..n), in phase order,
+ *  to @p out. */
+template <typename Sink>
+inline void
+encodeByteRle(const uint8_t *v, uint32_t n, uint32_t L, Sink &out)
+{
+    RunEncoder<Sink, uint8_t, ByteValue> enc{out};
+    forEachInPhaseOrder(v, n, L, [&](uint8_t b) { enc.push(b); });
+    enc.flush();
+}
 
 /** Decode exactly @p n elements from exactly @p bytes bytes.
  *  @return false on malformed input (nothing may be assumed about
@@ -160,17 +354,9 @@ void encodeDeltaVarint(const uint64_t *v, uint32_t n,
 bool decodeDeltaVarint(const uint8_t *p, size_t bytes, uint64_t *v,
                        uint32_t n);
 
-/** Append (zigzag-varint delta, varint run) pairs covering v[0..n). */
-void encodeDeltaRle(const uint64_t *v, uint32_t n,
-                    std::vector<uint8_t> &out);
-
 /** Decode exactly @p n elements from exactly @p bytes bytes. */
 bool decodeDeltaRle(const uint8_t *p, size_t bytes, uint64_t *v,
                     uint32_t n);
-
-/** Append (byte, varint run) pairs covering v[0..n). */
-void encodeByteRle(const uint8_t *v, uint32_t n,
-                   std::vector<uint8_t> &out);
 
 /** Decode exactly @p n elements from exactly @p bytes bytes. */
 bool decodeByteRle(const uint8_t *p, size_t bytes, uint8_t *v,

@@ -1,8 +1,11 @@
 #include "workload/trace_io.hh"
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstring>
 
+#include "obs/obs.hh"
 #include "util/logging.hh"
 #include "util/simd.hh"
 #include "util/varint.hh"
@@ -129,12 +132,12 @@ scatterInstColumns(TraceChunk &chunk, const BlockColumns &cols,
 }
 
 void
-appendLE32(std::vector<uint8_t> &out, uint32_t v)
+storeLE32(uint8_t *p, uint32_t v)
 {
-    out.push_back(static_cast<uint8_t>(v));
-    out.push_back(static_cast<uint8_t>(v >> 8));
-    out.push_back(static_cast<uint8_t>(v >> 16));
-    out.push_back(static_cast<uint8_t>(v >> 24));
+    p[0] = static_cast<uint8_t>(v);
+    p[1] = static_cast<uint8_t>(v >> 8);
+    p[2] = static_cast<uint8_t>(v >> 16);
+    p[3] = static_cast<uint8_t>(v >> 24);
 }
 
 uint32_t
@@ -146,18 +149,10 @@ readLE32(const uint8_t *p)
            static_cast<uint32_t>(p[3]) << 24;
 }
 
-/** Reorder @p v into @p t as L interleaved phase subsequences. */
-template <typename T>
-void
-transposePhases(const T *v, uint32_t n, uint32_t L, T *t)
-{
-    size_t idx = 0;
-    for (uint32_t p = 0; p < L; ++p)
-        for (uint32_t i = p; i < n; i += L)
-            t[idx++] = v[i];
-}
-
-/** Inverse of transposePhases(). */
+/**
+ * Scatter @p t, a column stored as L interleaved phase subsequences
+ * (the phase order of util/varint.hh), back into plain order in @p v.
+ */
 template <typename T>
 void
 untransposePhases(const T *t, uint32_t n, uint32_t L, T *v)
@@ -166,6 +161,53 @@ untransposePhases(const T *t, uint32_t n, uint32_t L, T *v)
     for (uint32_t p = 0; p < L; ++p)
         for (uint32_t i = p; i < n; i += L)
             v[i] = t[idx++];
+}
+
+/// elements a period scan counts between checks of its bound
+constexpr uint32_t periodScanSlice = 256;
+
+/**
+ * The period search both column scans share. Candidate L's hits are
+ * counted by @p count(begin, end, L) over the positions
+ * [Span * L, window) of the scan window, whose first Span * L
+ * elements have no lag partner. Its score is the hit count
+ * normalized to the whole window, so long and short periods compete
+ * fairly. @return the L (2..maxPeriod) with the highest score (the
+ * smallest L on a tie) among those scoring at least an eighth of the
+ * window, or 1 when none does.
+ *
+ * Hits are counted a slice at a time. Once even a hit at every
+ * position left could not give L a winning score, L is dropped: the
+ * result is the one a full count of every L would give.
+ */
+template <uint32_t Span, typename Count>
+uint32_t
+bestPeriod(uint32_t n, Count count)
+{
+    if (n < 4 * 2)
+        return 1;
+    const uint32_t window = n < periodScanWindow ? n : periodScanWindow;
+    uint32_t bestL = 1;
+    uint64_t bestScore = 0;
+    for (uint32_t L = 2; L <= maxPeriod && Span * L < window; ++L) {
+        const uint32_t first = Span * L;
+        uint64_t hits = 0;
+        for (uint32_t at = first;;) {
+            const uint64_t most = hits + (window - at);
+            const uint64_t score = most * window / (window - first);
+            if (score <= bestScore || score * 8 < window)
+                break; // L cannot win
+            if (at == window) { // fully counted: L wins so far
+                bestScore = score;
+                bestL = L;
+                break;
+            }
+            const uint32_t end = std::min(window, at + periodScanSlice);
+            hits += count(at, end, L);
+            at = end;
+        }
+    }
+    return bestL;
 }
 
 /**
@@ -178,48 +220,25 @@ untransposePhases(const T *t, uint32_t n, uint32_t L, T *v)
 uint32_t
 bestWidePeriod(const uint64_t *v, uint32_t n)
 {
-    if (n < 4 * 2)
-        return 1;
-    const uint32_t window = n < periodScanWindow ? n : periodScanWindow;
-    uint32_t bestL = 1;
-    uint64_t bestScore = 0;
-    for (uint32_t L = 2; L <= maxPeriod && 2 * L < window; ++L) {
-        // Lane kernel for the lag-L second-difference count: this
-        // scan runs once per candidate period for every encoded
-        // block and every profiled sampling window, and is the
-        // dominant cost of both callers.
-        uint64_t score = simd::countSecondDiffZero(v, window, L);
-        // Normalize so long and short periods compete fairly within
-        // the shared window.
-        score = score * window / (window - 2 * L);
-        if (score > bestScore && score * 8 >= window) {
-            bestScore = score;
-            bestL = L;
-        }
-    }
-    return bestL;
+    // Lane kernel for the lag-L second-difference count: this scan
+    // runs for every encoded block and every profiled sampling
+    // window, and is a large share of both callers' cost.
+    return bestPeriod<2>(n, [v](uint32_t begin, uint32_t end,
+                                uint32_t L) {
+        return simd::countSecondDiffZero(v + begin - 2 * L,
+                                         end - begin + 2 * L, L);
+    });
 }
 
 /** Same idea for u8 columns: lag-L equality instead of lag-L deltas. */
 uint32_t
 bestBytePeriod(const uint8_t *v, uint32_t n)
 {
-    if (n < 4 * 2)
-        return 1;
-    const uint32_t window = n < periodScanWindow ? n : periodScanWindow;
-    uint32_t bestL = 1;
-    uint64_t bestScore = 0;
-    for (uint32_t L = 2; L <= maxPeriod && L < window; ++L) {
-        uint64_t score = 0;
-        for (uint32_t i = L; i < window; ++i)
-            score += v[i] == v[i - L];
-        score = score * window / (window - L);
-        if (score > bestScore && score * 8 >= window) {
-            bestScore = score;
-            bestL = L;
-        }
-    }
-    return bestL;
+    return bestPeriod<1>(n, [v](uint32_t begin, uint32_t end,
+                                uint32_t L) {
+        return simd::countLagEqualBytes(v + begin - L, end - begin + L,
+                                        L);
+    });
 }
 
 TraceIoResult
@@ -238,14 +257,19 @@ detectStridePeriod(const uint64_t *v, uint32_t n)
 
 namespace detail {
 
-/** Heap scratch for block decoding (~250 KiB, reused per reader). */
-struct TraceDecodeScratch
+/**
+ * Heap scratch for one block's columns (~250 KiB), kept per reader
+ * and per writer so no block allocates.
+ */
+struct TraceBlockScratch
 {
     BlockColumns cols;
-    /// wide-lane staging for delta-decoded 64-bit columns
+    /// wide-lane staging: delta-decoded 64-bit columns, and the u32
+    /// target column widened for encoding
     std::array<uint64_t, TraceChunk::capacity> lanes;
-    /// staging for phase-transposed codecs (decoded before the
-    /// un-transpose pass)
+    /// staging for phase-transposed codecs, decoded before the
+    /// un-transpose pass (the encoder reads a column in phase order
+    /// in place)
     std::array<uint64_t, TraceChunk::capacity> lanesT;
     std::array<uint8_t, TraceChunk::capacity> bytesT;
 };
@@ -296,7 +320,7 @@ getPeriod(const uint8_t *&data, uint32_t &len, uint32_t n,
 bool
 decodeColumn(uint8_t tag, const uint8_t *data, uint32_t len,
              uint32_t n, size_t elemBytes, uint64_t *dest64,
-             uint8_t *dest8, detail::TraceDecodeScratch &s)
+             uint8_t *dest8, detail::TraceBlockScratch &s)
 {
     if (dest8) {
         switch (tag) {
@@ -440,7 +464,7 @@ splitColumns(const uint8_t *payload, size_t bytes, uint32_t n,
  */
 bool
 decodeColumnsV3(const ColumnSpan (&cols)[numColumns], uint32_t n,
-                TraceChunk &chunk, detail::TraceDecodeScratch &s,
+                TraceChunk &chunk, detail::TraceBlockScratch &s,
                 bool pcValueOnly, std::string *why)
 {
     // Signed and narrow columns stage through scratch lanes; unsigned
@@ -556,19 +580,19 @@ checkFooter(const uint8_t *p, uint64_t digest, const std::string &name)
 }
 
 /// per-thread decode scratch for decodeTraceBlock()
-detail::TraceDecodeScratch &
+detail::TraceBlockScratch &
 threadScratch()
 {
-    thread_local std::unique_ptr<detail::TraceDecodeScratch> s;
+    thread_local std::unique_ptr<detail::TraceBlockScratch> s;
     if (!s)
-        s = std::make_unique<detail::TraceDecodeScratch>();
+        s = std::make_unique<detail::TraceBlockScratch>();
     return *s;
 }
 
 /** Decode a raw v2 column section (exactly v2RecordBytes*n bytes). */
 void
 decodeColumnsV2(const uint8_t *p, uint32_t n, TraceChunk &chunk,
-                detail::TraceDecodeScratch &s)
+                detail::TraceBlockScratch &s)
 {
     auto take = [&](void *dest, size_t elemBytes) {
         std::memcpy(dest, p, elemBytes * n);
@@ -619,10 +643,15 @@ checkHeader(const FileHeader &h, const std::string &name,
 // ----------------------------------------------------- TraceWriter
 
 TraceWriter::TraceWriter(const std::string &p, uint32_t version)
-    : path(p), ver(version), fileDigest(codec::fnvOffsetBasis)
+    : path(p), ver(version), fileDigest(codec::fnvOffsetBasis),
+      // Each block writes the scratch it reads: leave it unzeroed.
+      scratch(std::make_unique_for_overwrite<detail::TraceBlockScratch>())
 {
     GDIFF_ASSERT(ver == traceVersionV2 || ver == traceVersionV3,
                  "unsupported trace write version %u", ver);
+    if (ver == traceVersionV3)
+        payload = std::make_unique_for_overwrite<uint8_t[]>(
+            maxV3PayloadBytes);
     file = std::fopen(path.c_str(), "wb");
     if (!file) {
         st = ioError(TraceIoStatus::IoError,
@@ -692,121 +721,161 @@ TraceWriter::writeRaw(const void *data, size_t bytes, const char *what)
 void
 TraceWriter::writeBlock(const TraceChunk &chunk)
 {
-    const uint32_t n = chunk.size;
-    GDIFF_ASSERT(n > 0 && n <= TraceChunk::capacity,
-                 "trace block size %u out of range", n);
+    GDIFF_ASSERT(chunk.size > 0 && chunk.size <= TraceChunk::capacity,
+                 "trace block size %u out of range", chunk.size);
     if (st.failed())
         return;
+    // Accumulate locally; close() makes the one registry call.
+    const bool timed = obs::enabled();
+    const uint64_t t0 = timed ? obs::nowNs() : 0;
+    if (ver == traceVersionV2)
+        writeV2Block(chunk);
+    else
+        writeV3Block(chunk);
+    if (timed) {
+        if (encodeBlocks++ == 0)
+            encodeStartNs = t0;
+        encodeNs += obs::nowNs() - t0;
+    }
+}
+
+void
+TraceWriter::writeV2Block(const TraceChunk &chunk)
+{
+    const uint32_t n = chunk.size;
+    BlockColumns &cols = scratch->cols;
+    gatherInstColumns(chunk, cols);
     auto writeCol = [&](const void *data, size_t bytes) {
         writeRaw(data, bytes, "block");
     };
+    writeCol(&n, sizeof(n));
+    writeCol(cols.op.data(), n);
+    writeCol(cols.rd.data(), n);
+    writeCol(cols.rs1.data(), n);
+    writeCol(cols.rs2.data(), n);
+    writeCol(chunk.flags.data(), n);
+    writeCol(cols.target.data(), size_t(n) * 4);
+    writeCol(cols.imm.data(), size_t(n) * 8);
+    writeCol(chunk.seq.data(), size_t(n) * 8);
+    writeCol(chunk.pc.data(), size_t(n) * 8);
+    writeCol(chunk.nextPc.data(), size_t(n) * 8);
+    writeCol(chunk.value.data(), size_t(n) * 8);
+    writeCol(chunk.effAddr.data(), size_t(n) * 8);
+}
 
-    auto cols = std::make_unique<BlockColumns>();
-    gatherInstColumns(chunk, *cols);
+void
+TraceWriter::writeV3Block(const TraceChunk &chunk)
+{
+    // Every candidate encoding of a column, raw included, is sized
+    // exactly first; only the smallest is then encoded, once, straight
+    // into the payload. Incompressible columns cost only the 5-byte
+    // tag+length framing over v2. Ties go to the earlier codec in
+    // the order the branches below test them.
+    const uint32_t n = chunk.size;
+    detail::TraceBlockScratch &s = *scratch;
+    gatherInstColumns(chunk, s.cols);
+    uint8_t *out = payload.get();
 
-    if (ver == traceVersionV2) {
-        writeCol(&n, sizeof(n));
-        writeCol(cols->op.data(), n);
-        writeCol(cols->rd.data(), n);
-        writeCol(cols->rs1.data(), n);
-        writeCol(cols->rs2.data(), n);
-        writeCol(chunk.flags.data(), n);
-        writeCol(cols->target.data(), size_t(n) * 4);
-        writeCol(cols->imm.data(), size_t(n) * 8);
-        writeCol(chunk.seq.data(), size_t(n) * 8);
-        writeCol(chunk.pc.data(), size_t(n) * 8);
-        writeCol(chunk.nextPc.data(), size_t(n) * 8);
-        writeCol(chunk.value.data(), size_t(n) * 8);
-        writeCol(chunk.effAddr.data(), size_t(n) * 8);
-        return;
-    }
-
-    // v3: encode each column, keeping the smallest of the candidate
-    // encodings, raw included — incompressible columns cost only the
-    // 5-byte tag+length framing over v2.
-    payload.clear();
-    auto putTagged = [&](uint8_t tag, const uint8_t *data,
-                         size_t bytes) {
-        payload.push_back(tag);
-        appendLE32(payload, static_cast<uint32_t>(bytes));
-        payload.insert(payload.end(), data, data + bytes);
+    // Frame a column of @p bytes counted bytes under @p tag and let
+    // @p encode write them; the write must fill the frame exactly.
+    auto emit = [&](uint8_t tag, size_t bytes, auto &&encode) {
+        out[0] = tag;
+        storeLE32(out + 1, static_cast<uint32_t>(bytes));
+        codec::WritingSink sink{out + 5};
+        encode(sink);
+        GDIFF_ASSERT(sink.p == out + 5 + bytes,
+                     "column codec %u wrote %zu bytes, sized %zu",
+                     static_cast<unsigned>(tag),
+                     static_cast<size_t>(sink.p - out - 5), bytes);
+        out = sink.p;
     };
-    auto lanes = std::make_unique<
-        std::array<uint64_t, TraceChunk::capacity>>();
-    auto transposed = std::make_unique<
-        std::array<uint64_t, TraceChunk::capacity>>();
-    auto bytesT = std::make_unique<
-        std::array<uint8_t, TraceChunk::capacity>>();
+    auto copyRaw = [](const void *raw, size_t bytes) {
+        return [raw, bytes](codec::WritingSink &sink) {
+            std::memcpy(sink.p, raw, bytes);
+            sink.p += bytes;
+        };
+    };
 
+    // A transposed candidate (L > 1) is its period, then its codec
+    // over the column read in phase order in place. One that does not
+    // apply sizes as SIZE_MAX, so it never wins.
+    constexpr size_t absent = SIZE_MAX;
+
+    // u8 columns: byteRleT, byteRle, raw.
     auto putU8 = [&](const uint8_t *col) {
-        candA.clear();
-        codec::encodeByteRle(col, n, candA);
-        candC.clear();
-        uint32_t L = bestBytePeriod(col, n);
+        codec::CountingSink rle;
+        codec::encodeByteRle(col, n, 1, rle);
+        size_t rleT = absent;
+        const uint32_t L = bestBytePeriod(col, n);
         if (L > 1) { // periodic u8 stream: RLE each phase
-            codec::putVarint(candC, L);
-            transposePhases(col, n, L, bytesT->data());
-            codec::encodeByteRle(bytesT->data(), n, candC);
+            codec::CountingSink phased;
+            codec::encodeByteRle(col, n, L, phased);
+            rleT = codec::varintBytes(L) + phased.bytes;
         }
-        size_t best = std::min<size_t>(n, candA.size());
-        if (!candC.empty())
-            best = std::min(best, candC.size());
-        if (!candC.empty() && candC.size() == best)
-            putTagged(codecByteRleT, candC.data(), candC.size());
-        else if (candA.size() == best)
-            putTagged(codecByteRle, candA.data(), candA.size());
+        auto byteRle = [&](uint32_t period) {
+            return [&, period](codec::WritingSink &sink) {
+                if (period > 1)
+                    codec::putVarint(sink, period);
+                codec::encodeByteRle(col, n, period, sink);
+            };
+        };
+        const size_t best = std::min({rleT, rle.bytes, size_t(n)});
+        if (rleT == best)
+            emit(codecByteRleT, best, byteRle(L));
+        else if (rle.bytes == best)
+            emit(codecByteRle, best, byteRle(1));
         else
-            putTagged(codecRaw, col, n);
+            emit(codecRaw, n, copyRaw(col, n));
     };
+
+    // Wide columns: deltaRleT, deltaVarintT, deltaRle, deltaVarint,
+    // raw.
     auto putWide = [&](const uint64_t *v, const void *raw,
                        size_t elemBytes) {
-        candA.clear();
-        codec::encodeDeltaVarint(v, n, candA);
-        candB.clear();
-        codec::encodeDeltaRle(v, n, candB);
-        candC.clear();
-        candD.clear();
-        uint32_t L = bestWidePeriod(v, n);
+        size_t varint = 0, rle = 0, varintT = absent, rleT = absent;
+        codec::sizeDeltaCodecs(v, n, 1, &varint, &rle);
+        const uint32_t L = bestWidePeriod(v, n);
         if (L > 1) { // interleaved strides: encode each phase
-            transposePhases(v, n, L, transposed->data());
-            codec::putVarint(candC, L);
-            codec::encodeDeltaRle(transposed->data(), n, candC);
-            codec::putVarint(candD, L);
-            codec::encodeDeltaVarint(transposed->data(), n, candD);
+            codec::sizeDeltaCodecs(v, n, L, &varintT, &rleT);
+            varintT += codec::varintBytes(L);
+            rleT += codec::varintBytes(L);
         }
-        size_t rawBytes = elemBytes * n;
-        size_t best = std::min(rawBytes,
-                               std::min(candA.size(), candB.size()));
-        if (!candC.empty())
-            best = std::min(best, std::min(candC.size(),
-                                           candD.size()));
-        if (!candC.empty() && candC.size() == best)
-            putTagged(codecDeltaRleT, candC.data(), candC.size());
-        else if (!candD.empty() && candD.size() == best)
-            putTagged(codecDeltaVarintT, candD.data(), candD.size());
-        else if (candB.size() == best)
-            putTagged(codecDeltaRle, candB.data(), candB.size());
-        else if (candA.size() == best)
-            putTagged(codecDeltaVarint, candA.data(), candA.size());
+        auto deltas = [&](uint32_t period, bool runs) {
+            return [&, period, runs](codec::WritingSink &sink) {
+                if (period > 1)
+                    codec::putVarint(sink, period);
+                if (runs)
+                    codec::encodeDeltaRle(v, n, period, sink);
+                else
+                    codec::encodeDeltaVarint(v, n, period, sink);
+            };
+        };
+        const size_t rawBytes = elemBytes * n;
+        const size_t best =
+            std::min({rleT, varintT, rle, varint, rawBytes});
+        if (rleT == best)
+            emit(codecDeltaRleT, best, deltas(L, true));
+        else if (varintT == best)
+            emit(codecDeltaVarintT, best, deltas(L, false));
+        else if (rle == best)
+            emit(codecDeltaRle, best, deltas(1, true));
+        else if (varint == best)
+            emit(codecDeltaVarint, best, deltas(1, false));
         else
-            putTagged(codecRaw, static_cast<const uint8_t *>(raw),
-                      rawBytes);
+            emit(codecRaw, rawBytes, copyRaw(raw, rawBytes));
     };
 
-    auto widen32 = [&](const uint32_t *src) {
-        for (uint32_t i = 0; i < n; ++i)
-            (*lanes)[i] = src[i];
-        return lanes->data();
-    };
+    for (uint32_t i = 0; i < n; ++i)
+        s.lanes[i] = s.cols.target[i];
 
-    putU8(cols->op.data());
-    putU8(cols->rd.data());
-    putU8(cols->rs1.data());
-    putU8(cols->rs2.data());
+    putU8(s.cols.op.data());
+    putU8(s.cols.rd.data());
+    putU8(s.cols.rs1.data());
+    putU8(s.cols.rs2.data());
     putU8(chunk.flags.data());
-    putWide(widen32(cols->target.data()), cols->target.data(), 4);
-    putWide(reinterpret_cast<const uint64_t *>(cols->imm.data()),
-            cols->imm.data(), 8);
+    putWide(s.lanes.data(), s.cols.target.data(), 4);
+    putWide(reinterpret_cast<const uint64_t *>(s.cols.imm.data()),
+            s.cols.imm.data(), 8);
     putWide(chunk.seq.data(), chunk.seq.data(), 8);
     putWide(chunk.pc.data(), chunk.pc.data(), 8);
     putWide(chunk.nextPc.data(), chunk.nextPc.data(), 8);
@@ -814,13 +883,13 @@ TraceWriter::writeBlock(const TraceChunk &chunk)
             chunk.value.data(), 8);
     putWide(chunk.effAddr.data(), chunk.effAddr.data(), 8);
 
-    BlockHeaderV3 bh{n, static_cast<uint32_t>(payload.size()),
-                     codec::fnv1a(payload.data(), payload.size())};
+    const size_t bytes = static_cast<size_t>(out - payload.get());
+    BlockHeaderV3 bh{n, static_cast<uint32_t>(bytes),
+                     codec::fnv1a(payload.get(), bytes)};
     fileDigest = codec::fnv1a(&bh, sizeof(bh), fileDigest);
-    fileDigest =
-        codec::fnv1a(payload.data(), payload.size(), fileDigest);
-    writeCol(&bh, sizeof(bh));
-    writeCol(payload.data(), payload.size());
+    fileDigest = codec::fnv1a(payload.get(), bytes, fileDigest);
+    writeRaw(&bh, sizeof(bh), "block");
+    writeRaw(payload.get(), bytes, "block");
 }
 
 TraceIoResult
@@ -832,6 +901,13 @@ TraceWriter::close()
     if (ver == traceVersionV3) {
         FooterV3 foot{footerMagic, 0, fileDigest};
         writeRaw(&foot, sizeof(foot), "footer");
+    }
+    if (encodeBlocks != 0) {
+        obs::Registry &reg = obs::Registry::local();
+        reg.addTimer("trace_io.encode", encodeNs);
+        reg.addSpan("trace_io.encode", encodeStartNs, encodeNs,
+                    {{"records", std::to_string(count)},
+                     {"blocks", std::to_string(encodeBlocks)}});
     }
     // Finalise the record count in the header.
     if (!st.failed() && std::fseek(file, 0, SEEK_SET) != 0) {
@@ -857,7 +933,7 @@ TraceWriter::close()
 TraceReader::TraceReader()
     : last(ioError(TraceIoStatus::IoError,
                    "read from an unopened trace reader")),
-      scratch(std::make_unique<detail::TraceDecodeScratch>())
+      scratch(std::make_unique<detail::TraceBlockScratch>())
 {}
 
 TraceReader::~TraceReader()

@@ -16,10 +16,11 @@
  *  - Version 3 (chunked columnar, stride-delta compressed): each
  *    block is a u32 record count, a u32 payload length, a u64 FNV-1a
  *    digest of the payload, and then one *codec-tagged* column per
- *    field: the writer delta-encodes each column (util/varint.hh —
- *    zigzag-varint deltas, or run-length coded deltas for
- *    constant-stride spans) and keeps whichever encoding is smallest,
- *    falling back to the raw column when the data is incompressible.
+ *    field: the writer sizes each candidate encoding of a column
+ *    exactly (util/varint.hh — zigzag-varint deltas, or run-length
+ *    coded deltas for constant-stride spans, plain or phase-
+ *    transposed) and encodes only the smallest, falling back to the
+ *    raw column when the data is incompressible.
  *    A 16-byte footer carries an FNV-1a digest of every block byte,
  *    so whole-file integrity can be checked cheaply (the persistent
  *    disk cache does, before trusting an entry). Stride-dominant
@@ -95,6 +96,11 @@ struct TraceIoResult
     bool failed() const { return !ok() && !end(); }
 };
 
+namespace detail {
+/// one block's encode or decode scratch (heap-allocated: ~250 KiB)
+struct TraceBlockScratch;
+} // namespace detail
+
 /**
  * Writes TraceRecords to a binary trace file in chunked blocks.
  *
@@ -145,8 +151,17 @@ class TraceWriter
     /** Write the pending partial block, if any. */
     void flushPending();
 
-    /** Encode and write one block in the selected format. */
+    /** Write one block in the selected format, timing it for obs. */
     void writeBlock(const TraceChunk &chunk);
+
+    /** Write @p chunk as one block of raw v2 columns. */
+    void writeV2Block(const TraceChunk &chunk);
+
+    /**
+     * Write @p chunk as one v3 block: size every candidate encoding
+     * of each column exactly, then encode only the smallest.
+     */
+    void writeV3Block(const TraceChunk &chunk);
 
     /** Write @p bytes at @p data; records an IoError on failure. */
     void writeRaw(const void *data, size_t bytes, const char *what);
@@ -158,14 +173,17 @@ class TraceWriter
     uint64_t fileDigest = 0; ///< running FNV over v3 block bytes
     TraceIoResult st;
     std::unique_ptr<TraceChunk> pending;
-    /// reusable encode scratch (payload build + candidate encodings)
-    std::vector<uint8_t> payload, candA, candB, candC, candD;
+    /// block scratch, reused by every block: the gathered instruction
+    /// columns and the widened target column
+    std::unique_ptr<detail::TraceBlockScratch> scratch;
+    /// the v3 block payload: each column's winning encoding is
+    /// written here once, at the size counted for it; the buffer
+    /// holds the largest payload a block can have
+    std::unique_ptr<uint8_t[]> payload;
+    /// trace_io.encode obs time over this writer's blocks, reported
+    /// once at close()
+    uint64_t encodeStartNs = 0, encodeNs = 0, encodeBlocks = 0;
 };
-
-namespace detail {
-/// block decode scratch (heap-allocated: ~250 KiB)
-struct TraceDecodeScratch;
-} // namespace detail
 
 /**
  * Replays a binary trace, from a file or from an in-memory image,
@@ -251,7 +269,7 @@ class TraceReader : public TraceSource
     uint64_t runningDigest = 0;
     TraceIoResult last;
     std::vector<uint8_t> blockBuf;
-    std::unique_ptr<detail::TraceDecodeScratch> scratch;
+    std::unique_ptr<detail::TraceBlockScratch> scratch;
 };
 
 /// The image reader's former name, kept for the benchmark's probes.

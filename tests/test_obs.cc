@@ -13,15 +13,19 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <new>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "obs/obs.hh"
 #include "obs/trace_export.hh"
 #include "util/json.hh"
+#include "workload/trace_cache.hh"
 
 using namespace gdiff;
 
@@ -353,6 +357,52 @@ TEST_F(ObsTest, PrintSummaryShowsStagesAndCounters)
     EXPECT_NE(text.find("unit.events"), std::string::npos);
     EXPECT_NE(text.find("obs histograms"), std::string::npos);
     EXPECT_NE(text.find("unit.lat"), std::string::npos);
+}
+
+TEST_F(ObsTest, ColdDiskStoreTimesTheEncodeLayer)
+{
+    // A cold disk-tier acquire streams the executor's chunks through a
+    // v3 writer: trace.generate counts the fills, and trace_io.encode
+    // the encode and write between them, one sample per writer.
+    const std::string root = ::testing::TempDir() + "/gdiff_obs_encode_" +
+                             std::to_string(::getpid());
+    std::filesystem::remove_all(root);
+    const uint64_t records = 3 * workload::TraceChunk::capacity + 100;
+    {
+        workload::TraceCache cache;
+        cache.setDiskRoot(root);
+        for (const char *kernel : {"micro.stride", "micro.affine"})
+            EXPECT_TRUE(cache.acquire(kernel, 1, records).generated);
+    }
+    obs::Snapshot snap = obs::snapshot();
+    ASSERT_EQ(snap.timers.count("trace_io.encode"), 1u);
+    EXPECT_EQ(snap.timers["trace_io.encode"].calls, 2u);
+    EXPECT_GT(snap.timers["trace_io.encode"].totalNs, 0u);
+    EXPECT_EQ(snap.timers["trace.generate"].calls, 2u);
+    size_t spans = 0;
+    for (const obs::SpanEvent &e : snap.spans) {
+        if (e.name != "trace_io.encode")
+            continue;
+        ++spans;
+        EXPECT_GT(e.durNs, 0u);
+        ASSERT_FALSE(e.args.empty());
+        EXPECT_EQ(e.args[0].first, "records");
+        EXPECT_EQ(e.args[0].second, std::to_string(records));
+    }
+    EXPECT_EQ(spans, 2u);
+
+    // With obs off, another cold store records nothing.
+    obs::setEnabled(false);
+    obs::reset();
+    {
+        workload::TraceCache cache;
+        cache.setDiskRoot(root);
+        EXPECT_TRUE(cache.acquire("micro.periodic", 1, records).generated);
+    }
+    snap = obs::snapshot();
+    EXPECT_EQ(snap.timers.count("trace_io.encode"), 0u);
+    EXPECT_TRUE(snap.spans.empty());
+    std::filesystem::remove_all(root);
 }
 
 } // namespace

@@ -183,6 +183,78 @@ TEST_F(SimdKernels, CountSecondDiffZeroMatchesScalarReference)
             ASSERT_EQ(sc, ref) << "n=" << n << " L=" << L;
         }
     }
+
+    // The AVX2 body tests v[i] + v[i-2L] == 2 v[i-L] (mod 2^64)
+    // instead of comparing the two differences; values near 2^63,
+    // where 2 v wraps, must count the same. Lengths 2L+1..2L+9 leave
+    // 1..9 positions to count: the scalar tail alone, one pass of the
+    // two-vector body, and that pass plus a tail.
+    const uint64_t half = uint64_t(1) << 63;
+    for (size_t L : {1, 2, 3, 4, 5, 8, 31, 48}) {
+        for (size_t n = 2 * L + 1; n <= 2 * L + 9; ++n) {
+            Xorshift64Star rng(1000 * L + n);
+            std::vector<uint64_t> v(n);
+            // A stride whose doubles wrap, then values within a few
+            // units of 2^63 on either side.
+            const uint64_t stride = (uint64_t(1) << 62) + 1;
+            for (size_t i = 0; i < n; ++i)
+                v[i] = i % 3 == 0 ? half - 5 * stride + i * stride
+                                  : half - 2 + rng.below(5);
+            for (int variant = 0; variant < 2; ++variant) {
+                if (variant == 1) // an exact progression: all hits
+                    for (size_t i = 0; i < n; ++i)
+                        v[i] = half + 7 - i * stride;
+                size_t ref = 0;
+                for (size_t i = 2 * L; i < n; ++i)
+                    ref += (v[i] - v[i - L]) == (v[i - L] - v[i - 2 * L]);
+                simd::setModeForTest(simd::Mode::Avx2);
+                ASSERT_EQ(simd::countSecondDiffZero(v.data(), n, L), ref)
+                    << "n=" << n << " L=" << L << " variant " << variant;
+                simd::setModeForTest(simd::Mode::Scalar);
+                ASSERT_EQ(simd::countSecondDiffZero(v.data(), n, L), ref)
+                    << "n=" << n << " L=" << L << " variant " << variant;
+                if (variant == 1) {
+                    ASSERT_EQ(ref, n - 2 * L);
+                }
+            }
+        }
+    }
+}
+
+TEST_F(SimdKernels, CountLagEqualBytesMatchesScalarReference)
+{
+    // Lengths below one 32-byte vector, off the vector multiple, and
+    // past 255 vectors (where the 8-bit lane counts must be flushed
+    // before they overflow); every lag the encoder scans; inputs that
+    // are all one byte (the maximum count), and small-alphabet noise.
+    std::vector<size_t> sizes;
+    for (size_t n = 0; n <= 70; ++n)
+        sizes.push_back(n);
+    for (size_t n : {95, 96, 97, 1000, 2048, 32 * 255, 32 * 255 + 1,
+                     32 * 256 + 49, 32 * 255 * 2 + 100, 20000})
+        sizes.push_back(n);
+    for (size_t n : sizes) {
+        for (size_t L = 1; L <= 48; ++L) {
+            Xorshift64Star rng(97 * n + L);
+            std::vector<uint8_t> noise(n), same(n, 0xa5);
+            for (auto &b : noise)
+                b = static_cast<uint8_t>(rng.below(3));
+            for (const auto *v : {&noise, &same}) {
+                size_t ref = 0;
+                for (size_t i = L; i < n; ++i)
+                    ref += (*v)[i] == (*v)[i - L];
+                simd::setModeForTest(simd::Mode::Avx2);
+                ASSERT_EQ(simd::countLagEqualBytes(v->data(), n, L), ref)
+                    << "n=" << n << " L=" << L;
+                simd::setModeForTest(simd::Mode::Scalar);
+                ASSERT_EQ(simd::countLagEqualBytes(v->data(), n, L), ref)
+                    << "n=" << n << " L=" << L;
+                if (v == &same) {
+                    ASSERT_EQ(ref, n > L ? n - L : 0);
+                }
+            }
+        }
+    }
 }
 
 TEST_F(SimdKernels, RandomizedParityFuzz)
@@ -231,6 +303,16 @@ TEST_F(SimdKernels, RandomizedParityFuzz)
         simd::setModeForTest(simd::Mode::Scalar);
         size_t cSc = simd::countSecondDiffZero(u.data(), n, L);
         ASSERT_EQ(cAvx, cSc)
+            << "trial=" << trial << " n=" << n << " L=" << L;
+
+        std::vector<uint8_t> bytes(n);
+        for (size_t i = 0; i < n; ++i)
+            bytes[i] = static_cast<uint8_t>(a[i] & 3);
+        simd::setModeForTest(simd::Mode::Avx2);
+        size_t eqAvx = simd::countLagEqualBytes(bytes.data(), n, L);
+        simd::setModeForTest(simd::Mode::Scalar);
+        size_t eqSc = simd::countLagEqualBytes(bytes.data(), n, L);
+        ASSERT_EQ(eqAvx, eqSc)
             << "trial=" << trial << " n=" << n << " L=" << L;
     }
 }

@@ -95,6 +95,16 @@ removeTree(const std::string &root)
     ::rmdir(root.c_str());
 }
 
+/** splitmix64: a fixed, platform-independent synthetic stream. */
+uint64_t
+splitmix(uint64_t &state)
+{
+    uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
 /** Materialize @p kernel and flatten its first records to a vector. */
 std::vector<TraceRecord>
 generateRecords(const std::string &kernel, uint64_t seed, uint64_t n)
@@ -416,6 +426,58 @@ TEST(TraceV3Corruption, HostileVarintsAreRejected)
         codec::decodeDeltaRle(exact.data(), exact.size(), out, 4));
 }
 
+TEST(CodecSinks, CountedSizesMatchWrittenBytes)
+{
+    // The writer reserves each column at its counted size and asserts
+    // the write fills it; here every varint length boundary, and each
+    // codec in plain and phase order, counts exactly what it writes.
+    std::vector<uint64_t> values = {0, ~0ull};
+    for (unsigned k = 1; k < 64; ++k) {
+        values.push_back((uint64_t(1) << k) - 1);
+        values.push_back(uint64_t(1) << k);
+    }
+    for (uint64_t v : values) {
+        std::vector<uint8_t> bytes;
+        codec::putVarint(bytes, v);
+        codec::CountingSink counted;
+        codec::putVarint(counted, v);
+        EXPECT_EQ(counted.bytes, bytes.size()) << v;
+        EXPECT_EQ(codec::varintBytes(v), bytes.size()) << v;
+    }
+
+    uint64_t rng = 3;
+    std::vector<uint64_t> wide(1000);
+    std::vector<uint8_t> narrow(1000);
+    for (size_t i = 0; i < wide.size(); ++i) {
+        const uint64_t r = splitmix(rng);
+        wide[i] = i % 3 == 0 ? 8 * i : r >> (r % 64); // strides + noise
+        narrow[i] = static_cast<uint8_t>(i % 5 == 0 ? r % 3 : 1);
+    }
+    const uint32_t n = static_cast<uint32_t>(wide.size());
+    for (uint32_t L : {1u, 2u, 3u, 7u, 48u}) {
+        std::vector<uint8_t> varint, rle, byteRle;
+        codec::encodeDeltaVarint(wide.data(), n, L, varint);
+        codec::encodeDeltaRle(wide.data(), n, L, rle);
+        codec::encodeByteRle(narrow.data(), n, L, byteRle);
+        size_t varintBytes = 0, rleBytes = 0;
+        codec::sizeDeltaCodecs(wide.data(), n, L, &varintBytes, &rleBytes);
+        EXPECT_EQ(varintBytes, varint.size()) << "L " << L;
+        EXPECT_EQ(rleBytes, rle.size()) << "L " << L;
+        codec::CountingSink byteCount;
+        codec::encodeByteRle(narrow.data(), n, L, byteCount);
+        EXPECT_EQ(byteCount.bytes, byteRle.size()) << "L " << L;
+
+        // Phase order is the transposed column the T codecs decode.
+        std::vector<uint64_t> back(n);
+        ASSERT_TRUE(codec::decodeDeltaRle(rle.data(), rle.size(),
+                                          back.data(), n));
+        size_t at = 0;
+        for (uint32_t phase = 0; phase < L; ++phase)
+            for (uint32_t i = phase; i < n; i += L)
+                EXPECT_EQ(back[at++], wide[i]) << "L " << L << " i " << i;
+    }
+}
+
 TEST(Fnv1aPair, EqualsTwoSequentialDigests)
 {
     std::vector<uint8_t> big(size_t(1) << 20);
@@ -446,6 +508,369 @@ TEST(Fnv1aPair, EqualsTwoSequentialDigests)
                                   codec::fnv1a("GDTR", 4)))
             << buf.bytes << " bytes";
     }
+}
+
+// ------------------------------------------------ pinned encoder bytes
+
+/** The v3 footer's whole-file digest (the image's last 8 bytes). */
+uint64_t
+footerDigest(const std::vector<uint8_t> &image)
+{
+    uint64_t d = 0;
+    if (image.size() >= 8)
+        std::memcpy(&d, image.data() + image.size() - 8, sizeof(d));
+    return d;
+}
+
+/**
+ * @return each block's 12 column codec tags as a string of digits, in
+ * on-disk column order (op, rd, rs1, rs2, flags, target, imm, seq,
+ * pc, nextPc, value, effAddr), walking the block and column
+ * directories of a v3 image.
+ */
+std::vector<std::string>
+blockTags(const std::vector<uint8_t> &image)
+{
+    std::vector<std::string> out;
+    size_t at = 16; // file header
+    while (at + 16 + 16 <= image.size()) {
+        uint32_t payloadBytes = 0;
+        std::memcpy(&payloadBytes, image.data() + at + 4, 4);
+        size_t col = at + 16;
+        std::string tags;
+        for (int c = 0; c < 12; ++c) {
+            uint32_t len = 0;
+            std::memcpy(&len, image.data() + col + 1, 4);
+            tags += static_cast<char>('0' + image[col]);
+            col += 5 + len;
+        }
+        out.push_back(tags);
+        at += 16 + payloadBytes;
+    }
+    return out;
+}
+
+/** Write @p chunks as one v3 image, one block per chunk. */
+std::vector<uint8_t>
+encodeBlocks(const std::vector<const TraceChunk *> &chunks,
+             const std::string &path)
+{
+    {
+        TraceWriter writer(path);
+        for (const TraceChunk *c : chunks)
+            writer.append(*c);
+        EXPECT_TRUE(writer.close().ok());
+    }
+    std::vector<uint8_t> image = slurp(path);
+    std::remove(path.c_str());
+    return image;
+}
+
+TEST(TraceV3Bytes, EncoderOutputIsPinned)
+{
+    // The v3 writer's codec search (period scan, candidate sizes, tie
+    // order) decides every byte of a trace file, and the file digests
+    // that persistent caches and benchmarks key on. These images were
+    // captured from the encoder that tried every candidate encoding
+    // in full and kept the smallest; any rewrite of the search must
+    // reproduce them exactly, under every SIMD dispatch mode.
+    struct Pin
+    {
+        const char *kernel;
+        uint64_t seed;
+        size_t bytes;
+        uint64_t digest;
+    };
+    const Pin pins[] = {
+        {"mcf", 1, 47108, 0xcbe6ae052bf7b894ull},
+        {"mcf", 7, 46509, 0x1f72c54b58bb0231ull},
+        {"gzip", 1, 63951, 0x19f97383730c1d60ull},
+        {"gzip", 7, 58026, 0x6c9e334fbeb20023ull},
+        {"parser", 1, 121725, 0x236b7998e9a76689ull},
+        {"parser", 7, 114672, 0xb9b69624d5dd91a8ull},
+        {"gap", 1, 127171, 0x3711c9047a6b99e8ull},
+        {"gap", 7, 125870, 0x23f901bb54d6d962ull},
+        {"micro.stride", 1, 957, 0x6311d1530619714aull},
+        {"micro.stride", 7, 957, 0x6311d1530619714aull},
+        {"micro.periodic", 1, 3980, 0xee503c8b8df61f1eull},
+        {"micro.periodic", 7, 3980, 0xee503c8b8df61f1eull},
+        {"micro.affine", 1, 38660, 0xedf643a94c2e1475ull},
+        {"micro.affine", 7, 38521, 0xac8bd7142ad58c71ull},
+        {"micro.random", 1, 94651, 0x28f29b4b90db3887ull},
+        {"micro.random", 7, 94690, 0xd44a5707e042533dull},
+    };
+    // Three full blocks and a partial one of 1000 records.
+    const uint64_t records = 3 * TraceChunk::capacity + 1000;
+    const std::string path = tempRoot("pinned") + ".gdtr";
+    for (const Pin &pin : pins) {
+        auto trace = MaterializedTrace::generate(pin.kernel, pin.seed,
+                                                 records);
+        ASSERT_EQ(trace->records(), records) << pin.kernel;
+        std::vector<const TraceChunk *> chunks;
+        for (size_t b = 0; b < trace->blockCount(); ++b)
+            chunks.push_back(&trace->block(b));
+        std::vector<uint8_t> image = encodeBlocks(chunks, path);
+        EXPECT_EQ(image.size(), pin.bytes)
+            << pin.kernel << " seed " << pin.seed;
+        EXPECT_EQ(footerDigest(image), pin.digest)
+            << pin.kernel << " seed " << pin.seed << std::hex
+            << " digest 0x" << footerDigest(image);
+    }
+}
+
+/** An @p n-record block with every column zero. */
+std::unique_ptr<TraceChunk>
+zeroBlock(uint32_t n)
+{
+    auto c = std::make_unique<TraceChunk>();
+    c->size = n;
+    for (uint32_t i = 0; i < n; ++i) {
+        c->inst[i] = isa::Instruction{};
+        c->seq[i] = c->pc[i] = c->nextPc[i] = c->effAddr[i] = 0;
+        c->value[i] = 0;
+        c->flags[i] = 0;
+    }
+    return c;
+}
+
+TEST(TraceV3Bytes, EveryCodecAndTieRuleIsPinned)
+{
+    // Synthetic columns, each built to make one codec win: every tag
+    // wins somewhere, and the tie rules are exercised where two
+    // candidates encode to exactly the same size (noted per block).
+    // Blocks of n < 8 skip the period search entirely.
+    uint64_t rng = 42;
+    std::vector<std::unique_ptr<TraceChunk>> blocks;
+
+    // A full block: one codec per column.
+    {
+        const uint32_t n = TraceChunk::capacity;
+        auto c = zeroBlock(n);
+        const uint8_t ops[5] = {0, 1, 2, 0, 3};
+        uint8_t rdByte = 0;
+        uint32_t rdLeft = 0;
+        int64_t walk = 0, noisy = 5000;
+        for (uint32_t i = 0; i < n; ++i) {
+            isa::Instruction &in = c->inst[i];
+            // op: period-5 opcode pattern -> byteRleT
+            in.op = static_cast<isa::Opcode>(ops[i % 5]);
+            // rd: long irregular runs -> byteRle
+            if (rdLeft == 0) {
+                rdByte = static_cast<uint8_t>(splitmix(rng) % 32);
+                rdLeft = 64 + static_cast<uint32_t>(splitmix(rng) % 256);
+            }
+            in.rd = rdByte;
+            --rdLeft;
+            // rs1: noise -> raw
+            in.rs1 = static_cast<uint8_t>(splitmix(rng));
+            // rs2: eight 512-long runs -> byteRle
+            in.rs2 = static_cast<uint8_t>(i / 512);
+            // flags: a set bit every 7th record -> byteRleT
+            c->flags[i] = i % 7 == 0 ? 5 : 1;
+            // target: constant stride -> deltaRle
+            in.target = 1000 + 3 * i;
+            // imm: a small random walk -> deltaVarint
+            walk += static_cast<int64_t>(splitmix(rng) % 41) - 20;
+            in.imm = walk;
+            c->seq[i] = i;
+            // pc: three interleaved constant strides -> deltaRleT
+            c->pc[i] = 0x1000 * (1 + i % 3) + 8 * (i / 3);
+            // nextPc: one strided phase in four, three noisy ones ->
+            // deltaVarintT (deltaRleT pays a run byte per noisy delta)
+            if (i % 4 == 0) {
+                c->nextPc[i] = 0x100000 + 16 * (i / 4);
+            } else {
+                noisy += static_cast<int64_t>(splitmix(rng) % 41) - 20;
+                c->nextPc[i] = static_cast<uint64_t>(noisy);
+            }
+            // value: noise -> raw
+            c->value[i] = static_cast<int64_t>(splitmix(rng));
+            // effAddr: each address four times -> deltaRleT
+            c->effAddr[i] = 0x8000 + 8 * (i / 4);
+        }
+        blocks.push_back(std::move(c));
+    }
+    // n = 1: a 4-byte varint ties the raw u32 target (deltaVarint
+    // wins), a one-byte imm beats deltaRle's two, a noisy value stays
+    // raw, and every u8 column stays raw (byteRle needs two bytes).
+    {
+        auto c = zeroBlock(1);
+        c->inst[0].op = static_cast<isa::Opcode>(2);
+        c->inst[0].rd = 7;
+        c->inst[0].target = 1u << 20;
+        c->inst[0].imm = 5;
+        c->seq[0] = 13288;
+        c->pc[0] = 0x4000;
+        c->nextPc[0] = 0x4004;
+        c->value[0] = static_cast<int64_t>(splitmix(rng));
+        blocks.push_back(std::move(c));
+    }
+    // n = 2: deltaVarint and deltaRle tie on {5, 10} (deltaRle wins);
+    // byteRle ties raw on {3, 3} (byteRle wins).
+    {
+        auto c = zeroBlock(2);
+        for (uint32_t i = 0; i < 2; ++i) {
+            c->inst[i].rd = 3;
+            c->inst[i].imm = 5 * (i + 1);
+            c->value[i] = 5 * (i + 1);
+            c->seq[i] = 13289 + i;
+        }
+        blocks.push_back(std::move(c));
+    }
+    // n = 5: constant strides and constant bytes.
+    {
+        auto c = zeroBlock(5);
+        for (uint32_t i = 0; i < 5; ++i) {
+            c->inst[i].op = static_cast<isa::Opcode>(1);
+            c->inst[i].rs1 = static_cast<uint8_t>(i);
+            c->pc[i] = 0x2000 + 4 * i;
+            c->nextPc[i] = 0x2004 + 4 * i;
+            c->value[i] = -3 * static_cast<int64_t>(i);
+            c->seq[i] = 13291 + i;
+        }
+        blocks.push_back(std::move(c));
+    }
+    // n = 260: rd = 256 x 9 then 1 2 1 2. byteRle: (9,256) 3 bytes +
+    // four 2-byte runs = 11; byteRleT at L = 2: L 1 byte + (9,128) 3
+    // + (1,2) 2 + (9,128) 3 + (2,2) 2 = 11 — a tie, byteRleT wins.
+    {
+        auto c = zeroBlock(260);
+        for (uint32_t i = 0; i < 260; ++i) {
+            c->inst[i].rd = i < 256 ? 9 : static_cast<uint8_t>(1 + i % 2);
+            c->seq[i] = 13296 + i;
+        }
+        blocks.push_back(std::move(c));
+    }
+    // n = 28: a value column on which deltaRleT (L = 2) and deltaRle
+    // both take 27 bytes, under deltaVarint's 35: deltaRleT wins.
+    {
+        const int64_t v[28] = {74,  187, 82,  86,  90,  94,  98,
+                               102, 106, 110, 114, 118, 302, 126,
+                               130, 134, 138, 142, 146, 150, 154,
+                               158, 162, 166, 170, 347, 178, 182};
+        auto c = zeroBlock(28);
+        for (uint32_t i = 0; i < 28; ++i) {
+            c->value[i] = v[i];
+            c->seq[i] = 13556 + i;
+        }
+        blocks.push_back(std::move(c));
+    }
+    // n = 22: an imm column on which deltaVarintT (L = 9) and
+    // deltaVarint both take 28 bytes, under deltaRleT's 42 and
+    // deltaRle's 50: deltaVarintT wins.
+    {
+        const int64_t v[22] = {125, 184, 130, 127, 187, 130, 129, 190,
+                               130, 131, 193, 130, 133, 196, 130, 135,
+                               343, 130, 137, 202, 130, 139};
+        auto c = zeroBlock(22);
+        for (uint32_t i = 0; i < 22; ++i) {
+            c->inst[i].imm = v[i];
+            c->seq[i] = 13584 + i;
+        }
+        blocks.push_back(std::move(c));
+    }
+
+    std::vector<const TraceChunk *> chunks;
+    for (const auto &b : blocks)
+        chunks.push_back(b.get());
+    std::vector<uint8_t> image =
+        encodeBlocks(chunks, tempRoot("synthetic") + ".gdtr");
+
+    // Tags per block: 0 raw, 1 deltaVarint, 2 deltaRle, 3 byteRle,
+    // 4 deltaRleT, 5 byteRleT, 6 deltaVarintT.
+    const std::vector<std::string> wantTags = {
+        "530352124604", // full block: one codec per column
+        "000001111101", // n = 1
+        "333332212222", // n = 2: deltaRle/deltaVarint, byteRle/raw ties
+        "330332222222", // n = 5
+        "353332222222", // n = 260: byteRleT/byteRle tie in rd
+        "333332222242", // n = 28: deltaRleT/deltaRle tie in value
+        "333332622222", // n = 22: deltaVarintT/deltaVarint tie in imm
+    };
+    EXPECT_EQ(blockTags(image), wantTags);
+    std::string seen;
+    for (const std::string &t : blockTags(image))
+        seen += t;
+    for (char tag = '0'; tag <= '6'; ++tag)
+        EXPECT_NE(seen.find(tag), std::string::npos)
+            << "no column won with tag " << tag;
+    EXPECT_EQ(image.size(), 46041u);
+    EXPECT_EQ(footerDigest(image), 0x9db1a969da445740ull)
+        << std::hex << "digest 0x" << footerDigest(image);
+
+    // The image decodes to the columns it was built from.
+    std::vector<TraceRecord> got;
+    ASSERT_TRUE(decodeImage(image, &got).end());
+    size_t r = 0;
+    for (const auto &b : blocks)
+        for (uint32_t i = 0; i < b->size; ++i, ++r) {
+            ASSERT_LT(r, got.size());
+            EXPECT_EQ(got[r].inst.imm, b->inst[i].imm) << r;
+            EXPECT_EQ(got[r].inst.rd, b->inst[i].rd) << r;
+            EXPECT_EQ(got[r].value, b->value[i]) << r;
+            EXPECT_EQ(got[r].nextPc, b->nextPc[i]) << r;
+        }
+    EXPECT_EQ(r, got.size());
+}
+
+/** The period scan as a full count of every candidate period. */
+uint32_t
+fullScanStridePeriod(const uint64_t *v, uint32_t n)
+{
+    if (n < 8)
+        return 1;
+    const uint32_t window = n < 2048 ? n : 2048;
+    uint32_t bestL = 1;
+    uint64_t bestScore = 0;
+    for (uint32_t L = 2; L <= 48 && 2 * L < window; ++L) {
+        uint64_t score = 0;
+        for (uint32_t i = 2 * L; i < window; ++i)
+            score += (v[i] - v[i - L]) == (v[i - L] - v[i - 2 * L]);
+        score = score * window / (window - 2 * L);
+        if (score > bestScore && score * 8 >= window) {
+            bestScore = score;
+            bestL = L;
+        }
+    }
+    return bestL;
+}
+
+TEST(TraceV3Bytes, StridePeriodMatchesAFullScan)
+{
+    // detectStridePeriod drops a candidate period once it can no
+    // longer win; the period it returns must be the one a full count
+    // of every candidate gives, for the encoder's block windows and
+    // the sampled profiler's 512-record prefixes alike.
+    for (const char *kernel : {"parser", "mcf", "gzip", "micro.affine"}) {
+        std::vector<TraceRecord> recs = generateRecords(kernel, 1, 60000);
+        std::vector<uint64_t> pcs, values;
+        for (const TraceRecord &r : recs) {
+            pcs.push_back(r.pc);
+            values.push_back(static_cast<uint64_t>(r.value));
+        }
+        for (uint32_t n : {7u, 8u, 37u, 300u, 512u, 1000u, 4096u}) {
+            for (size_t at = 0; at + n <= pcs.size(); at += 1999) {
+                for (const auto *col : {&pcs, &values}) {
+                    const uint64_t *v = col->data() + at;
+                    ASSERT_EQ(detectStridePeriod(v, n),
+                              fullScanStridePeriod(v, n))
+                        << kernel << " n " << n << " at " << at;
+                }
+            }
+        }
+    }
+
+    // A period whose raw hits fall short of an eighth of the window
+    // but whose normalized score does not: 60 planted lag-34 hits in a
+    // 512-element window score 60 * 512 / 444 = 69 >= 64.
+    uint64_t rng = 7;
+    std::vector<uint64_t> v(512);
+    for (uint64_t &x : v)
+        x = splitmix(rng);
+    for (uint32_t i = 400; i < 460; ++i)
+        v[i] = 2 * v[i - 34] - v[i - 68];
+    EXPECT_EQ(fullScanStridePeriod(v.data(), 512), 34u);
+    EXPECT_EQ(detectStridePeriod(v.data(), 512), 34u);
 }
 
 // ------------------------------------------------ persistent tier
