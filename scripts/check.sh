@@ -90,6 +90,17 @@ cmp build/warm1s.sorted build/warm2s.sorted || {
 # per-trial checksum identity between the two paths.
 ./build/bench/perf_predictors --require-batch-speedup=2 \
     --json=build/BENCH_batch_predictors.json
+# Profile-path digest gate: the repository benchmark's profile sweep
+# (4 kernels x 6 predictors, unlimited tables) must reproduce its
+# committed result digests for both seeds, so a profile-path change
+# that moves any result fails here.
+for seed in 1 7; do
+    python3 perfbench/run.py --workload profile_zoo --seed "$seed" \
+        --seconds 1 --trace 0 > "build/perfbench_zoo_$seed.out"
+    tail -n 1 "build/perfbench_zoo_$seed.out" | grep -q '"correct": true' || {
+        echo "perfbench profile_zoo seed $seed: results differ from the committed digests"
+        tail -n 1 "build/perfbench_zoo_$seed.out"; exit 1; }
+done
 # Batch identity fuzz: scalar-vs-batch differ over every batched
 # family, under both kernel sets (forced-scalar first).
 GDIFF_SIMD=scalar ./build/examples/gdifffuzz --cases=1500 --seed=5 \

@@ -5,13 +5,24 @@
  * Two modes, selected by the entry count:
  *  - entries == 0: "unlimited" — one entry per static PC, used for the
  *    paper's idealised profile experiments, the confidence tables and
- *    the pipeline's per-PC in-flight counts. A flat open-addressing
- *    map: power-of-two slots probed linearly from mix64(pc), grown
- *    at half load. Slots hold only the key and a pointer; the
- *    entries themselves live densely in a std::deque, whose elements
- *    never move, so a large Entry (gdiff's is 528 bytes) is not
- *    multiplied by empty slots and a reference stays valid for the
- *    table's lifetime;
+ *    the pipeline's per-PC in-flight counts. The entries live densely
+ *    in a std::deque, whose elements never move, so a large Entry
+ *    (gdiff's is 528 bytes) is not multiplied by empty slots and a
+ *    reference stays valid for the table's lifetime. Two paths find
+ *    a PC's entry:
+ *     - the direct window: every PC a workload executes is
+ *       isa::indexToPc(i) of a small text segment, so an aligned PC
+ *       whose instruction slot isa::pcToIndex(pc) is below
+ *       directSlots resolves through a pointer array indexed by that
+ *       slot. The array grows on demand to the highest slot seen.
+ *       This is the hot path: one compare and two loads, where a
+ *       hashed probe costs a mix64, a probe loop and a key compare
+ *       on the loop-carried lookup → read-modify-write chain of
+ *       every batch loop;
+ *     - every other PC (synthetic streams, tests, 0, ~0, misaligned
+ *       or far-out keys) goes to a flat open-addressing map:
+ *       power-of-two slots probed linearly from mix64(pc), grown at
+ *       half load, holding only the key and a pointer;
  *  - entries == 2^k: a tagless direct-mapped table indexed by PC bits,
  *    the hardware-realistic mode. Aliasing is tracked (paper Fig. 9)
  *    by remembering the last PC that touched each entry.
@@ -20,10 +31,13 @@
 #ifndef GDIFF_PREDICTORS_TABLE_HH
 #define GDIFF_PREDICTORS_TABLE_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <vector>
 
+#include "isa/instruction.hh"
 #include "util/bits.hh"
 #include "util/logging.hh"
 
@@ -39,6 +53,13 @@ template <typename Entry>
 class PcIndexedTable
 {
   public:
+    /**
+     * Instruction slots the unlimited mode's direct window covers: a
+     * text segment of up to 64K instructions (the kernels use a few
+     * hundred), so the pointer array never exceeds 512 KiB.
+     */
+    static constexpr uint64_t directSlots = uint64_t(1) << 16;
+
     /**
      * @param entries 0 for unlimited, otherwise a power of two.
      * @param hash_index when true, limited tables index with a mixed
@@ -89,8 +110,21 @@ class PcIndexedTable
     lookupLanes(const uint64_t *pcs, size_t n, Entry **out)
     {
         if (limit == 0) {
-            for (size_t i = 0; i < n; ++i)
-                out[i] = &findOrInsert(pcs[i]);
+            // findOrInsert() per lane, with the direct window's base
+            // and size held in registers: only the out-of-line path
+            // can move them.
+            Entry *const *dir = direct.data();
+            uint64_t dirSize = direct.size();
+            for (size_t i = 0; i < n; ++i) {
+                const uint64_t slot = directSlot(pcs[i]);
+                Entry *e = slot < dirSize ? dir[slot] : nullptr;
+                if (!e) [[unlikely]] {
+                    e = &findOrInsertSlow(pcs[i], slot);
+                    dir = direct.data();
+                    dirSize = direct.size();
+                }
+                out[i] = e;
+            }
             lookupCount += n;
             return;
         }
@@ -116,9 +150,12 @@ class PcIndexedTable
     const Entry *
     probe(uint64_t pc) const
     {
-        if (limit == 0)
-            return slots[slotOf(pc)].entry;
-        return &table[indexOf(pc)];
+        if (limit != 0)
+            return &table[indexOf(pc)];
+        const uint64_t slot = directSlot(pc);
+        if (slot < directSlots)
+            return slot < direct.size() ? direct[slot] : nullptr;
+        return slots[slotOf(pc)].entry;
     }
 
     /**
@@ -147,6 +184,10 @@ class PcIndexedTable
     /** @return total lookups. */
     uint64_t lookups() const { return lookupCount; }
 
+    /** @return unlimited-mode entries held in the map, i.e. for PCs
+     * outside the direct window. */
+    size_t mapEntries() const { return mapped; }
+
     /** @return conflicts/lookups in [0,1]. */
     double
     conflictRate() const
@@ -166,6 +207,19 @@ class PcIndexedTable
     };
 
     static constexpr size_t initialSlots = 16; ///< power of two
+
+    /**
+     * @return the direct-window slot of @p pc: isa::pcToIndex(pc) for
+     * an aligned text-segment PC. The rotation moves a misaligned
+     * PC's low bits to the top, and a PC below textBase wraps, so
+     * both land far past directSlots: one compare filters them.
+     */
+    static uint64_t
+    directSlot(uint64_t pc)
+    {
+        static_assert(isa::instBytes == 4);
+        return std::rotr(pc - isa::textBase, 2);
+    }
 
     size_t
     indexOf(uint64_t pc) const
@@ -189,31 +243,48 @@ class PcIndexedTable
     }
 
     /** Unlimited-mode lookup: the entry for @p pc, value-initialised
-     * on first use. */
+     * on first use. Inlined, the direct window's hit is all that
+     * runs on a text-segment lane. */
     Entry &
     findOrInsert(uint64_t pc)
     {
-        size_t i = slotOf(pc);
-        if (slots[i].entry)
-            return *slots[i].entry;
-        return insertAt(pc, i);
+        const uint64_t slot = directSlot(pc);
+        if (slot < direct.size()) {
+            if (Entry *e = direct[slot])
+                return *e;
+        }
+        return findOrInsertSlow(pc, slot);
     }
 
     /**
-     * The miss path of findOrInsert(), kept out of line: lookup() is
-     * inlined into every predictor's hot loop, most of which run
-     * limited tables, and an inlined rehash there costs them
-     * registers on every lane.
+     * Everything findOrInsert() does past a direct-window hit, kept
+     * out of line: lookup() is inlined into every predictor's hot
+     * loop, and an inlined array growth or rehash there costs those
+     * loops registers on every lane.
      */
     __attribute__((noinline)) Entry &
-    insertAt(uint64_t pc, size_t i)
+    findOrInsertSlow(uint64_t pc, uint64_t slot)
     {
-        if (2 * (dense.size() + 1) > slots.size()) {
+        if (slot < directSlots) {
+            if (slot >= direct.size()) {
+                direct.resize(std::min<uint64_t>(
+                    directSlots,
+                    std::max<uint64_t>(slot + 1, 2 * direct.size())));
+            }
+            Entry &e = dense.emplace_back();
+            direct[slot] = &e;
+            return e;
+        }
+        size_t i = slotOf(pc);
+        if (slots[i].entry)
+            return *slots[i].entry;
+        if (2 * (mapped + 1) > slots.size()) {
             rehash(2 * slots.size());
             i = slotOf(pc);
         }
         Entry &e = dense.emplace_back();
         slots[i] = Slot{pc, &e};
+        ++mapped;
         return e;
     }
 
@@ -233,7 +304,9 @@ class PcIndexedTable
     bool hashIndex;
     std::vector<Entry> table;
     std::vector<uint64_t> owners;
-    std::vector<Slot> slots; ///< unlimited mode: the probe array
+    std::vector<Entry *> direct; ///< unlimited: text slot -> entry
+    std::vector<Slot> slots; ///< unlimited mode: the map's probe array
+    size_t mapped = 0;       ///< unlimited mode: entries in the map
     std::deque<Entry> dense; ///< unlimited mode: the entries
     uint64_t conflictCount = 0;
     uint64_t lookupCount = 0;

@@ -113,6 +113,18 @@ runPipelineJob(const JobSpec &spec, workload::TraceSource &src)
 
 SampledJobRunner sampledRunner = nullptr;
 
+/** @return this thread's simulation-stage total: the profile
+ * runners' gather, predict and confidence stages plus the pipeline's
+ * cycle loop. */
+uint64_t
+simStageNs(const obs::Registry &reg)
+{
+    return reg.timerNs("profile.gather") +
+           reg.timerNs("profile.predict") +
+           reg.timerNs("profile.confidence") +
+           reg.timerNs("pipeline.sim");
+}
+
 } // anonymous namespace
 
 void
@@ -146,8 +158,7 @@ runJob(const JobSpec &spec, workload::TraceCache *cache,
         const obs::Registry &reg = obs::Registry::local();
         fillNs0 = reg.timerNs("profile.fill") +
                   reg.timerNs("pipeline.fill");
-        simNs0 = reg.timerNs("profile.sim") +
-                 reg.timerNs("pipeline.sim");
+        simNs0 = simStageNs(reg);
     }
 
     // Resolve the dynamic stream: replay a shared materialized trace
@@ -187,10 +198,7 @@ runJob(const JobSpec &spec, workload::TraceCache *cache,
                                 fillNs0) /
             1e9;
         r.obsSimSeconds =
-            static_cast<double>(reg.timerNs("profile.sim") +
-                                reg.timerNs("pipeline.sim") -
-                                simNs0) /
-            1e9;
+            static_cast<double>(simStageNs(reg) - simNs0) / 1e9;
     }
     uint64_t total = spec.instructions + spec.warmup;
     r.instructionsPerSec =

@@ -37,6 +37,46 @@ measuredLane(const uint32_t *records, uint32_t lanes, uint64_t mstart)
     return static_cast<uint32_t>(it - records);
 }
 
+/**
+ * A runner's chunk-loop stage clock: each lap() charges the time
+ * since the previous mark to one stage, so the stages tile the loop.
+ * publish() makes the one registry call per stage.
+ */
+struct StageTimes
+{
+    uint64_t fillNs = 0, gatherNs = 0, predictNs = 0, confidenceNs = 0;
+    uint64_t chunks = 0;
+    uint64_t mark = 0;
+
+    void
+    start()
+    {
+        mark = obs::nowNs();
+        ++chunks;
+    }
+
+    /** Charge the time since the last mark to @p stage. @return it. */
+    uint64_t
+    lap(uint64_t &stage)
+    {
+        const uint64_t t = obs::nowNs();
+        const uint64_t dt = t - mark;
+        stage += dt;
+        mark = t;
+        return dt;
+    }
+
+    void
+    publish() const
+    {
+        obs::Registry &reg = obs::Registry::local();
+        reg.addTimer("profile.fill", fillNs, chunks);
+        reg.addTimer("profile.gather", gatherNs, chunks);
+        reg.addTimer("profile.predict", predictNs, chunks);
+        reg.addTimer("profile.confidence", confidenceNs, chunks);
+    }
+};
+
 } // anonymous namespace
 
 void
@@ -81,11 +121,13 @@ ValueProfileRunner::run(workload::TraceSource &src)
     auto scratch = std::make_unique<workload::TraceChunk>();
     // Chunk-granularity stage split: fill (trace delivery, which is
     // functional generation on a cache miss and a cursor walk on a
-    // hit) vs the batched predict/update passes. Local accumulation,
-    // one registry call at the end — see obs.hh's overhead rules.
-    // Histogram pointers are stable, so they are cached up front.
+    // hit), the lane gather, the predictors' batches and the scoring
+    // passes. The stages are contiguous, so they add up to the loop.
+    // Local accumulation, one registry call per stage at the end —
+    // see obs.hh's overhead rules. Histogram pointers are stable, so
+    // they are cached up front.
     const bool obsOn = GDIFF_OBS_ENABLED && obs::enabled();
-    uint64_t fillNs = 0, simNs = 0, chunks = 0, tStage = 0;
+    StageTimes st;
     stats::Histogram *predictHist = nullptr;
     stats::Histogram *updateHist = nullptr;
     if (obsOn) {
@@ -99,20 +141,14 @@ ValueProfileRunner::run(workload::TraceSource &src)
     std::vector<uint64_t> pcs(cap);
     std::vector<int64_t> values(cap);
     std::vector<uint32_t> records(cap);
-    std::vector<uint8_t> correct(cap);
-    std::vector<uint8_t> confident(cap);
     predictors::PredictionBatch batch;
 
     while (executed < budget) {
         if (obsOn)
-            tStage = obs::nowNs();
+            st.start();
         const workload::TraceChunk *chunk = src.fillRef(*scratch);
-        if (obsOn) {
-            uint64_t t = obs::nowNs();
-            fillNs += t - tStage;
-            tStage = t;
-            ++chunks;
-        }
+        if (obsOn)
+            st.lap(st.fillNs);
         if (!chunk)
             break;
         uint32_t n = static_cast<uint32_t>(
@@ -125,51 +161,33 @@ ValueProfileRunner::run(workload::TraceSource &src)
             mstart >= n ? lanes
                         : measuredLane(records.data(), lanes, mstart);
         executed += n;
+        if (obsOn)
+            st.lap(st.gatherNs);
 
         for (size_t i = 0; i < preds.size(); ++i) {
-            uint64_t tP = obsOn ? obs::nowNs() : 0;
             preds[i]->predictUpdateBatch(pcs.data(), values.data(),
                                          lanes, batch);
-            if (obsOn) {
-                uint64_t t = obs::nowNs();
-                predictHist->record((t - tP) / 1000);
-                tP = t;
-            }
-            for (uint32_t l = 0; l < lanes; ++l) {
-                correct[l] = batch.predicted[l] &&
-                             batch.value[l] == values[l];
-            }
-            conf[i].evaluateBatch(pcs.data(), batch.predicted.data(),
-                                  correct.data(), lanes,
-                                  confident.data());
+            if (obsOn)
+                predictHist->record(st.lap(st.predictNs) / 1000);
             // Ratio sums are order-independent, so the per-chunk
             // aggregation below is identical to the scalar
             // record-at-a-time record() calls.
-            uint64_t nCorrect = 0, nConf = 0, nConfCorrect = 0;
-            for (uint32_t l = mlane; l < lanes; ++l) {
-                nCorrect += correct[l];
-                if (confident[l]) {
-                    ++nConf;
-                    nConfCorrect += correct[l];
-                }
-            }
-            series[i].accuracyAll.addBatch(nCorrect, lanes - mlane);
-            series[i].coverage.addBatch(nConf, lanes - mlane);
-            series[i].accuracyGated.addBatch(nConfCorrect, nConf);
+            const predictors::ConfidenceTable::Tally t =
+                conf[i].scoreLanes(pcs.data(), values.data(), batch,
+                                   mlane, lanes);
+            series[i].accuracyAll.addBatch(t.correct, lanes - mlane);
+            series[i].coverage.addBatch(t.confident, lanes - mlane);
+            series[i].accuracyGated.addBatch(t.confidentCorrect,
+                                             t.confident);
             if (obsOn)
-                updateHist->record((obs::nowNs() - tP) / 1000);
+                updateHist->record(st.lap(st.confidenceNs) / 1000);
         }
-        if (obsOn)
-            simNs += obs::nowNs() - tStage;
     }
     measured = executed > cfg.warmupInstructions
                    ? executed - cfg.warmupInstructions
                    : 0;
-    if (obsOn) {
-        obs::Registry &reg = obs::Registry::local();
-        reg.addTimer("profile.fill", fillNs, chunks);
-        reg.addTimer("profile.sim", simNs, chunks);
-    }
+    if (obsOn)
+        st.publish();
 }
 
 // ----------------------------------------------- AddressProfileRunner
@@ -211,7 +229,7 @@ AddressProfileRunner::run(workload::TraceSource &src)
     uint64_t budget = cfg.warmupInstructions + cfg.maxInstructions;
     auto scratch = std::make_unique<workload::TraceChunk>();
     const bool obsOn = GDIFF_OBS_ENABLED && obs::enabled();
-    uint64_t fillNs = 0, simNs = 0, chunks = 0, tStage = 0;
+    StageTimes st;
     stats::Histogram *predictHist = nullptr;
     stats::Histogram *updateHist = nullptr;
     if (obsOn) {
@@ -226,20 +244,14 @@ AddressProfileRunner::run(workload::TraceSource &src)
     std::vector<int64_t> actuals(cap);
     std::vector<uint32_t> records(cap);
     std::vector<uint8_t> miss(cap);
-    std::vector<uint8_t> correct(cap);
-    std::vector<uint8_t> confident(cap);
     predictors::PredictionBatch batch;
 
     while (executed < budget) {
         if (obsOn)
-            tStage = obs::nowNs();
+            st.start();
         const workload::TraceChunk *chunk = src.fillRef(*scratch);
-        if (obsOn) {
-            uint64_t t = obs::nowNs();
-            fillNs += t - tStage;
-            tStage = t;
-            ++chunks;
-        }
+        if (obsOn)
+            st.lap(st.fillNs);
         if (!chunk)
             break;
         uint32_t n = static_cast<uint32_t>(
@@ -247,7 +259,8 @@ AddressProfileRunner::run(workload::TraceSource &src)
 
         // Pass 1 — memory model in architectural order: stores keep
         // the D-cache honest but are not predicted; loads become
-        // dense lanes carrying their miss classification.
+        // dense lanes carrying their miss classification. Timed as
+        // the gather.
         uint32_t lanes = 0;
         for (uint32_t j = 0; j < n; ++j) {
             uint64_t effAddr = chunk->effAddr[j];
@@ -269,50 +282,33 @@ AddressProfileRunner::run(workload::TraceSource &src)
             mstart >= n ? lanes
                         : measuredLane(records.data(), lanes, mstart);
         executed += n;
+        if (obsOn)
+            st.lap(st.gatherNs);
 
         // Pass 2 — PC-indexed predictors over the load-address lanes.
         for (size_t i = 0; i < preds.size(); ++i) {
-            uint64_t tP = obsOn ? obs::nowNs() : 0;
             preds[i]->predictUpdateBatch(pcs.data(), actuals.data(),
                                          lanes, batch);
-            if (obsOn) {
-                uint64_t t = obs::nowNs();
-                predictHist->record((t - tP) / 1000);
-                tP = t;
-            }
-            for (uint32_t l = 0; l < lanes; ++l) {
-                correct[l] = batch.predicted[l] &&
-                             batch.value[l] == actuals[l];
-            }
-            conf[i].evaluateBatch(pcs.data(), batch.predicted.data(),
-                                  correct.data(), lanes,
-                                  confident.data());
-            uint64_t covAll = 0, accAll = 0, totMiss = 0, covMiss = 0,
-                     accMiss = 0;
-            for (uint32_t l = mlane; l < lanes; ++l) {
-                if (confident[l]) {
-                    ++covAll;
-                    accAll += correct[l];
-                }
-                if (miss[l]) {
-                    ++totMiss;
-                    if (confident[l]) {
-                        ++covMiss;
-                        accMiss += correct[l];
-                    }
-                }
-            }
-            series[i].coverageAll.addBatch(covAll, lanes - mlane);
-            series[i].accuracyAll.addBatch(accAll, covAll);
-            series[i].coverageMiss.addBatch(covMiss, totMiss);
-            series[i].accuracyMiss.addBatch(accMiss, covMiss);
             if (obsOn)
-                updateHist->record((obs::nowNs() - tP) / 1000);
+                predictHist->record(st.lap(st.predictNs) / 1000);
+            const predictors::ConfidenceTable::Tally t =
+                conf[i].scoreLanes(pcs.data(), actuals.data(), batch,
+                                   mlane, lanes, miss.data());
+            series[i].coverageAll.addBatch(t.confident, lanes - mlane);
+            series[i].accuracyAll.addBatch(t.confidentCorrect,
+                                           t.confident);
+            series[i].coverageMiss.addBatch(t.markedConfident,
+                                            t.marked);
+            series[i].accuracyMiss.addBatch(t.markedConfidentCorrect,
+                                            t.markedConfident);
+            if (obsOn)
+                updateHist->record(st.lap(st.confidenceNs) / 1000);
         }
 
         // Pass 3 — the Markov pair, one load lane at a time: the
         // all-loads predictor sees every lane, the miss predictor only
-        // the missing ones.
+        // the missing ones. It predicts and scores in one loop, timed
+        // as a predictor.
         if (markovAll) {
             AddressSeries &ms = series.back();
             uint64_t cov = 0, acc = 0, mcov = 0, macc = 0, mtot = 0;
@@ -338,15 +334,12 @@ AddressProfileRunner::run(workload::TraceSource &src)
             ms.accuracyAll.addBatch(acc, cov);
             ms.coverageMiss.addBatch(mcov, mtot);
             ms.accuracyMiss.addBatch(macc, mcov);
+            if (obsOn)
+                st.lap(st.predictNs);
         }
-        if (obsOn)
-            simNs += obs::nowNs() - tStage;
     }
-    if (obsOn) {
-        obs::Registry &reg = obs::Registry::local();
-        reg.addTimer("profile.fill", fillNs, chunks);
-        reg.addTimer("profile.sim", simNs, chunks);
-    }
+    if (obsOn)
+        st.publish();
 }
 
 double

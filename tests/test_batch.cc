@@ -178,33 +178,71 @@ TEST(BatchIdentity, ChunkWrappersGatherValueLanes)
     }
 }
 
-TEST(BatchIdentity, ConfidenceEvaluateBatchMatchesScalar)
+TEST(BatchIdentity, ConfidenceScoreLanesMatchesScalar)
 {
-    predictors::ConfidenceTable a;
-    predictors::ConfidenceTable b;
-    Xorshift64Star rng(17);
-    constexpr uint32_t kLanes = 2048;
-    std::vector<uint64_t> pcs(kLanes);
-    std::vector<uint8_t> predicted(kLanes), correct(kLanes);
-    std::vector<uint8_t> conf(kLanes, 0xee);
-    for (uint32_t l = 0; l < kLanes; ++l) {
-        pcs[l] = 0x2000 + (rng.next() % 64) * 4;
-        predicted[l] = (rng.next() & 7) != 0;
-        correct[l] = (rng.next() & 1) != 0;
-    }
-    a.evaluateBatch(pcs.data(), predicted.data(), correct.data(),
-                    kLanes, conf.data());
-    for (uint32_t l = 0; l < kLanes; ++l) {
-        uint8_t expect = 0;
-        if (predicted[l]) {
-            expect = b.confident(pcs[l]) ? 1 : 0;
-            b.train(pcs[l], correct[l] != 0);
+    // Synthetic PCs (the table's map path) and text-segment PCs (its
+    // direct window) in one batch, with and without a mark array,
+    // under the paper's policy, a limited table and every width.
+    auto pcOf = [](uint32_t k) {
+        return k < 32 ? 0x2000 + k * 4 : 0x400000 + (k - 32) * 4;
+    };
+    std::vector<predictors::ConfidenceConfig> policies = {
+        predictors::ConfidenceConfig(), {3, 2, 1, 4, 64}};
+    for (unsigned bits = 1; bits <= 8; ++bits)
+        policies.push_back({bits, bits, 1, (1u << bits) - 1, 0});
+    for (const predictors::ConfidenceConfig &policy : policies)
+    for (bool marked : {false, true}) {
+        predictors::ConfidenceTable a(policy);
+        predictors::ConfidenceTable b(policy);
+        Xorshift64Star rng(17);
+        constexpr uint32_t kLanes = 2048;
+        constexpr uint32_t kFrom = 300;
+        std::vector<uint64_t> pcs(kLanes);
+        std::vector<int64_t> actuals(kLanes);
+        std::vector<uint8_t> mark(kLanes);
+        predictors::PredictionBatch batch;
+        batch.reset(kLanes);
+        for (uint32_t l = 0; l < kLanes; ++l) {
+            pcs[l] = pcOf(static_cast<uint32_t>(rng.next() % 64));
+            actuals[l] = static_cast<int64_t>(rng.next() % 4);
+            batch.predicted[l] = (rng.next() & 7) != 0;
+            batch.value[l] = static_cast<int64_t>(rng.next() % 4);
+            mark[l] = rng.next() & 1;
         }
-        ASSERT_EQ(conf[l], expect) << "lane " << l;
+        const predictors::ConfidenceTable::Tally t = a.scoreLanes(
+            pcs.data(), actuals.data(), batch, kFrom, kLanes,
+            marked ? mark.data() : nullptr);
+        predictors::ConfidenceTable::Tally want;
+        for (uint32_t l = 0; l < kLanes; ++l) {
+            const bool p = batch.predicted[l] != 0;
+            const bool c = p && batch.value[l] == actuals[l];
+            const bool k = p && b.confident(pcs[l]);
+            if (p)
+                b.train(pcs[l], c);
+            if (l < kFrom)
+                continue;
+            want.correct += c;
+            want.confident += k;
+            want.confidentCorrect += c && k;
+            if (marked && mark[l]) {
+                ++want.marked;
+                want.markedConfident += k;
+                want.markedConfidentCorrect += c && k;
+            }
+        }
+        SCOPED_TRACE(testing::Message() << "bits " << policy.bits
+                                        << " entries " << policy.entries
+                                        << " marked " << marked);
+        EXPECT_EQ(t.correct, want.correct);
+        EXPECT_EQ(t.confident, want.confident);
+        EXPECT_EQ(t.confidentCorrect, want.confidentCorrect);
+        EXPECT_EQ(t.marked, want.marked);
+        EXPECT_EQ(t.markedConfident, want.markedConfident);
+        EXPECT_EQ(t.markedConfidentCorrect, want.markedConfidentCorrect);
+        // Post-state identity: counters agree per PC.
+        for (uint32_t k = 0; k < 64; ++k)
+            ASSERT_EQ(a.level(pcOf(k)), b.level(pcOf(k)));
     }
-    // Post-state identity: counters agree per PC.
-    for (uint32_t k = 0; k < 64; ++k)
-        ASSERT_EQ(a.level(0x2000 + k * 4), b.level(0x2000 + k * 4));
 }
 
 } // namespace

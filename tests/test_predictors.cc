@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -17,7 +18,10 @@
 #include "predictors/pi.hh"
 #include "predictors/stride.hh"
 #include "predictors/table.hh"
+#include "predictors/value_predictor.hh"
 #include "util/random.hh"
+#include "workload/trace.hh"
+#include "workload/workload.hh"
 
 namespace gdiff {
 namespace predictors {
@@ -281,7 +285,122 @@ TEST(Confidence, SaturatesAtSeven)
     EXPECT_FALSE(c.confident(pcA));
 }
 
+/** The saturating-counter policy, written out arithmetically. */
+unsigned
+modelStep(const ConfidenceConfig &c, unsigned count, bool correct)
+{
+    const unsigned max = (1u << c.bits) - 1;
+    if (correct)
+        return count + c.upStep > max ? max : count + c.upStep;
+    return count < c.downStep ? 0 : count - c.downStep;
+}
+
+/** Policies beyond the paper's: every width, other steps and
+ * thresholds, limited tables. */
+std::vector<ConfidenceConfig>
+confidencePolicies()
+{
+    std::vector<ConfidenceConfig> out;
+    for (unsigned bits = 1; bits <= 8; ++bits) {
+        const unsigned max = (1u << bits) - 1;
+        out.push_back({bits, 1, 1, max, 0});
+        out.push_back({bits, max, max, 0, 0});
+        out.push_back({bits, 3, 2, max / 2 + 1, 64});
+        out.push_back({bits, 1000, 7, max, 0});
+    }
+    out.push_back(ConfidenceConfig());
+    out.push_back({3, 2, 1, 4, 64});
+    return out;
+}
+
+TEST(Confidence, MatchesSaturatingCounterModel)
+{
+    for (const ConfidenceConfig &cfg : confidencePolicies()) {
+        ConfidenceTable t(cfg);
+        std::unordered_map<uint64_t, unsigned> model;
+        Xorshift64Star rng(cfg.bits * 131 + cfg.upStep);
+        for (int i = 0; i < 3000; ++i) {
+            // Distinct PCs per limited-table entry, so no aliasing.
+            const uint64_t pc = 0x400000 + 4 * rng.below(48);
+            const bool correct = rng.below(3) != 0;
+            unsigned &m = model[pc];
+            ASSERT_EQ(t.level(pc), m) << "bits " << cfg.bits;
+            ASSERT_EQ(t.confident(pc), m >= cfg.threshold);
+            t.train(pc, correct);
+            m = modelStep(cfg, m, correct);
+        }
+    }
+}
+
+TEST(ConfidenceDeath, CounterWidthOutsideOneToEightRejected)
+{
+    for (unsigned bits : {0u, 9u, 32u, 40u}) {
+        ConfidenceConfig cfg;
+        cfg.bits = bits;
+        cfg.threshold = 0;
+        EXPECT_DEATH(ConfidenceTable t(cfg), "outside \\[1, 8\\]")
+            << bits;
+    }
+}
+
+TEST(ConfidenceDeath, ThresholdAboveCounterMaximumRejected)
+{
+    ConfidenceConfig cfg;
+    cfg.bits = 3;
+    cfg.threshold = 8;
+    EXPECT_DEATH(ConfidenceTable t(cfg), "exceeds the 3-bit");
+}
+
 // --------------------------------------------------------------- table
+
+/**
+ * Keys for the unlimited mode's two paths: both edges of the direct
+ * window and the slots next to them, misaligned text-range PCs, PCs
+ * below textBase, 0, ~0, and random 64-bit keys.
+ */
+std::vector<uint64_t>
+windowEdgeKeys(Xorshift64Star &rng)
+{
+    using Table = PcIndexedTable<int64_t>;
+    const uint64_t base = isa::textBase;
+    const uint64_t end = base + isa::instBytes * Table::directSlots;
+    std::vector<uint64_t> keys = {
+        base,     base + 4, end - 4, end,   end + 4,
+        base + 1, base + 2, base + 3, end - 1, end - 3,
+        base - 4, base - 1, 4,       0,     ~uint64_t(0),
+        ~uint64_t(0) - 3, uint64_t(1) << 63};
+    for (int i = 0; i < 400; ++i) {
+        switch (rng.below(4)) {
+          case 0:
+            keys.push_back(base + 4 * rng.below(Table::directSlots));
+            break;
+          case 1:
+            keys.push_back(base + rng.below(4 * Table::directSlots));
+            break;
+          case 2:
+            keys.push_back(rng.below(base));
+            break;
+          default:
+            keys.push_back(rng.next());
+        }
+    }
+    return keys;
+}
+
+/** @return how many of @p model's keys lie outside the direct
+ * window, i.e. belong in an unlimited table's map. */
+template <typename Map>
+size_t
+outsideWindow(const Map &model)
+{
+    size_t n = 0;
+    for (const auto &kv : model) {
+        const uint64_t off = kv.first - isa::textBase;
+        n += off % isa::instBytes != 0 ||
+             off / isa::instBytes >= PcIndexedTable<int>::directSlots;
+    }
+    return n;
+}
 
 TEST(Table, UnlimitedModeIsolatesPcs)
 {
@@ -311,12 +430,13 @@ TEST(Table, UnlimitedProbeMissingReturnsNull)
 TEST(Table, UnlimitedModeMatchesMapModel)
 {
     // Random inserts and probes against std::unordered_map, over a
-    // key set with the extreme pcs and enough distinct keys to force
-    // many rehashes of the open-addressing slots.
+    // key set with the extreme pcs, both edges of the direct window,
+    // and enough distinct keys to force many rehashes of the map's
+    // open-addressing slots and growths of the direct array.
     Xorshift64Star rng(17);
     PcIndexedTable<int64_t> t(0);
     std::unordered_map<uint64_t, int64_t> model;
-    std::vector<uint64_t> keys = {0, ~uint64_t(0), 4, ~uint64_t(0) - 3};
+    std::vector<uint64_t> keys = windowEdgeKeys(rng);
     for (int i = 0; i < 3000; ++i)
         keys.push_back(i % 2 ? rng.next()
                              : 0x400000 + 4 * rng.below(4096));
@@ -353,6 +473,8 @@ TEST(Table, UnlimitedModeMatchesMapModel)
     }
     EXPECT_GT(model.size(), 2000u);
     EXPECT_EQ(t.conflicts(), 0u);
+    // Exactly the PCs outside the window went to the map.
+    EXPECT_EQ(t.mapEntries(), outsideWindow(model));
 }
 
 TEST(Table, UnlimitedReferencesSurviveGrowth)
@@ -368,12 +490,32 @@ TEST(Table, UnlimitedReferencesSurviveGrowth)
         e = i;
         refs.push_back(&e);
     }
+    // The same across growths of the direct array, which reaches
+    // each new highest instruction slot.
+    std::vector<uint64_t> slots;
+    for (uint64_t slot = 1; slot < PcIndexedTable<int>::directSlots;
+         slot = slot * 3 + 1)
+        slots.push_back(slot);
+    slots.push_back(PcIndexedTable<int>::directSlots - 1);
+    std::vector<uint64_t *> direct;
+    for (uint64_t slot : slots) {
+        uint64_t &e = t.lookup(isa::indexToPc(static_cast<uint32_t>(slot)));
+        e = slot;
+        direct.push_back(&e);
+    }
     EXPECT_EQ(&t.lookup(0x400000), &first);
     EXPECT_EQ(first, 42u);
     for (uint64_t i = 0; i < refs.size(); ++i) {
         EXPECT_EQ(refs[i], t.probe(0x500000 + 4 * i));
         EXPECT_EQ(*refs[i], i);
     }
+    for (size_t i = 0; i < slots.size(); ++i) {
+        const uint64_t pc =
+            isa::indexToPc(static_cast<uint32_t>(slots[i]));
+        EXPECT_EQ(direct[i], t.probe(pc));
+        EXPECT_EQ(*direct[i], slots[i]);
+    }
+    EXPECT_EQ(t.mapEntries(), refs.size());
 }
 
 TEST(Table, LimitedModeAliases)
@@ -402,9 +544,20 @@ TEST(Table, LookupLanesMatchesLookupLoop)
     // Both modes: the same entries, in order, and the same lookup and
     // conflict counts as one lookup() per lane.
     Xorshift64Star rng(77);
+    const std::vector<uint64_t> edges = windowEdgeKeys(rng);
     std::vector<uint64_t> pcs(3000);
-    for (auto &pc : pcs)
-        pc = rng.below(4) == 0 ? rng.next() : 0x400000 + 4 * rng.below(700);
+    for (auto &pc : pcs) {
+        switch (rng.below(3)) {
+          case 0:
+            pc = rng.next();
+            break;
+          case 1:
+            pc = edges[rng.below(edges.size())];
+            break;
+          default:
+            pc = 0x400000 + 4 * rng.below(700);
+        }
+    }
     pcs[5] = 0;
     pcs[6] = ~uint64_t(0);
     for (size_t entries : {size_t(0), size_t(64)}) {
@@ -420,10 +573,39 @@ TEST(Table, LookupLanesMatchesLookupLoop)
             ++b.lookup(pc);
         EXPECT_EQ(a.lookups(), b.lookups()) << entries;
         EXPECT_EQ(a.conflicts(), b.conflicts()) << entries;
+        EXPECT_EQ(a.mapEntries(), b.mapEntries()) << entries;
         for (size_t i = 0; i < pcs.size(); ++i) {
             ASSERT_EQ(lanes[i], a.probe(pcs[i])) << entries << " " << i;
             ASSERT_EQ(*lanes[i], *b.probe(pcs[i])) << entries << " " << i;
         }
+    }
+}
+
+TEST(Table, KernelValueLanesTakeTheDirectPath)
+{
+    // Verify the traffic rather than assume it: every value lane of
+    // the profile kernels resolves through the direct window, so the
+    // map of an unlimited table stays empty.
+    for (const char *name : {"mcf", "gzip", "parser", "gap"}) {
+        workload::Workload w = workload::makeWorkload(name, 1);
+        auto exec = w.makeExecutor();
+        auto scratch = std::make_unique<workload::TraceChunk>();
+        std::vector<uint64_t> pcs(workload::TraceChunk::capacity);
+        std::vector<int64_t> values(workload::TraceChunk::capacity);
+        std::vector<uint32_t> records(workload::TraceChunk::capacity);
+        PcIndexedTable<uint8_t> t(0);
+        std::vector<uint8_t *> lanes(workload::TraceChunk::capacity);
+        uint64_t seen = 0;
+        while (seen < 200'000) {
+            const workload::TraceChunk *c = exec->fillRef(*scratch);
+            ASSERT_NE(c, nullptr) << name;
+            const uint32_t n = gatherValueLanes(
+                *c, c->size, pcs.data(), values.data(), records.data());
+            t.lookupLanes(pcs.data(), n, lanes.data());
+            seen += c->size;
+        }
+        EXPECT_GT(t.lookups(), 0u) << name;
+        EXPECT_EQ(t.mapEntries(), 0u) << name;
     }
 }
 

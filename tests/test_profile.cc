@@ -16,6 +16,8 @@
 
 #include "core/gdiff.hh"
 #include "isa/program_builder.hh"
+#include "mem/cache.hh"
+#include "predictors/confidence.hh"
 #include "predictors/stride.hh"
 #include "runner/factory.hh"
 #include "sim/profile.hh"
@@ -221,6 +223,176 @@ TEST(AddressProfile, HitHeavyWalkHasFewMisses)
     EXPECT_EQ(runner.results()[0].coverageMiss.total(), 0u);
 }
 
+// ------------------------------------------------- scoring oracles
+//
+// The runners score each predicted batch in one fused pass (correct,
+// pre-train confidence, train, tallies). These oracles replay the
+// same stream one record at a time through the scalar protocol,
+// predict / confident / train / update, and must agree exactly.
+
+/** Confidence policies the oracles run under: the paper's, a
+ * limited table, and non-default widths, steps and thresholds. */
+std::vector<predictors::ConfidenceConfig>
+scoringPolicies()
+{
+    return {
+        predictors::ConfidenceConfig(),
+        {3, 2, 1, 4, 64},
+        {1, 1, 1, 1, 0},
+        {5, 3, 2, 17, 0},
+        {8, 9, 4, 200, 64},
+        {2, 1, 3, 0, 0},
+    };
+}
+
+/** Short real-kernel runs whose warmup ends inside a chunk. */
+ProfileConfig
+oracleConfig(const predictors::ConfidenceConfig &policy)
+{
+    ProfileConfig cfg;
+    cfg.maxInstructions = 60'000;
+    cfg.warmupInstructions = 9'000;
+    cfg.confidence = policy;
+    return cfg;
+}
+
+bool
+sameRatio(const stats::Ratio &a, const stats::Ratio &b)
+{
+    return a.hits() == b.hits() && a.total() == b.total();
+}
+
+ProfileSeries
+valueOracle(const char *workload, const std::string &family,
+            const ProfileConfig &cfg)
+{
+    auto src = workload::makeWorkload(workload, 1).makeExecutor();
+    auto pred = runner::makePredictor(family, 8, 0);
+    predictors::ConfidenceTable conf(cfg.confidence);
+    ProfileSeries s;
+    workload::TraceRecord r;
+    const uint64_t budget = cfg.warmupInstructions + cfg.maxInstructions;
+    for (uint64_t i = 0; i < budget && src->next(r); ++i) {
+        if (!r.producesValue())
+            continue;
+        int64_t v = 0;
+        const bool p = pred->predict(r.pc, v);
+        const bool c = p && v == r.value;
+        const bool k = p && conf.confident(r.pc);
+        if (p)
+            conf.train(r.pc, c);
+        pred->update(r.pc, r.value);
+        if (i < cfg.warmupInstructions)
+            continue;
+        s.accuracyAll.record(c);
+        s.coverage.record(k);
+        if (k)
+            s.accuracyGated.record(c);
+    }
+    return s;
+}
+
+TEST(ValueProfile, FusedScoringMatchesScalarOracle)
+{
+    const std::vector<std::string> families = {"stride", "gdiff", "dfcm"};
+    for (const predictors::ConfidenceConfig &policy : scoringPolicies()) {
+        for (const char *name : {"mcf", "gzip"}) {
+            const ProfileConfig cfg = oracleConfig(policy);
+            ValueProfileRunner runner(cfg);
+            std::vector<std::unique_ptr<predictors::ValuePredictor>> preds;
+            for (const std::string &f : families) {
+                preds.push_back(runner::makePredictor(f, 8, 0));
+                runner.addPredictor(*preds.back());
+            }
+            runner.run(*workload::makeWorkload(name, 1).makeExecutor());
+            for (size_t i = 0; i < families.size(); ++i) {
+                const ProfileSeries want =
+                    valueOracle(name, families[i], cfg);
+                const ProfileSeries &got = runner.results()[i];
+                EXPECT_TRUE(sameRatio(got.accuracyAll, want.accuracyAll) &&
+                            sameRatio(got.coverage, want.coverage) &&
+                            sameRatio(got.accuracyGated,
+                                      want.accuracyGated))
+                    << name << " " << families[i] << " bits "
+                    << policy.bits << " threshold " << policy.threshold
+                    << " entries " << policy.entries << ": coverage "
+                    << got.coverage.hits() << " vs "
+                    << want.coverage.hits();
+                EXPECT_GT(want.coverage.total(), 0u);
+            }
+        }
+    }
+}
+
+AddressSeries
+addressOracle(const char *workload, const std::string &family,
+              const ProfileConfig &cfg)
+{
+    auto src = workload::makeWorkload(workload, 1).makeExecutor();
+    auto pred = runner::makePredictor(family, 8, 0);
+    predictors::ConfidenceTable conf(cfg.confidence);
+    mem::Cache dcache(mem::CacheConfig::paperDCache());
+    AddressSeries s;
+    workload::TraceRecord r;
+    const uint64_t budget = cfg.warmupInstructions + cfg.maxInstructions;
+    for (uint64_t i = 0; i < budget && src->next(r); ++i) {
+        if (r.isStore()) {
+            dcache.access(r.effAddr);
+            continue;
+        }
+        if (!r.isLoad())
+            continue;
+        const bool miss = !dcache.access(r.effAddr);
+        const auto addr = static_cast<int64_t>(r.effAddr);
+        int64_t v = 0;
+        const bool p = pred->predict(r.pc, v);
+        const bool c = p && v == addr;
+        const bool k = p && conf.confident(r.pc);
+        if (p)
+            conf.train(r.pc, c);
+        pred->update(r.pc, addr);
+        if (i < cfg.warmupInstructions)
+            continue;
+        s.coverageAll.record(k);
+        if (k)
+            s.accuracyAll.record(c);
+        if (miss) {
+            s.coverageMiss.record(k);
+            if (k)
+                s.accuracyMiss.record(c);
+        }
+    }
+    return s;
+}
+
+TEST(AddressProfile, FusedScoringMatchesScalarOracle)
+{
+    const std::vector<std::string> families = {"stride", "gdiff"};
+    for (const predictors::ConfidenceConfig &policy : scoringPolicies()) {
+        const ProfileConfig cfg = oracleConfig(policy);
+        AddressProfileRunner runner(cfg);
+        std::vector<std::unique_ptr<predictors::ValuePredictor>> preds;
+        for (const std::string &f : families) {
+            preds.push_back(runner::makePredictor(f, 8, 0));
+            runner.addPredictor(*preds.back());
+        }
+        runner.run(*workload::makeWorkload("mcf", 1).makeExecutor());
+        for (size_t i = 0; i < families.size(); ++i) {
+            const AddressSeries want =
+                addressOracle("mcf", families[i], cfg);
+            const AddressSeries &got = runner.results()[i];
+            EXPECT_TRUE(sameRatio(got.coverageAll, want.coverageAll) &&
+                        sameRatio(got.accuracyAll, want.accuracyAll) &&
+                        sameRatio(got.coverageMiss, want.coverageMiss) &&
+                        sameRatio(got.accuracyMiss, want.accuracyMiss))
+                << families[i] << " bits " << policy.bits
+                << " threshold " << policy.threshold << " entries "
+                << policy.entries;
+            EXPECT_GT(want.coverageMiss.total(), 0u);
+        }
+    }
+}
+
 /** Exact hit and total counts of one stats::Ratio. */
 struct RatioPin
 {
@@ -299,6 +471,39 @@ TEST(ValueProfile, RealKernelCountsArePinned)
                 << show(s.accuracyGated) << ", " << show(s.coverage)
                 << "},";
         }
+    }
+}
+
+// The same counts for the families the profile benchmark sweeps, in a
+// limited-table job (order 8, 4096-entry tables): the pins above and
+// the benchmark's digests cover 8192-entry and unlimited tables.
+const ValuePin kLimitedValuePins[] = {
+    {"mcf", "gdiff", {139476, 171042}, {138592, 150997}, {150997, 171042}},
+    {"mcf", "dfcm", {106393, 171042}, {101299, 139973}, {139973, 171042}},
+    {"mcf", "fcm", {26172, 171042}, {25801, 27468}, {27468, 171042}},
+    {"mcf", "stride", {120516, 171042}, {112804, 153525}, {153525, 171042}},
+    {"mcf", "last", {18546, 171042}, {18471, 19667}, {19667, 171042}},
+};
+
+TEST(ValueProfile, LimitedTableCountsArePinned)
+{
+    std::vector<std::unique_ptr<predictors::ValuePredictor>> preds;
+    ValueProfileRunner runner(pinConfig());
+    for (const ValuePin &pin : kLimitedValuePins) {
+        preds.push_back(runner::makePredictor(pin.family, 8, 4096));
+        runner.addPredictor(*preds.back());
+    }
+    workload::Workload w = workload::makeWorkload("mcf", 1);
+    runner.run(*w.makeExecutor());
+    for (size_t i = 0; i < std::size(kLimitedValuePins); ++i) {
+        const ValuePin &pin = kLimitedValuePins[i];
+        const ProfileSeries &s = runner.results()[i];
+        EXPECT_TRUE(matches(s.accuracyAll, pin.accuracyAll) &&
+                    matches(s.accuracyGated, pin.accuracyGated) &&
+                    matches(s.coverage, pin.coverage))
+            << "actual: {\"" << pin.workload << "\", \"" << pin.family
+            << "\", " << show(s.accuracyAll) << ", "
+            << show(s.accuracyGated) << ", " << show(s.coverage) << "},";
     }
 }
 
