@@ -101,6 +101,16 @@ for seed in 1 7; do
         echo "perfbench profile_zoo seed $seed: results differ from the committed digests"
         tail -n 1 "build/perfbench_zoo_$seed.out"; exit 1; }
 done
+# Pipeline-path digest gate: the pipeline sweep (4 kernels x baseline,
+# l_stride and hgvq) must reproduce its committed result digests too,
+# so a cycle-loop change that moves any pipeline result fails here.
+for seed in 1 7; do
+    python3 perfbench/run.py --workload pipeline_mix --seed "$seed" \
+        --seconds 1 --trace 0 > "build/perfbench_mix_$seed.out"
+    tail -n 1 "build/perfbench_mix_$seed.out" | grep -q '"correct": true' || {
+        echo "perfbench pipeline_mix seed $seed: results differ from the committed digests"
+        tail -n 1 "build/perfbench_mix_$seed.out"; exit 1; }
+done
 # Batch identity fuzz: scalar-vs-batch differ over every batched
 # family, under both kernel sets (forced-scalar first).
 GDIFF_SIMD=scalar ./build/examples/gdifffuzz --cases=1500 --seed=5 \

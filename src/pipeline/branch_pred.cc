@@ -11,10 +11,21 @@ using isa::Opcode;
 BranchPredictor::BranchPredictor(const PipelineConfig &config)
     : historyBits(config.gshareHistoryBits),
       counters(size_t(1) << config.gshareHistoryBits, 1),
-      btb(config.btbEntries), rasDepth(config.rasDepth)
+      btb(config.btbEntries), ras(config.rasDepth)
 {
     GDIFF_ASSERT(isPowerOfTwo(config.btbEntries),
                  "BTB entries must be a power of two");
+    GDIFF_ASSERT(config.rasDepth >= 1, "RAS depth must be at least 1");
+}
+
+void
+BranchPredictor::rasPush(uint64_t addr)
+{
+    ras[rasTop] = addr;
+    if (++rasTop == ras.size())
+        rasTop = 0;
+    if (rasCount < ras.size())
+        ++rasCount;
 }
 
 bool
@@ -43,9 +54,7 @@ BranchPredictor::predictAndTrain(const workload::TraceRecord &r)
         correct = true; // direct, target known at decode
     } else if (op == Opcode::Jal) {
         correct = true;
-        if (ras.size() >= rasDepth)
-            ras.erase(ras.begin());
-        ras.push_back(r.pc + isa::instBytes);
+        rasPush(r.pc + isa::instBytes);
     } else if (op == Opcode::Jalr) {
         // Indirect call: last-target BTB.
         size_t idx = static_cast<size_t>(mix64(r.pc >> 2) &
@@ -56,14 +65,13 @@ BranchPredictor::predictAndTrain(const workload::TraceRecord &r)
         e.tag = r.pc;
         e.target = r.nextPc;
         indAcc.record(correct);
-        if (ras.size() >= rasDepth)
-            ras.erase(ras.begin());
-        ras.push_back(r.pc + isa::instBytes);
+        rasPush(r.pc + isa::instBytes);
     } else if (op == Opcode::Jr) {
         // Treat as a return: pop the RAS.
-        if (!ras.empty()) {
-            correct = (ras.back() == r.nextPc);
-            ras.pop_back();
+        if (rasCount > 0) {
+            rasTop = (rasTop == 0 ? unsigned(ras.size()) : rasTop) - 1;
+            --rasCount;
+            correct = (ras[rasTop] == r.nextPc);
         } else {
             correct = false;
         }

@@ -61,8 +61,14 @@ class BranchPredictor
     };
     std::vector<BtbEntry> btb;
 
+    /// return-address stack: a ring of rasDepth entries. A push onto
+    /// a full stack overwrites the oldest entry.
     std::vector<uint64_t> ras;
-    unsigned rasDepth;
+    unsigned rasTop = 0;   ///< slot the next push writes
+    unsigned rasCount = 0; ///< live entries, at most ras.size()
+
+    /** Push a return address, dropping the oldest when full. */
+    void rasPush(uint64_t addr);
 
     stats::Ratio dirAcc;
     stats::Ratio indAcc;

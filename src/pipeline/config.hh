@@ -23,8 +23,10 @@ namespace pipeline {
  *
  * When enabled, the timing model runs a second, independent set of
  * books — an explicit ROB window, retire-bandwidth counters, per-cycle
- * issue counts — and cross-checks them against the cycle numbers the
- * model computes, along with the writeback queue's robSize bound.
+ * issue counts, an unbounded store-to-load map — and cross-checks them
+ * against the cycle numbers the model computes, along with the
+ * writeback queue's robSize bound, the writeback wheel's horizon and
+ * its (completeCycle, seq) drain order.
  * Violations are counted and the first few described in
  * PipelineStats::checkReports.
  */

@@ -1,9 +1,11 @@
 #include "pipeline/ooo_model.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cinttypes>
 #include <deque>
 #include <memory>
+#include <tuple>
 #include <unordered_map>
 
 #include "obs/obs.hh"
@@ -17,49 +19,219 @@ using isa::Opcode;
 
 namespace {
 
-/// issue-bandwidth ring size (must exceed any plausible scheduling
-/// horizon; the ROB bounds lookahead well below this)
-constexpr size_t issueRingSize = 1 << 16;
+/// end of a wheel bucket's FIFO list
+constexpr uint32_t noWriteback = ~uint32_t(0);
+
+/**
+ * @return a bound on complete(s) - dispatch(s) for every record s.
+ *
+ * Let L be the largest execution latency the config allows and W the
+ * issue width. A record issues at the first cycle with a free slot at
+ * or after its operands are ready, and its operands are ready by
+ * dispatch(s) + 1 or one cycle after some producer p completes.
+ * Follow from s the producer that sets that readiness, as long as the
+ * producer completes after dispatch(s): each such producer has not
+ * retired when s dispatches, so the chain holds at most robSize - 1
+ * distinct records besides s. Its oldest record is ready by
+ * dispatch(s) + 1, and each younger link adds at most its latency
+ * plus one cycle of wakeup, so dependence costs at most
+ * robSize * (L + 1) cycles. The links wait for issue slots over disjoint runs of cycles
+ * after dispatch(s), and every slot in such a cycle is held by a
+ * record still in flight when s dispatches: at most robSize - 1 of
+ * them, filling at most (robSize - 1) / W whole cycles. Hence
+ *
+ *     complete(s) - dispatch(s) <= robSize * (L + 1)
+ *                                  + (robSize - 1) / W.
+ */
+uint64_t
+writebackHorizon(const PipelineConfig &c)
+{
+    const uint64_t loadLatency = uint64_t(c.agenLatency) +
+                                 c.dcache.hitLatency +
+                                 c.dcache.missPenalty;
+    const uint64_t maxLatency =
+        std::max({uint64_t(c.aluLatency), uint64_t(c.agenLatency),
+                  uint64_t(c.mulLatency), uint64_t(c.divLatency),
+                  loadLatency});
+    return uint64_t(c.robSize) * (maxLatency + 1) +
+           (c.robSize - 1) / c.issueWidth;
+}
+
+/** Count a checker violation and keep its report (or panic). */
+void
+recordViolation(const CheckConfig &chk, PipelineStats &stats,
+                const std::string &msg)
+{
+    ++stats.checkViolations;
+    if (stats.checkReports.size() < chk.maxReports)
+        stats.checkReports.push_back(msg);
+    if (chk.failFast)
+        panic("pipeline invariant violated: %s", msg.c_str());
+}
 
 } // anonymous namespace
 
-OooPipeline::OooPipeline(const PipelineConfig &config, VpScheme &s)
-    : cfg(config), scheme(s), bpred(config), icache(config.icache),
-      dcache(config.dcache), issueCount(issueRingSize, 0),
-      issueTag(issueRingSize, ~uint64_t(0)),
-      pending(size_t(1) << ceilLog2(std::max(1u, config.robSize)))
+StoreReadyTable::StoreReadyTable(unsigned window)
+    : recent(size_t(1) << ceilLog2(std::max(1u, window)))
 {
+    // Eight slots per remembered store: between rebuilds the table
+    // holds at most recent.size() + capacity/2 addresses, so it never
+    // fills past 5/8 (probes always end) and holds about 3/8 on
+    // average.
+    const unsigned bits = ceilLog2(recent.size()) + 3;
+    slots.resize(size_t(1) << bits);
+    slotMask = slots.size() - 1;
+    hashShift = 64 - bits;
+}
+
+bool
+StoreReadyTable::upsert(uint64_t addr, uint64_t cycle)
+{
+    for (size_t i = homeSlot(addr);; i = (i + 1) & slotMask) {
+        Slot &e = slots[i];
+        if (e.epoch != epoch) {
+            e.addr = addr;
+            e.cycle = cycle;
+            e.epoch = epoch;
+            return true;
+        }
+        if (e.addr == addr) {
+            e.cycle = cycle;
+            return false;
+        }
+    }
 }
 
 void
-OooPipeline::queueWriteback(const PendingWriteback &wb)
+StoreReadyTable::insert(uint64_t addr, uint64_t cycle)
 {
-    GDIFF_ASSERT(pendingTail - pendingHead < pending.size(),
-                 "writeback ring full at %zu entries", pending.size());
-    const uint64_t mask = pending.size() - 1;
-    uint64_t i = pendingTail++;
-    while (i > pendingHead &&
-           pending[(i - 1) & mask].completeCycle > wb.completeCycle) {
-        pending[i & mask] = pending[(i - 1) & mask];
-        --i;
+    recent[stores++ & (recent.size() - 1)] = {addr, cycle};
+    if (upsert(addr, cycle) && ++freshSinceRebuild == slots.size() / 2)
+        rebuild();
+}
+
+void
+StoreReadyTable::rebuild()
+{
+    if (++epoch == 0) {
+        // Epoch wrapped: stale slots could match again, so clear them.
+        for (Slot &e : slots)
+            e.epoch = 0;
+        epoch = 1;
     }
-    pending[i & mask] = wb;
+    freshSinceRebuild = 0;
+    const uint64_t n = std::min<uint64_t>(stores, recent.size());
+    for (uint64_t k = stores - n; k < stores; ++k) {
+        const auto &[addr, cycle] = recent[k & (recent.size() - 1)];
+        upsert(addr, cycle);
+    }
+}
+
+OooPipeline::OooPipeline(const PipelineConfig &config, VpScheme &s)
+    : cfg(config), scheme(s), bpred(config), icache(config.icache),
+      dcache(config.dcache)
+{
+    GDIFF_ASSERT(cfg.robSize >= 1 && cfg.issueWidth >= 1,
+                 "robSize %u and issueWidth %u must be at least 1",
+                 cfg.robSize, cfg.issueWidth);
+    pending.resize(size_t(1) << ceilLog2(cfg.robSize));
+    horizon = writebackHorizon(cfg);
+    // Live completions, and the issue cycles before them, span at
+    // most horizon + 1 cycles; whole bitmap words keep the drain's
+    // word stepping aligned.
+    const size_t span = size_t(1) << std::max(6u, ceilLog2(horizon + 1));
+    wheel.resize(span);
+    wheelBusy.resize(span / 64, 0);
+    issueCount.resize(span, 0);
+    issueTag.resize(span, ~uint64_t(0));
+}
+
+OooPipeline::PendingWriteback &
+OooPipeline::queueWriteback(uint64_t completeCycle)
+{
+    GDIFF_ASSERT(completeCycle >= wheelCursor &&
+                     completeCycle - wheelCursor < wheel.size(),
+                 "writeback at cycle %" PRIu64 " outside the wheel's "
+                 "%zu cycles from cycle %" PRIu64,
+                 completeCycle, wheel.size(), wheelCursor);
+    const uint32_t slot =
+        static_cast<uint32_t>(arrivals++ & (pending.size() - 1));
+    PendingWriteback &wb = pending[slot];
+    wb.completeCycle = completeCycle;
+    wb.next = noWriteback;
+    const size_t b = completeCycle & (wheel.size() - 1);
+    uint64_t &busy = wheelBusy[b >> 6];
+    const uint64_t bit = uint64_t(1) << (b & 63);
+    if (busy & bit) {
+        pending[wheel[b].tail].next = slot;
+    } else {
+        busy |= bit;
+        wheel[b].head = slot;
+    }
+    wheel[b].tail = slot;
+    return wb;
 }
 
 void
 OooPipeline::drainWritebacksBefore(uint64_t cycle, PipelineStats &stats)
 {
-    const uint64_t mask = pending.size() - 1;
-    while (pendingHead < pendingTail &&
-           pending[pendingHead & mask].completeCycle < cycle) {
-        const PendingWriteback &wb = pending[pendingHead++ & mask];
-        ++producerWritebacks;
-        if (wb.measured) {
-            stats.valueDelay.record(producerWritebacks -
-                                    wb.producedAtDispatch);
+    GDIFF_ASSERT(cycle >= wheelCursor,
+                 "drain to cycle %" PRIu64 " behind the cursor %" PRIu64,
+                 cycle, wheelCursor);
+    // Every live writeback lies in [wheelCursor, wheelCursor + size),
+    // so the walk never needs to go further than one turn.
+    const uint64_t size = wheel.size();
+    const uint64_t end =
+        cycle - wheelCursor < size ? cycle : wheelCursor + size;
+    uint64_t c = wheelCursor;
+    while (c < end) {
+        const size_t b = c & (size - 1);
+        const uint64_t word = wheelBusy[b >> 6] >> (b & 63);
+        if (word == 0) {
+            c += 64 - (b & 63);
+            continue;
         }
-        scheme.writeback(wb.pc, wb.decision, wb.value);
+        c += std::countr_zero(word);
+        if (c >= end)
+            break;
+        const size_t hit = c & (size - 1);
+        wheelBusy[hit >> 6] &= ~(uint64_t(1) << (hit & 63));
+        for (uint32_t i = wheel[hit].head; i != noWriteback;
+             i = pending[i].next) {
+            const PendingWriteback &wb = pending[i];
+            if (cfg.check.enabled) {
+                // Completion order: (completeCycle, seq) rises across
+                // drains, and nothing applies at or after the cycle.
+                if (wb.completeCycle >= cycle ||
+                    (chkApplied &&
+                     std::tie(wb.completeCycle, wb.seq) <=
+                         std::tie(chkAppliedCycle, chkAppliedSeq))) {
+                    recordViolation(
+                        cfg.check, stats,
+                        formatString(
+                            "writeback of seq %" PRIu64
+                            " (cycle %" PRIu64 ") applied out of order:"
+                            " after seq %" PRIu64 " (cycle %" PRIu64
+                            "), in a drain before cycle %" PRIu64,
+                            wb.seq, wb.completeCycle, chkAppliedSeq,
+                            chkAppliedCycle, cycle));
+                }
+                chkApplied = true;
+                chkAppliedCycle = wb.completeCycle;
+                chkAppliedSeq = wb.seq;
+            }
+            ++producerWritebacks;
+            if (wb.measured) {
+                stats.valueDelay.record(producerWritebacks -
+                                        wb.producedAtDispatch);
+            }
+            scheme.writeback(wb.pc, wb.decision, wb.value);
+        }
+        ++c;
     }
+    // Clamped to the drain cycle, not to the next busy one: a record
+    // dispatched at this cycle may still complete at any later cycle.
+    wheelCursor = cycle;
 }
 
 uint64_t
@@ -67,7 +239,7 @@ OooPipeline::allocateIssueSlot(uint64_t earliest)
 {
     uint64_t cycle = earliest;
     for (;;) {
-        size_t idx = static_cast<size_t>(cycle & (issueRingSize - 1));
+        size_t idx = static_cast<size_t>(cycle & (issueTag.size() - 1));
         if (issueTag[idx] != cycle) {
             issueTag[idx] = cycle;
             issueCount[idx] = 0;
@@ -85,10 +257,10 @@ OooPipeline::run(workload::TraceSource &src, uint64_t max_instructions,
                  uint64_t warmup, bool measureFromRetire,
                  uint64_t functionalWarmup)
 {
-    if (max_instructions == 0) {
-        fatal("pipeline run length is 0 instructions: nothing would "
-              "be measured");
-    }
+    // Callers validate the run length (JobSpec::validateOr, the
+    // tools' flag parsing): a 0-instruction run measures nothing.
+    GDIFF_ASSERT(max_instructions > 0,
+                 "pipeline run length is 0 instructions");
     PipelineStats stats;
 
     // Per-register availability, for real results and for the
@@ -96,10 +268,18 @@ OooPipeline::run(workload::TraceSource &src, uint64_t max_instructions,
     std::vector<uint64_t> regReady(isa::numRegs, 0);
     std::vector<uint64_t> regReadySpec(isa::numRegs, 0);
     // Store-to-load dependence through memory.
-    std::unordered_map<uint64_t, uint64_t> memReady;
+    StoreReadyTable memReady(cfg.robSize);
 
-    // ROB occupancy: retire cycles of the last robSize instructions.
+    // ROB occupancy: retire cycles of the last robSize instructions;
+    // robSlot holds seq % robSize, kept by a wrapping counter.
     std::vector<uint64_t> robRetire(cfg.robSize, 0);
+    unsigned robSlot = 0;
+
+    // The previous run drained the wheel completely; cycles restart,
+    // so no issue slot booked by that run may count against this one.
+    wheelCursor = 0;
+    std::fill(issueTag.begin(), issueTag.end(), ~uint64_t(0));
+    chkApplied = false;
 
     uint64_t front_cycle = 1;       // front-end dispatch cursor
     unsigned dispatched_in_cycle = 0;
@@ -122,12 +302,11 @@ OooPipeline::run(workload::TraceSource &src, uint64_t max_instructions,
     uint64_t chkRetireCycle = 0;       // current retire cycle...
     unsigned chkRetireCount = 0;       // ...and retires charged to it
     std::unordered_map<uint64_t, unsigned> chkIssuePerCycle;
+    // Every store's completion, never forgotten: the model of the
+    // store-to-load dependence that memReady must answer exactly.
+    std::unordered_map<uint64_t, uint64_t> chkStoreReady;
     auto violate = [&](const std::string &msg) {
-        ++stats.checkViolations;
-        if (stats.checkReports.size() < chk.maxReports)
-            stats.checkReports.push_back(msg);
-        if (chk.failFast)
-            panic("pipeline invariant violated: %s", msg.c_str());
+        recordViolation(chk, stats, msg);
     };
 
     // Chunk-granularity obs split: trace delivery (fill) vs the cycle
@@ -197,8 +376,7 @@ OooPipeline::run(workload::TraceSource &src, uint64_t max_instructions,
         }
 
         // ---- dispatch (ROB backpressure) -------------------------------
-        uint64_t rob_free =
-            robRetire[seq % cfg.robSize]; // retire of (seq - robSize)
+        uint64_t rob_free = robRetire[robSlot]; // retire of seq - robSize
         uint64_t dispatch_cycle =
             std::max(front_cycle + cfg.frontendDepth, rob_free);
         if (dispatch_cycle > front_cycle + cfg.frontendDepth) {
@@ -225,7 +403,8 @@ OooPipeline::run(workload::TraceSource &src, uint64_t max_instructions,
         }
 
         // ---- writebacks that architecturally precede this dispatch ----
-        drainWritebacksBefore(dispatch_cycle, stats);
+        if (dispatch_cycle != wheelCursor)
+            drainWritebacksBefore(dispatch_cycle, stats);
 
         // ---- value prediction at dispatch ------------------------------
         VpDecision decision;
@@ -240,9 +419,22 @@ OooPipeline::run(workload::TraceSource &src, uint64_t max_instructions,
         if (r.inst.readsRs2())
             ready = std::max(ready, regReadySpec[r.inst.rs2]);
         if (r.isLoad()) {
-            auto it = memReady.find(r.effAddr);
-            if (it != memReady.end())
-                ready = std::max(ready, it->second);
+            const uint64_t regs_ready = ready;
+            ready = std::max(ready, memReady.lookup(r.effAddr));
+            if (chk.enabled) {
+                auto it = chkStoreReady.find(r.effAddr);
+                uint64_t want =
+                    it == chkStoreReady.end()
+                        ? regs_ready
+                        : std::max(regs_ready, it->second);
+                if (ready != want) {
+                    violate(formatString(
+                        "store-to-load dependence: seq %" PRIu64
+                        " loads 0x%" PRIx64 " ready at cycle %" PRIu64
+                        ", but its last store makes it cycle %" PRIu64,
+                        seq, r.effAddr, ready, want));
+                }
+            }
         }
 
         // ---- issue and execute ------------------------------------------
@@ -272,6 +464,14 @@ OooPipeline::run(workload::TraceSource &src, uint64_t max_instructions,
         uint64_t complete_cycle = issue_cycle + latency;
 
         if (chk.enabled) {
+            if (complete_cycle - dispatch_cycle > horizon) {
+                // The writeback wheel is sized from this bound.
+                violate(formatString(
+                    "wheel horizon exceeded: seq %" PRIu64
+                    " completes %" PRIu64 " cycles after its dispatch,"
+                    " beyond the %" PRIu64 "-cycle bound",
+                    seq, complete_cycle - dispatch_cycle, horizon));
+            }
             if (issue_cycle <= dispatch_cycle) {
                 violate(formatString(
                     "issue before dispatch: seq %" PRIu64
@@ -347,8 +547,11 @@ OooPipeline::run(workload::TraceSource &src, uint64_t max_instructions,
                     spec, complete_cycle));
             }
         }
-        if (r.isStore())
-            memReady[r.effAddr] = complete_cycle;
+        if (r.isStore()) {
+            memReady.insert(r.effAddr, complete_cycle);
+            if (chk.enabled)
+                chkStoreReady[r.effAddr] = complete_cycle;
+        }
 
         // ---- retire (in order, retireWidth per cycle) ---------------------
         uint64_t retire_cycle =
@@ -362,7 +565,9 @@ OooPipeline::run(workload::TraceSource &src, uint64_t max_instructions,
             retired_in_cycle = 0;
         }
         ++retired_in_cycle;
-        robRetire[seq % cfg.robSize] = retire_cycle;
+        robRetire[robSlot] = retire_cycle;
+        if (++robSlot == cfg.robSize)
+            robSlot = 0;
 
         if (chk.enabled) {
             if (retire_cycle < chkPrevRetire) {
@@ -398,22 +603,22 @@ OooPipeline::run(workload::TraceSource &src, uint64_t max_instructions,
 
         // ---- predictor writeback event ------------------------------------
         if (produces) {
-            PendingWriteback wb;
-            wb.completeCycle = complete_cycle;
+            PendingWriteback &wb = queueWriteback(complete_cycle);
+            wb.seq = seq;
             wb.pc = r.pc;
             wb.value = r.value;
             wb.decision = decision;
             wb.producedAtDispatch = producerWritebacks;
             wb.measured = measure;
-            queueWriteback(wb);
-            if (chk.enabled && pendingTail - pendingHead > cfg.robSize) {
+            const uint64_t live = arrivals - producerWritebacks;
+            if (chk.enabled && live > cfg.robSize) {
                 // Every writeback of seq - robSize or older completes
                 // before this record's dispatch, so at most robSize
                 // (this one included) can be waiting.
                 violate(formatString(
                     "writeback queue holds %" PRIu64 " entries after "
                     "seq %" PRIu64 ", more than the %u-entry ROB",
-                    pendingTail - pendingHead, seq, cfg.robSize));
+                    live, seq, cfg.robSize));
             }
         }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "pipeline/branch_pred.hh"
@@ -151,6 +152,67 @@ TEST(RasTest, MismatchedReturnTargetMispredicts)
     ret.pc = 0x400810;
     ret.nextPc = 0x999999; // not the pushed return address
     EXPECT_FALSE(bp.predictAndTrain(ret));
+}
+
+TEST(RasTest, OverflowKeepsTheNewestReturns)
+{
+    // rasDepth + 5 nested calls, then their returns innermost first.
+    // A full stack drops its oldest entry, so the first rasDepth
+    // returns predict and the last 5 find the stack empty. A second,
+    // shallower round after the wrap (an indirect call among them)
+    // checks that the ring still pairs calls with returns. The outcome
+    // strings are pinned from the vector-backed stack this ring
+    // replaced.
+    struct Case
+    {
+        unsigned depth;
+        const char *outcomes;
+    };
+    const Case cases[] = {
+        {1, "111111" "100000" "101" "100"},
+        {4, "111111111" "111100000" "101" "111"},
+        {16, "111111111111111111111"
+             "111111111111111100000" "101" "111"},
+    };
+    for (const Case &c : cases) {
+        PipelineConfig cfg;
+        cfg.rasDepth = c.depth;
+        BranchPredictor bp(cfg);
+        std::string got;
+        auto call = [&](uint64_t pc, isa::Opcode op) {
+            workload::TraceRecord r;
+            r.inst.op = op;
+            r.pc = pc;
+            r.nextPc = 0x800000 + pc; // the callee
+            got += bp.predictAndTrain(r) ? '1' : '0';
+        };
+        auto ret = [&](uint64_t callPc) {
+            workload::TraceRecord r;
+            r.inst.op = isa::Opcode::Jr;
+            r.pc = 0x900000 + callPc;
+            r.nextPc = callPc + isa::instBytes;
+            got += bp.predictAndTrain(r) ? '1' : '0';
+        };
+        const unsigned calls = c.depth + 5;
+        for (unsigned k = 0; k < calls; ++k)
+            call(0x400000 + 0x100 * k, isa::Opcode::Jal);
+        for (unsigned k = calls; k-- > 0;)
+            ret(0x400000 + 0x100 * k);
+        // After the wrap: a direct call, an indirect call (its cold
+        // BTB mispredicts the target) and a direct call, then returns.
+        call(0x410000, isa::Opcode::Jal);
+        call(0x410100, isa::Opcode::Jalr);
+        call(0x410200, isa::Opcode::Jal);
+        ret(0x410200);
+        ret(0x410100);
+        ret(0x410000);
+
+        EXPECT_EQ(got, c.outcomes) << "rasDepth " << c.depth;
+        const std::string returns = got.substr(calls, calls);
+        EXPECT_EQ(returns, std::string(c.depth, '1') +
+                               std::string(5, '0'))
+            << "rasDepth " << c.depth;
+    }
 }
 
 TEST(BtbTest, IndirectCallLearnsLastTarget)

@@ -365,21 +365,30 @@ TEST(PipelineInvariantTest, KernelWorkloadHoldsInvariants)
 
 TEST(PipelineInvariantTest, WritebackQueueBoundHoldsAtEveryRobSize)
 {
-    // The writeback queue never holds more than robSize entries; the
-    // checker reports any excess. Small ROBs stall dispatch on nearly
-    // every record, large ones let long-latency producers pile up.
+    // The writeback queue never holds more than robSize entries, the
+    // wheel applies writebacks in (completeCycle, seq) order within
+    // its horizon, and loads see exactly the store-to-load model's
+    // answer; the checker reports any excess. Small ROBs stall
+    // dispatch on nearly every record, large ones let long-latency
+    // producers pile up, and long divides and misses push completions
+    // far past dispatch.
     auto run = [](const workload::Workload &w, const char *scheme_name,
-                  unsigned rob, uint64_t n, uint64_t warmup) {
+                  unsigned rob, uint64_t n, uint64_t warmup,
+                  bool longLatency = false) {
         auto scheme = runner::makeScheme(scheme_name, 16, 0);
         pipeline::PipelineConfig cfg;
         cfg.robSize = rob;
         cfg.check.enabled = true;
+        if (longLatency) {
+            cfg.divLatency = 60;
+            cfg.dcache.missPenalty = 100;
+        }
         pipeline::OooPipeline pipe(cfg, *scheme);
         auto exec = w.makeExecutor();
         pipeline::PipelineStats stats = pipe.run(*exec, n, warmup);
         EXPECT_EQ(stats.checkViolations, 0u)
             << w.program.name() << " " << scheme_name << " rob " << rob
-            << ": "
+            << (longLatency ? " long latency" : "") << ": "
             << (stats.checkReports.empty() ? "(no report)"
                                            : stats.checkReports.front());
     };
@@ -389,9 +398,12 @@ TEST(PipelineInvariantTest, WritebackQueueBoundHoldsAtEveryRobSize)
             pcfg.seed = seed;
             workload::Workload w = fuzzProgram(pcfg);
             run(w, "hgvq", rob, 1'000'000'000, 0);
+            run(w, "hgvq", rob, 1'000'000'000, 0, true);
         }
         run(workload::makeWorkload("mcf", 1), "baseline", rob, 40'000,
             5'000);
+        run(workload::makeWorkload("mcf", 1), "hgvq", rob, 40'000,
+            5'000, true);
     }
 }
 

@@ -2,10 +2,13 @@
  * @file
  * OOO timing-model tests: IPC bounds, dependence serialisation,
  * cache and branch-penalty sensitivity, value-speculation effects,
- * and the writeback ordering that drives the predictor schemes.
+ * the writeback ordering that drives the predictor schemes, and the
+ * bounded store-to-load table.
  */
 
 #include <gtest/gtest.h>
+
+#include <unordered_map>
 
 #include "isa/program_builder.hh"
 #include "pipeline/ooo_model.hh"
@@ -276,6 +279,56 @@ TEST(BranchPredictor, RotatingIndirectTargetsMispredict)
     }
     // last-target BTB cannot track 7 rotating targets
     EXPECT_LT(correct, 20u);
+}
+
+TEST(StoreReadyTable, AnswersEveryStoreInTheWindow)
+{
+    // Against an unbounded map: an address whose last store is among
+    // the last `window` stores must read back exactly; one never
+    // stored reads 0; an older one may read either. Fresh addresses
+    // outnumber the table's slots many times over, so it rebuilds
+    // from its ring again and again.
+    for (unsigned window : {1u, 4u, 64u, 200u}) {
+        StoreReadyTable t(window);
+        struct Last
+        {
+            uint64_t cycle, store;
+        };
+        std::unordered_map<uint64_t, Last> model;
+        Xorshift64Star rng(window);
+        auto pick = [&]() -> uint64_t {
+            switch (rng.below(4)) {
+              case 0:
+                return rng.chancePercent(50) ? 0 : ~uint64_t(0);
+              case 1:
+                return 8 * rng.below(16);
+              case 2:
+                return rng.next();
+              default:
+                return 0x10000000 + 8 * rng.below(4 * window + 8);
+            }
+        };
+        uint64_t stores = 0;
+        for (uint64_t step = 1; step <= 200'000; ++step) {
+            uint64_t addr = pick();
+            if (rng.chancePercent(40)) {
+                t.insert(addr, step);
+                model[addr] = {step, stores++};
+                continue;
+            }
+            uint64_t got = t.lookup(addr);
+            auto it = model.find(addr);
+            if (it == model.end()) {
+                ASSERT_EQ(got, 0u) << "window " << window;
+            } else if (stores - it->second.store <= window) {
+                ASSERT_EQ(got, it->second.cycle)
+                    << "window " << window << " addr " << addr;
+            } else {
+                ASSERT_TRUE(got == 0 || got == it->second.cycle)
+                    << "window " << window << " addr " << addr;
+            }
+        }
+    }
 }
 
 } // namespace
