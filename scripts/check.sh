@@ -101,6 +101,16 @@ for seed in 1 7; do
         echo "perfbench profile_zoo seed $seed: results differ from the committed digests"
         tail -n 1 "build/perfbench_zoo_$seed.out"; exit 1; }
 done
+# The same digests on the scalar kernels: the lane gather and gFCM's
+# hashing passes each have an AVX2 variant and a scalar twin.
+for seed in 1 7; do
+    GDIFF_SIMD=scalar python3 perfbench/run.py --workload profile_zoo \
+        --seed "$seed" --seconds 1 --trace 0 \
+        > "build/perfbench_zoo_scalar_$seed.out"
+    tail -n 1 "build/perfbench_zoo_scalar_$seed.out" | grep -q '"correct": true' || {
+        echo "perfbench profile_zoo seed $seed (GDIFF_SIMD=scalar): results differ from the committed digests"
+        tail -n 1 "build/perfbench_zoo_scalar_$seed.out"; exit 1; }
+done
 # Pipeline-path digest gate: the pipeline sweep (4 kernels x baseline,
 # l_stride and hgvq) must reproduce its committed result digests too,
 # so a cycle-loop change that moves any pipeline result fails here.

@@ -21,6 +21,7 @@
 #ifndef GDIFF_PREDICTORS_GFCM_HH
 #define GDIFF_PREDICTORS_GFCM_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "predictors/value_predictor.hh"
@@ -50,6 +51,7 @@ class GFcmPredictor : public ValuePredictor
                      "gFCM table must be a power of two");
         GDIFF_ASSERT(cfg.order >= 1 && cfg.order <= 8,
                      "gFCM order out of range");
+        GDIFF_ASSERT(bits <= 32, "gFCM table too large");
     }
 
     std::string name() const override { return "gfcm"; }
@@ -74,6 +76,9 @@ class GFcmPredictor : public ValuePredictor
         pushContext(static_cast<uint16_t>(
             mix64(static_cast<uint64_t>(actual)) & 0xffff));
     }
+
+    void predictUpdateBatch(const uint64_t *pcs, const int64_t *actuals,
+                            uint32_t n, PredictionBatch &out) override;
 
   private:
     struct Entry
@@ -111,6 +116,10 @@ class GFcmPredictor : public ValuePredictor
     std::vector<Entry> table;
     RingHistory<uint16_t> folds;
     uint64_t contextMix = 0; ///< mix64 of the context hash
+    /// predictUpdateBatch scratch: the folds the batch's contexts
+    /// read, oldest first, and each lane's table index
+    std::vector<uint16_t> laneFolds;
+    std::vector<uint32_t> laneIndex;
 };
 
 } // namespace predictors

@@ -1,5 +1,6 @@
 #include "predictors/value_predictor.hh"
 
+#include "util/simd.hh"
 #include "workload/trace.hh"
 
 namespace gdiff {
@@ -10,17 +11,9 @@ gatherValueLanes(const workload::TraceChunk &chunk, uint32_t limit,
                  uint64_t *pcs, int64_t *values, uint32_t *records)
 {
     const uint32_t n = limit < chunk.size ? limit : chunk.size;
-    // Branch-free compaction: every record is written at the next
-    // lane and kept only if it produces a value (the lane arrays
-    // hold capacity elements, so the write past the last lane fits).
-    uint32_t lanes = 0;
-    for (uint32_t i = 0; i < n; ++i) {
-        pcs[lanes] = chunk.pc[i];
-        values[lanes] = chunk.value[i];
-        records[lanes] = i;
-        lanes += chunk.producesValue(i);
-    }
-    return lanes;
+    return simd::compactFlaggedLanes(
+        chunk.flags.data(), workload::TraceChunk::flagProducesValue,
+        chunk.pc.data(), chunk.value.data(), n, pcs, values, records);
 }
 
 } // namespace predictors

@@ -169,7 +169,8 @@ class ValuePredictor
  * value, records[l] the chunk record index. Arrays must hold
  * TraceChunk::capacity elements. @return the lane count. The value
  * profile driver gathers once and feeds the lanes to every
- * predictor.
+ * predictor. The work is simd::compactFlaggedLanes, under the active
+ * kernel set.
  */
 uint32_t gatherValueLanes(const workload::TraceChunk &chunk,
                           uint32_t limit, uint64_t *pcs,

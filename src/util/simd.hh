@@ -7,7 +7,10 @@
  * first matching position among stored differences. The period scans
  * lean on two more: counting zero second differences (wide columns,
  * and the sampled simulator's strata), and counting lag-L equal bytes
- * (the v3 encoder's u8 columns). Each pass has two implementations:
+ * (the v3 encoder's u8 columns). The value profile's lane gather
+ * compacts a chunk's flagged rows, and gFCM's batch loop hashes its
+ * lanes' values and contexts ahead of its table walk. Each pass has
+ * two implementations:
  *
  *  - a portable scalar loop, always compiled and always tested;
  *  - a hand-rolled AVX2 variant compiled with a per-function target
@@ -98,6 +101,37 @@ size_t countSecondDiffZero(const uint64_t *v, size_t n, size_t L);
  * n <= L.
  */
 size_t countLagEqualBytes(const uint8_t *v, size_t n, size_t L);
+
+/**
+ * gFCM's value folds (predictors/gfcm.hh): out[i] = mix64(v[i]) &
+ * 0xffff for i in [0, n).
+ */
+void foldValues(const int64_t *v, size_t n, uint16_t *out);
+
+/**
+ * gFCM's table indices: for l in [0, n), with word(l) the
+ * little-endian 64-bit word of folds l..l+3, out[l] =
+ * (mix64(pcs[l] >> 2) ^ mix64(word(l) & contextMask)) & indexMask.
+ * @p indexMask must fit 32 bits, and @p folds must hold n + 4
+ * elements: the AVX2 variant reads eight folds per four lanes.
+ */
+void contextIndices(const uint64_t *pcs, const uint16_t *folds, size_t n,
+                    uint64_t contextMask, uint64_t indexMask,
+                    uint32_t *out);
+
+/**
+ * Compact the rows i in [0, n) whose flags[i] has any bit of @p bit
+ * set into dense lanes, in row order: lane l receives outPcs[l] =
+ * pcs[i], outValues[l] = values[i] and outRecords[l] = i. @return the
+ * lane count. Each output array must hold n elements: slots past the
+ * returned count are scratch, written with unspecified contents. This
+ * is the profile driver's lane gather (predictors::gatherValueLanes),
+ * which keeps a chunk's value-producing records.
+ */
+uint32_t compactFlaggedLanes(const uint8_t *flags, uint8_t bit,
+                             const uint64_t *pcs, const int64_t *values,
+                             uint32_t n, uint64_t *outPcs,
+                             int64_t *outValues, uint32_t *outRecords);
 
 } // namespace simd
 } // namespace gdiff

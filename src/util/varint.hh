@@ -169,24 +169,39 @@ fnv1a(const void *data, size_t bytes, uint64_t h = fnvOffsetBasis)
 }
 
 /**
- * Fold the same @p bytes bytes into two running FNV-1a digests in one
- * pass: afterwards *@p a == fnv1a(data, bytes, a0) and *@p b ==
- * fnv1a(data, bytes, b0). Each digest is a serial multiply chain, so
- * interleaving two independent chains costs about one pass, not two —
- * a trace reader checks a block digest and extends the whole-file
- * digest over the same payload bytes this way.
+ * Fold @p aBytes bytes at @p aData into the running FNV-1a digest
+ * *@p a and @p bBytes bytes at @p bData into *@p b, in one pass:
+ * afterwards *@p a == fnv1a(aData, aBytes, a0) and *@p b ==
+ * fnv1a(bData, bBytes, b0). Each digest is a serial multiply chain,
+ * so interleaving two independent chains costs about one pass over
+ * the longer range, not two passes. A trace reader checks a block
+ * digest and extends the whole-file digest over the same payload
+ * bytes this way; the writer, which cannot hash a block's header
+ * into the file digest before its block digest is done, extends the
+ * file digest over the previous payload while it hashes the current
+ * one.
  */
+inline void
+fnv1aPair(const void *aData, size_t aBytes, uint64_t *a,
+          const void *bData, size_t bBytes, uint64_t *b)
+{
+    const uint8_t *pa = static_cast<const uint8_t *>(aData);
+    const uint8_t *pb = static_cast<const uint8_t *>(bData);
+    const size_t both = aBytes < bBytes ? aBytes : bBytes;
+    uint64_t ha = *a, hb = *b;
+    for (size_t i = 0; i < both; ++i) {
+        ha = (ha ^ pa[i]) * fnvPrime;
+        hb = (hb ^ pb[i]) * fnvPrime;
+    }
+    *a = fnv1a(pa + both, aBytes - both, ha);
+    *b = fnv1a(pb + both, bBytes - both, hb);
+}
+
+/** fnv1aPair() over the same @p bytes bytes for both digests. */
 inline void
 fnv1aPair(const void *data, size_t bytes, uint64_t *a, uint64_t *b)
 {
-    const uint8_t *p = static_cast<const uint8_t *>(data);
-    uint64_t ha = *a, hb = *b;
-    for (size_t i = 0; i < bytes; ++i) {
-        ha = (ha ^ p[i]) * fnvPrime;
-        hb = (hb ^ p[i]) * fnvPrime;
-    }
-    *a = ha;
-    *b = hb;
+    fnv1aPair(data, bytes, a, data, bytes, b);
 }
 /// @}
 

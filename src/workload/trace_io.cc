@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
 #include "obs/obs.hh"
 #include "util/logging.hh"
@@ -649,9 +650,12 @@ TraceWriter::TraceWriter(const std::string &p, uint32_t version)
 {
     GDIFF_ASSERT(ver == traceVersionV2 || ver == traceVersionV3,
                  "unsupported trace write version %u", ver);
-    if (ver == traceVersionV3)
+    if (ver == traceVersionV3) {
         payload = std::make_unique_for_overwrite<uint8_t[]>(
             maxV3PayloadBytes);
+        digestPayload = std::make_unique_for_overwrite<uint8_t[]>(
+            maxV3PayloadBytes);
+    }
     file = std::fopen(path.c_str(), "wb");
     if (!file) {
         st = ioError(TraceIoStatus::IoError,
@@ -883,13 +887,23 @@ TraceWriter::writeV3Block(const TraceChunk &chunk)
             chunk.value.data(), 8);
     putWide(chunk.effAddr.data(), chunk.effAddr.data(), 8);
 
+    // The file digest runs over each block's header, then its
+    // payload, and the header holds the payload's block digest. So
+    // while this payload's block digest is computed, the file digest
+    // takes the previous payload, whose header is already in it: two
+    // independent chains in one pass. This header follows at once;
+    // this payload waits in digestPayload for the next block, or for
+    // close().
     const size_t bytes = static_cast<size_t>(out - payload.get());
-    BlockHeaderV3 bh{n, static_cast<uint32_t>(bytes),
-                     codec::fnv1a(payload.get(), bytes)};
+    uint64_t blockDigest = codec::fnvOffsetBasis;
+    codec::fnv1aPair(payload.get(), bytes, &blockDigest,
+                     digestPayload.get(), digestBytes, &fileDigest);
+    BlockHeaderV3 bh{n, static_cast<uint32_t>(bytes), blockDigest};
     fileDigest = codec::fnv1a(&bh, sizeof(bh), fileDigest);
-    fileDigest = codec::fnv1a(payload.get(), bytes, fileDigest);
     writeRaw(&bh, sizeof(bh), "block");
     writeRaw(payload.get(), bytes, "block");
+    std::swap(payload, digestPayload);
+    digestBytes = bytes;
 }
 
 TraceIoResult
@@ -899,6 +913,9 @@ TraceWriter::close()
         return st;
     flushPending();
     if (ver == traceVersionV3) {
+        fileDigest =
+            codec::fnv1a(digestPayload.get(), digestBytes, fileDigest);
+        digestBytes = 0;
         FooterV3 foot{footerMagic, 0, fileDigest};
         writeRaw(&foot, sizeof(foot), "footer");
     }

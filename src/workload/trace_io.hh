@@ -170,7 +170,9 @@ class TraceWriter
     std::string path;
     uint32_t ver = traceVersionV3;
     uint64_t count = 0;
-    uint64_t fileDigest = 0; ///< running FNV over v3 block bytes
+    /// running FNV over v3 block bytes, up to the last block's
+    /// header: its payload is still in digestPayload
+    uint64_t fileDigest = 0;
     TraceIoResult st;
     std::unique_ptr<TraceChunk> pending;
     /// block scratch, reused by every block: the gathered instruction
@@ -180,6 +182,11 @@ class TraceWriter
     /// written here once, at the size counted for it; the buffer
     /// holds the largest payload a block can have
     std::unique_ptr<uint8_t[]> payload;
+    /// the last v3 block's payload (digestBytes bytes, 0 before the
+    /// first block), which the next block, or close(), hashes into
+    /// fileDigest; swapped with payload after each block
+    std::unique_ptr<uint8_t[]> digestPayload;
+    size_t digestBytes = 0;
     /// trace_io.encode obs time over this writer's blocks, reported
     /// once at close()
     uint64_t encodeStartNs = 0, encodeNs = 0, encodeBlocks = 0;

@@ -124,9 +124,11 @@ TEST(BatchIdentity, PredictBatchAndUpdateBatchMatchScalar)
 }
 
 // gatherValueLanes keeps only the value-producing records of
-// [0, limit) as dense lanes and records the chunk index of each lane;
-// predictUpdateBatch over those lanes matches the scalar calls.
-TEST(BatchIdentity, ChunkWrappersGatherValueLanes)
+// [0, limit) as dense lanes and records the chunk index of each lane,
+// under either kernel set; predictUpdateBatch over those lanes
+// matches the scalar calls.
+void
+expectGatherValueLanes()
 {
     workload::TraceChunk chunk;
     chunk.clear();
@@ -144,7 +146,7 @@ TEST(BatchIdentity, ChunkWrappersGatherValueLanes)
     std::vector<uint64_t> pcs(cap);
     std::vector<int64_t> values(cap);
     std::vector<uint32_t> records(cap);
-    for (uint32_t limit : {chunk.size, 300u, cap}) {
+    for (uint32_t limit : {chunk.size, 0u, 1u, 5u, 17u, 300u, cap}) {
         std::vector<uint32_t> producing;
         for (uint32_t i = 0; i < std::min(limit, chunk.size); ++i) {
             if (chunk.flags[i] & workload::TraceChunk::flagProducesValue)
@@ -175,6 +177,18 @@ TEST(BatchIdentity, ChunkWrappersGatherValueLanes)
             }
             scalar.update(chunk.pc[i], chunk.value[i]);
         }
+    }
+}
+
+TEST(BatchIdentity, ChunkWrappersGatherValueLanes)
+{
+    {
+        ScopedSimdMode scoped(simd::Mode::Scalar);
+        expectGatherValueLanes();
+    }
+    if (simd::cpuSupportsAvx2()) {
+        ScopedSimdMode scoped(simd::Mode::Avx2);
+        expectGatherValueLanes();
     }
 }
 

@@ -3,13 +3,26 @@
  * Global-context (gFCM) predictor tests: it must capture repeating
  * global value neighbourhoods that stride-family predictors cannot,
  * and fail on stride patterns whose contexts never repeat — the
- * mirror image of gdiff, pinning down the paper's §2 taxonomy.
+ * mirror image of gdiff, pinning down the paper's §2 taxonomy. The
+ * fused batch loop must match the scalar pair lane for lane, across
+ * any split of a stream into batches.
  */
+
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "check/fuzzer.hh"
 #include "core/gdiff.hh"
 #include "predictors/gfcm.hh"
+#include "util/random.hh"
+#include "util/simd.hh"
+#include "workload/executor.hh"
+#include "workload/trace.hh"
+#include "workload/workload.hh"
 
 namespace gdiff {
 namespace predictors {
@@ -91,6 +104,185 @@ TEST(GFcmDeath, BadConfig)
     GFcmConfig c2;
     c2.order = 9;
     EXPECT_DEATH(GFcmPredictor p2(c2), "order");
+}
+
+/** One batch's worth of (pc, value) lanes. */
+struct Lanes
+{
+    std::vector<uint64_t> pcs;
+    std::vector<int64_t> values;
+};
+
+/** The value lanes of the first @p chunks trace chunks of a kernel. */
+std::vector<Lanes>
+kernelLanes(const char *name, unsigned chunks)
+{
+    workload::Workload w = workload::makeWorkload(name, 1);
+    auto src = w.makeExecutor();
+    auto chunk = std::make_unique<workload::TraceChunk>();
+    std::vector<uint32_t> records(workload::TraceChunk::capacity);
+    std::vector<Lanes> out;
+    while (out.size() < chunks && src->fill(*chunk)) {
+        Lanes l;
+        l.pcs.resize(workload::TraceChunk::capacity);
+        l.values.resize(workload::TraceChunk::capacity);
+        const uint32_t n = gatherValueLanes(*chunk, chunk->size,
+                                            l.pcs.data(), l.values.data(),
+                                            records.data());
+        l.pcs.resize(n);
+        l.values.resize(n);
+        out.push_back(std::move(l));
+    }
+    return out;
+}
+
+/** A fuzzed value stream cut into chunks of 1..700 lanes. */
+std::vector<Lanes>
+fuzzedLanes(uint64_t seed)
+{
+    check::FuzzStreamConfig cfg;
+    cfg.seed = seed;
+    cfg.records = 12000;
+    const auto stream = check::fuzzValueStream(cfg);
+    Xorshift64Star rng(seed);
+    std::vector<Lanes> out;
+    for (size_t i = 0; i < stream.size();) {
+        const size_t n =
+            std::min<size_t>(1 + rng.below(700), stream.size() - i);
+        Lanes l;
+        for (size_t k = i; k < i + n; ++k) {
+            l.pcs.push_back(stream[k].pc);
+            l.values.push_back(stream[k].value);
+        }
+        out.push_back(std::move(l));
+        i += n;
+    }
+    return out;
+}
+
+/**
+ * Feed @p chunks to a scalar and a batch predictor: each chunk goes
+ * to the batch one as two batches, split at lane cut(chunk, lanes)
+ * (clamped to the chunk). Every lane's prediction must match, with
+ * value 0 on an unpredicted lane as in the default loop; then a
+ * probe stream through both scalar paths checks the state each was
+ * left in (the table and the carried context).
+ */
+template <typename Cut>
+void
+expectBatchMatchesScalar(const GFcmConfig &cfg,
+                         const std::vector<Lanes> &chunks, Cut &&cut,
+                         const std::string &what)
+{
+    GFcmPredictor scalar(cfg), batch(cfg);
+    PredictionBatch out;
+    for (size_t c = 0; c < chunks.size(); ++c) {
+        const Lanes &ln = chunks[c];
+        const uint32_t n = static_cast<uint32_t>(ln.pcs.size());
+        const uint32_t k = std::min<uint32_t>(cut(c, n), n);
+        const uint32_t bounds[][2] = {{0, k}, {k, n}};
+        for (const auto &b : bounds) {
+            batch.predictUpdateBatch(ln.pcs.data() + b[0],
+                                     ln.values.data() + b[0], b[1] - b[0],
+                                     out);
+            ASSERT_EQ(out.lanes(), b[1] - b[0]) << what;
+            for (uint32_t l = b[0]; l < b[1]; ++l) {
+                int64_t v = 0;
+                const bool p = scalar.predict(ln.pcs[l], v);
+                ASSERT_EQ(p, out.predicted[l - b[0]] != 0)
+                    << what << " chunk " << c << " lane " << l;
+                ASSERT_EQ(p ? v : 0, out.value[l - b[0]])
+                    << what << " chunk " << c << " lane " << l;
+                scalar.update(ln.pcs[l], ln.values[l]);
+            }
+        }
+    }
+    for (int i = 0; i < 512; ++i) {
+        const uint64_t pc = 0x400000 + (i % 13) * 4;
+        const int64_t value = i % 7;
+        int64_t vs = 0, vb = 0;
+        const bool ps = scalar.predict(pc, vs);
+        ASSERT_EQ(ps, batch.predict(pc, vb)) << what << " probe " << i;
+        if (ps) {
+            ASSERT_EQ(vs, vb) << what << " probe " << i;
+        }
+        scalar.update(pc, value);
+        batch.update(pc, value);
+    }
+}
+
+/**
+ * Orders 1, 4 and 8 (the 64-bit context keeps at most four folds, so
+ * order 8 hashes a lagged window) over a heavily aliased 64-entry
+ * table and the default 64K one, each chunk split at 0, 1, order - 1,
+ * order, order + 1 and at a random lane, under every kernel set this
+ * host runs.
+ */
+void
+expectBatchMatchesScalarAtEveryCut(const std::vector<Lanes> &chunks,
+                                   const std::string &what)
+{
+    std::vector<simd::Mode> modes = {simd::Mode::Scalar};
+    if (simd::cpuSupportsAvx2())
+        modes.push_back(simd::Mode::Avx2);
+    for (simd::Mode mode : modes)
+    for (unsigned order : {1u, 4u, 8u})
+    for (size_t entries : {size_t(64), size_t(65536)}) {
+        simd::setModeForTest(mode);
+        GFcmConfig cfg;
+        cfg.order = order;
+        cfg.tableEntries = entries;
+        const std::string tag =
+            what + (mode == simd::Mode::Avx2 ? " avx2" : " scalar") +
+            " order " + std::to_string(order) + " table " +
+            std::to_string(entries);
+        for (uint32_t at : {0u, 1u, order - 1, order, order + 1}) {
+            expectBatchMatchesScalar(
+                cfg, chunks, [at](size_t, uint32_t) { return at; },
+                tag + " cut " + std::to_string(at));
+        }
+        Xorshift64Star rng(order * 131 + entries);
+        expectBatchMatchesScalar(
+            cfg, chunks,
+            [&rng](size_t, uint32_t n) {
+                return static_cast<uint32_t>(rng.below(n + 1));
+            },
+            tag + " random cuts");
+    }
+    simd::setModeForTest(simd::cpuSupportsAvx2() ? simd::Mode::Avx2
+                                                 : simd::Mode::Scalar);
+}
+
+TEST(GFcmBatch, MatchesScalarOnKernelLanes)
+{
+    for (const char *name : {"mcf", "gzip", "parser", "gap"})
+        expectBatchMatchesScalarAtEveryCut(kernelLanes(name, 6), name);
+}
+
+TEST(GFcmBatch, MatchesScalarOnFuzzedStreams)
+{
+    for (uint64_t seed : {3u, 11u, 29u})
+        expectBatchMatchesScalarAtEveryCut(
+            fuzzedLanes(seed), "fuzz seed " + std::to_string(seed));
+}
+
+TEST(GFcmBatch, EmptyBatchLeavesStateAlone)
+{
+    GFcmPredictor scalar, batch;
+    PredictionBatch out;
+    for (int i = 0; i < 64; ++i) {
+        const uint64_t pc = pcA + (i % 3) * 4;
+        batch.predictUpdateBatch(&pc, nullptr, 0, out);
+        EXPECT_EQ(out.lanes(), 0u);
+        int64_t vs = 0, vb = 0;
+        const bool ps = scalar.predict(pc, vs);
+        ASSERT_EQ(ps, batch.predict(pc, vb)) << i;
+        if (ps) {
+            ASSERT_EQ(vs, vb) << i;
+        }
+        scalar.update(pc, i % 5);
+        batch.update(pc, i % 5);
+    }
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/bits.hh"
 #include "util/random.hh"
 #include "util/simd.hh"
 #include "util/simd_inline.hh"
@@ -314,6 +315,126 @@ TEST_F(SimdKernels, RandomizedParityFuzz)
         size_t eqSc = simd::countLagEqualBytes(bytes.data(), n, L);
         ASSERT_EQ(eqAvx, eqSc)
             << "trial=" << trial << " n=" << n << " L=" << L;
+    }
+}
+
+TEST_F(SimdKernels, GFcmHashKernelsMatchScalarReference)
+{
+    // gFCM's fold and index passes, around the 4-lane vector body and
+    // at a full chunk, for contexts of 1..4 folds and tables of 2^6,
+    // 2^16 and 2^32 entries. The fold column holds exactly the n + 4
+    // elements the index kernel may read.
+    std::vector<size_t> sizes;
+    for (size_t n = 0; n <= 70; ++n)
+        sizes.push_back(n);
+    for (size_t n = 4090; n <= 4096; ++n)
+        sizes.push_back(n);
+    for (size_t n : sizes) {
+        const auto raw = randomLane(n, 0x5eed + n);
+        const std::vector<int64_t> values(raw.begin(), raw.end());
+        const std::vector<uint64_t> pcs = randomLane(n, 0x9c + n);
+        std::vector<uint16_t> refFolds(n);
+        for (size_t i = 0; i < n; ++i)
+            refFolds[i] = static_cast<uint16_t>(
+                mix64(static_cast<uint64_t>(values[i])) & 0xffff);
+        std::vector<uint16_t> folds(n + 4);
+        Xorshift64Star rng(n);
+        for (auto &f : folds)
+            f = static_cast<uint16_t>(rng.next());
+        for (simd::Mode mode : {simd::Mode::Avx2, simd::Mode::Scalar}) {
+            simd::setModeForTest(mode);
+            std::vector<uint16_t> out(n);
+            simd::foldValues(values.data(), n, out.data());
+            ASSERT_EQ(out, refFolds) << "n=" << n;
+        }
+        for (unsigned width = 1; width <= 4; ++width) {
+            for (unsigned bits : {6u, 16u, 32u}) {
+                const uint64_t ctxMask = mask(16 * width);
+                std::vector<uint32_t> ref(n);
+                for (size_t l = 0; l < n; ++l) {
+                    uint64_t word = 0;
+                    for (unsigned k = 0; k < 4; ++k)
+                        word |= uint64_t(folds[l + k]) << (16 * k);
+                    ref[l] = static_cast<uint32_t>(
+                        (mix64(pcs[l] >> 2) ^ mix64(word & ctxMask)) &
+                        mask(bits));
+                }
+                for (simd::Mode mode :
+                     {simd::Mode::Avx2, simd::Mode::Scalar}) {
+                    simd::setModeForTest(mode);
+                    std::vector<uint32_t> out(n);
+                    simd::contextIndices(pcs.data(), folds.data(), n,
+                                         ctxMask, mask(bits), out.data());
+                    ASSERT_EQ(out, ref) << "n=" << n << " width=" << width
+                                        << " bits=" << bits;
+                }
+            }
+        }
+    }
+}
+
+TEST_F(SimdKernels, CompactFlaggedLanesMatchesScalarReference)
+{
+    // Lengths around the 16-row flag step and the 4-row groups, and
+    // the full chunk; flag columns all-clear, all-set, alternating,
+    // and random at low, even and high densities. Other flag bits
+    // are set at random, so only the selected bit may decide. Output
+    // arrays hold exactly n elements, so an overrun trips ASan.
+    constexpr uint8_t kBit = 1u << 1;
+    std::vector<uint32_t> sizes;
+    for (uint32_t n = 0; n <= 70; ++n)
+        sizes.push_back(n);
+    for (uint32_t n = 4090; n <= 4096; ++n)
+        sizes.push_back(n);
+    enum Pattern { None, All, Alternating, Sparse, Half, Dense };
+    for (uint32_t n : sizes) {
+        for (Pattern pat : {None, All, Alternating, Sparse, Half, Dense}) {
+            Xorshift64Star rng(31 * n + pat);
+            std::vector<uint8_t> flags(n);
+            std::vector<uint64_t> pcs(n);
+            std::vector<int64_t> values(n);
+            for (uint32_t i = 0; i < n; ++i) {
+                bool keep = false;
+                switch (pat) {
+                case None: keep = false; break;
+                case All: keep = true; break;
+                case Alternating: keep = i & 1; break;
+                case Sparse: keep = rng.below(8) == 0; break;
+                case Half: keep = rng.below(2) == 0; break;
+                case Dense: keep = rng.below(8) != 0; break;
+                }
+                flags[i] = static_cast<uint8_t>(
+                    (rng.next() & ~uint64_t(kBit) & 0xff) |
+                    (keep ? kBit : 0));
+                pcs[i] = rng.next();
+                values[i] = static_cast<int64_t>(rng.next());
+            }
+            std::vector<uint32_t> kept;
+            for (uint32_t i = 0; i < n; ++i)
+                if (flags[i] & kBit)
+                    kept.push_back(i);
+            for (simd::Mode mode : {simd::Mode::Avx2, simd::Mode::Scalar}) {
+                simd::setModeForTest(mode);
+                std::vector<uint64_t> outPcs(n);
+                std::vector<int64_t> outValues(n);
+                std::vector<uint32_t> outRecords(n);
+                const uint32_t lanes = simd::compactFlaggedLanes(
+                    flags.data(), kBit, pcs.data(), values.data(), n,
+                    outPcs.data(), outValues.data(), outRecords.data());
+                const char *kind =
+                    mode == simd::Mode::Avx2 ? "avx2" : "scalar";
+                ASSERT_EQ(lanes, kept.size())
+                    << kind << " n=" << n << " pattern=" << pat;
+                for (uint32_t l = 0; l < lanes; ++l) {
+                    const uint32_t i = kept[l];
+                    ASSERT_EQ(outRecords[l], i)
+                        << kind << " n=" << n << " pattern=" << pat;
+                    ASSERT_EQ(outPcs[l], pcs[i]) << kind << " n=" << n;
+                    ASSERT_EQ(outValues[l], values[i])
+                        << kind << " n=" << n;
+                }
+            }
+        }
     }
 }
 
