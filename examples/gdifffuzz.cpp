@@ -24,7 +24,9 @@
  * machinery is alive.
  */
 
+#include <algorithm>
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -36,6 +38,7 @@
 #include "check/reference.hh"
 #include "check/shrink.hh"
 #include "pipeline/ooo_model.hh"
+#include "predictors/gfcm.hh"
 #include "runner/factory.hh"
 #include "util/logging.hh"
 #include "util/parse.hh"
@@ -106,8 +109,11 @@ parse(int argc, char **argv)
         } else if (take("--seed", v)) {
             o.seed = parseU64Flag("--seed", v.c_str(), true);
         } else if (take("--order", v)) {
+            // Saturate rather than wrap, so the range checks below
+            // see a huge order as huge.
             o.order = static_cast<unsigned>(
-                parseU64Flag("--order", v.c_str(), true));
+                std::min<uint64_t>(parseU64Flag("--order", v.c_str(), true),
+                                   UINT32_MAX));
         } else if (take("--pairs", v)) {
             std::string cur;
             for (char c : v + ",") {
@@ -133,6 +139,17 @@ parse(int argc, char **argv)
     }
     if (o.pairs.empty())
         o.pairs = check::pairNames();
+    // The gfcm pair and the batch families build gfcm at --order.
+    const bool gfcm =
+        o.batch ||
+        std::find(o.pairs.begin(), o.pairs.end(), "gfcm") != o.pairs.end();
+    if (gfcm && o.order > predictors::gfcmMaxOrder) {
+        std::fprintf(stderr,
+                     "gdifffuzz: --order: gfcm takes orders 1..%u "
+                     "(0 = its default)\n",
+                     predictors::gfcmMaxOrder);
+        std::exit(2);
+    }
     return o;
 }
 

@@ -121,6 +121,16 @@ for seed in 1 7; do
         echo "perfbench pipeline_mix seed $seed: results differ from the committed digests"
         tail -n 1 "build/perfbench_mix_$seed.out"; exit 1; }
 done
+# The pipeline digests on the scalar kernels: HGVQ and SGVQ train
+# gdiff through the same kernel set the profile path uses.
+for seed in 1 7; do
+    GDIFF_SIMD=scalar python3 perfbench/run.py --workload pipeline_mix \
+        --seed "$seed" --seconds 1 --trace 0 \
+        > "build/perfbench_mix_scalar_$seed.out"
+    tail -n 1 "build/perfbench_mix_scalar_$seed.out" | grep -q '"correct": true' || {
+        echo "perfbench pipeline_mix seed $seed (GDIFF_SIMD=scalar): results differ from the committed digests"
+        tail -n 1 "build/perfbench_mix_scalar_$seed.out"; exit 1; }
+done
 # Batch identity fuzz: scalar-vs-batch differ over every batched
 # family, under both kernel sets (forced-scalar first).
 GDIFF_SIMD=scalar ./build/examples/gdifffuzz --cases=1500 --seed=5 \

@@ -7,6 +7,7 @@
 
 #include "check/reference.hh"
 #include "check/shrink.hh"
+#include "predictors/gfcm.hh"
 #include "runner/runner.hh"
 #include "stats/table.hh"
 #include "util/json.hh"
@@ -52,7 +53,9 @@ parseSide(const std::string &text, MineSide &out, std::string &error)
     size_t at = spec.find('@');
     if (at != std::string::npos) {
         std::string digits = spec.substr(at + 1);
-        if (digits.empty() ||
+        // Nine digits at most: std::stoul then neither throws nor
+        // wraps in the narrowing to unsigned.
+        if (digits.empty() || digits.size() > 9 ||
             digits.find_first_not_of("0123456789") !=
                 std::string::npos) {
             error = "bad order in '" + text + "'";
@@ -66,6 +69,13 @@ parseSide(const std::string &text, MineSide &out, std::string &error)
         error = std::string(out.oracle ? "unknown oracle family '"
                                        : "unknown family '") +
                 out.family + "' in '" + text + "'";
+        return false;
+    }
+    if (out.family == "gfcm" && out.order > predictors::gfcmMaxOrder) {
+        error = "gfcm order " + std::to_string(out.order) +
+                " out of range 1.." +
+                std::to_string(predictors::gfcmMaxOrder) + " in '" +
+                text + "'";
         return false;
     }
     return true;

@@ -146,8 +146,9 @@ RefFcm::update(uint64_t pc, int64_t actual)
 RefGFcm::RefGFcm(unsigned order, uint64_t table_entries)
     : order(order), tableEntries(table_entries)
 {
-    GDIFF_ASSERT(order >= 1 && order <= 8,
-                 "gFCM oracle order out of range");
+    GDIFF_ASSERT(order >= 1 && order <= predictors::gfcmMaxOrder,
+                 "gFCM oracle order %u out of range 1..%u", order,
+                 predictors::gfcmMaxOrder);
     GDIFF_ASSERT(isPowerOfTwo(tableEntries),
                  "gFCM oracle table size must be a power of two");
 }

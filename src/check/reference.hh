@@ -123,7 +123,7 @@ class RefGFcm : public predictors::ValuePredictor
 {
   public:
     /**
-     * @param order         global values in the context (1..8).
+     * @param order         global values in the context (1..4).
      * @param table_entries (PC, context) slots (power of two).
      */
     explicit RefGFcm(unsigned order = 4,

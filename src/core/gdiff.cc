@@ -19,102 +19,100 @@ wrapAdd(int64_t a, int64_t b)
 }
 
 /**
- * The batch sweep over one tile of lanes, written once over a kernel
- * set (util/simd_inline.hh). Lane j's entry is entries[j]; its window
- * is the newest-first stream at windows - j, position k at
- * (windows - j)[k], holding clamp(avail0 + j, 0, order) values. Per
- * lane it does what predictFrom() then trainOn() do, with the
- * difference pass, the comparators and the store fused into one
- * kernel over memory that is already in position order.
+ * gdiff's predict rule (paper §3): with distance k selected, and k
+ * inside both the window and the stored differences, the prediction
+ * is window[k] + diffs[k]. @return true, setting value, if e
+ * predicts.
  */
-template <typename Kernels, typename Entry>
-inline void
-sweepLanes(Entry *const *entries, const int64_t *actuals,
-           const int64_t *windows, uint32_t lanes, unsigned order,
-           int64_t avail0, uint8_t *predicted, int64_t *value)
-{
-    for (uint32_t j = 0; j < lanes; ++j) {
-        Entry &e = *entries[j];
-        const int64_t *w = windows - j;
-        const int64_t avail = avail0 + j;
-        const unsigned count =
-            avail <= 0 ? 0u
-                       : (avail < static_cast<int64_t>(order)
-                              ? static_cast<unsigned>(avail)
-                              : order);
-        const unsigned lim = count < e.diffCount ? count : e.diffCount;
-        // distance -1 (none selected) wraps far past lim.
-        const unsigned k = static_cast<unsigned>(e.distance);
-        if (k < lim) {
-            predicted[j] = 1;
-            value[j] = wrapAdd(w[k], e.diffs[k]);
-        }
-        const uint64_t eq =
-            Kernels::diffMatchStore(actuals[j], w, e.diffs.data(),
-                                    count) &
-            mask(lim);
-        if (eq)
-            e.distance = static_cast<int16_t>(__builtin_ctzll(eq));
-        e.diffCount = static_cast<uint8_t>(count);
-    }
-}
-
-#if GDIFF_HAVE_AVX2_KERNELS
 template <typename Entry>
-GDIFF_AVX2_CLONE void
-sweepLanesAvx2(Entry *const *entries, const int64_t *actuals,
-               const int64_t *windows, uint32_t lanes, unsigned order,
-               int64_t avail0, uint8_t *predicted, int64_t *value)
+inline bool
+predictStep(const Entry &e, const ValueWindow &window, int64_t &value)
 {
-    sweepLanes<simd::Avx2Kernels>(entries, actuals, windows, lanes,
-                                  order, avail0, predicted, value);
-}
-#endif
-
-} // anonymous namespace
-
-GDiffPredictor::GDiffPredictor(const GDiffConfig &config)
-    : cfg(config), table(cfg.tableEntries, cfg.hashIndex),
-      gvq(cfg.order, cfg.valueDelay)
-{
-}
-
-bool
-GDiffPredictor::predictFrom(const Entry &e, const ValueWindow &window,
-                            int64_t &value)
-{
-    if (e.distance < 0)
-        return false;
-    unsigned k = static_cast<unsigned>(e.distance);
+    // distance -1 (none selected) wraps far past both counts.
+    const unsigned k = static_cast<unsigned>(e.distance);
     if (k >= window.count || k >= e.diffCount)
         return false;
     value = wrapAdd(window[k], e.diffs[k]);
     return true;
 }
 
-void
-GDiffPredictor::trainOn(Entry &e, const ValueWindow &window,
-                        int64_t actual)
+/**
+ * gdiff's train rule (paper §3, Fig. 5): the differences between
+ * actual and each window position, the nearest-first comparators
+ * against the stored differences still live (positions below both
+ * counts), and the store, fused into one kernel of the set Kernels
+ * (util/simd_inline.hh) over the window where it lives. On a match
+ * the nearest matching position becomes the distance; either way
+ * the fresh differences replace the old ones, and on no match the
+ * distance is left alone. Stored differences beyond diffCount are
+ * never read.
+ */
+template <typename Kernels, typename Entry>
+inline void
+trainStep(Entry &e, const ValueWindow &window, int64_t actual)
 {
-    // Compute the fresh differences against the window where it
-    // lives (position k at window.newest[-k]).
-    std::array<int64_t, maxOrder> cur;
-    unsigned n = window.count;
-    simd::diffAgainstWindow(actual, window.newest, cur.data(), n);
-
-    // Detect a match against the stored differences; select the
-    // closest matching distance (paper Fig. 5's parallel comparators
-    // with nearest-first priority).
-    unsigned compare = n < e.diffCount ? n : e.diffCount;
-    int match = simd::firstEqual(cur.data(), e.diffs.data(), compare);
-    if (match >= 0)
-        e.distance = static_cast<int16_t>(match);
-    // Either way, the freshly calculated differences are stored
-    // (paper §3: on no match the new diffs replace the old ones and
-    // the distance field is left alone). Stored diffs beyond
-    // diffCount are never read, so only the live prefix is written.
-    std::copy_n(cur.data(), n, e.diffs.data());
+    const unsigned n = window.count;
+    const unsigned live = n < e.diffCount ? n : e.diffCount;
+    const uint64_t eq = Kernels::diffMatchStore(actual, window.newest,
+                                                e.diffs.data(), n) &
+                        mask(live);
+    if (eq)
+        e.distance = static_cast<int16_t>(__builtin_ctzll(eq));
     e.diffCount = static_cast<uint8_t>(n);
+}
+
+/**
+ * The batch sweep over one tile of lanes. The stream is the queue's
+ * history then the batch's actuals, oldest first; lane j's entry is
+ * entries[j], and its window's newest value is stream[top0 + j],
+ * holding clamp(top0 + j + 1, 0, order) values.
+ */
+template <typename Kernels, typename Entry>
+inline void
+sweepLanes(Entry *const *entries, const int64_t *actuals,
+           const int64_t *stream, int64_t top0, uint32_t lanes,
+           unsigned order, uint8_t *predicted, int64_t *value)
+{
+    for (uint32_t j = 0; j < lanes; ++j) {
+        const int64_t top = top0 + j;
+        ValueWindow window; // empty before the stream's first value
+        if (top >= 0) {
+            window.newest = stream + top;
+            window.count = top < static_cast<int64_t>(order)
+                               ? static_cast<unsigned>(top) + 1
+                               : order;
+        }
+        Entry &e = *entries[j];
+        predicted[j] = predictStep(e, window, value[j]);
+        trainStep<Kernels>(e, window, actuals[j]);
+    }
+}
+
+#if GDIFF_HAVE_AVX2_KERNELS
+template <typename Entry>
+GDIFF_AVX2_CLONE void
+trainStepAvx2(Entry &e, const ValueWindow &window, int64_t actual)
+{
+    trainStep<simd::Avx2Kernels>(e, window, actual);
+}
+
+template <typename Entry>
+GDIFF_AVX2_CLONE void
+sweepLanesAvx2(Entry *const *entries, const int64_t *actuals,
+               const int64_t *stream, int64_t top0, uint32_t lanes,
+               unsigned order, uint8_t *predicted, int64_t *value)
+{
+    sweepLanes<simd::Avx2Kernels>(entries, actuals, stream, top0, lanes,
+                                  order, predicted, value);
+}
+#endif
+
+} // anonymous namespace
+
+GDiffPredictor::GDiffPredictor(const GDiffConfig &config)
+    : cfg(config), table(cfg.tableEntries),
+      gvq(cfg.order, cfg.valueDelay)
+{
 }
 
 bool
@@ -122,14 +120,21 @@ GDiffPredictor::predictWithWindow(uint64_t pc, const ValueWindow &window,
                                   int64_t &value)
 {
     const Entry *e = table.probe(pc);
-    return e && predictFrom(*e, window, value);
+    return e && predictStep(*e, window, value);
 }
 
 void
 GDiffPredictor::trainWithWindow(uint64_t pc, const ValueWindow &window,
                                 int64_t actual)
 {
-    trainOn(table.lookup(pc), window, actual);
+    Entry &e = table.lookup(pc);
+#if GDIFF_HAVE_AVX2_KERNELS
+    if (simd::activeMode() == simd::Mode::Avx2) {
+        trainStepAvx2(e, window, actual);
+        return;
+    }
+#endif
+    trainStep<simd::PortableKernels>(e, window, actual);
 }
 
 bool
@@ -151,19 +156,18 @@ GDiffPredictor::predictUpdateBatch(const uint64_t *pcs,
                                    predictors::PredictionBatch &out)
 {
     out.reset(n);
-    const unsigned order = cfg.order;
     const unsigned delay = cfg.valueDelay;
 
-    // Linearize the stream newest-first: the batch's actuals, then
-    // the queue's retained history. Lane l's visible window (the
-    // `order` values ending delay+1 before its own position) is then
-    // the run starting at rev[n - l + delay], in position order, and
-    // the queue is pushed once at the end instead of once per lane.
-    extScratch.resize(static_cast<size_t>(order) + delay + n);
-    int64_t *const rev = extScratch.data();
-    std::reverse_copy(actuals, actuals + n, rev);
-    const size_t h = gvq.copyRecent(rev + n);
-    std::reverse(rev + n, rev + n + h);
+    // Linearize the stream oldest first: the queue's retained
+    // history, then the batch's actuals. Lane l's visible window (the
+    // `order` values ending delay+1 before its own position) then
+    // ends at stream[h + l - 1 - delay] and runs down from there, as
+    // a queue window does, and the queue is pushed once at the end
+    // instead of once per lane.
+    extScratch.resize(static_cast<size_t>(cfg.order) + delay + n);
+    int64_t *const stream = extScratch.data();
+    const size_t h = gvq.copyRecent(stream);
+    std::copy_n(actuals, n, stream + h);
 
 #if GDIFF_HAVE_AVX2_KERNELS
     const bool avx2 = simd::activeMode() == simd::Mode::Avx2;
@@ -175,20 +179,19 @@ GDiffPredictor::predictUpdateBatch(const uint64_t *pcs,
     for (uint32_t base = 0; base < n; base += kTile) {
         const uint32_t m = std::min(kTile, n - base);
         table.lookupLanes(pcs + base, m, tile);
-        const int64_t *windows = rev + (n - base + delay);
-        const int64_t avail0 = static_cast<int64_t>(h) + base -
-                               static_cast<int64_t>(delay);
+        const int64_t top0 = static_cast<int64_t>(h) + base - 1 -
+                             static_cast<int64_t>(delay);
         uint8_t *predicted = out.predicted.data() + base;
         int64_t *value = out.value.data() + base;
 #if GDIFF_HAVE_AVX2_KERNELS
         if (avx2) {
-            sweepLanesAvx2(tile, actuals + base, windows, m, order,
-                           avail0, predicted, value);
+            sweepLanesAvx2(tile, actuals + base, stream, top0, m,
+                           cfg.order, predicted, value);
             continue;
         }
 #endif
-        sweepLanes<simd::PortableKernels>(tile, actuals + base, windows,
-                                          m, order, avail0, predicted,
+        sweepLanes<simd::PortableKernels>(tile, actuals + base, stream,
+                                          top0, m, cfg.order, predicted,
                                           value);
     }
 

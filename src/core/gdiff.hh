@@ -42,8 +42,6 @@ struct GDiffConfig
     unsigned order = 8;
     /// prediction-table entries; 0 = unlimited, paper default 8K
     size_t tableEntries = 8192;
-    /// index limited tables with a hashed PC instead of low bits
-    bool hashIndex = false;
     /// profile-mode value delay T (§3.1); ignored in external-window
     /// mode, where the window itself embodies the delay
     unsigned valueDelay = 0;
@@ -69,11 +67,11 @@ class GDiffPredictor : public predictors::ValuePredictor
 
     /**
      * Fused batch over the internal queue: linearizes the queue plus
-     * the batch's own actuals into one newest-first stream, resolves
-     * the table entries a tile of lanes at a time, then per lane
-     * predicts and runs one fused diff-match-store kernel
-     * (util/simd_inline.hh) over its window. Bit-identical to the
-     * scalar predict/update interleave.
+     * the batch's own actuals into one oldest-first stream, resolves
+     * the table entries a tile of lanes at a time, then per lane runs
+     * the same predict and train steps as predict()/update() over
+     * its window in that stream. Bit-identical to the scalar
+     * predict/update interleave.
      */
     void predictUpdateBatch(const uint64_t *pcs,
                             const int64_t *actuals, uint32_t n,
@@ -123,14 +121,6 @@ class GDiffPredictor : public predictors::ValuePredictor
         uint8_t diffCount = 0;   ///< valid stored diffs
         int16_t distance = -1;   ///< selected k, -1 = none
     };
-
-    /** @return true, setting value, if e predicts from window. */
-    static bool predictFrom(const Entry &e, const ValueWindow &window,
-                            int64_t &value);
-
-    /** Train e on actual against window (paper §3 update). */
-    static void trainOn(Entry &e, const ValueWindow &window,
-                        int64_t actual);
 
     GDiffConfig cfg;
     predictors::PcIndexedTable<Entry> table;

@@ -24,7 +24,7 @@ wrapSub(int64_t a, int64_t b)
 } // anonymous namespace
 
 GDiff2Predictor::GDiff2Predictor(const GDiff2Config &config)
-    : cfg(config), table(cfg.tableEntries, cfg.hashIndex),
+    : cfg(config), table(cfg.tableEntries),
       gvq(cfg.order, 0)
 {
     GDIFF_ASSERT(cfg.order >= gdiff2MinOrder &&

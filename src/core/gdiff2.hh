@@ -49,7 +49,6 @@ struct GDiff2Config
     unsigned order = 8;
     /// prediction-table entries; 0 = unlimited
     size_t tableEntries = 0;
-    bool hashIndex = false;
 };
 
 /** The two-term global stride predictor (Eq. 1 restricted to two

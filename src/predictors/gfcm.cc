@@ -32,10 +32,10 @@ constexpr uint32_t kAhead = 12;
  *
  * Pass 1 lays the folds out oldest first: the carried window
  * (never-pushed slots read 0), then one fold per lane. pushContext()
- * shifts each fold in 16 bits at a time, newest first, so the 64-bit
- * hash keeps the min(order, 4) oldest folds of the window, the oldest
- * in the low bits. In this layout that is the little-endian word at
- * lane l's window start, masked to that many folds. Pass 2 then walks
+ * shifts each of the window's `order` folds in 16 bits at a time,
+ * newest first, so the hash holds the oldest fold in the low bits.
+ * In this layout that is the little-endian word at lane l's window
+ * start, masked to `order` folds. Pass 2 then walks
  * the table in lane order, reading each entry before writing it, with
  * a prefetch kAhead lanes ahead. A lane whose entry was never written
  * reads value 0 (values are only ever stored with valid), so
@@ -51,11 +51,12 @@ GFcmPredictor::predictUpdateBatch(const uint64_t *pcs,
     if (n == 0)
         return;
     const unsigned order = cfg.order;
-    const uint64_t hashMask = mask(16 * std::min(order, 4u));
+    const uint64_t hashMask = mask(16 * order);
 
     // Pass 1: folds, then every lane's index. The context of lane l
-    // is read from folds l..l+3; the padding covers the last word
-    // (the carried context, lane n's) and the vector kernel's reads.
+    // is read from the word of folds l..l+3; the padding covers the
+    // last word (the carried context, lane n's) and the vector
+    // kernel's reads.
     if (laneFolds.size() < n + order + 4) {
         laneFolds.resize(n + order + 4);
         laneIndex.resize(n);

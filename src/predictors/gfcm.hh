@@ -32,10 +32,16 @@
 namespace gdiff {
 namespace predictors {
 
+/**
+ * Largest gFCM order: the context word holds one 16-bit fold per
+ * global value, and a uint64_t holds four.
+ */
+inline constexpr unsigned gfcmMaxOrder = 4;
+
 /** Configuration of the global-context predictor. */
 struct GFcmConfig
 {
-    unsigned order = 4;             ///< global values hashed (1..8)
+    unsigned order = 4;             ///< global values hashed (1..4)
     size_t tableEntries = 64 * 1024;///< (PC, context) table, pow2
 };
 
@@ -49,8 +55,9 @@ class GFcmPredictor : public ValuePredictor
     {
         GDIFF_ASSERT(isPowerOfTwo(cfg.tableEntries),
                      "gFCM table must be a power of two");
-        GDIFF_ASSERT(cfg.order >= 1 && cfg.order <= 8,
-                     "gFCM order out of range");
+        GDIFF_ASSERT(cfg.order >= 1 && cfg.order <= gfcmMaxOrder,
+                     "gFCM order %u out of range 1..%u", cfg.order,
+                     gfcmMaxOrder);
         GDIFF_ASSERT(bits <= 32, "gFCM table too large");
     }
 

@@ -11,7 +11,6 @@
 
 #include "predictors/table.hh"
 #include "predictors/value_predictor.hh"
-#include "util/sat_counter.hh"
 
 namespace gdiff {
 namespace predictors {

@@ -60,13 +60,8 @@ class PcIndexedTable
      */
     static constexpr uint64_t directSlots = uint64_t(1) << 16;
 
-    /**
-     * @param entries 0 for unlimited, otherwise a power of two.
-     * @param hash_index when true, limited tables index with a mixed
-     *        hash of the PC instead of its low bits.
-     */
-    explicit PcIndexedTable(size_t entries = 0, bool hash_index = false)
-        : limit(entries), hashIndex(hash_index)
+    /** @param entries 0 for unlimited, otherwise a power of two. */
+    explicit PcIndexedTable(size_t entries = 0) : limit(entries)
     {
         if (limit != 0) {
             GDIFF_ASSERT(isPowerOfTwo(limit),
@@ -158,23 +153,6 @@ class PcIndexedTable
         return slots[slotOf(pc)].entry;
     }
 
-    /**
-     * Prefetch hint for the slot @p pc maps to — batch loops issue
-     * this a tile ahead of lookup(). No-op in unlimited mode.
-     */
-    void
-    prefetch(uint64_t pc) const
-    {
-        if (limit != 0) {
-            size_t idx = indexOf(pc);
-            // lookup() touches two random-indexed lines per PC: the
-            // entry itself and the ownership word it read-modify-
-            // writes. Warm both.
-            __builtin_prefetch(&table[idx], 1);
-            __builtin_prefetch(&owners[idx], 1);
-        }
-    }
-
     /** @return configured entry count (0 = unlimited). */
     size_t entries() const { return limit; }
 
@@ -224,10 +202,8 @@ class PcIndexedTable
     size_t
     indexOf(uint64_t pc) const
     {
-        uint64_t key = pc >> 2; // instruction alignment
-        if (hashIndex)
-            key = mix64(key);
-        return static_cast<size_t>(key & (limit - 1));
+        // instruction alignment
+        return static_cast<size_t>((pc >> 2) & (limit - 1));
     }
 
     /** @return the slot holding @p pc, or the empty slot that ends its
@@ -301,7 +277,6 @@ class PcIndexedTable
     }
 
     size_t limit;
-    bool hashIndex;
     std::vector<Entry> table;
     std::vector<uint64_t> owners;
     std::vector<Entry *> direct; ///< unlimited: text slot -> entry

@@ -16,17 +16,6 @@ jobModeName(JobMode mode)
     return mode == JobMode::Profile ? "profile" : "pipeline";
 }
 
-JobMode
-parseJobMode(const std::string &name)
-{
-    if (name == "profile")
-        return JobMode::Profile;
-    if (name == "pipeline")
-        return JobMode::Pipeline;
-    fatal("unknown job mode '%s' (expected profile|pipeline)",
-          name.c_str());
-}
-
 void
 JobSpec::validate() const
 {

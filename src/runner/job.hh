@@ -31,9 +31,6 @@ enum class JobMode {
 /** @return the mode's canonical spelling ("profile" / "pipeline"). */
 const char *jobModeName(JobMode mode);
 
-/** Parse a mode name; calls fatal() on anything unrecognised. */
-JobMode parseJobMode(const std::string &name);
-
 /**
  * One cell of an experiment grid: a single (workload, predictor or
  * scheme, configuration, budget) simulation.

@@ -306,16 +306,6 @@ parse(std::string_view text, Value &out, std::string *error)
     return Parser(text).parseDocument(out, error);
 }
 
-Value
-parseOrDie(std::string_view text)
-{
-    Value v;
-    std::string error;
-    if (!parse(text, v, &error))
-        fatal("json parse error: %s", error.c_str());
-    return v;
-}
-
 std::string
 escape(std::string_view s)
 {

@@ -71,9 +71,6 @@ struct Value
 bool parse(std::string_view text, Value &out,
            std::string *error = nullptr);
 
-/** Parse @p text; fatal() with the parse error on failure. */
-Value parseOrDie(std::string_view text);
-
 /**
  * @return @p s with JSON string escaping applied: quotes, backslash,
  * and control characters become escape sequences; everything else

@@ -78,26 +78,6 @@ setModeForTest(Mode m)
 
 namespace {
 
-void
-diffAgainstWindowScalar(int64_t actual, const int64_t *wtop,
-                        int64_t *out, size_t n)
-{
-    for (size_t k = 0; k < n; ++k)
-        out[k] = static_cast<int64_t>(static_cast<uint64_t>(actual) -
-                                      static_cast<uint64_t>(wtop[-(
-                                          static_cast<ptrdiff_t>(k))]));
-}
-
-int
-firstEqualScalar(const int64_t *a, const int64_t *b, size_t n)
-{
-    for (size_t k = 0; k < n; ++k) {
-        if (a[k] == b[k])
-            return static_cast<int>(k);
-    }
-    return -1;
-}
-
 size_t
 countSecondDiffZeroScalar(const uint64_t *v, size_t n, size_t L)
 {
@@ -163,49 +143,6 @@ compactRows(const uint8_t *flags, uint8_t bit, const uint64_t *pcs,
 // -------------------------------------------------------- AVX2 kernels
 
 #if GDIFF_SIMD_X86 && defined(__GNUC__)
-
-GDIFF_AVX2_FN void
-diffAgainstWindowAvx2(int64_t actual, const int64_t *wtop,
-                      int64_t *out, size_t n)
-{
-    const __m256i va = _mm256_set1_epi64x(actual);
-    size_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-        // Window positions k..k+3 live at wtop[-k-3..-k] ascending;
-        // subtract, then reverse lanes so out[k+j] = actual - wtop[-k-j].
-        __m256i w = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
-            wtop - static_cast<ptrdiff_t>(k) - 3));
-        __m256i d = _mm256_sub_epi64(va, w);
-        d = _mm256_permute4x64_epi64(d, 0x1b); // lanes 3,2,1,0
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + k), d);
-    }
-    for (; k < n; ++k)
-        out[k] = static_cast<int64_t>(static_cast<uint64_t>(actual) -
-                                      static_cast<uint64_t>(wtop[-(
-                                          static_cast<ptrdiff_t>(k))]));
-}
-
-GDIFF_AVX2_FN int
-firstEqualAvx2(const int64_t *a, const int64_t *b, size_t n)
-{
-    size_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-        __m256i va = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(a + k));
-        __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(b + k));
-        int m = _mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(va, vb)));
-        if (m)
-            return static_cast<int>(k) + __builtin_ctz(
-                                             static_cast<unsigned>(m));
-    }
-    for (; k < n; ++k) {
-        if (a[k] == b[k])
-            return static_cast<int>(k);
-    }
-    return -1;
-}
 
 /** Sum the four 64-bit lanes of @p v. */
 GDIFF_AVX2_FN uint64_t
@@ -451,29 +388,6 @@ compactFlaggedLanesAvx2(const uint8_t *flags, uint8_t bit,
 } // anonymous namespace
 
 // ---------------------------------------------------- public entries
-
-void
-diffAgainstWindow(int64_t actual, const int64_t *wtop, int64_t *out,
-                  size_t n)
-{
-#if GDIFF_SIMD_X86 && defined(__GNUC__)
-    if (gMode == Mode::Avx2) {
-        diffAgainstWindowAvx2(actual, wtop, out, n);
-        return;
-    }
-#endif
-    diffAgainstWindowScalar(actual, wtop, out, n);
-}
-
-int
-firstEqual(const int64_t *a, const int64_t *b, size_t n)
-{
-#if GDIFF_SIMD_X86 && defined(__GNUC__)
-    if (gMode == Mode::Avx2)
-        return firstEqualAvx2(a, b, n);
-#endif
-    return firstEqualScalar(a, b, n);
-}
 
 size_t
 countSecondDiffZero(const uint64_t *v, size_t n, size_t L)

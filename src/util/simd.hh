@@ -2,15 +2,13 @@
  * @file
  * Runtime-dispatched SIMD kernels.
  *
- * gdiff (docs/INTERNALS.md §10) leans on two data-parallel passes:
- * building a lane of differences against a window, and finding the
- * first matching position among stored differences. The period scans
- * lean on two more: counting zero second differences (wide columns,
- * and the sampled simulator's strata), and counting lag-L equal bytes
- * (the v3 encoder's u8 columns). The value profile's lane gather
- * compacts a chunk's flagged rows, and gFCM's batch loop hashes its
- * lanes' values and contexts ahead of its table walk. Each pass has
- * two implementations:
+ * The period scans lean on two data-parallel passes: counting zero
+ * second differences (wide columns, and the sampled simulator's
+ * strata), and counting lag-L equal bytes (the v3 encoder's u8
+ * columns). The value profile's lane gather compacts a chunk's
+ * flagged rows, and gFCM's batch loop hashes its lanes' values and
+ * contexts ahead of its table walk. Each pass has two
+ * implementations:
  *
  *  - a portable scalar loop, always compiled and always tested;
  *  - a hand-rolled AVX2 variant compiled with a per-function target
@@ -29,6 +27,11 @@
  *   GDIFF_SIMD=auto | unset   use AVX2 when the CPU has it
  *
  * Tests may override the decision in-process with setModeForTest().
+ *
+ * Kernels short enough that a call per lane would cost more than
+ * the kernel (gdiff's train step) live in simd_inline.hh instead and
+ * are inlined into a loop clone per kernel set; the same decision
+ * picks the clone.
  */
 
 #ifndef GDIFF_UTIL_SIMD_HH
@@ -66,22 +69,6 @@ bool cpuSupportsAvx2();
  * fatal.
  */
 void setModeForTest(Mode m);
-
-/**
- * Difference lane against a window stored newest-last: with wtop
- * pointing at the newest visible value, out[k] = actual - wtop[-k]
- * (two's-complement wrapping) for k in [0, n). This is gdiff's n-diff
- * reconstruction pass over the batch ext buffer, where window
- * position k is physically at wtop[-k].
- */
-void diffAgainstWindow(int64_t actual, const int64_t *wtop,
-                       int64_t *out, size_t n);
-
-/**
- * @return the smallest k in [0, n) with a[k] == b[k], or -1 — gdiff's
- * nearest-first difference comparators (paper Fig. 5).
- */
-int firstEqual(const int64_t *a, const int64_t *b, size_t n);
 
 /**
  * @return how many i in [2L, n) have a zero lag-@p L second

@@ -11,6 +11,8 @@
 #include <limits>
 #include <vector>
 
+#include "check/fuzzer.hh"
+#include "check/reference.hh"
 #include "core/gdiff.hh"
 #include "util/random.hh"
 #include "util/simd.hh"
@@ -259,8 +261,8 @@ TEST(GDiff, WrapsAroundOnOverflow)
 
 TEST(GDiff, BatchMatchesScalarAcrossShapes)
 {
-    // The batch sweep (newest-first stream, tiles of 64 lanes, fused
-    // kernel) against predict()/update() for orders around the 4-wide
+    // The batch sweep (oldest-first stream, tiles of 64 lanes) against
+    // predict()/update() for orders around the 4-wide
     // kernel step, value delays, both table modes, chunk sizes that
     // split tiles and the queue's warm-up, and both kernel sets.
     Xorshift64Star rng(5);
@@ -320,6 +322,121 @@ TEST(GDiff, BatchMatchesScalarAcrossShapes)
     }
     simd::setModeForTest(simd::cpuSupportsAvx2() ? simd::Mode::Avx2
                                                  : simd::Mode::Scalar);
+}
+
+/** One record's prediction: predicted, and the value if so. */
+struct Outcome
+{
+    bool predicted = false;
+    int64_t value = 0;
+
+    bool
+    operator==(const Outcome &o) const
+    {
+        return predicted == o.predicted && (!predicted || value == o.value);
+    }
+};
+
+/**
+ * Run the stream (pcs[i], vals[i]) through a fresh predictor, by
+ * predictUpdateBatch() in chunks of 7 lanes when @p batch is set,
+ * else by predictWithWindow()/trainWithWindow(). The external-window
+ * path hands the predictor the delay-shifted window into the stream
+ * itself, position k at newest[-k], as the pipeline's queues do; an
+ * empty window points nowhere.
+ */
+std::vector<Outcome>
+drive(const GDiffConfig &cfg, bool batch, const std::vector<uint64_t> &pcs,
+      const std::vector<int64_t> &vals)
+{
+    GDiffPredictor p(cfg);
+    std::vector<Outcome> out(pcs.size());
+    if (batch) {
+        constexpr size_t chunk = 7;
+        predictors::PredictionBatch lanes;
+        for (size_t base = 0; base < pcs.size(); base += chunk) {
+            const uint32_t n = static_cast<uint32_t>(
+                std::min(chunk, pcs.size() - base));
+            p.predictUpdateBatch(pcs.data() + base, vals.data() + base, n,
+                                 lanes);
+            for (uint32_t l = 0; l < n; ++l)
+                out[base + l] = {lanes.predicted[l] != 0, lanes.value[l]};
+        }
+        return out;
+    }
+    for (size_t i = 0; i < pcs.size(); ++i) {
+        // Values 0 .. top are visible (top < 0: none yet).
+        const int64_t top = static_cast<int64_t>(i) - 1 -
+                            static_cast<int64_t>(cfg.valueDelay);
+        ValueWindow w;
+        if (top >= 0) {
+            w.newest = vals.data() + top;
+            w.count = static_cast<unsigned>(
+                std::min<int64_t>(top + 1, cfg.order));
+        }
+        out[i].predicted = p.predictWithWindow(pcs[i], w, out[i].value);
+        p.trainWithWindow(pcs[i], w, vals[i]);
+    }
+    return out;
+}
+
+/**
+ * Every record of one path against check::RefGDiff on a fuzzed stream
+ * (constant, stride, periodic and follower sites, values at the int64
+ * edges), for orders around the 4-wide kernel step and value delays,
+ * under every kernel set this host runs. The batch and the
+ * external-window path share gdiff's predict and train steps, so
+ * they cannot check each other; the oracle checks each.
+ */
+void
+expectPathMatchesOracle(bool batch)
+{
+    check::FuzzStreamConfig fc;
+    fc.seed = 17;
+    fc.records = 3000;
+    std::vector<uint64_t> pcs;
+    std::vector<int64_t> vals;
+    for (const auto &r : check::fuzzValueStream(fc)) {
+        pcs.push_back(r.pc);
+        vals.push_back(r.value);
+    }
+    const char *path = batch ? "batch" : "external-window";
+    std::vector<simd::Mode> modes = {simd::Mode::Scalar};
+    if (simd::cpuSupportsAvx2())
+        modes.push_back(simd::Mode::Avx2);
+    for (simd::Mode mode : modes) {
+        simd::setModeForTest(mode);
+        for (unsigned order : {1u, 3u, 4u, 5u, 8u, 13u, 64u}) {
+            for (unsigned delay : {0u, 3u}) {
+                check::RefGDiff ref(order, delay);
+                const auto got =
+                    drive(unlimited(order, delay), batch, pcs, vals);
+                for (size_t i = 0; i < pcs.size(); ++i) {
+                    Outcome want;
+                    want.predicted = ref.predict(pcs[i], want.value);
+                    ref.update(pcs[i], vals[i]);
+                    ASSERT_TRUE(got[i] == want)
+                        << path << " order " << order << " delay "
+                        << delay << " record " << i << ": predicted "
+                        << got[i].predicted << " (" << got[i].value
+                        << "), oracle " << want.predicted << " ("
+                        << want.value << ")";
+                }
+            }
+        }
+    }
+    simd::setModeForTest(simd::cpuSupportsAvx2() ? simd::Mode::Avx2
+                                                 : simd::Mode::Scalar);
+}
+
+TEST(GDiff, ExternalWindowPathMatchesOracle)
+{
+    expectPathMatchesOracle(false);
+}
+
+TEST(GDiff, BatchPathMatchesOracle)
+{
+    expectPathMatchesOracle(true);
 }
 
 } // namespace

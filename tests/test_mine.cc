@@ -66,6 +66,17 @@ TEST(MineTarget, RejectsMalformedSpecs)
         check::parseMineTarget("gdiff@x-vs-gfcm", t, error));
     EXPECT_FALSE(
         check::parseMineTarget("ref:hybrid-vs-gdiff", t, error));
+    // gfcm's context word holds four folds, on either side.
+    EXPECT_TRUE(check::parseMineTarget("gdiff-vs-gfcm@4", t, error));
+    EXPECT_FALSE(check::parseMineTarget("gdiff-vs-gfcm@5", t, error));
+    EXPECT_NE(error.find("out of range 1..4"), std::string::npos);
+    EXPECT_FALSE(
+        check::parseMineTarget("ref:gfcm@8-vs-gdiff", t, error));
+    // An order that would wrap or overflow the parse is malformed.
+    EXPECT_FALSE(
+        check::parseMineTarget("gdiff-vs-gfcm@4294967297", t, error));
+    EXPECT_FALSE(check::parseMineTarget(
+        "gdiff-vs-gfcm@99999999999999999999", t, error));
 }
 
 TEST(MineTarget, EverySideBuildsAFreshPredictor)

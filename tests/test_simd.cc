@@ -62,98 +62,43 @@ randomLane(size_t n, uint64_t seed)
     return v;
 }
 
-TEST_F(SimdKernels, DiffAgainstWindowMatchesScalarAndWraps)
-{
-    for (size_t n : kSizes) {
-        if (n == 0)
-            continue;
-        auto raw = randomLane(n, 47 + n);
-        // Window stored oldest-first; wtop points at the newest.
-        std::vector<int64_t> window(raw.begin(), raw.end());
-        window[0] = std::numeric_limits<int64_t>::min();
-        const int64_t *wtop = window.data() + n - 1;
-        const int64_t actual = std::numeric_limits<int64_t>::max();
-        std::vector<int64_t> avx(n, 1), sc(n, 2);
-        simd::setModeForTest(simd::Mode::Avx2);
-        simd::diffAgainstWindow(actual, wtop, avx.data(), n);
-        simd::setModeForTest(simd::Mode::Scalar);
-        simd::diffAgainstWindow(actual, wtop, sc.data(), n);
-        for (size_t k = 0; k < n; ++k) {
-            ASSERT_EQ(avx[k], sc[k]) << "n=" << n << " k=" << k;
-            int64_t expect = static_cast<int64_t>(
-                static_cast<uint64_t>(actual) -
-                static_cast<uint64_t>(
-                    wtop[-static_cast<ptrdiff_t>(k)]));
-            ASSERT_EQ(sc[k], expect) << "n=" << n << " k=" << k;
-        }
-    }
-}
-
-TEST_F(SimdKernels, FirstEqualFindsSmallestIndex)
-{
-    for (size_t n : kSizes) {
-        auto rawA = randomLane(n, 83 + n);
-        std::vector<int64_t> a(rawA.begin(), rawA.end());
-        std::vector<int64_t> b(n);
-        for (size_t i = 0; i < n; ++i)
-            b[i] = static_cast<int64_t>(static_cast<uint64_t>(a[i]) +
-                                        1); // no match anywhere
-        // Plant matches at every position in turn (and keep a later
-        // duplicate match to prove the *first* index wins).
-        for (size_t hit = 0; hit <= n; ++hit) {
-            std::vector<int64_t> bb = b;
-            if (hit < n) {
-                bb[hit] = a[hit];
-                if (hit + 3 < n)
-                    bb[hit + 3] = a[hit + 3];
-            }
-            simd::setModeForTest(simd::Mode::Avx2);
-            int iavx = simd::firstEqual(a.data(), bb.data(), n);
-            simd::setModeForTest(simd::Mode::Scalar);
-            int isc = simd::firstEqual(a.data(), bb.data(), n);
-            ASSERT_EQ(iavx, isc) << "n=" << n << " hit=" << hit;
-            int expect =
-                hit < n ? static_cast<int>(hit) : -1;
-            ASSERT_EQ(isc, expect) << "n=" << n << " hit=" << hit;
-            if (n > 16)
-                break; // exhaustive sweep only for small lanes
-        }
-    }
-}
-
 TEST_F(SimdKernels, DiffMatchStoreMatchesPortableAndReference)
 {
 #if GDIFF_HAVE_AVX2_KERNELS
-    for (size_t n : kSizes) {
-        if (n > 64)
-            continue; // the mask holds at most 64 positions
-        auto rawW = randomLane(n, 61 + n);
-        auto rawD = randomLane(n, 67 + n);
-        std::vector<int64_t> w(rawW.begin(), rawW.end());
-        const int64_t actual = std::numeric_limits<int64_t>::min() + 3;
-        // Stored diffs: random, with every third position planted
-        // equal to the fresh difference (wrapping included).
-        std::vector<int64_t> stored(rawD.begin(), rawD.end());
-        uint64_t expectMask = 0;
-        for (size_t k = 0; k < n; k += 3) {
-            stored[k] = static_cast<int64_t>(
+    // Windows in gdiff's descending layout, position k at newest[-k],
+    // with the oldest position at the buffer's first element, so a
+    // read past the window leaves the buffer. For every n the stored
+    // diffs match the fresh ones at no position, at each position
+    // alone, and at every third position (wrapping included).
+    const int64_t actual = std::numeric_limits<int64_t>::min() + 3;
+    for (size_t n = 0; n <= 64; ++n) {
+        auto raw = randomLane(n, 61 + n);
+        const std::vector<int64_t> buf(raw.begin(), raw.end());
+        const int64_t *newest = n ? buf.data() + n - 1 : nullptr;
+        std::vector<int64_t> fresh(n);
+        for (size_t k = 0; k < n; ++k)
+            fresh[k] = static_cast<int64_t>(
                 static_cast<uint64_t>(actual) -
-                static_cast<uint64_t>(w[k]));
-            expectMask |= uint64_t(1) << k;
-        }
-        std::vector<int64_t> avx = stored, sc = stored;
-        const uint64_t mAvx = simd::Avx2Kernels::diffMatchStore(
-            actual, w.data(), avx.data(), n);
-        const uint64_t mSc = simd::PortableKernels::diffMatchStore(
-            actual, w.data(), sc.data(), n);
-        ASSERT_EQ(mAvx, mSc) << "n=" << n;
-        ASSERT_EQ(mSc, expectMask) << "n=" << n;
-        for (size_t k = 0; k < n; ++k) {
-            const int64_t expect = static_cast<int64_t>(
-                static_cast<uint64_t>(actual) -
-                static_cast<uint64_t>(w[k]));
-            ASSERT_EQ(avx[k], expect) << "n=" << n << " k=" << k;
-            ASSERT_EQ(sc[k], expect) << "n=" << n << " k=" << k;
+                static_cast<uint64_t>(buf[n - 1 - k]));
+        // hit == n plants no match, hit == n + 1 every third one.
+        for (size_t hit = 0; hit <= n + 1; ++hit) {
+            std::vector<int64_t> stored(n);
+            uint64_t expectMask = 0;
+            for (size_t k = 0; k < n; ++k) {
+                const bool match = hit == n + 1 ? k % 3 == 0 : k == hit;
+                stored[k] = match ? fresh[k]
+                                  : fresh[k] ^ static_cast<int64_t>(k + 1);
+                expectMask |= static_cast<uint64_t>(match) << k;
+            }
+            std::vector<int64_t> avx = stored, sc = stored;
+            const uint64_t mAvx = simd::Avx2Kernels::diffMatchStore(
+                actual, newest, avx.data(), n);
+            const uint64_t mSc = simd::PortableKernels::diffMatchStore(
+                actual, newest, sc.data(), n);
+            ASSERT_EQ(mAvx, mSc) << "n=" << n << " hit=" << hit;
+            ASSERT_EQ(mSc, expectMask) << "n=" << n << " hit=" << hit;
+            ASSERT_EQ(avx, fresh) << "n=" << n << " hit=" << hit;
+            ASSERT_EQ(sc, fresh) << "n=" << n << " hit=" << hit;
         }
     }
 #else
@@ -261,7 +206,7 @@ TEST_F(SimdKernels, CountLagEqualBytesMatchesScalarReference)
 TEST_F(SimdKernels, RandomizedParityFuzz)
 {
     // Beyond the curated kSizes shapes: several hundred trials with
-    // randomized lengths, lags, window tops, and planted structure —
+    // randomized lengths, lags, and planted structure —
     // every kernel's AVX2 and scalar paths must agree bit-for-bit.
     Xorshift64Star rng(0xf00d);
     for (int trial = 0; trial < 400; ++trial) {
@@ -269,33 +214,12 @@ TEST_F(SimdKernels, RandomizedParityFuzz)
         auto raw = randomLane(n, rng.next());
         std::vector<int64_t> a(raw.begin(), raw.end());
 
-        // Sometimes plant a stride run / duplicates so firstEqual and
-        // countSecondDiffZero exercise their hit paths, not just
-        // misses.
+        // Sometimes plant a stride run / duplicates so the period
+        // scans exercise their hit paths, not just misses.
         if (rng.below(2) == 0)
             for (size_t i = 1 + rng.below(n); i < n; ++i)
                 a[i] = static_cast<int64_t>(
                     static_cast<uint64_t>(a[i - 1]) + rng.below(5));
-
-        std::vector<int64_t> b = a;
-        size_t flips = rng.below(n + 1);
-        for (size_t f = 0; f < flips; ++f)
-            b[rng.below(n)] ^= static_cast<int64_t>(1 + rng.below(7));
-
-        simd::setModeForTest(simd::Mode::Avx2);
-        int feAvx = simd::firstEqual(a.data(), b.data(), n);
-        simd::setModeForTest(simd::Mode::Scalar);
-        int feSc = simd::firstEqual(a.data(), b.data(), n);
-        ASSERT_EQ(feAvx, feSc) << "trial=" << trial << " n=" << n;
-
-        const int64_t *wtop = a.data() + n - 1;
-        int64_t actual = static_cast<int64_t>(rng.next());
-        std::vector<int64_t> dAvx(n), dSc(n);
-        simd::setModeForTest(simd::Mode::Avx2);
-        simd::diffAgainstWindow(actual, wtop, dAvx.data(), n);
-        simd::setModeForTest(simd::Mode::Scalar);
-        simd::diffAgainstWindow(actual, wtop, dSc.data(), n);
-        ASSERT_EQ(dAvx, dSc) << "trial=" << trial << " n=" << n;
 
         size_t L = 1 + rng.below(80);
         std::vector<uint64_t> u(a.begin(), a.end());

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for src/util: formatting, RNG, bit helpers, saturating
- * counters, and the ring history that backs the GVQ.
+ * Unit tests for src/util: formatting, RNG, bit helpers, and the
+ * ring history that backs the GVQ.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "util/logging.hh"
 #include "util/random.hh"
 #include "util/ring_history.hh"
-#include "util/sat_counter.hh"
 
 namespace gdiff {
 namespace {
@@ -164,47 +163,6 @@ TEST(Random, ForkDecorrelates)
     for (int i = 0; i < 64; ++i)
         same += (a.next() == b.next());
     EXPECT_EQ(same, 0);
-}
-
-// -------------------------------------------------------- sat counter
-
-TEST(SatCounter, SaturatesHigh)
-{
-    SatCounter c(2, 1, 1, 0); // max 3
-    for (int i = 0; i < 10; ++i)
-        c.increment();
-    EXPECT_EQ(c.value(), 3u);
-}
-
-TEST(SatCounter, SaturatesLow)
-{
-    SatCounter c(2, 1, 1, 3);
-    for (int i = 0; i < 10; ++i)
-        c.decrement();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(SatCounter, PaperPolicy)
-{
-    // 3-bit, +2/-1, confident at >= 4 (paper §4).
-    SatCounter c = makePaperConfidenceCounter();
-    EXPECT_EQ(c.max(), 7u);
-    c.increment(); // 2
-    EXPECT_FALSE(c.atLeast(paperConfidenceThreshold));
-    c.increment(); // 4
-    EXPECT_TRUE(c.atLeast(paperConfidenceThreshold));
-    c.decrement(); // 3
-    EXPECT_FALSE(c.atLeast(paperConfidenceThreshold));
-    c.increment(); // 5
-    c.increment(); // 7 (saturated)
-    c.increment();
-    EXPECT_EQ(c.value(), 7u);
-}
-
-TEST(SatCounter, InitialClamped)
-{
-    SatCounter c(2, 1, 1, 99);
-    EXPECT_EQ(c.value(), 3u);
 }
 
 // ------------------------------------------------------- ring history
