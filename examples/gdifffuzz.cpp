@@ -38,7 +38,6 @@
 #include "check/reference.hh"
 #include "check/shrink.hh"
 #include "pipeline/ooo_model.hh"
-#include "predictors/gfcm.hh"
 #include "runner/factory.hh"
 #include "util/logging.hh"
 #include "util/parse.hh"
@@ -69,7 +68,9 @@ usage(const char *argv0)
         "  --cases=N      records per fuzzed stream (default 10000)\n"
         "  --seed=S       RNG seed; fixes every input (default 1)\n"
         "  --pairs=a,b    predictor pairs to diff (default: all)\n"
-        "  --order=N      history/window order (0 = pair default)\n"
+        "  --order=N      history/window order (0 = pair default;\n"
+        "                 fcm, dfcm, gfcm 1..4, gdiff 1..64, gdiff2\n"
+        "                 2..16)\n"
         "  --mutate       corrupt each oracle on purpose; expect the\n"
         "                 harness to catch and shrink the divergence\n"
         "  --batch        also replay the stream scalar-vs-batch\n"
@@ -139,16 +140,21 @@ parse(int argc, char **argv)
     }
     if (o.pairs.empty())
         o.pairs = check::pairNames();
-    // The gfcm pair and the batch families build gfcm at --order.
-    const bool gfcm =
-        o.batch ||
-        std::find(o.pairs.begin(), o.pairs.end(), "gfcm") != o.pairs.end();
-    if (gfcm && o.order > predictors::gfcmMaxOrder) {
-        std::fprintf(stderr,
-                     "gdifffuzz: --order: gfcm takes orders 1..%u "
-                     "(0 = its default)\n",
-                     predictors::gfcmMaxOrder);
-        std::exit(2);
+    // Every pair, and with --batch every batch family, is built at
+    // --order.
+    std::vector<std::string> families = o.pairs;
+    if (o.batch)
+        families.insert(families.end(), check::batchFamilyNames().begin(),
+                        check::batchFamilyNames().end());
+    for (const std::string &family : families) {
+        std::string error;
+        if (!check::orderInRange(family, o.order, error)) {
+            std::fprintf(stderr,
+                         "gdifffuzz: --order: %s (0 = the family "
+                         "default)\n",
+                         error.c_str());
+            std::exit(2);
+        }
     }
     return o;
 }

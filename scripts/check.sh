@@ -7,6 +7,8 @@ cmake -B build -G Ninja
 cmake --build build
 ctest --test-dir build --output-on-failure
 for b in build/bench/*; do
+    # Only the bench binaries: the build also leaves CMake's files here.
+    [ -f "$b" ] && [ -x "$b" ] || continue
     case "$b" in
         *perf_predictors) "$b" --benchmark_min_time=0.05s ;;
         *serve_load) ;; # has its own dedicated step below

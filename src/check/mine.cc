@@ -7,7 +7,6 @@
 
 #include "check/reference.hh"
 #include "check/shrink.hh"
-#include "predictors/gfcm.hh"
 #include "runner/runner.hh"
 #include "stats/table.hh"
 #include "util/json.hh"
@@ -71,11 +70,8 @@ parseSide(const std::string &text, MineSide &out, std::string &error)
                 out.family + "' in '" + text + "'";
         return false;
     }
-    if (out.family == "gfcm" && out.order > predictors::gfcmMaxOrder) {
-        error = "gfcm order " + std::to_string(out.order) +
-                " out of range 1.." +
-                std::to_string(predictors::gfcmMaxOrder) + " in '" +
-                text + "'";
+    if (!orderInRange(out.family, out.order, error)) {
+        error += " in '" + text + "'";
         return false;
     }
     return true;

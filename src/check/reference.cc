@@ -102,7 +102,7 @@ RefStride2Delta::update(uint64_t pc, int64_t actual)
 RefFcm::RefFcm(unsigned order, uint64_t level2_entries)
     : order(order), level2Entries(level2_entries)
 {
-    GDIFF_ASSERT(order >= 1 && order <= 4,
+    GDIFF_ASSERT(order >= 1 && order <= predictors::fcmMaxOrder,
                  "FCM oracle order out of range");
     GDIFF_ASSERT(isPowerOfTwo(level2Entries),
                  "FCM oracle level-2 size must be a power of two");
@@ -319,6 +319,28 @@ batchFamilyNames()
         "last_value", "last_n", "stride", "pi",     "fcm",
         "dfcm",       "gfcm",   "hybrid", "gdiff",  "gdiff2"};
     return names;
+}
+
+bool
+orderInRange(const std::string &name, unsigned order, std::string &error)
+{
+    unsigned lo = 1, hi = 0; // hi 0: the family takes no order
+    if (name == "fcm" || name == "dfcm") {
+        hi = predictors::fcmMaxOrder;
+    } else if (name == "gfcm") {
+        hi = predictors::gfcmMaxOrder;
+    } else if (name == "gdiff") {
+        hi = core::maxOrder;
+    } else if (name == "gdiff2") {
+        lo = core::gdiff2MinOrder;
+        hi = core::gdiff2MaxOrder;
+    }
+    if (order == 0 || hi == 0 || (order >= lo && order <= hi))
+        return true;
+    error = name + " order " + std::to_string(order) +
+            " out of range " + std::to_string(lo) + ".." +
+            std::to_string(hi);
+    return false;
 }
 
 std::unique_ptr<predictors::ValuePredictor>

@@ -284,6 +284,20 @@ const std::vector<std::string> &batchFamilyNames();
 std::unique_ptr<predictors::ValuePredictor>
 makeProduction(const std::string &name, unsigned order = 0);
 
+/**
+ * Check @p order against the orders family @p name is built at by
+ * makePair() and makeProduction(): fcm and dfcm 1..4, gfcm 1..4,
+ * gdiff 1..64, gdiff2 2..16. 0 (the family default) always passes,
+ * as does any order for a family without one. The constructors
+ * assert their range, so a tool checks its orders here first and
+ * reports a usage error instead.
+ *
+ * @return true if in range; else false with @p error naming the
+ *         family, the order and the range.
+ */
+bool orderInRange(const std::string &name, unsigned order,
+                  std::string &error);
+
 } // namespace check
 } // namespace gdiff
 

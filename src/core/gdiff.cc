@@ -21,19 +21,30 @@ wrapAdd(int64_t a, int64_t b)
 /**
  * gdiff's predict rule (paper §3): with distance k selected, and k
  * inside both the window and the stored differences, the prediction
- * is window[k] + diffs[k]. @return true, setting value, if e
- * predicts.
+ * is window[k] + diffs[k]. Written without a branch on the entry:
+ * a miss reads position 0 instead (or a zero for an empty window)
+ * and masks the sum away. Whether a lane predicts is data-dependent
+ * and hangs on the entry's loads, so a branch there mispredicts on
+ * a mixed stream; the batch sweep then pays none.
+ * @return true if e predicts; value is the prediction, or 0.
  */
 template <typename Entry>
 inline bool
 predictStep(const Entry &e, const ValueWindow &window, int64_t &value)
 {
+    static constexpr int64_t empty = 0;
     // distance -1 (none selected) wraps far past both counts.
     const unsigned k = static_cast<unsigned>(e.distance);
-    if (k >= window.count || k >= e.diffCount)
-        return false;
-    value = wrapAdd(window[k], e.diffs[k]);
-    return true;
+    const unsigned live =
+        window.count < e.diffCount ? window.count : e.diffCount;
+    const uint64_t hit = 0 - static_cast<uint64_t>(k < live);
+    const unsigned at = k & static_cast<unsigned>(hit);
+    const int64_t *newest = window.count ? window.newest : &empty;
+    value = static_cast<int64_t>(
+        static_cast<uint64_t>(
+            wrapAdd(newest[-static_cast<ptrdiff_t>(at)], e.diffs[at])) &
+        hit);
+    return hit != 0;
 }
 
 /**
@@ -65,9 +76,12 @@ trainStep(Entry &e, const ValueWindow &window, int64_t actual)
  * The batch sweep over one tile of lanes. The stream is the queue's
  * history then the batch's actuals, oldest first; lane j's entry is
  * entries[j], and its window's newest value is stream[top0 + j],
- * holding clamp(top0 + j + 1, 0, order) values.
+ * holding clamp(top0 + j + 1, 0, order) values. A nonzero Order is
+ * that order as a constant, for a tile whose windows are all full
+ * (top0 + 1 >= Order): every window then holds Order values and the
+ * train step's kernel unrolls.
  */
-template <typename Kernels, typename Entry>
+template <typename Kernels, unsigned Order, typename Entry>
 inline void
 sweepLanes(Entry *const *entries, const int64_t *actuals,
            const int64_t *stream, int64_t top0, uint32_t lanes,
@@ -76,7 +90,10 @@ sweepLanes(Entry *const *entries, const int64_t *actuals,
     for (uint32_t j = 0; j < lanes; ++j) {
         const int64_t top = top0 + j;
         ValueWindow window; // empty before the stream's first value
-        if (top >= 0) {
+        if constexpr (Order != 0) {
+            window.newest = stream + top;
+            window.count = Order;
+        } else if (top >= 0) {
             window.newest = stream + top;
             window.count = top < static_cast<int64_t>(order)
                                ? static_cast<unsigned>(top) + 1
@@ -96,16 +113,36 @@ trainStepAvx2(Entry &e, const ValueWindow &window, int64_t actual)
     trainStep<simd::Avx2Kernels>(e, window, actual);
 }
 
-template <typename Entry>
+template <unsigned Order, typename Entry>
 GDIFF_AVX2_CLONE void
 sweepLanesAvx2(Entry *const *entries, const int64_t *actuals,
                const int64_t *stream, int64_t top0, uint32_t lanes,
                unsigned order, uint8_t *predicted, int64_t *value)
 {
-    sweepLanes<simd::Avx2Kernels>(entries, actuals, stream, top0, lanes,
-                                  order, predicted, value);
+    sweepLanes<simd::Avx2Kernels, Order>(entries, actuals, stream, top0,
+                                         lanes, order, predicted, value);
 }
 #endif
+
+/** sweepLanes() with the kernel set simd::activeMode() names. */
+template <unsigned Order, typename Entry>
+void
+sweepTile(bool avx2, Entry *const *entries, const int64_t *actuals,
+          const int64_t *stream, int64_t top0, uint32_t lanes,
+          unsigned order, uint8_t *predicted, int64_t *value)
+{
+#if GDIFF_HAVE_AVX2_KERNELS
+    if (avx2) {
+        sweepLanesAvx2<Order>(entries, actuals, stream, top0, lanes,
+                              order, predicted, value);
+        return;
+    }
+#else
+    (void)avx2;
+#endif
+    sweepLanes<simd::PortableKernels, Order>(
+        entries, actuals, stream, top0, lanes, order, predicted, value);
+}
 
 } // anonymous namespace
 
@@ -120,7 +157,11 @@ GDiffPredictor::predictWithWindow(uint64_t pc, const ValueWindow &window,
                                   int64_t &value)
 {
     const Entry *e = table.probe(pc);
-    return e && predictStep(*e, window, value);
+    int64_t guess = 0;
+    if (!e || !predictStep(*e, window, guess))
+        return false;
+    value = guess;
+    return true;
 }
 
 void
@@ -169,9 +210,10 @@ GDiffPredictor::predictUpdateBatch(const uint64_t *pcs,
     const size_t h = gvq.copyRecent(stream);
     std::copy_n(actuals, n, stream + h);
 
-#if GDIFF_HAVE_AVX2_KERNELS
     const bool avx2 = simd::activeMode() == simd::Mode::Avx2;
-#endif
+    // The profile studies' order, 8 (paper §3), gets a sweep with the
+    // order as a constant once the windows are full.
+    constexpr unsigned profileOrder = GDiffConfig{}.order;
     // Tiles of lanes: resolve the tile's entries in one pass, then
     // sweep them in lane order (lookups depend only on the PCs).
     constexpr uint32_t kTile = 64;
@@ -183,16 +225,13 @@ GDiffPredictor::predictUpdateBatch(const uint64_t *pcs,
                              static_cast<int64_t>(delay);
         uint8_t *predicted = out.predicted.data() + base;
         int64_t *value = out.value.data() + base;
-#if GDIFF_HAVE_AVX2_KERNELS
-        if (avx2) {
-            sweepLanesAvx2(tile, actuals + base, stream, top0, m,
-                           cfg.order, predicted, value);
-            continue;
-        }
-#endif
-        sweepLanes<simd::PortableKernels>(tile, actuals + base, stream,
-                                          top0, m, cfg.order, predicted,
-                                          value);
+        if (cfg.order == profileOrder && top0 + 1 >= profileOrder)
+            sweepTile<profileOrder>(avx2, tile, actuals + base, stream,
+                                    top0, m, cfg.order, predicted,
+                                    value);
+        else
+            sweepTile<0>(avx2, tile, actuals + base, stream, top0, m,
+                         cfg.order, predicted, value);
     }
 
     gvq.pushRange(actuals, n);

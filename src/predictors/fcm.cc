@@ -53,7 +53,7 @@ DfcmPredictor::DfcmPredictor(const FcmConfig &config)
 {
     GDIFF_ASSERT(isPowerOfTwo(cfg.level2Entries),
                  "DFCM level-2 size must be a power of two");
-    GDIFF_ASSERT(cfg.order >= 1 && cfg.order <= 4,
+    GDIFF_ASSERT(cfg.order >= 1 && cfg.order <= fcmMaxOrder,
                  "DFCM order out of range (16 history bits per item)");
 }
 
@@ -207,6 +207,8 @@ FcmPredictor::FcmPredictor(const FcmConfig &config)
 {
     GDIFF_ASSERT(isPowerOfTwo(cfg.level2Entries),
                  "FCM level-2 size must be a power of two");
+    GDIFF_ASSERT(cfg.order >= 1 && cfg.order <= fcmMaxOrder,
+                 "FCM order out of range (16 history bits per item)");
 }
 
 uint64_t

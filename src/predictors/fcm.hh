@@ -25,12 +25,18 @@
 namespace gdiff {
 namespace predictors {
 
+/**
+ * Largest FCM/DFCM order: the history holds one 16-bit fold per
+ * item, and a uint64_t holds four.
+ */
+inline constexpr unsigned fcmMaxOrder = 4;
+
 /** Configuration shared by FCM and DFCM. */
 struct FcmConfig
 {
     size_t level1Entries = 0;        ///< 0 = unlimited (per-PC)
     size_t level2Entries = 64 * 1024;///< must be a power of two
-    unsigned order = 3;              ///< history length (1..4)
+    unsigned order = 3;              ///< history length (1..fcmMaxOrder)
 };
 
 /**

@@ -72,6 +72,26 @@ TEST(MineTarget, RejectsMalformedSpecs)
     EXPECT_NE(error.find("out of range 1..4"), std::string::npos);
     EXPECT_FALSE(
         check::parseMineTarget("ref:gfcm@8-vs-gdiff", t, error));
+    // Every family with an order checks its range, on either side
+    // (check::orderInRange), before a constructor could assert it.
+    EXPECT_TRUE(check::parseMineTarget("fcm@4-vs-dfcm@4", t, error));
+    EXPECT_FALSE(check::parseMineTarget("fcm@5-vs-gdiff", t, error));
+    EXPECT_NE(error.find("fcm order 5 out of range 1..4"),
+              std::string::npos);
+    EXPECT_FALSE(check::parseMineTarget("gdiff-vs-dfcm@5", t, error));
+    EXPECT_FALSE(
+        check::parseMineTarget("ref:fcm@5-vs-gdiff", t, error));
+    EXPECT_TRUE(check::parseMineTarget("gdiff@64-vs-gfcm", t, error));
+    EXPECT_FALSE(check::parseMineTarget("gdiff@65-vs-gfcm", t, error));
+    EXPECT_NE(error.find("gdiff order 65 out of range 1..64"),
+              std::string::npos);
+    EXPECT_FALSE(
+        check::parseMineTarget("ref:gdiff@65-vs-gfcm", t, error));
+    EXPECT_TRUE(check::parseMineTarget("gdiff2@2-vs-gdiff2@16", t, error));
+    EXPECT_FALSE(check::parseMineTarget("gdiff2@1-vs-gdiff", t, error));
+    EXPECT_FALSE(check::parseMineTarget("gdiff2@17-vs-gdiff", t, error));
+    // Families without an order ignore it.
+    EXPECT_TRUE(check::parseMineTarget("stride@9-vs-gdiff", t, error));
     // An order that would wrap or overflow the parse is malformed.
     EXPECT_FALSE(
         check::parseMineTarget("gdiff-vs-gfcm@4294967297", t, error));
