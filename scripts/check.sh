@@ -10,7 +10,7 @@ for b in build/bench/*; do
     # Only the bench binaries: the build also leaves CMake's files here.
     [ -f "$b" ] && [ -x "$b" ] || continue
     case "$b" in
-        *perf_predictors) "$b" --benchmark_min_time=0.05s ;;
+        *perf_predictors) "$b" --benchmark_min_time=0.05 ;;
         *serve_load) ;; # has its own dedicated step below
         *) "$b" --instructions=200000 --warmup=40000 ;;
     esac

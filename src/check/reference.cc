@@ -99,8 +99,8 @@ RefStride2Delta::update(uint64_t pc, int64_t actual)
 
 // ----------------------------------------------------------- RefFcm
 
-RefFcm::RefFcm(unsigned order, uint64_t level2_entries)
-    : order(order), level2Entries(level2_entries)
+RefFcm::RefFcm(unsigned order, uint64_t level2_entries, bool strides)
+    : order(order), level2Entries(level2_entries), strides(strides)
 {
     GDIFF_ASSERT(order >= 1 && order <= predictors::fcmMaxOrder,
                  "FCM oracle order out of range");
@@ -124,7 +124,8 @@ RefFcm::predict(uint64_t pc, int64_t &value)
     auto l2 = level2.find(slotOf(pc, it->second));
     if (l2 == level2.end())
         return false;
-    value = l2->second;
+    // A stride history of at least one item implies a last value.
+    value = strides ? wrapAdd(*it->second.last, l2->second) : l2->second;
     return true;
 }
 
@@ -132,10 +133,21 @@ void
 RefFcm::update(uint64_t pc, int64_t actual)
 {
     State &s = level1[pc];
-    // Once the history is warm, remember the value that followed it.
+    int64_t item = actual;
+    if (strides) {
+        // The first value has no stride yet: it is only the base of
+        // the next one.
+        if (!s.last) {
+            s.last = actual;
+            return;
+        }
+        item = wrapSub(actual, *s.last);
+        s.last = actual;
+    }
+    // Once the history is warm, remember the item that followed it.
     if (s.seen >= order)
-        level2[slotOf(pc, s)] = actual;
-    s.history.push_back(actual);
+        level2[slotOf(pc, s)] = item;
+    s.history.push_back(item);
     if (s.history.size() > order)
         s.history.pop_front();
     ++s.seen;
@@ -265,7 +277,7 @@ const std::vector<std::string> &
 pairNames()
 {
     static const std::vector<std::string> names = {
-        "last_value", "stride", "fcm", "gfcm", "gdiff"};
+        "last_value", "stride", "fcm", "dfcm", "gfcm", "gdiff"};
     return names;
 }
 
@@ -282,14 +294,11 @@ makePair(const std::string &name, unsigned order)
         pair.production =
             std::make_unique<predictors::StridePredictor>(0);
         pair.oracle = std::make_unique<RefStride2Delta>();
-    } else if (name == "fcm") {
+    } else if (name == "fcm" || name == "dfcm") {
         unsigned o = order ? order : 3;
-        predictors::FcmConfig cfg;
-        cfg.level1Entries = 0;
-        cfg.order = o;
-        pair.production =
-            std::make_unique<predictors::FcmPredictor>(cfg);
-        pair.oracle = std::make_unique<RefFcm>(o, cfg.level2Entries);
+        pair.production = makeProduction(name, o);
+        pair.oracle = std::make_unique<RefFcm>(
+            o, predictors::fcmLevel2Entries, name == "dfcm");
     } else if (name == "gfcm") {
         unsigned o = order ? order : 4;
         predictors::GFcmConfig cfg;
@@ -306,7 +315,7 @@ makePair(const std::string &name, unsigned order)
         pair.oracle = std::make_unique<RefGDiff>(o, cfg.valueDelay);
     } else {
         fatal("unknown predictor pair '%s' (expected one of "
-              "last_value, stride, fcm, gfcm, gdiff)",
+              "last_value, stride, fcm, dfcm, gfcm, gdiff)",
               name.c_str());
     }
     return pair;

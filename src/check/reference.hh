@@ -30,6 +30,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -81,18 +82,28 @@ class RefStride2Delta : public predictors::ValuePredictor
  * that history last time. The level-2 index is recomputed from the
  * raw history on every access by the documented fold (16 bits per
  * item, truncated to the order, hashed with the PC).
+ *
+ * In stride mode it is the DFCM oracle (Goeman et al.): the history
+ * is the raw sequence of strides between a PC's successive values,
+ * the slot holds the stride that followed, and the prediction is the
+ * PC's last value plus that stride.
  */
 class RefFcm : public predictors::ValuePredictor
 {
   public:
     /**
-     * @param order         history length (1..4, as production).
+     * @param order          history length (1..4, as production).
      * @param level2_entries level-2 slots (power of two).
+     * @param strides        DFCM: the items are strides.
      */
     explicit RefFcm(unsigned order = 3,
-                    uint64_t level2_entries = 64 * 1024);
+                    uint64_t level2_entries = 64 * 1024,
+                    bool strides = false);
 
-    std::string name() const override { return "ref:fcm"; }
+    std::string name() const override
+    {
+        return strides ? "ref:dfcm" : "ref:fcm";
+    }
 
     bool predict(uint64_t pc, int64_t &value) override;
     void update(uint64_t pc, int64_t actual) override;
@@ -100,8 +111,9 @@ class RefFcm : public predictors::ValuePredictor
   private:
     struct State
     {
-        std::deque<int64_t> history; ///< raw values, newest at back
-        uint64_t seen = 0;           ///< values observed
+        std::deque<int64_t> history; ///< raw items, newest at back
+        uint64_t seen = 0;           ///< items observed
+        std::optional<int64_t> last; ///< stride mode: last value
     };
 
     /** Level-2 index for pc's current raw history. */
@@ -109,8 +121,9 @@ class RefFcm : public predictors::ValuePredictor
 
     unsigned order;
     uint64_t level2Entries;
+    bool strides;
     std::map<uint64_t, State> level1;
-    std::map<uint64_t, int64_t> level2; ///< slot index -> value
+    std::map<uint64_t, int64_t> level2; ///< slot index -> item
 };
 
 /**
@@ -243,8 +256,8 @@ struct PredictorPair
 };
 
 /**
- * @return the checkable pair names: last_value, stride, fcm, gfcm,
- * gdiff.
+ * @return the checkable pair names: last_value, stride, fcm, dfcm,
+ * gfcm, gdiff.
  */
 const std::vector<std::string> &pairNames();
 
@@ -257,8 +270,8 @@ const std::vector<std::string> &pairNames();
  *
  * @param name  one of pairNames().
  * @param order history/window order; 0 picks the pair's default
- *              (fcm 3, gfcm 4, gdiff 8; ignored by last_value and
- *              stride).
+ *              (fcm and dfcm 3, gfcm 4, gdiff 8; ignored by
+ *              last_value and stride).
  */
 PredictorPair makePair(const std::string &name, unsigned order = 0);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/logging.hh"
-#include "util/simd.hh"
 
 namespace gdiff {
 namespace predictors {
@@ -11,21 +10,20 @@ namespace predictors {
 namespace {
 
 /**
- * Append one item to an order-n history. Each item is folded to 16
- * bits and the history truncated so it depends on *exactly* the last
- * `order` items — essential for context prediction: periodic streams
- * must produce periodic (repeating) history values.
+ * Append one item to a history. Each item is folded to 16 bits and
+ * the history truncated (by @p hist_mask) so it depends on *exactly*
+ * the last `order` items — essential for context prediction:
+ * periodic streams must produce periodic (repeating) history values.
  */
 uint64_t
-rollHistory(uint64_t history, uint64_t item, unsigned order)
+rollHistory(uint64_t history, uint64_t item, uint64_t hist_mask)
 {
-    uint64_t folded = mix64(item) & 0xffff;
-    return ((history << 16) | folded) & mask(16 * order);
+    return ((history << 16) | (mix64(item) & 0xffff)) & hist_mask;
 }
 
 /**
  * Software-pipeline lookahead (and ring size, so a power of two) for
- * the fused batch loops: lane l's work is overlapped with the lookup,
+ * the fused batch loop: lane l's work is overlapped with the lookup,
  * history hash, and second-level prefetch for lane l + kDist.
  *
  * The distance trades prefetch coverage (larger = more time for the
@@ -44,73 +42,98 @@ constexpr uint32_t kDist = 8;
 
 } // anonymous namespace
 
-// ---------------------------------------------------------------- DFCM
-
-DfcmPredictor::DfcmPredictor(const FcmConfig &config)
-    : cfg(config), l2Bits(ceilLog2(cfg.level2Entries)),
-      level1(cfg.level1Entries),
-      level2(cfg.level2Entries)
+template <bool Differential>
+LocalContextPredictor<Differential>::LocalContextPredictor(
+    const FcmConfig &config)
+    : warm(config.order + Differential), histMask(mask(16 * config.order)),
+      level1(config.level1Entries), level2(fcmLevel2Entries)
 {
-    GDIFF_ASSERT(isPowerOfTwo(cfg.level2Entries),
-                 "DFCM level-2 size must be a power of two");
-    GDIFF_ASSERT(cfg.order >= 1 && cfg.order <= fcmMaxOrder,
-                 "DFCM order out of range (16 history bits per item)");
+    GDIFF_ASSERT(config.order >= 1 && config.order <= fcmMaxOrder,
+                 "FCM order out of range (16 history bits per item)");
 }
 
-uint64_t
-DfcmPredictor::foldHistory(uint64_t pc, uint64_t history) const
+/**
+ * The level-2 index of (pc, history). Per-PC slots keep high-churn
+ * noise instructions from evicting other instructions' learned
+ * contexts (a standard DFCM implementation refinement). mix64 keeps
+ * the hash order-sensitive: rotations of a periodic context must
+ * land in different entries.
+ */
+template <bool Differential>
+inline uint64_t
+LocalContextPredictor<Differential>::indexOf(uint64_t pc,
+                                             uint64_t history) const
 {
-    // The second level is indexed by (PC, history): per-PC slots keep
-    // high-churn noise instructions from evicting other instructions'
-    // learned contexts (a standard DFCM implementation refinement).
-    // mix64 keeps the hash order-sensitive: rotations of a periodic
-    // context must land in different entries.
-    return (mix64(history) ^ mix64(pc)) & mask(l2Bits);
+    return (mix64(history) ^ mix64(pc)) & (fcmLevel2Entries - 1);
 }
 
-uint64_t
-DfcmPredictor::pushHistory(uint64_t history, int64_t stride) const
+/**
+ * The predict rule: once the history holds `order` items and its
+ * level-2 slot is valid, the prediction is base + the slot's item,
+ * where base is 0 for FCM and the last value for DFCM. @p value is
+ * written either way, so the batch needs no branch on it.
+ * @return true if @p e predicts.
+ */
+template <bool Differential>
+inline bool
+LocalContextPredictor<Differential>::predictStep(const L1Entry &e,
+                                                 const L2Entry &l2,
+                                                 int64_t &value) const
 {
-    return rollHistory(history, static_cast<uint64_t>(stride),
-                       cfg.order);
+    uint64_t base = 0;
+    if constexpr (Differential)
+        base = static_cast<uint64_t>(e.last);
+    value = static_cast<int64_t>(base + static_cast<uint64_t>(l2.item));
+    return (e.seen >= warm) & l2.valid;
 }
 
+/**
+ * The train rule: once the history is warm, @p l2 (its slot) learns
+ * the item that followed it; then the item is rolled into the
+ * history. DFCM's first value has no stride yet and only seeds last.
+ */
+template <bool Differential>
+inline void
+LocalContextPredictor<Differential>::trainStep(L1Entry &e, L2Entry &l2,
+                                               int64_t actual) const
+{
+    uint64_t item = static_cast<uint64_t>(actual);
+    if constexpr (Differential) {
+        if (e.seen == 0) {
+            e.last = actual;
+            e.seen = 1;
+            return;
+        }
+        item -= static_cast<uint64_t>(e.last);
+        e.last = actual;
+    }
+    if (e.seen >= warm) {
+        l2.item = static_cast<int64_t>(item);
+        l2.valid = true;
+    }
+    e.history = rollHistory(e.history, item, histMask);
+    if (e.seen <= warm)
+        ++e.seen;
+}
+
+template <bool Differential>
 bool
-DfcmPredictor::predict(uint64_t pc, int64_t &value)
+LocalContextPredictor<Differential>::predict(uint64_t pc, int64_t &value)
 {
     const L1Entry *e = level1.probe(pc);
-    if (!e || e->seen <= cfg.order)
+    int64_t guess = 0;
+    if (!e || !predictStep(*e, level2[indexOf(pc, e->history)], guess))
         return false;
-    const L2Entry &l2 = level2[foldHistory(pc, e->history)];
-    if (!l2.valid)
-        return false;
-    value = static_cast<int64_t>(static_cast<uint64_t>(e->last) +
-                                 static_cast<uint64_t>(l2.stride));
+    value = guess;
     return true;
 }
 
+template <bool Differential>
 void
-DfcmPredictor::update(uint64_t pc, int64_t actual)
+LocalContextPredictor<Differential>::update(uint64_t pc, int64_t actual)
 {
     L1Entry &e = level1.lookup(pc);
-    if (e.seen == 0) {
-        e.last = actual;
-        e.seen = 1;
-        return;
-    }
-    int64_t stride = static_cast<int64_t>(
-        static_cast<uint64_t>(actual) - static_cast<uint64_t>(e.last));
-    if (e.seen > cfg.order) {
-        // Train the second level with the stride that followed the
-        // current history.
-        L2Entry &l2 = level2[foldHistory(pc, e.history)];
-        l2.stride = stride;
-        l2.valid = true;
-    }
-    e.history = pushHistory(e.history, stride);
-    e.last = actual;
-    if (e.seen <= cfg.order + 1)
-        ++e.seen;
+    trainStep(e, level2[indexOf(pc, e.history)], actual);
 }
 
 /**
@@ -120,194 +143,55 @@ DfcmPredictor::update(uint64_t pc, int64_t actual)
  * so the table's lookup/conflict/ownership sequence is exactly the
  * scalar one — snapshots the entry's history, and prefetches the
  * second-level line that history hashes to. kDist lanes later the
- * work stage consumes the snapshot. A PC recurring within the window
- * invalidates its snapshot (an earlier lane rolled the history); the
- * work stage detects that by value and recomputes the index, so a
- * stale snapshot only ever wastes its prefetch. Entry pointers stay
- * valid across the window in both table modes: the limited table is
- * never resized, and unlimited entries live in a deque, whose
- * elements never move (predictors/table.hh).
+ * work stage runs the predict and train steps on that line; predict
+ * and train share the pre-roll history, so one index serves the
+ * scalar pair's two. A PC recurring within the window invalidates
+ * its snapshot (an earlier lane rolled the history); the work stage
+ * detects that by value and recomputes the index, so a stale
+ * snapshot only ever wastes its prefetch. Entry pointers stay valid
+ * across the window in both table modes: the limited table is never
+ * resized, and unlimited entries live in a deque, whose elements
+ * never move (predictors/table.hh).
  */
+template <bool Differential>
 void
-DfcmPredictor::predictUpdateBatch(const uint64_t *pcs,
-                                  const int64_t *actuals, uint32_t n,
-                                  PredictionBatch &out)
+LocalContextPredictor<Differential>::predictUpdateBatch(
+    const uint64_t *pcs, const int64_t *actuals, uint32_t n,
+    PredictionBatch &out)
 {
     out.reset(n);
-    const uint64_t histMask = mask(16 * cfg.order);
-    const uint64_t idxMask = mask(l2Bits);
+    uint8_t *const predicted = out.predicted.data();
+    int64_t *const value = out.value.data();
     L2Entry *const l2base = level2.data();
     L1Entry *ringE[kDist];
     uint64_t ringHist[kDist];
     uint64_t ringIdx[kDist];
-    const uint32_t pro = std::min(kDist, n);
-    for (uint32_t i = 0; i < pro; ++i) {
-        L1Entry &e = level1.lookup(pcs[i]);
-        ringE[i] = &e;
-        ringHist[i] = e.history;
-        ringIdx[i] =
-            (mix64(e.history) ^ mix64(pcs[i])) & idxMask;
-        __builtin_prefetch(&l2base[ringIdx[i]], 1);
-    }
+    auto stage = [&](uint32_t a) {
+        const uint32_t slot = a & (kDist - 1);
+        L1Entry &e = level1.lookup(pcs[a]);
+        ringE[slot] = &e;
+        ringHist[slot] = e.history;
+        ringIdx[slot] = indexOf(pcs[a], e.history);
+        __builtin_prefetch(&l2base[ringIdx[slot]], 1);
+    };
+    for (uint32_t a = 0; a < std::min(kDist, n); ++a)
+        stage(a);
     for (uint32_t l = 0; l < n; ++l) {
         const uint32_t slot = l & (kDist - 1);
         L1Entry &e = *ringE[slot];
-        const int64_t actual = actuals[l];
-        if (e.seen == 0) {
-            e.last = actual;
-            e.seen = 1;
-        } else {
-            int64_t stride = static_cast<int64_t>(
-                static_cast<uint64_t>(actual) -
-                static_cast<uint64_t>(e.last));
-            if (e.seen > cfg.order) {
-                // Predict and train share the pre-push history, so
-                // one index serves the scalar pair's two. out.value
-                // is written unconditionally (gated by predicted),
-                // keeping the hot path branchless.
-                uint64_t idx = ringIdx[slot];
-                if (e.history != ringHist[slot])
-                    idx = (mix64(e.history) ^ mix64(pcs[l])) &
-                          idxMask;
-                L2Entry &l2 = l2base[idx];
-                out.predicted[l] =
-                    static_cast<uint8_t>(l2.valid);
-                out.value[l] = static_cast<int64_t>(
-                    static_cast<uint64_t>(e.last) +
-                    static_cast<uint64_t>(l2.stride));
-                l2.stride = stride;
-                l2.valid = true;
-            }
-            e.history =
-                ((e.history << 16) |
-                 (mix64(static_cast<uint64_t>(stride)) & 0xffff)) &
-                histMask;
-            e.last = actual;
-            if (e.seen <= cfg.order + 1)
-                ++e.seen;
-        }
-        const uint32_t a = l + kDist;
-        if (a < n) {
-            L1Entry &ne = level1.lookup(pcs[a]);
-            ringE[slot] = &ne;
-            ringHist[slot] = ne.history;
-            ringIdx[slot] =
-                (mix64(ne.history) ^ mix64(pcs[a])) & idxMask;
-            __builtin_prefetch(&l2base[ringIdx[slot]], 1);
-        }
+        const uint64_t idx = e.history == ringHist[slot]
+                                 ? ringIdx[slot]
+                                 : indexOf(pcs[l], e.history);
+        L2Entry &l2 = l2base[idx];
+        predicted[l] = predictStep(e, l2, value[l]);
+        trainStep(e, l2, actuals[l]);
+        if (l + kDist < n)
+            stage(l + kDist);
     }
 }
 
-// ----------------------------------------------------------------- FCM
-
-FcmPredictor::FcmPredictor(const FcmConfig &config)
-    : cfg(config), l2Bits(ceilLog2(cfg.level2Entries)),
-      level1(cfg.level1Entries),
-      level2(cfg.level2Entries)
-{
-    GDIFF_ASSERT(isPowerOfTwo(cfg.level2Entries),
-                 "FCM level-2 size must be a power of two");
-    GDIFF_ASSERT(cfg.order >= 1 && cfg.order <= fcmMaxOrder,
-                 "FCM order out of range (16 history bits per item)");
-}
-
-uint64_t
-FcmPredictor::foldHistory(uint64_t pc, uint64_t history) const
-{
-    return (mix64(history) ^ mix64(pc)) & mask(l2Bits);
-}
-
-uint64_t
-FcmPredictor::pushHistory(uint64_t history, int64_t value) const
-{
-    return rollHistory(history, static_cast<uint64_t>(value),
-                       cfg.order);
-}
-
-bool
-FcmPredictor::predict(uint64_t pc, int64_t &value)
-{
-    const L1Entry *e = level1.probe(pc);
-    if (!e || e->seen < cfg.order)
-        return false;
-    const L2Entry &l2 = level2[foldHistory(pc, e->history)];
-    if (!l2.valid)
-        return false;
-    value = l2.value;
-    return true;
-}
-
-void
-FcmPredictor::update(uint64_t pc, int64_t actual)
-{
-    L1Entry &e = level1.lookup(pc);
-    if (e.seen >= cfg.order) {
-        L2Entry &l2 = level2[foldHistory(pc, e.history)];
-        l2.value = actual;
-        l2.valid = true;
-    }
-    e.history = pushHistory(e.history, actual);
-    if (e.seen <= cfg.order)
-        ++e.seen;
-}
-
-/**
- * Fused batch loop, software-pipelined kDist lanes deep — the same
- * scheme as the DFCM loop above; see its comment for the snapshot
- * staleness and pointer-stability arguments.
- */
-void
-FcmPredictor::predictUpdateBatch(const uint64_t *pcs,
-                                 const int64_t *actuals, uint32_t n,
-                                 PredictionBatch &out)
-{
-    out.reset(n);
-    const uint64_t histMask = mask(16 * cfg.order);
-    const uint64_t idxMask = mask(l2Bits);
-    L2Entry *const l2base = level2.data();
-    L1Entry *ringE[kDist];
-    uint64_t ringHist[kDist];
-    uint64_t ringIdx[kDist];
-    const uint32_t pro = std::min(kDist, n);
-    for (uint32_t i = 0; i < pro; ++i) {
-        L1Entry &e = level1.lookup(pcs[i]);
-        ringE[i] = &e;
-        ringHist[i] = e.history;
-        ringIdx[i] =
-            (mix64(e.history) ^ mix64(pcs[i])) & idxMask;
-        __builtin_prefetch(&l2base[ringIdx[i]], 1);
-    }
-    for (uint32_t l = 0; l < n; ++l) {
-        const uint32_t slot = l & (kDist - 1);
-        L1Entry &e = *ringE[slot];
-        if (e.seen >= cfg.order) {
-            uint64_t idx = ringIdx[slot];
-            if (e.history != ringHist[slot])
-                idx = (mix64(e.history) ^ mix64(pcs[l])) &
-                      idxMask;
-            L2Entry &l2 = l2base[idx];
-            out.predicted[l] = static_cast<uint8_t>(l2.valid);
-            out.value[l] = l2.value;
-            l2.value = actuals[l];
-            l2.valid = true;
-        }
-        e.history =
-            ((e.history << 16) |
-             (mix64(static_cast<uint64_t>(actuals[l])) & 0xffff)) &
-            histMask;
-        if (e.seen <= cfg.order)
-            ++e.seen;
-        const uint32_t a = l + kDist;
-        if (a < n) {
-            L1Entry &ne = level1.lookup(pcs[a]);
-            ringE[slot] = &ne;
-            ringHist[slot] = ne.history;
-            ringIdx[slot] =
-                (mix64(ne.history) ^ mix64(pcs[a])) & idxMask;
-            __builtin_prefetch(&l2base[ringIdx[slot]], 1);
-        }
-    }
-}
+template class LocalContextPredictor<false>;
+template class LocalContextPredictor<true>;
 
 } // namespace predictors
 } // namespace gdiff

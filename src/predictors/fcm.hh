@@ -11,11 +11,16 @@
  * second-level table predicts the next stride, added to the last
  * value. This is the "local context" baseline used throughout the
  * paper (64K-entry second level).
+ *
+ * Both are one class template over the context item, so each rule
+ * (history roll, level-2 index, predict step, train step) is written
+ * once and the scalar and batch paths share it.
  */
 
 #ifndef GDIFF_PREDICTORS_FCM_HH
 #define GDIFF_PREDICTORS_FCM_HH
 
+#include <type_traits>
 #include <vector>
 
 #include "predictors/table.hh"
@@ -31,24 +36,39 @@ namespace predictors {
  */
 inline constexpr unsigned fcmMaxOrder = 4;
 
+/** Second-level entries of FCM and DFCM: the paper's 64K. */
+inline constexpr size_t fcmLevel2Entries = 64 * 1024;
+static_assert(isPowerOfTwo(fcmLevel2Entries),
+              "the level-2 index is a mask of the hash");
+
 /** Configuration shared by FCM and DFCM. */
 struct FcmConfig
 {
-    size_t level1Entries = 0;        ///< 0 = unlimited (per-PC)
-    size_t level2Entries = 64 * 1024;///< must be a power of two
-    unsigned order = 3;              ///< history length (1..fcmMaxOrder)
+    size_t level1Entries = 0; ///< 0 = unlimited (per-PC)
+    unsigned order = 3;       ///< history length (1..fcmMaxOrder)
 };
 
 /**
- * Differential FCM: predicts last + stride(level2[hash(history of
- * strides)]).
+ * Local context predictor over a per-PC stream of items: level 2,
+ * indexed by (PC, hash of the last `order` items), holds the item
+ * that followed that history last time.
+ *
+ * @tparam Differential false for FCM: the item is the value itself,
+ *         and a prediction is the stored item. true for DFCM: the
+ *         item is the stride from the PC's last value, a prediction
+ *         is last + the stored stride, and a PC's first value only
+ *         seeds last.
  */
-class DfcmPredictor : public ValuePredictor
+template <bool Differential>
+class LocalContextPredictor : public ValuePredictor
 {
   public:
-    explicit DfcmPredictor(const FcmConfig &config = FcmConfig());
+    explicit LocalContextPredictor(const FcmConfig &config = FcmConfig());
 
-    std::string name() const override { return "dfcm"; }
+    std::string name() const override
+    {
+        return Differential ? "dfcm" : "fcm";
+    }
 
     bool predict(uint64_t pc, int64_t &value) override;
     void update(uint64_t pc, int64_t actual) override;
@@ -57,66 +77,49 @@ class DfcmPredictor : public ValuePredictor
                             PredictionBatch &out) override;
 
   private:
-    struct L1Entry
+    /** FCM's level-1 entry. */
+    struct ValueEntry
+    {
+        uint64_t history = 0;
+        unsigned seen = 0; ///< values observed (saturates at warm + 1)
+    };
+
+    /** DFCM's level-1 entry: also the base its strides are from. */
+    struct StrideEntry : ValueEntry
     {
         int64_t last = 0;
-        uint64_t history = 0;
-        unsigned seen = 0; ///< values observed (saturates at order+1)
     };
+
+    using L1Entry =
+        std::conditional_t<Differential, StrideEntry, ValueEntry>;
 
     struct L2Entry
     {
-        int64_t stride = 0;
+        int64_t item = 0; ///< the item that followed the history
         bool valid = false;
     };
 
-    uint64_t foldHistory(uint64_t pc, uint64_t history) const;
-    uint64_t pushHistory(uint64_t history, int64_t stride) const;
+    uint64_t indexOf(uint64_t pc, uint64_t history) const;
+    bool predictStep(const L1Entry &e, const L2Entry &l2,
+                     int64_t &value) const;
+    void trainStep(L1Entry &e, L2Entry &l2, int64_t actual) const;
 
-    FcmConfig cfg;
-    unsigned l2Bits;
+    /// values seen once the history holds `order` items: level 2 is
+    /// read and trained from then on
+    unsigned warm;
+    uint64_t histMask; ///< 16 bits per item, `order` items
     PcIndexedTable<L1Entry> level1;
     std::vector<L2Entry> level2;
 };
 
-/**
- * Classic FCM over raw values: level2[hash(history of values)] is the
- * predicted next value.
- */
-class FcmPredictor : public ValuePredictor
-{
-  public:
-    explicit FcmPredictor(const FcmConfig &config = FcmConfig());
+extern template class LocalContextPredictor<false>;
+extern template class LocalContextPredictor<true>;
 
-    std::string name() const override { return "fcm"; }
+/** Classic FCM over raw values. */
+using FcmPredictor = LocalContextPredictor<false>;
 
-    bool predict(uint64_t pc, int64_t &value) override;
-    void update(uint64_t pc, int64_t actual) override;
-    void predictUpdateBatch(const uint64_t *pcs,
-                            const int64_t *actuals, uint32_t n,
-                            PredictionBatch &out) override;
-
-  private:
-    struct L1Entry
-    {
-        uint64_t history = 0;
-        unsigned seen = 0;
-    };
-
-    struct L2Entry
-    {
-        int64_t value = 0;
-        bool valid = false;
-    };
-
-    uint64_t foldHistory(uint64_t pc, uint64_t history) const;
-    uint64_t pushHistory(uint64_t history, int64_t value) const;
-
-    FcmConfig cfg;
-    unsigned l2Bits;
-    PcIndexedTable<L1Entry> level1;
-    std::vector<L2Entry> level2;
-};
+/** Differential FCM over strides: the paper's local context baseline. */
+using DfcmPredictor = LocalContextPredictor<true>;
 
 } // namespace predictors
 } // namespace gdiff

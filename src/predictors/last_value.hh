@@ -39,14 +39,12 @@ class LastValuePredictor : public ValuePredictor
     void
     update(uint64_t pc, int64_t actual) override
     {
-        Entry &e = table.lookup(pc);
-        e.last = actual;
-        e.seen = true;
+        trainStep(table.lookup(pc), actual);
     }
 
     /**
      * Fused batch: one lookup() per lane, reading the entry before
-     * mutating it. A lookup-allocated fresh entry has seen=false, so
+     * training it. A lookup-allocated fresh entry has seen=false, so
      * the predict half matches the scalar probe exactly, and the
      * single lookup per trained record matches the scalar
      * probe-then-lookup counter trail.
@@ -62,8 +60,7 @@ class LastValuePredictor : public ValuePredictor
                 out.predicted[l] = 1;
                 out.value[l] = e.last;
             }
-            e.last = actuals[l];
-            e.seen = true;
+            trainStep(e, actuals[l]);
         }
     }
 
@@ -73,6 +70,14 @@ class LastValuePredictor : public ValuePredictor
         int64_t last = 0;
         bool seen = false;
     };
+
+    /** The train rule: the entry remembers the value. */
+    static void
+    trainStep(Entry &e, int64_t actual)
+    {
+        e.last = actual;
+        e.seen = true;
+    }
 
     PcIndexedTable<Entry> table;
 };

@@ -2,10 +2,10 @@
  * @file
  * Local stride predictor (Gabbay & Mendelson; Lipasti & Shen).
  *
- * Each PC's entry tracks the last value and a stride. The default is
- * the 2-delta variant: the predicted stride only changes after the
- * same new stride has been observed twice in a row, which keeps one
- * odd value (e.g. a loop restart) from destroying a learned stride.
+ * Each PC's entry tracks the last value and a stride, under the 2-delta
+ * rule: the predicted stride only changes after the same new stride
+ * has been observed twice in a row, which keeps one odd value (e.g. a
+ * loop restart) from destroying a learned stride.
  */
 
 #ifndef GDIFF_PREDICTORS_STRIDE_HH
@@ -17,17 +17,18 @@
 namespace gdiff {
 namespace predictors {
 
-/** Local (per-PC) stride predictor. */
+/**
+ * Local (per-PC) 2-delta stride predictor.
+ *
+ * Unlike the other families, update() and predictUpdateBatch() keep
+ * two bodies of the same rule: a branchy scalar one and a branchless
+ * batch one (see predictUpdateBatch()).
+ */
 class StridePredictor : public ValuePredictor
 {
   public:
-    /**
-     * @param entries   table entries (0 = unlimited).
-     * @param two_delta use the 2-delta stride update rule.
-     */
-    explicit StridePredictor(size_t entries = 0, bool two_delta = true)
-        : table(entries), twoDelta(two_delta)
-    {}
+    /** @param entries table entries (0 = unlimited). */
+    explicit StridePredictor(size_t entries = 0) : table(entries) {}
 
     std::string name() const override { return "stride"; }
 
@@ -63,13 +64,9 @@ class StridePredictor : public ValuePredictor
         int64_t new_stride = static_cast<int64_t>(
             static_cast<uint64_t>(actual) -
             static_cast<uint64_t>(e.last));
-        if (twoDelta) {
-            if (new_stride == e.lastStride)
-                e.stride = new_stride;
-            e.lastStride = new_stride;
-        } else {
+        if (new_stride == e.lastStride)
             e.stride = new_stride;
-        }
+        e.lastStride = new_stride;
         e.last = actual;
     }
 
@@ -84,14 +81,15 @@ class StridePredictor : public ValuePredictor
      * both conditional stores are mask-arithmetic selects keyed on
      * Entry::seen (0 or all-ones). A virgin entry has stride ==
      * lastStride == 0, so leaving both unselected reproduces the
-     * scalar first-sight early-return exactly.
+     * scalar first-sight early-return exactly. update() keeps the
+     * branchy body until the batch gate reads real lanes
+     * (docs/INTERNALS.md §10).
      */
     void
     predictUpdateBatch(const uint64_t *pcs, const int64_t *actuals,
                        uint32_t n, PredictionBatch &out) override
     {
         out.reset(n);
-        const bool two_delta = twoDelta;
         for (uint32_t l = 0; l < n; ++l) {
             Entry &e = table.lookup(pcs[l]);
             const int64_t actual = actuals[l];
@@ -104,12 +102,8 @@ class StridePredictor : public ValuePredictor
             const uint64_t ns = static_cast<uint64_t>(actual) -
                                 static_cast<uint64_t>(e.last);
             const uint64_t sm =
-                two_delta
-                    ? seen &
-                          static_cast<uint64_t>(-static_cast<int64_t>(
-                              static_cast<int64_t>(ns) ==
-                              e.lastStride))
-                    : seen;
+                seen & static_cast<uint64_t>(-static_cast<int64_t>(
+                           static_cast<int64_t>(ns) == e.lastStride));
             e.stride = static_cast<int64_t>(
                 (ns & sm) |
                 (static_cast<uint64_t>(e.stride) & ~sm));
@@ -136,7 +130,6 @@ class StridePredictor : public ValuePredictor
     };
 
     PcIndexedTable<Entry> table;
-    bool twoDelta;
 };
 
 } // namespace predictors

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -64,14 +65,23 @@ diffAllFamilies(simd::Mode mode)
     const auto stream = testStream(101);
     const uint32_t chunkLanes[] = {1, 7, 1024,
                                    workload::TraceChunk::capacity};
-    for (const auto &family : check::batchFamilyNames()) {
+    // Every family at its default order (0), and fcm and dfcm at
+    // each other order they take.
+    std::vector<std::pair<std::string, unsigned>> builds;
+    for (const auto &family : check::batchFamilyNames())
+        builds.emplace_back(family, 0);
+    for (const char *family : {"fcm", "dfcm"}) {
+        for (unsigned order : {1u, 2u, 4u})
+            builds.emplace_back(family, order);
+    }
+    for (const auto &[family, order] : builds) {
         for (uint32_t lanes : chunkLanes) {
-            auto scalar = check::makeProduction(family);
-            auto batch = check::makeProduction(family);
+            auto scalar = check::makeProduction(family, order);
+            auto batch = check::makeProduction(family, order);
             auto div = check::diffScalarVsBatch(*scalar, *batch,
                                                 stream, lanes);
             EXPECT_FALSE(div.has_value())
-                << family << " lanes=" << lanes << ": "
+                << family << "@" << order << " lanes=" << lanes << ": "
                 << (div ? div->describe() : "");
         }
     }

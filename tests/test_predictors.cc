@@ -130,14 +130,6 @@ TEST(Stride, TwoDeltaSurvivesOneGlitch)
     EXPECT_EQ(correct, 4u);
 }
 
-TEST(Stride, SimpleVariantTracksImmediately)
-{
-    StridePredictor p(0, false);
-    std::vector<int64_t> seq = {0, 5, 10, 15};
-    // Simple stride learns after one interval: predicts 10 and 15.
-    EXPECT_EQ(score(p, pcA, seq), 2u);
-}
-
 TEST(Stride, NegativeStride)
 {
     StridePredictor p;
