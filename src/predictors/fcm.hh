@@ -20,6 +20,7 @@
 #ifndef GDIFF_PREDICTORS_FCM_HH
 #define GDIFF_PREDICTORS_FCM_HH
 
+#include <array>
 #include <type_traits>
 #include <vector>
 
@@ -99,10 +100,41 @@ class LocalContextPredictor : public ValuePredictor
         bool valid = false;
     };
 
-    uint64_t indexOf(uint64_t pc, uint64_t history) const;
-    bool predictStep(const L1Entry &e, const L2Entry &l2,
+    /**
+     * One FCM lane as level 2 sees it: the slot its PC and history
+     * index, and whether the history is warm (holds `order` items).
+     */
+    struct ValueLane
+    {
+        uint32_t idx;
+        bool warm;
+    };
+
+    /**
+     * DFCM's lane: also the base its strides are from (the last
+     * value), which a prediction adds to the slot's stride.
+     */
+    struct StrideLane : ValueLane
+    {
+        uint64_t base;
+    };
+
+    using Lane = std::conditional_t<Differential, StrideLane, ValueLane>;
+
+    /** A PC and its mix64, the PC's half of the level-2 index. */
+    struct PcHash
+    {
+        uint64_t pc = 0;
+        uint64_t hash = 0; ///< mix64(pc); mix64(0) == 0
+    };
+
+    uint64_t indexOf(uint64_t pc, uint64_t history);
+    Lane laneOf(uint64_t pc, const L1Entry &e);
+    static uint64_t itemOf(const Lane &c, int64_t actual);
+    bool predictStep(const Lane &c, const L2Entry &l2,
                      int64_t &value) const;
-    void trainStep(L1Entry &e, L2Entry &l2, int64_t actual) const;
+    Lane trainLevel1(uint64_t pc, L1Entry &e, int64_t actual);
+    void trainLevel2(const Lane &c, L2Entry &l2, int64_t actual) const;
 
     /// values seen once the history holds `order` items: level 2 is
     /// read and trained from then on
@@ -110,6 +142,8 @@ class LocalContextPredictor : public ValuePredictor
     uint64_t histMask; ///< 16 bits per item, `order` items
     PcIndexedTable<L1Entry> level1;
     std::vector<L2Entry> level2;
+    /// direct-mapped by instruction slot; a zeroed entry is valid
+    std::array<PcHash, 256> pcHashes{};
 };
 
 extern template class LocalContextPredictor<false>;

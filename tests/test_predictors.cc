@@ -176,6 +176,28 @@ TEST(Fcm, LearnsPeriodicValues)
     EXPECT_GT(score(p, pcA, seq), 65u);
 }
 
+TEST(Fcm, PcsSharingAHashMemoSlotKeepTheirContexts)
+{
+    // 256 instructions apart, two PCs share a slot of the PC-hash
+    // memo, and each still indexes level 2 with its own hash: after
+    // the same context (5, 6) one sees 7 and the other 8, and both
+    // are predicted once every context has been seen.
+    FcmPredictor p(FcmConfig{0, 2});
+    const uint64_t pcs[2] = {pcA, pcA + 256 * 4};
+    const int64_t tail[2] = {7, 8};
+    unsigned correct = 0;
+    for (int i = 0; i < 60; ++i) {
+        for (int k = 0; k < 2; ++k) {
+            const int64_t v = i % 3 == 2 ? tail[k] : 5 + i % 3;
+            int64_t guess = 0;
+            if (p.predict(pcs[k], guess) && guess == v && i >= 6)
+                ++correct;
+            p.update(pcs[k], v);
+        }
+    }
+    EXPECT_EQ(correct, 2u * 54);
+}
+
 TEST(Fcm, RandomValuesUnpredictable)
 {
     FcmPredictor p;
