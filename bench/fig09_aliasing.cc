@@ -3,7 +3,9 @@
  * Paper Fig. 9: aliasing in the tagless gdiff prediction table —
  * conflict rate (lookups landing on an entry last used by a
  * different PC) as the table shrinks, and the accuracy cost relative
- * to an unlimited table.
+ * to an unlimited table. The tables keep no PCs, so an
+ * AliasingCounter beside gdiff in the same profile run counts the
+ * conflicts.
  *
  * Scale note (see DESIGN.md): our synthetic kernels have static
  * footprints of a few hundred to a few thousand instructions, versus
@@ -17,12 +19,54 @@
 #include "bench/bench_util.hh"
 
 #include "core/gdiff.hh"
+#include "predictors/table.hh"
 #include "sim/profile.hh"
 #include "workload/workload.hh"
 
 using namespace gdiff;
 
 namespace {
+
+/**
+ * A predictor that never predicts and counts the aliasing of a
+ * tagless table of the given size. The profile runner feeds it the
+ * same lanes as gdiff, in the same order, and gdiff looks up its
+ * table once per update, so owner-PC entries updated here see
+ * exactly gdiff's lookups. A conflict is an update whose entry a
+ * different PC updated last; unlimited tables never conflict.
+ */
+class AliasingCounter : public predictors::ValuePredictor
+{
+  public:
+    explicit AliasingCounter(size_t entries) : owners(entries) {}
+
+    std::string name() const override { return "aliasing"; }
+
+    bool predict(uint64_t, int64_t &) override { return false; }
+
+    void
+    update(uint64_t pc, int64_t) override
+    {
+        uint64_t &owner = owners.lookup(pc);
+        conflicts += owner != 0 && owner != pc;
+        owner = pc;
+        ++lookups;
+    }
+
+    /** @return conflicts/lookups in [0,1]. */
+    double
+    rate() const
+    {
+        return lookups == 0 ? 0.0
+                            : static_cast<double>(conflicts) /
+                                  static_cast<double>(lookups);
+    }
+
+  private:
+    predictors::PcIndexedTable<uint64_t> owners;
+    uint64_t conflicts = 0;
+    uint64_t lookups = 0;
+};
 
 struct Point
 {
@@ -40,15 +84,16 @@ runPoint(const std::string &name, const bench::BenchOptions &opt,
     gcfg.order = 8;
     gcfg.tableEntries = entries;
     core::GDiffPredictor gd(gcfg);
+    AliasingCounter aliasing(entries);
 
     sim::ProfileConfig pcfg;
     pcfg.maxInstructions = opt.instructions;
     pcfg.warmupInstructions = opt.warmup;
     sim::ValueProfileRunner runner(pcfg);
     runner.addPredictor(gd);
+    runner.addPredictor(aliasing);
     runner.run(*exec);
-    return Point{gd.tableConflictRate(),
-                 runner.results()[0].accuracyAll.value()};
+    return Point{aliasing.rate(), runner.results()[0].accuracyAll.value()};
 }
 
 } // namespace

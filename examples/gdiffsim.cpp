@@ -28,6 +28,7 @@
 #include "pipeline/ooo_model.hh"
 #include "predictors/markov.hh"
 #include "runner/factory.hh"
+#include "runner/job.hh"
 #include "sim/profile.hh"
 #include "util/logging.hh"
 #include "util/parse.hh"
@@ -171,6 +172,43 @@ makePredictor(const std::string &name, const Options &o)
     return runner::makePredictor(name, o.order, o.tableEntries);
 }
 
+/**
+ * The order the pipeline scheme runs at: the gdiff schemes default to
+ * the paper's pipeline order of 32 unless the user asked for a larger
+ * window explicitly.
+ */
+unsigned
+pipelineOrder(const Options &o)
+{
+    return o.order > 8 ? o.order : 32;
+}
+
+/**
+ * @return the first predictor or scheme the run would build that
+ * gdiffrun and gdiffd would reject for its order or table size, as
+ * their error message; empty when all are valid.
+ */
+std::string
+invalidFamily(const Options &o)
+{
+    const bool pipe = o.mode == "pipeline";
+    runner::JobSpec spec;
+    spec.workload = !o.trace.empty()     ? o.trace
+                    : !o.program.empty() ? o.program
+                                         : o.workload;
+    spec.seed = o.seed;
+    spec.mode = pipe ? runner::JobMode::Pipeline : runner::JobMode::Profile;
+    spec.order = pipe ? pipelineOrder(o) : o.order;
+    spec.tableEntries = o.tableEntries;
+    std::string error;
+    for (const auto &n : pipe ? std::vector{o.scheme} : o.predictors) {
+        (pipe ? spec.scheme : spec.predictor) = n;
+        if (!spec.validateOr(&error))
+            return error;
+    }
+    return {};
+}
+
 int
 runRecord(const Options &o, const Stream &in)
 {
@@ -255,11 +293,8 @@ runAddress(const Options &o, const Stream &in)
 int
 runPipeline(const Options &o, const Stream &in)
 {
-    // The gdiff schemes default to the paper's pipeline order of 32
-    // unless the user asked for a larger window explicitly.
-    unsigned order = o.order > 8 ? o.order : 32;
     std::unique_ptr<pipeline::VpScheme> scheme =
-        runner::makeScheme(o.scheme, order, o.tableEntries);
+        runner::makeScheme(o.scheme, pipelineOrder(o), o.tableEntries);
 
     pipeline::OooPipeline pipe(pipeline::PipelineConfig::paper(),
                                *scheme);
@@ -305,6 +340,11 @@ main(int argc, char **argv)
         run = runPipeline;
     else
         usage(argv[0]);
+    if (o.record.empty()) {
+        const std::string error = invalidFamily(o);
+        if (!error.empty())
+            fatal("%s", error.c_str());
+    }
     Stream in = makeStream(o);
     requireIntact(in);
     return run(o, in);

@@ -96,9 +96,6 @@ class GDiffPredictor : public predictors::ValuePredictor
     /** @return the internal queue (profile mode). */
     GlobalValueQueue &queue() { return gvq; }
 
-    /** @return aliasing conflict rate of the prediction table. */
-    double tableConflictRate() const { return table.conflictRate(); }
-
     /**
      * @return the currently selected distance for pc, or -1 if none.
      * Exposed for correlation-distance studies (the paper's §3

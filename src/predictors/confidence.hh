@@ -123,9 +123,8 @@ class ConfidenceTable
      * Lanes before @p from (warmup) train but are not tallied.
      *
      * Every lane looks up its entry, so an unpredicted lane's PC gets
-     * a zero counter (unlimited) or takes the entry's ownership
-     * (limited). Neither is visible: level() reads an absent entry as
-     * 0, and the table's conflict count is not exposed.
+     * a zero counter in unlimited mode. That is not visible: level()
+     * reads an absent entry as 0.
      *
      * @param mark per-lane 0/1 bytes for the marked tallies, or
      *        nullptr.

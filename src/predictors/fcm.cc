@@ -183,10 +183,9 @@ LocalContextPredictor<Differential>::update(uint64_t pc, int64_t actual)
  * Fused batch loop, software-pipelined kDist lanes deep.
  *
  * The pipeline stage for lane a runs the level-1 half of the train
- * rule — one lookup() and trainLevel1(), in lane order, so the
- * table's lookup/conflict/ownership sequence and every entry's
- * history are exactly the scalar ones — keeps the lane in the ring
- * and prefetches its level-2 slot. kDist lanes later the work stage
+ * rule — one lookup() and trainLevel1(), in lane order, so every
+ * entry's history is exactly the scalar one — keeps the lane in the
+ * ring and prefetches its level-2 slot. kDist lanes later the work stage
  * runs the predict step and the level-2 half on that slot, also in
  * lane order. The two halves touch disjoint state, and a lane's
  * level-1 half fixes everything its level-2 half reads, so running

@@ -45,9 +45,7 @@ class LastValuePredictor : public ValuePredictor
     /**
      * Fused batch: one lookup() per lane, reading the entry before
      * training it. A lookup-allocated fresh entry has seen=false, so
-     * the predict half matches the scalar probe exactly, and the
-     * single lookup per trained record matches the scalar
-     * probe-then-lookup counter trail.
+     * the predict half matches the scalar probe exactly.
      */
     void
     predictUpdateBatch(const uint64_t *pcs, const int64_t *actuals,

@@ -115,9 +115,6 @@ class StridePredictor : public ValuePredictor
         }
     }
 
-    /** @return conflict (aliasing) rate of the underlying table. */
-    double tableConflictRate() const { return table.conflictRate(); }
-
   private:
     struct Entry
     {

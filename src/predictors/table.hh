@@ -24,8 +24,12 @@
  *       power-of-two slots probed linearly from mix64(pc), grown at
  *       half load, holding only the key and a pointer;
  *  - entries == 2^k: a tagless direct-mapped table indexed by PC bits,
- *    the hardware-realistic mode. Aliasing is tracked (paper Fig. 9)
- *    by remembering the last PC that touched each entry.
+ *    the hardware-realistic mode. An entry holds predictor state only:
+ *    PCs with equal index bits share it, and nothing records which PC
+ *    touched it last. bench/fig09_aliasing measures that aliasing (paper
+ *    Fig. 9) on its own: a predictor beside gdiff in the same profile
+ *    run keeps a table of owner PCs of gdiff's size, and counts an
+ *    update whose entry a different PC trained last.
  */
 
 #ifndef GDIFF_PREDICTORS_TABLE_HH
@@ -67,7 +71,6 @@ class PcIndexedTable
             GDIFF_ASSERT(isPowerOfTwo(limit),
                          "table size %zu is not a power of two", limit);
             table.resize(limit);
-            owners.assign(limit, 0);
         } else {
             slots.resize(initialSlots);
         }
@@ -75,8 +78,6 @@ class PcIndexedTable
 
     /**
      * Locate the entry for @p pc (allocating in unlimited mode).
-     * In limited mode, notes whether a different PC owned the entry
-     * (an aliasing conflict) and takes ownership.
      *
      * @return reference to the entry, valid for the table's lifetime
      * in both modes (a later lookup of an aliasing PC in limited mode
@@ -85,21 +86,16 @@ class PcIndexedTable
     Entry &
     lookup(uint64_t pc)
     {
-        ++lookupCount;
         if (limit == 0)
             return findOrInsert(pc);
-        size_t idx = indexOf(pc);
-        if (owners[idx] != 0 && owners[idx] != pc)
-            ++conflictCount;
-        owners[idx] = pc;
-        return table[idx];
+        return table[indexOf(pc)];
     }
 
     /**
      * lookup() for a run of lanes: out[i] = &lookup(pcs[i]) for i in
-     * [0, n), in order, with the same allocation and conflict
-     * accounting. Batch loops resolve a tile of entries up front
-     * with it; the pointers stay valid for the table's lifetime.
+     * [0, n), in order, with the same allocation. Batch loops resolve
+     * a tile of entries up front with it; the pointers stay valid for
+     * the table's lifetime.
      */
     void
     lookupLanes(const uint64_t *pcs, size_t n, Entry **out)
@@ -120,27 +116,16 @@ class PcIndexedTable
                 }
                 out[i] = e;
             }
-            lookupCount += n;
             return;
         }
         Entry *const base = table.data();
-        uint64_t *const own = owners.data();
-        uint64_t conflicts = 0;
-        for (size_t i = 0; i < n; ++i) {
-            const uint64_t pc = pcs[i];
-            const size_t idx = indexOf(pc);
-            conflicts += own[idx] != 0 && own[idx] != pc;
-            own[idx] = pc;
-            out[i] = base + idx;
-        }
-        conflictCount += conflicts;
-        lookupCount += n;
+        for (size_t i = 0; i < n; ++i)
+            out[i] = base + indexOf(pcs[i]);
     }
 
     /**
-     * Read-only probe: does not allocate, does not take ownership,
-     * does not count conflicts. @return nullptr if absent (unlimited
-     * mode only; limited tables always have an entry).
+     * Read-only probe: does not allocate. @return nullptr if absent
+     * (unlimited mode only; limited tables always have an entry).
      */
     const Entry *
     probe(uint64_t pc) const
@@ -156,25 +141,9 @@ class PcIndexedTable
     /** @return configured entry count (0 = unlimited). */
     size_t entries() const { return limit; }
 
-    /** @return number of lookups that hit a different PC's entry. */
-    uint64_t conflicts() const { return conflictCount; }
-
-    /** @return total lookups. */
-    uint64_t lookups() const { return lookupCount; }
-
     /** @return unlimited-mode entries held in the map, i.e. for PCs
      * outside the direct window. */
     size_t mapEntries() const { return mapped; }
-
-    /** @return conflicts/lookups in [0,1]. */
-    double
-    conflictRate() const
-    {
-        return lookupCount == 0
-                   ? 0.0
-                   : static_cast<double>(conflictCount) /
-                         static_cast<double>(lookupCount);
-    }
 
   private:
     /** One open-addressing slot; a null entry marks it empty. */
@@ -278,13 +247,10 @@ class PcIndexedTable
 
     size_t limit;
     std::vector<Entry> table;
-    std::vector<uint64_t> owners;
     std::vector<Entry *> direct; ///< unlimited: text slot -> entry
     std::vector<Slot> slots; ///< unlimited mode: the map's probe array
     size_t mapped = 0;       ///< unlimited mode: entries in the map
     std::deque<Entry> dense; ///< unlimited mode: the entries
-    uint64_t conflictCount = 0;
-    uint64_t lookupCount = 0;
 };
 
 } // namespace predictors

@@ -142,9 +142,8 @@ class ValuePredictor
      * The fused hot path: per lane l, predict for pcs[l], then train
      * on actuals[l] — exactly the profile drivers' per-record
      * protocol, so prediction l sees updates 0..l-1. Overrides must be
-     * bit-identical to this default (the scalar-vs-batch differ
-     * enforces it), including observable side effects such as table
-     * lookup/conflict counts: one lookup() per trained lane.
+     * bit-identical to this default in predictions and entry state
+     * (the scalar-vs-batch differ enforces it).
      */
     virtual void
     predictUpdateBatch(const uint64_t *pcs, const int64_t *actuals,

@@ -90,6 +90,13 @@ JobSpec::validateOr(std::string *error) const
            << " is not a power of two (0 = unlimited)";
         return fail(os.str());
     }
+    // Past the cap, building the table alone would exhaust memory.
+    if (tableEntries > maxTableEntries) {
+        std::ostringstream os;
+        os << "job " << label() << ": table size " << tableEntries
+           << " is above the " << maxTableEntries << "-entry limit";
+        return fail(os.str());
+    }
     return true;
 }
 

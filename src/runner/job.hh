@@ -28,6 +28,15 @@ enum class JobMode {
     Pipeline ///< full OOO timing run with a VP scheme (§4-§7)
 };
 
+/**
+ * Largest prediction table a job may ask for: 2^20 entries, 16x the
+ * paper's largest limited table (Fig. 9, 64K). A table value-
+ * initialises every entry when it is built, and at gdiff's ~528 B an
+ * entry this keeps one table near the trace cache's default 512 MiB
+ * cap.
+ */
+constexpr uint64_t maxTableEntries = uint64_t(1) << 20;
+
 /** @return the mode's canonical spelling ("profile" / "pipeline"). */
 const char *jobModeName(JobMode mode);
 
@@ -73,7 +82,8 @@ struct JobSpec
      * Also reject what the predictor and scheme constructors would
      * abort on: an order outside gdiff's, sgvq's and hgvq's
      * 1..core::maxOrder or gdiff2's gdiff2MinOrder..gdiff2MaxOrder,
-     * and a table size that is neither 0 nor a power of two.
+     * and a table size that is neither 0 nor a power of two — and one
+     * above maxTableEntries, which would exhaust a worker's memory.
      * Calls fatal() naming the job. runJob() validates every spec
      * before executing it.
      */

@@ -187,21 +187,27 @@ TEST(GDiff, DistanceRelearnsAfterPatternShift)
 
 TEST(GDiff, TaglessTableAliasing)
 {
+    // In a tagless 4-entry table pcA + 16 indexes pcA's entry, so it
+    // predicts from what pcA trained. An unlimited table gives it an
+    // entry of its own, which nothing trained.
     GDiffConfig cfg;
     cfg.order = 4;
     cfg.tableEntries = 4; // tiny: pcA and pcA+16 collide
-    GDiffPredictor p(cfg);
-    p.update(pcA, 1);
-    p.update(pcA + 16, 2);
-    EXPECT_GT(p.tableConflictRate(), 0.0);
-}
-
-TEST(GDiff, UnlimitedTableNeverConflicts)
-{
-    GDiffPredictor p(unlimited());
-    for (uint64_t i = 0; i < 100; ++i)
-        p.update(pcA + i * 4, static_cast<int64_t>(i));
-    EXPECT_DOUBLE_EQ(p.tableConflictRate(), 0.0);
+    GDiffPredictor p(cfg), own(unlimited(4));
+    for (int64_t i = 0; i < 5; ++i) {
+        p.update(pcA, 10 * i); // stride 10 at distance 0
+        own.update(pcA, 10 * i);
+    }
+    int64_t v = 0;
+    ASSERT_TRUE(p.predict(pcA, v));
+    EXPECT_EQ(v, 50);
+    v = 0;
+    ASSERT_TRUE(p.predict(pcA + 16, v));
+    EXPECT_EQ(v, 50);
+    EXPECT_EQ(p.selectedDistance(pcA + 16), p.selectedDistance(pcA));
+    ASSERT_TRUE(own.predict(pcA, v));
+    EXPECT_FALSE(own.predict(pcA + 16, v));
+    EXPECT_EQ(own.selectedDistance(pcA + 16), -1);
 }
 
 TEST(GDiff, ExternalWindowInterface)
@@ -313,8 +319,6 @@ TEST(GDiff, BatchMatchesScalarAcrossShapes)
                                 s.update(pcs[base + l], vals[base + l]);
                             }
                         }
-                        EXPECT_EQ(s.tableConflictRate(),
-                                  b.tableConflictRate());
                     }
                 }
             }

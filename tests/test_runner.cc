@@ -593,7 +593,8 @@ TEST(FactoryTest, EveryRegisteredNameConstructs)
 }
 
 // validateOr rejects, per family, each order and table size whose
-// constructor would abort, and admits the limits themselves.
+// constructor would abort and each table above maxTableEntries, and
+// admits the limits themselves.
 TEST(JobSpecTest, ValidateOrRejectsWhatConstructorsAbortOn)
 {
     struct Case
@@ -624,6 +625,17 @@ TEST(JobSpecTest, ValidateOrRejectsWhatConstructorsAbortOn)
         {JobMode::Pipeline, "hgvq", 8, 1000, "not a power of two"},
         {JobMode::Profile, "dfcm", 8, 0, nullptr},
         {JobMode::Profile, "dfcm", 8, 1024, nullptr},
+        // The cap is admitted (and built); powers of two above it
+        // are rejected, so none of them is ever built.
+        {JobMode::Profile, "stride", 8, maxTableEntries, nullptr},
+        {JobMode::Profile, "gdiff", 8, maxTableEntries * 2,
+         "above the 1048576-entry limit"},
+        {JobMode::Pipeline, "hgvq", 8, maxTableEntries * 2,
+         "above the 1048576-entry limit"},
+        {JobMode::Profile, "gdiff", 8, uint64_t(1) << 40,
+         "above the 1048576-entry limit"},
+        {JobMode::Pipeline, "hgvq", 8, uint64_t(1) << 40,
+         "above the 1048576-entry limit"},
     };
     for (const Case &c : cases) {
         JobSpec spec;

@@ -446,6 +446,8 @@ TEST(DaemonTest, OutOfRangeOrderAndTableGetErrorFramesNotACrash)
          "hgvq order 65 is out of range"},
         {"workload=mcf;predictor=stride;table=1000",
          "not a power of two"},
+        {"workload=mcf;predictor=gdiff;table=1099511627776",
+         "above the 1048576-entry limit"},
         {"workload=mcf;predictor=gdiff;order=4294967304",
          "out of range"},
         {"workload=mcf;predictor=gdiff;order=4294967296",
