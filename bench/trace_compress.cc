@@ -8,7 +8,11 @@
  * v2 and as v3, and reports:
  *
  *   v2 MiB / v3 MiB / ratio    on-disk footprint (v2 ÷ v3)
- *   enc Mrec/s                 v3 encode throughput
+ *   enc Mrec/s                 v3 encode throughput: records over
+ *                              the writer's wall time, with its
+ *                              helper threads encoding blocks in
+ *                              parallel (so it also scales with the
+ *                              cores free to them)
  *   dec Mrec/s                 v3 decode throughput
  *   v2rd Mrec/s                v2 decode throughput (the baseline the
  *                              v3 reader must not fall behind)

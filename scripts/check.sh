@@ -176,6 +176,15 @@ rm -f build/smoke.jsonl build/smoke.csv build/smoke.manifest
 if [ -x build-asan/examples/gdifffuzz ]; then
     ./build-asan/examples/gdifffuzz --cases=300 --seed=1
 fi
+# The trace writer's encode helpers under ThreadSanitizer, when a TSan
+# tree is configured as in CI's tsan job (cmake -B build-tsan ...).
+if [ -d build-tsan ]; then
+    cmake --build build-tsan --target test_trace_io test_trace_cache \
+        test_trace_v3 test_obs
+    for t in test_trace_io test_trace_cache test_trace_v3 test_obs; do
+        ./build-tsan/tests/$t
+    done
+fi
 rm -rf build/fuzz-repros && mkdir -p build/fuzz-repros
 ./build/examples/gdifffuzz --cases=1000 --seed=1 --mutate \
     --out-dir=build/fuzz-repros --no-pipeline

@@ -274,7 +274,10 @@ DiskTraceCache::store(const std::string &workload, uint64_t seed,
         formatString("%s.tmp.%d", path.c_str(),
                      static_cast<int>(::getpid()));
 
-    // Encode chunk by chunk: one decoded chunk is all this holds.
+    // Encode chunk by chunk: this holds one decoded chunk and the
+    // writer's ring of block copies, never the whole trace. The
+    // writer encodes on its helpers while fill() generates the next
+    // chunk here.
     TraceIoResult written;
     {
         TraceWriter writer(tmp, traceVersionV3);

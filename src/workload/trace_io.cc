@@ -2,9 +2,14 @@
 
 #include <algorithm>
 #include <array>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <mutex>
+#include <system_error>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "obs/obs.hh"
 #include "util/logging.hh"
@@ -643,6 +648,101 @@ checkHeader(const FileHeader &h, const std::string &name,
 
 // ----------------------------------------------------- TraceWriter
 
+namespace {
+
+/// encode helper threads per v3 writer, started at its second block
+constexpr unsigned encodeHelpers = 2;
+
+/// block slots in a v3 writer's ring: the last committed block, whose
+/// payload the file digest has yet to take, and up to encodeSlots - 1
+/// blocks queued or encoding behind it
+constexpr uint64_t encodeSlots = 8;
+
+/** Encode one v3 block payload; defined with the writer below. */
+size_t encodeV3Block(const TraceChunk &chunk,
+                     detail::TraceBlockScratch &s, uint8_t *payload);
+
+} // anonymous namespace
+
+namespace detail {
+
+/** One v3 block on its way through a writer's ring. */
+struct TraceEncodeSlot
+{
+    /// the block's records, copied in for a helper (allocated on
+    /// first use, by the calling thread)
+    std::unique_ptr<TraceChunk> chunk;
+    /// the encoded payload (maxV3PayloadBytes, allocated on first
+    /// use, by the calling thread)
+    std::unique_ptr<uint8_t[]> payload;
+    uint32_t records = 0;
+    size_t bytes = 0;
+    /// whether to time the encode (obs::enabled() at submit), and
+    /// the time, taken on the thread that encoded the block
+    bool timed = false;
+    uint64_t startNs = 0, encodeNs = 0;
+    /// a helper finished the payload (guarded by the ring's lock)
+    bool encoded = false;
+};
+
+/**
+ * A v3 writer's encode helpers and their ring. Block k uses slot
+ * k % encodeSlots. The calling thread fills a slot and counts it
+ * submitted; a helper takes the oldest submitted block, encodes it
+ * and marks it encoded; the calling thread commits blocks in order.
+ * Helpers allocate nothing and never touch the obs registry.
+ */
+struct TraceEncodeRing
+{
+    std::array<TraceEncodeSlot, encodeSlots> slots;
+    std::array<std::unique_ptr<TraceBlockScratch>, encodeHelpers>
+        scratch;
+    std::vector<std::thread> helpers;
+
+    std::mutex lock;
+    std::condition_variable queued;  ///< a block was submitted, or stop
+    std::condition_variable encoded; ///< a helper finished a block
+    uint64_t submitted = 0; ///< blocks handed over (guarded by lock)
+    uint64_t taken = 0;     ///< blocks a helper began (guarded by lock)
+    bool stopping = false;  ///< helpers exit (guarded by lock)
+    uint64_t committed = 0; ///< blocks written (calling thread only)
+};
+
+} // namespace detail
+
+namespace {
+
+/** Encode @p chunk into @p slot, timing it when the slot asks. */
+void
+encodeSlot(detail::TraceEncodeSlot &slot, const TraceChunk &chunk,
+           detail::TraceBlockScratch &s)
+{
+    slot.startNs = slot.timed ? obs::nowNs() : 0;
+    slot.bytes = encodeV3Block(chunk, s, slot.payload.get());
+    slot.encodeNs = slot.timed ? obs::nowNs() - slot.startNs : 0;
+}
+
+/** An encode helper's loop: encode submitted blocks until stopped. */
+void
+runEncodeHelper(detail::TraceEncodeRing &r, detail::TraceBlockScratch &s)
+{
+    std::unique_lock<std::mutex> guard(r.lock);
+    for (;;) {
+        r.queued.wait(guard,
+                      [&r] { return r.stopping || r.taken < r.submitted; });
+        if (r.stopping)
+            return;
+        detail::TraceEncodeSlot &slot = r.slots[r.taken++ % encodeSlots];
+        guard.unlock();
+        encodeSlot(slot, *slot.chunk, s);
+        guard.lock();
+        slot.encoded = true;
+        r.encoded.notify_one(); // only the calling thread waits
+    }
+}
+
+} // anonymous namespace
+
 TraceWriter::TraceWriter(const std::string &p, uint32_t version)
     : path(p), ver(version), fileDigest(codec::fnvOffsetBasis),
       // Each block writes the scratch it reads: leave it unzeroed.
@@ -650,12 +750,8 @@ TraceWriter::TraceWriter(const std::string &p, uint32_t version)
 {
     GDIFF_ASSERT(ver == traceVersionV2 || ver == traceVersionV3,
                  "unsupported trace write version %u", ver);
-    if (ver == traceVersionV3) {
-        payload = std::make_unique_for_overwrite<uint8_t[]>(
-            maxV3PayloadBytes);
-        digestPayload = std::make_unique_for_overwrite<uint8_t[]>(
-            maxV3PayloadBytes);
-    }
+    if (ver == traceVersionV3)
+        ring = std::make_unique<detail::TraceEncodeRing>();
     file = std::fopen(path.c_str(), "wb");
     if (!file) {
         st = ioError(TraceIoStatus::IoError,
@@ -729,18 +825,24 @@ TraceWriter::writeBlock(const TraceChunk &chunk)
                  "trace block size %u out of range", chunk.size);
     if (st.failed())
         return;
+    if (ver == traceVersionV3) {
+        writeV3Block(chunk); // times each block where it encodes
+        return;
+    }
     // Accumulate locally; close() makes the one registry call.
     const bool timed = obs::enabled();
     const uint64_t t0 = timed ? obs::nowNs() : 0;
-    if (ver == traceVersionV2)
-        writeV2Block(chunk);
-    else
-        writeV3Block(chunk);
-    if (timed) {
-        if (encodeBlocks++ == 0)
-            encodeStartNs = t0;
-        encodeNs += obs::nowNs() - t0;
-    }
+    writeV2Block(chunk);
+    if (timed)
+        addEncodeTime(t0, obs::nowNs() - t0);
+}
+
+void
+TraceWriter::addEncodeTime(uint64_t startNs, uint64_t ns)
+{
+    if (encodeBlocks++ == 0)
+        encodeStartNs = startNs;
+    encodeNs += ns;
 }
 
 void
@@ -767,8 +869,18 @@ TraceWriter::writeV2Block(const TraceChunk &chunk)
     writeCol(chunk.effAddr.data(), size_t(n) * 8);
 }
 
-void
-TraceWriter::writeV3Block(const TraceChunk &chunk)
+namespace {
+
+/**
+ * Encode @p chunk as one v3 block payload into @p payload (room for
+ * maxV3PayloadBytes): size every candidate encoding of each column
+ * exactly, then encode only the smallest. Blocks are independent, so
+ * any thread may run this with its own @p s. @return the payload's
+ * length.
+ */
+size_t
+encodeV3Block(const TraceChunk &chunk, detail::TraceBlockScratch &s,
+              uint8_t *payload)
 {
     // Every candidate encoding of a column, raw included, is sized
     // exactly first; only the smallest is then encoded, once, straight
@@ -776,9 +888,8 @@ TraceWriter::writeV3Block(const TraceChunk &chunk)
     // tag+length framing over v2. Ties go to the earlier codec in
     // the order the branches below test them.
     const uint32_t n = chunk.size;
-    detail::TraceBlockScratch &s = *scratch;
     gatherInstColumns(chunk, s.cols);
-    uint8_t *out = payload.get();
+    uint8_t *out = payload;
 
     // Frame a column of @p bytes counted bytes under @p tag and let
     // @p encode write them; the write must fill the frame exactly.
@@ -886,7 +997,89 @@ TraceWriter::writeV3Block(const TraceChunk &chunk)
     putWide(reinterpret_cast<const uint64_t *>(chunk.value.data()),
             chunk.value.data(), 8);
     putWide(chunk.effAddr.data(), chunk.effAddr.data(), 8);
+    return static_cast<size_t>(out - payload);
+}
 
+} // anonymous namespace
+
+void
+TraceWriter::writeV3Block(const TraceChunk &chunk)
+{
+    detail::TraceEncodeRing &r = *ring;
+    if (r.submitted == 1)
+        startHelpers();
+    // Keep the last committed block's slot: its payload still owes
+    // the file digest.
+    while (r.submitted - r.committed >= encodeSlots - 1)
+        commitNext(true);
+    if (st.failed())
+        return;
+    detail::TraceEncodeSlot &slot = r.slots[r.submitted % encodeSlots];
+    if (!slot.payload)
+        slot.payload =
+            std::make_unique_for_overwrite<uint8_t[]>(maxV3PayloadBytes);
+    slot.records = chunk.size;
+    slot.timed = obs::enabled();
+    if (r.helpers.empty()) {
+        encodeSlot(slot, chunk, *scratch);
+        ++r.submitted;
+        ++r.committed;
+        commitSlot(slot);
+        return;
+    }
+    if (!slot.chunk)
+        slot.chunk = std::make_unique<TraceChunk>();
+    slot.chunk->assign(chunk);
+    {
+        std::lock_guard<std::mutex> guard(r.lock);
+        ++r.submitted;
+    }
+    r.queued.notify_one();
+    while (commitNext(false)) {
+    }
+}
+
+void
+TraceWriter::startHelpers()
+{
+    detail::TraceEncodeRing &r = *ring;
+    r.taken = r.submitted; // blocks so far were encoded here
+    r.helpers.reserve(encodeHelpers);
+    for (unsigned h = 0; h < encodeHelpers; ++h) {
+        r.scratch[h] =
+            std::make_unique_for_overwrite<detail::TraceBlockScratch>();
+        try {
+            r.helpers.emplace_back(runEncodeHelper, std::ref(r),
+                                   std::ref(*r.scratch[h]));
+        } catch (const std::system_error &) {
+            break; // fewer helpers; with none, blocks encode here
+        }
+    }
+}
+
+bool
+TraceWriter::commitNext(bool wait)
+{
+    detail::TraceEncodeRing &r = *ring;
+    if (r.committed == r.submitted)
+        return false;
+    detail::TraceEncodeSlot &slot = r.slots[r.committed % encodeSlots];
+    {
+        std::unique_lock<std::mutex> guard(r.lock);
+        if (!wait && !slot.encoded)
+            return false;
+        r.encoded.wait(guard, [&slot] { return slot.encoded; });
+        slot.encoded = false;
+    }
+    ++r.committed;
+    commitSlot(slot);
+    return true;
+}
+
+void
+TraceWriter::commitSlot(const detail::TraceEncodeSlot &slot)
+{
+    const uint64_t t0 = slot.timed ? obs::nowNs() : 0;
     // The file digest runs over each block's header, then its
     // payload, and the header holds the payload's block digest. So
     // while this payload's block digest is computed, the file digest
@@ -894,16 +1087,36 @@ TraceWriter::writeV3Block(const TraceChunk &chunk)
     // independent chains in one pass. This header follows at once;
     // this payload waits in digestPayload for the next block, or for
     // close().
-    const size_t bytes = static_cast<size_t>(out - payload.get());
+    const uint8_t *payload = slot.payload.get();
     uint64_t blockDigest = codec::fnvOffsetBasis;
-    codec::fnv1aPair(payload.get(), bytes, &blockDigest,
-                     digestPayload.get(), digestBytes, &fileDigest);
-    BlockHeaderV3 bh{n, static_cast<uint32_t>(bytes), blockDigest};
+    codec::fnv1aPair(payload, slot.bytes, &blockDigest, digestPayload,
+                     digestBytes, &fileDigest);
+    BlockHeaderV3 bh{slot.records, static_cast<uint32_t>(slot.bytes),
+                     blockDigest};
     fileDigest = codec::fnv1a(&bh, sizeof(bh), fileDigest);
     writeRaw(&bh, sizeof(bh), "block");
-    writeRaw(payload.get(), bytes, "block");
-    std::swap(payload, digestPayload);
-    digestBytes = bytes;
+    writeRaw(payload, slot.bytes, "block");
+    digestPayload = payload;
+    digestBytes = slot.bytes;
+    if (slot.timed)
+        addEncodeTime(slot.startNs,
+                      slot.encodeNs + (obs::nowNs() - t0));
+}
+
+void
+TraceWriter::drainRing()
+{
+    detail::TraceEncodeRing &r = *ring;
+    while (!st.failed() && commitNext(true)) {
+    }
+    {
+        std::lock_guard<std::mutex> guard(r.lock);
+        r.stopping = true;
+    }
+    r.queued.notify_all();
+    for (std::thread &t : r.helpers)
+        t.join();
+    r.helpers.clear();
 }
 
 TraceIoResult
@@ -913,8 +1126,8 @@ TraceWriter::close()
         return st;
     flushPending();
     if (ver == traceVersionV3) {
-        fileDigest =
-            codec::fnv1a(digestPayload.get(), digestBytes, fileDigest);
+        drainRing();
+        fileDigest = codec::fnv1a(digestPayload, digestBytes, fileDigest);
         digestBytes = 0;
         FooterV3 foot{footerMagic, 0, fileDigest};
         writeRaw(&foot, sizeof(foot), "footer");

@@ -99,15 +99,30 @@ struct TraceIoResult
 namespace detail {
 /// one block's encode or decode scratch (heap-allocated: ~250 KiB)
 struct TraceBlockScratch;
+/// a v3 writer's encode helpers and the ring of blocks they encode
+struct TraceEncodeRing;
+/// one v3 block in a TraceEncodeRing
+struct TraceEncodeSlot;
 } // namespace detail
 
 /**
  * Writes TraceRecords to a binary trace file in chunked blocks.
  *
+ * A v3 writer encodes blocks on two helper threads. The first block
+ * encodes on the calling thread; from the second block on, append()
+ * copies each block into a ring of eight slots and returns once the
+ * copy is queued, so the caller generates the next block while
+ * earlier ones encode. The calling thread writes finished blocks to
+ * the file in order, so the bytes are those of a serial encode. The
+ * ring holds at most seven blocks in flight: append() waits for the
+ * oldest when it is full. close() and the destructor commit every
+ * queued block and join the helpers. A v2 writer starts no thread.
+ *
  * Failures never terminate the process: the first one (the file
  * cannot be created, a write comes up short, the header cannot be
  * finalised) is kept in status(), every later append is dropped, and
- * close() returns it.
+ * close() returns it. A write failure shows in status() once the
+ * calling thread commits the block whose write failed.
  */
 class TraceWriter
 {
@@ -151,17 +166,39 @@ class TraceWriter
     /** Write the pending partial block, if any. */
     void flushPending();
 
-    /** Write one block in the selected format, timing it for obs. */
+    /** Write one block in the selected format. */
     void writeBlock(const TraceChunk &chunk);
 
     /** Write @p chunk as one block of raw v2 columns. */
     void writeV2Block(const TraceChunk &chunk);
 
     /**
-     * Write @p chunk as one v3 block: size every candidate encoding
-     * of each column exactly, then encode only the smallest.
+     * Hand @p chunk to the v3 encoders: encode it here while no
+     * helper runs, else queue a copy in the ring and commit whatever
+     * has finished.
      */
     void writeV3Block(const TraceChunk &chunk);
+
+    /** Start the encode helpers (at the second v3 block). */
+    void startHelpers();
+
+    /**
+     * Commit the ring's oldest queued block, waiting for its encode
+     * when @p wait. @return false when there was none to commit.
+     */
+    bool commitNext(bool wait);
+
+    /** Digest and write the encoded block in @p slot. */
+    void commitSlot(const detail::TraceEncodeSlot &slot);
+
+    /**
+     * Commit every queued block in order (none after a failure),
+     * then stop and join the helpers.
+     */
+    void drainRing();
+
+    /** Add one block's encode time, starting at @p startNs. */
+    void addEncodeTime(uint64_t startNs, uint64_t ns);
 
     /** Write @p bytes at @p data; records an IoError on failure. */
     void writeRaw(const void *data, size_t bytes, const char *what);
@@ -175,20 +212,20 @@ class TraceWriter
     uint64_t fileDigest = 0;
     TraceIoResult st;
     std::unique_ptr<TraceChunk> pending;
-    /// block scratch, reused by every block: the gathered instruction
-    /// columns and the widened target column
+    /// the calling thread's block scratch: the v2 columns, and a v3
+    /// block encoded while no helper runs
     std::unique_ptr<detail::TraceBlockScratch> scratch;
-    /// the v3 block payload: each column's winning encoding is
-    /// written here once, at the size counted for it; the buffer
-    /// holds the largest payload a block can have
-    std::unique_ptr<uint8_t[]> payload;
-    /// the last v3 block's payload (digestBytes bytes, 0 before the
-    /// first block), which the next block, or close(), hashes into
-    /// fileDigest; swapped with payload after each block
-    std::unique_ptr<uint8_t[]> digestPayload;
+    /// the v3 encode ring (null for v2)
+    std::unique_ptr<detail::TraceEncodeRing> ring;
+    /// the last committed v3 block's payload (digestBytes bytes, none
+    /// before the first block), which the next commit, or close(),
+    /// hashes into fileDigest. It lives in that block's ring slot,
+    /// which no later block reuses until the next commit.
+    const uint8_t *digestPayload = nullptr;
     size_t digestBytes = 0;
-    /// trace_io.encode obs time over this writer's blocks, reported
-    /// once at close()
+    /// trace_io.encode obs time summed over this writer's blocks,
+    /// each timed on the thread that encoded it, reported once at
+    /// close()
     uint64_t encodeStartNs = 0, encodeNs = 0, encodeBlocks = 0;
 };
 

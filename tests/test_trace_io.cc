@@ -169,6 +169,72 @@ TEST(TraceIoErrors, WriterOnDirectoryReportsIoError)
     EXPECT_EQ(writer.status().status, TraceIoStatus::IoError);
 }
 
+/** Append @p blocks full blocks of @p kernel's stream to @p writer. */
+void
+appendBlocks(TraceWriter &writer, const char *kernel, int blocks)
+{
+    Workload w = makeWorkload(kernel, 1);
+    auto exec = w.makeExecutor();
+    auto chunk = std::make_unique<TraceChunk>();
+    for (int b = 0; b < blocks; ++b) {
+        ASSERT_TRUE(exec->fill(*chunk));
+        ASSERT_EQ(chunk->size, TraceChunk::capacity);
+        writer.append(*chunk);
+    }
+}
+
+TEST(TraceIoErrors, WriterToFullDiskFailsBeforeClose)
+{
+    // Every write to /dev/full fails. With 20 blocks appended, at
+    // most seven wait in the encode ring, so the writer has already
+    // committed, and failed to write, the rest: the failure shows
+    // before close(), which drains nothing more and returns it.
+    if (::access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "no writable /dev/full";
+    TraceWriter writer("/dev/full");
+    ASSERT_TRUE(writer.status().ok());
+    appendBlocks(writer, "gzip", 20);
+    EXPECT_EQ(writer.status().status, TraceIoStatus::IoError);
+    TraceIoResult res = writer.close();
+    EXPECT_EQ(res.status, TraceIoStatus::IoError);
+    EXPECT_NE(res.message.find("cannot write"), std::string::npos)
+        << res.message;
+    EXPECT_EQ(writer.status().status, TraceIoStatus::IoError);
+}
+
+TEST(TraceIoErrors, WriterDestroyedUnclosedFinishesTheFile)
+{
+    // The destructor commits every block still in the encode ring, in
+    // order, and joins the helpers: the file reads back whole.
+    std::string path = tempPath("unclosed");
+    {
+        TraceWriter writer(path);
+        appendBlocks(writer, "mcf", 20);
+    }
+    TraceReader reader;
+    ASSERT_TRUE(reader.open(path).ok());
+    EXPECT_EQ(reader.totalRecords(), 20u * TraceChunk::capacity);
+    auto chunk = std::make_unique<TraceChunk>();
+    uint64_t records = 0;
+    while (reader.fill(*chunk))
+        records += chunk->size;
+    EXPECT_TRUE(reader.status().end()) << reader.status().message;
+    EXPECT_EQ(records, 20u * TraceChunk::capacity);
+
+    Workload w = makeWorkload("mcf", 1);
+    auto live = w.makeExecutor();
+    ASSERT_TRUE(reader.rewind().ok());
+    TraceRecord a, b;
+    for (uint64_t i = 0; i < records; ++i) {
+        ASSERT_TRUE(reader.next(a));
+        ASSERT_TRUE(live->next(b));
+        ASSERT_EQ(a.seq, b.seq);
+        ASSERT_EQ(a.pc, b.pc);
+        ASSERT_EQ(a.value, b.value);
+    }
+    std::remove(path.c_str());
+}
+
 // ------------------------------------------------- version matrix
 //
 // Writers emit v2 or v3; readers are simulated at both eras via the

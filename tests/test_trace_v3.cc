@@ -254,25 +254,36 @@ TEST(TraceV3RoundTrip, ChunkAndRecordAppendProduceIdenticalBytes)
     // The two writer entry points must form identical blocks (and
     // therefore identical digests): per-record appends batch into
     // the same full-chunks-plus-tail structure a chunked source has.
-    auto trace = MaterializedTrace::generate("micro.periodic", 3, 9000);
-    std::string a = tempRoot("bychunk") + ".gdtr";
-    std::string b = tempRoot("byrecord") + ".gdtr";
-    {
-        TraceWriter writer(a);
-        for (size_t c = 0; c < trace->blockCount(); ++c)
-            writer.append(trace->block(c));
-        writer.close();
-    }
-    {
-        TraceWriter writer(b);
-        for (size_t c = 0; c < trace->blockCount(); ++c)
-            for (uint32_t i = 0; i < trace->block(c).size; ++i)
-                writer.append(trace->block(c).record(i));
-        writer.close();
-    }
-    EXPECT_EQ(slurp(a), slurp(b));
-    std::remove(a.c_str());
-    std::remove(b.c_str());
+    // 20 full blocks and a tail wrap the writer's encode ring twice;
+    // the mixed writer switches entry point every few blocks.
+    const uint64_t records = 20 * TraceChunk::capacity + 808;
+    auto trace =
+        MaterializedTrace::generate("micro.periodic", 3, records);
+    ASSERT_EQ(trace->blockCount(), 21u);
+    auto write = [&](const char *tag, auto byRecord) {
+        std::string path = tempRoot(tag) + ".gdtr";
+        {
+            TraceWriter writer(path);
+            for (size_t c = 0; c < trace->blockCount(); ++c) {
+                const TraceChunk &chunk = trace->block(c);
+                if (!byRecord(c)) {
+                    writer.append(chunk);
+                    continue;
+                }
+                for (uint32_t i = 0; i < chunk.size; ++i)
+                    writer.append(chunk.record(i));
+            }
+            EXPECT_TRUE(writer.close().ok());
+        }
+        std::vector<uint8_t> image = slurp(path);
+        std::remove(path.c_str());
+        return image;
+    };
+    const std::vector<uint8_t> byChunk =
+        write("bychunk", [](size_t) { return false; });
+    EXPECT_EQ(write("byrecord", [](size_t) { return true; }), byChunk);
+    EXPECT_EQ(write("mixed", [](size_t c) { return c % 3 == 1; }),
+              byChunk);
 }
 
 TEST(TraceV3RoundTrip, BufferAndFileReadersAgree)
@@ -580,7 +591,12 @@ TEST(TraceV3Bytes, EncoderOutputIsPinned)
         uint64_t seed;
         size_t bytes;
         uint64_t digest;
+        /// three full blocks and a partial one of 1000 records, or
+        /// 40 full blocks and one of 17, which wrap the ring of
+        /// blocks the writer encodes on helper threads five times
+        uint64_t records = 3 * TraceChunk::capacity + 1000;
     };
+    const uint64_t wrapping = 40 * TraceChunk::capacity + 17;
     const Pin pins[] = {
         {"mcf", 1, 47108, 0xcbe6ae052bf7b894ull},
         {"mcf", 7, 46509, 0x1f72c54b58bb0231ull},
@@ -598,14 +614,16 @@ TEST(TraceV3Bytes, EncoderOutputIsPinned)
         {"micro.affine", 7, 38521, 0xac8bd7142ad58c71ull},
         {"micro.random", 1, 94651, 0x28f29b4b90db3887ull},
         {"micro.random", 7, 94690, 0xd44a5707e042533dull},
+        {"mcf", 1, 608570, 0x94bc877a511c361bull, wrapping},
+        {"mcf", 7, 608867, 0x79783a20d9172ffcull, wrapping},
+        {"gzip", 1, 1799194, 0x0ea21ce00053a7e5ull, wrapping},
+        {"gzip", 7, 1779995, 0x6e190f94f08dc436ull, wrapping},
     };
-    // Three full blocks and a partial one of 1000 records.
-    const uint64_t records = 3 * TraceChunk::capacity + 1000;
     const std::string path = tempRoot("pinned") + ".gdtr";
     for (const Pin &pin : pins) {
         auto trace = MaterializedTrace::generate(pin.kernel, pin.seed,
-                                                 records);
-        ASSERT_EQ(trace->records(), records) << pin.kernel;
+                                                 pin.records);
+        ASSERT_EQ(trace->records(), pin.records) << pin.kernel;
         std::vector<const TraceChunk *> chunks;
         for (size_t b = 0; b < trace->blockCount(); ++b)
             chunks.push_back(&trace->block(b));
