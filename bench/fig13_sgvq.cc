@@ -12,7 +12,7 @@
 #include "bench/bench_util.hh"
 
 #include "pipeline/ooo_model.hh"
-#include "predictors/stride.hh"
+#include "runner/factory.hh"
 #include "workload/workload.hh"
 
 using namespace gdiff;
@@ -35,35 +35,20 @@ main(int argc, char **argv)
     double sums[4] = {0, 0, 0, 0};
     size_t n = 0;
     for (const auto &name : workload::specWorkloadNames()) {
-        core::GDiffConfig gcfg;
-        gcfg.order = 32;
-        gcfg.tableEntries = 8192;
-        pipeline::SgvqScheme sgvq(gcfg);
-        {
-            workload::Workload w =
-                workload::makeWorkload(name, opt.seed);
+        auto sgvq = runner::makeScheme("sgvq", 32, 8192);
+        auto lstride = runner::makeScheme("l_stride", 32, 8192);
+        for (pipeline::VpScheme *scheme : {sgvq.get(), lstride.get()}) {
+            workload::Workload w = workload::makeWorkload(name, opt.seed);
             auto exec = w.makeExecutor();
-            pipeline::OooPipeline pipe(
-                pipeline::PipelineConfig::paper(), sgvq);
+            pipeline::OooPipeline pipe(pipeline::PipelineConfig::paper(),
+                                       *scheme);
             pipe.run(*exec, opt.instructions, opt.warmup);
         }
 
-        pipeline::LocalScheme lstride(
-            std::make_unique<predictors::StridePredictor>(8192),
-            "l_stride");
-        {
-            workload::Workload w =
-                workload::makeWorkload(name, opt.seed);
-            auto exec = w.makeExecutor();
-            pipeline::OooPipeline pipe(
-                pipeline::PipelineConfig::paper(), lstride);
-            pipe.run(*exec, opt.instructions, opt.warmup);
-        }
-
-        double vals[4] = {sgvq.gatedAccuracy().value(),
-                          lstride.gatedAccuracy().value(),
-                          sgvq.coverage().value(),
-                          lstride.coverage().value()};
+        double vals[4] = {sgvq->gatedAccuracy().value(),
+                          lstride->gatedAccuracy().value(),
+                          sgvq->coverage().value(),
+                          lstride->coverage().value()};
         t.beginRow(name);
         for (int i = 0; i < 4; ++i) {
             t.cellPercent(vals[i]);

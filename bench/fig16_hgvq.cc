@@ -13,8 +13,7 @@
 #include "bench/bench_util.hh"
 
 #include "pipeline/ooo_model.hh"
-#include "predictors/fcm.hh"
-#include "predictors/stride.hh"
+#include "runner/factory.hh"
 #include "workload/workload.hh"
 
 using namespace gdiff;
@@ -58,29 +57,15 @@ main(int argc, char **argv)
     double sums[6] = {0, 0, 0, 0, 0, 0};
     size_t n = 0;
     for (const auto &name : workload::specWorkloadNames()) {
-        core::GDiffConfig gcfg;
-        gcfg.order = 32;
-        gcfg.tableEntries = 8192;
-        pipeline::HgvqScheme hgvq(gcfg);
-        double acc_g, cov_g;
-        runScheme(name, opt, hgvq, acc_g, cov_g);
-
-        pipeline::LocalScheme lstride(
-            std::make_unique<predictors::StridePredictor>(8192),
-            "l_stride");
-        double acc_s, cov_s;
-        runScheme(name, opt, lstride, acc_s, cov_s);
-
-        predictors::FcmConfig fcfg;
-        fcfg.level1Entries = 8192;
-        pipeline::LocalScheme lctx(
-            std::make_unique<predictors::DfcmPredictor>(fcfg),
-            "l_context");
-        double acc_c, cov_c;
-        runScheme(name, opt, lctx, acc_c, cov_c);
+        // Accuracy columns, then coverage, one per scheme-table row.
+        double vals[6];
+        const char *const schemes[] = {"hgvq", "l_stride", "l_context"};
+        for (int i = 0; i < 3; ++i) {
+            auto scheme = runner::makeScheme(schemes[i], 32, 8192);
+            runScheme(name, opt, *scheme, vals[i], vals[i + 3]);
+        }
 
         t.beginRow(name);
-        double vals[6] = {acc_g, acc_s, acc_c, cov_g, cov_s, cov_c};
         for (int i = 0; i < 6; ++i) {
             t.cellPercent(vals[i]);
             sums[i] += vals[i];

@@ -14,11 +14,13 @@
  *  - a standalone batch-vs-scalar gate, selected by
  *    --require-batch-speedup=N and/or --json=FILE (both stripped
  *    before benchmark initialization, mirroring
- *    trace_replay_throughput's --require-speedup). It replays one
- *    stream per family through the virtual record-at-a-time loop and
- *    through predictUpdateBatch() in 4096-lane blocks, best of 3
- *    trials each, verifies the two paths produce bit-identical
- *    prediction checksums, writes per-family records/sec JSON, and
+ *    trace_replay_throughput's --require-speedup). It builds every
+ *    predictor family from the family table (runner/factory.hh),
+ *    replays one stream per family through the virtual
+ *    record-at-a-time loop and through predictUpdateBatch() in
+ *    4096-lane blocks, best of 7 trials each, verifies the two
+ *    paths produce bit-identical prediction checksums, writes
+ *    per-family records/sec JSON, and
  *    exits non-zero when a gated family (stride, fcm, gdiff) falls
  *    below the required speedup — scripts/check.sh pins the batch
  *    protocol's reason to exist with it.
@@ -34,17 +36,13 @@
 #include <string>
 #include <vector>
 
-#include "check/reference.hh"
 #include "core/gdiff.hh"
-#include "core/gdiff2.hh"
 #include "predictors/fcm.hh"
-#include "predictors/gfcm.hh"
-#include "predictors/hybrid.hh"
 #include "predictors/last_value.hh"
 #include "predictors/markov.hh"
-#include "predictors/pi.hh"
 #include "predictors/stride.hh"
 #include "predictors/value_predictor.hh"
+#include "runner/factory.hh"
 #include "util/random.hh"
 #include "util/simd.hh"
 
@@ -239,52 +237,6 @@ struct GateRun
     uint64_t checksum = 0; ///< prediction digest: identity guard + DCE
 };
 
-/**
- * Gate-mode factory: production-scale *limited* tables (8192 first-
- * level entries, as the BM_* entries use), unlike check's unlimited
- * map-backed makeProduction() — the gate measures the deployed
- * configuration, where table access is an array index and the batch
- * protocol's savings (devirtualization, single fused lookup, SIMD
- * hashing) are the dominant term.
- */
-std::unique_ptr<predictors::ValuePredictor>
-makeGateFamily(const std::string &name)
-{
-    constexpr size_t kEntries = 8192;
-    if (name == "last_value")
-        return std::make_unique<predictors::LastValuePredictor>(
-            kEntries);
-    if (name == "last_n")
-        return std::make_unique<predictors::LastNValuePredictor>(
-            4, kEntries);
-    if (name == "stride")
-        return std::make_unique<predictors::StridePredictor>(
-            kEntries);
-    if (name == "pi")
-        return std::make_unique<predictors::PiPredictor>(kEntries);
-    if (name == "fcm" || name == "dfcm") {
-        predictors::FcmConfig cfg;
-        cfg.level1Entries = kEntries;
-        if (name == "dfcm")
-            return std::make_unique<predictors::DfcmPredictor>(cfg);
-        return std::make_unique<predictors::FcmPredictor>(cfg);
-    }
-    if (name == "gfcm")
-        return std::make_unique<predictors::GFcmPredictor>(
-            predictors::GFcmConfig());
-    if (name == "hybrid")
-        return std::make_unique<predictors::HybridLocalPredictor>(
-            kEntries);
-    if (name == "gdiff") {
-        core::GDiffConfig cfg;
-        cfg.tableEntries = kEntries;
-        return std::make_unique<core::GDiffPredictor>(cfg);
-    }
-    core::GDiff2Config cfg;
-    cfg.tableEntries = kEntries;
-    return std::make_unique<core::GDiff2Predictor>(cfg);
-}
-
 GateRun
 runScalar(predictors::ValuePredictor &p, const GateStream &s)
 {
@@ -374,12 +326,20 @@ runBatchGate(double require_speedup, const std::string &json_path)
 
     std::string jsonRows;
     int failures = 0;
-    for (const auto &family : check::batchFamilyNames()) {
+    // Every family at its default order with production-scale
+    // *limited* tables (8192 first-level entries, as the BM_* entries
+    // use): the gate measures the deployed configuration, where table
+    // access is an array index and the batch protocol's savings
+    // (devirtualization, single fused lookup, SIMD hashing) are the
+    // dominant term.
+    constexpr uint64_t kEntries = 8192;
+    for (const auto &f : runner::predictorFamilies()) {
+        const std::string family = f.name;
         double bestScalar = 0, bestBatch = 0;
         bool sumsMatch = true;
         for (int t = 0; t < kTrials; ++t) {
             const GateStream &s = streams[t];
-            auto sp = makeGateFamily(family);
+            auto sp = f.make(0, kEntries);
             runScalar(*sp, warm);
             GateRun sr = runScalar(*sp, s);
             double mrps = sr.seconds > 0
@@ -388,7 +348,7 @@ runBatchGate(double require_speedup, const std::string &json_path)
             if (mrps > bestScalar)
                 bestScalar = mrps;
 
-            auto bp = makeGateFamily(family);
+            auto bp = f.make(0, kEntries);
             runBatch(*bp, warm);
             GateRun br = runBatch(*bp, s);
             mrps = br.seconds > 0 ? kRecords / br.seconds / 1e6 : 0;

@@ -68,9 +68,8 @@ usage(const char *argv0)
         "  --cases=N      records per fuzzed stream (default 10000)\n"
         "  --seed=S       RNG seed; fixes every input (default 1)\n"
         "  --pairs=a,b    predictor pairs to diff (default: all)\n"
-        "  --order=N      history/window order (0 = pair default;\n"
-        "                 fcm, dfcm, gfcm 1..4, gdiff 1..64, gdiff2\n"
-        "                 2..16)\n"
+        "  --order=N      history/window order (0 = each family's\n"
+        "                 default; ranges below)\n"
         "  --mutate       corrupt each oracle on purpose; expect the\n"
         "                 harness to catch and shrink the divergence\n"
         "  --batch        also replay the stream scalar-vs-batch\n"
@@ -82,6 +81,12 @@ usage(const char *argv0)
         argv0);
     for (const auto &n : check::pairNames())
         std::fprintf(stderr, " %s", n.c_str());
+    std::fprintf(stderr, "\norders:");
+    for (const auto &f : runner::predictorFamilies()) {
+        if (f.maxOrder != 0)
+            std::fprintf(stderr, " %s %u..%u", f.name, f.minOrder,
+                         f.maxOrder);
+    }
     std::fprintf(stderr, "\n");
     std::exit(2);
 }
@@ -140,15 +145,19 @@ parse(int argc, char **argv)
     }
     if (o.pairs.empty())
         o.pairs = check::pairNames();
-    // Every pair, and with --batch every batch family, is built at
-    // --order.
+    // Every pair, and with --batch every predictor family, is built
+    // at --order.
     std::vector<std::string> families = o.pairs;
-    if (o.batch)
-        families.insert(families.end(), check::batchFamilyNames().begin(),
-                        check::batchFamilyNames().end());
-    for (const std::string &family : families) {
+    if (o.batch) {
+        for (const auto &family : runner::predictorFamilies())
+            families.push_back(family.name);
+    }
+    for (const std::string &name : families) {
+        const runner::PredictorFamily *family =
+            runner::findPredictor(name);
         std::string error;
-        if (!check::orderInRange(family, o.order, error)) {
+        if (family && o.order != 0 &&
+            !family->orderInRange(o.order, &error)) {
             std::fprintf(stderr,
                          "gdifffuzz: --order: %s (0 = the family "
                          "default)\n",
@@ -240,13 +249,14 @@ diffPair(const Options &o, const std::string &name,
  * that --replay --batch accepts back. @return true if clean.
  */
 bool
-diffBatchFamily(const Options &o, const std::string &name,
+diffBatchFamily(const Options &o, const runner::PredictorFamily &family,
                 const std::vector<check::FuzzRecord> &stream)
 {
     static const uint32_t kLanes[] = {7, 1024};
+    const std::string name = family.name;
     for (uint32_t lanes : kLanes) {
-        auto scalar = check::makeProduction(name, o.order);
-        auto batch = check::makeProduction(name, o.order);
+        auto scalar = family.make(o.order, 0);
+        auto batch = family.make(o.order, 0);
         auto divergence =
             check::diffScalarVsBatch(*scalar, *batch, stream, lanes);
         if (!divergence)
@@ -258,8 +268,8 @@ diffBatchFamily(const Options &o, const std::string &name,
 
         auto still_fails =
             [&](const std::vector<check::FuzzRecord> &s) {
-                auto s2 = check::makeProduction(name, o.order);
-                auto b2 = check::makeProduction(name, o.order);
+                auto s2 = family.make(o.order, 0);
+                auto b2 = family.make(o.order, 0);
                 return check::diffScalarVsBatch(*s2, *b2, s, lanes)
                     .has_value();
             };
@@ -378,7 +388,7 @@ main(int argc, char **argv)
     }
 
     if (o.batch) {
-        for (const auto &family : check::batchFamilyNames())
+        for (const auto &family : runner::predictorFamilies())
             failures += !diffBatchFamily(o, family, stream);
     }
 

@@ -91,6 +91,8 @@ usage(const char *argv0)
         "\n"
         "grid axes: workload, predictor (profile mode), scheme\n"
         "  (pipeline mode), order, table, seed, instructions, mode\n"
+        "  order reaches gdiff, gdiff2, sgvq and hgvq; fcm, dfcm and\n"
+        "  gfcm run at orders 3, 3 and 4 whatever its value\n"
         "options:\n"
         "  --threads=N      worker threads (default: hardware "
         "concurrency)\n"
@@ -149,11 +151,11 @@ printRegistry()
     for (const auto &n : workload::specWorkloadNames())
         std::printf(" %s", n.c_str());
     std::printf("\npredictors:");
-    for (const auto &n : runner::predictorNames())
-        std::printf(" %s", n.c_str());
+    for (const auto &f : runner::predictorFamilies())
+        std::printf(" %s", f.name);
     std::printf("\nschemes:");
-    for (const auto &n : runner::schemeNames())
-        std::printf(" %s", n.c_str());
+    for (const auto &f : runner::schemeFamilies())
+        std::printf(" %s", f.name);
     std::printf("\nmodes: profile pipeline\n");
 }
 
@@ -272,6 +274,17 @@ main(int argc, char **argv)
     spec.sampleSeed = o.sampleSeed;
 
     runner::SweepRunner sweep(spec);
+    // Every job is checked before any runs or any sink opens: a bad
+    // cell late in the grid costs no sweep time and leaves --out and
+    // --manifest untouched.
+    for (const runner::JobSpec &job : sweep.jobs()) {
+        std::string error;
+        if (!workload::knownWorkload(job.workload))
+            fatal("job %s: unknown workload '%s'", job.label().c_str(),
+                  job.workload.c_str());
+        if (!job.validateOr(&error))
+            fatal("%s", error.c_str());
+    }
 
     // Resuming implies appending: the jsonl file already holds the
     // manifest-recorded jobs from the previous run.

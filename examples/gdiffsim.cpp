@@ -64,16 +64,19 @@ usage(const char *argv0)
         "usage: %s [--workload=NAME | --program=FILE.s | --trace=FILE]\n"
         "  [--mode=profile|"
         "address|pipeline]\n"
-        "  [--predictors=a,b,...] (last,lastn,stride,fcm,dfcm,hybrid,pi,gfcm,"
-        "gdiff,gdiff2)\n"
-        "  [--scheme=baseline|l_stride|l_context|sgvq|hgvq] (pipeline "
-        "mode)\n"
+        "  [--predictors=a,b,...] [--scheme=NAME] (pipeline mode)\n"
         "  [--order=N] [--table=N] [--instructions=N] [--warmup=N]\n"
         "  [--seed=N] [--record=FILE]\n"
         "workloads:",
         argv0);
     for (const auto &n : workload::specWorkloadNames())
         std::fprintf(stderr, " %s", n.c_str());
+    std::fprintf(stderr, "\npredictors:");
+    for (const auto &f : runner::predictorFamilies())
+        std::fprintf(stderr, " %s", f.name);
+    std::fprintf(stderr, "\nschemes:");
+    for (const auto &f : runner::schemeFamilies())
+        std::fprintf(stderr, " %s", f.name);
     std::fprintf(stderr, "\n");
     std::exit(2);
 }
@@ -185,8 +188,8 @@ pipelineOrder(const Options &o)
 
 /**
  * @return the first predictor or scheme the run would build that
- * gdiffrun and gdiffd would reject for its order or table size, as
- * their error message; empty when all are valid.
+ * gdiffrun and gdiffd would reject for its name, order or table size,
+ * as their error message; empty when all are valid.
  */
 std::string
 invalidFamily(const Options &o)

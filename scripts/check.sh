@@ -188,10 +188,10 @@ fi
 rm -rf build/fuzz-repros && mkdir -p build/fuzz-repros
 ./build/examples/gdifffuzz --cases=1000 --seed=1 --mutate \
     --out-dir=build/fuzz-repros --no-pipeline
-# Serving smoke: an out-of-range order must be refused with its
-# validation message while the daemon keeps serving, a daemon-fed
-# sweep must be bit-identical to the same grid run in-process, and
-# SIGTERM must drain cleanly (exit 0).
+# Serving smoke: an out-of-range order and an unknown predictor must
+# each be refused with its validation message while the daemon keeps
+# serving, a daemon-fed sweep must be bit-identical to the same grid
+# run in-process, and SIGTERM must drain cleanly (exit 0).
 SOCK=build/check_gdiffd.sock
 rm -f "$SOCK" build/check_daemon.jsonl build/check_local.jsonl
 ./build/examples/gdiffd --socket "$SOCK" --workers 4 &
@@ -212,6 +212,18 @@ grep -q 'gdiff order 65 is out of range' build/check_bad_order.log || {
     kill "$DAEMON" 2>/dev/null; exit 1; }
 ./build/examples/gdiffctl --socket "$SOCK" ping | grep -qx pong || {
     echo "serving smoke: daemon stopped answering after order=65"
+    kill "$DAEMON" 2>/dev/null; exit 1; }
+if ./build/examples/gdiffctl --socket "$SOCK" submit \
+    --grid 'workload=mcf;predictor=psychic' \
+    --instructions=2000 --warmup=100 2> build/check_bad_name.log; then
+    echo "serving smoke: gdiffd accepted predictor=psychic"
+    kill "$DAEMON" 2>/dev/null; exit 1
+fi
+grep -q "unknown predictor 'psychic'" build/check_bad_name.log || {
+    echo "serving smoke: predictor=psychic refused without its message"
+    kill "$DAEMON" 2>/dev/null; exit 1; }
+./build/examples/gdiffctl --socket "$SOCK" ping | grep -qx pong || {
+    echo "serving smoke: daemon stopped answering after predictor=psychic"
     kill "$DAEMON" 2>/dev/null; exit 1; }
 ./build/examples/gdiffctl --socket "$SOCK" submit \
     --grid 'workload=mcf,parser;predictor=stride,dfcm,gdiff' \

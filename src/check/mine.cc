@@ -7,6 +7,7 @@
 
 #include "check/reference.hh"
 #include "check/shrink.hh"
+#include "runner/factory.hh"
 #include "runner/runner.hh"
 #include "stats/table.hh"
 #include "util/json.hh"
@@ -29,14 +30,6 @@ fnvMix64(uint64_t &h, uint64_t v)
         h ^= (v >> b) & 0xff;
         h *= kFnvPrime;
     }
-}
-
-bool
-knownFamily(const std::string &family, bool oracle)
-{
-    const auto &names = oracle ? pairNames() : batchFamilyNames();
-    return std::find(names.begin(), names.end(), family) !=
-           names.end();
 }
 
 bool
@@ -64,13 +57,19 @@ parseSide(const std::string &text, MineSide &out, std::string &error)
         spec = spec.substr(0, at);
     }
     out.family = spec;
-    if (!knownFamily(out.family, out.oracle)) {
+    const runner::PredictorFamily *family =
+        runner::findPredictor(out.family);
+    const auto &oracles = pairNames();
+    const bool known =
+        family && (!out.oracle || std::find(oracles.begin(), oracles.end(),
+                                            out.family) != oracles.end());
+    if (!known) {
         error = std::string(out.oracle ? "unknown oracle family '"
                                        : "unknown family '") +
                 out.family + "' in '" + text + "'";
         return false;
     }
-    if (!orderInRange(out.family, out.order, error)) {
+    if (out.order != 0 && !family->orderInRange(out.order, &error)) {
         error += " in '" + text + "'";
         return false;
     }
@@ -93,7 +92,7 @@ MineSide::build() const
 {
     if (oracle)
         return std::move(makePair(family, order).oracle);
-    return makeProduction(family, order);
+    return runner::findPredictor(family)->make(order, 0);
 }
 
 std::string

@@ -40,8 +40,8 @@ namespace check {
 
 /**
  * One side of a mined pair: a predictor family plus how to build it.
- * Production sides come from makeProduction() (the factory zoo with
- * unlimited first-level tables); oracle sides are the reference
+ * Production sides are family-table rows (runner/factory.hh) built
+ * with unlimited first-level tables; oracle sides are the reference
  * models from makePair().
  */
 struct MineSide
@@ -70,8 +70,8 @@ struct MineTarget
 /**
  * Parse a target spec of the form `LEFT-vs-RIGHT`, where each side is
  * `[ref:]family[@order]` — e.g. `gdiff-vs-gfcm`, `gdiff@1-vs-gdiff@4`,
- * `gdiff@8-vs-ref:gdiff@8`. Production families come from
- * batchFamilyNames(), oracle families from pairNames().
+ * `gdiff@8-vs-ref:gdiff@8`. Production families are the family
+ * table's predictor rows, oracle families pairNames().
  *
  * @return false with @p error set on malformed specs.
  */

@@ -1,13 +1,9 @@
 #include "check/reference.hh"
 
 #include "core/gdiff.hh"
-#include "core/gdiff2.hh"
 #include "predictors/fcm.hh"
 #include "predictors/gfcm.hh"
-#include "predictors/hybrid.hh"
-#include "predictors/last_value.hh"
-#include "predictors/pi.hh"
-#include "predictors/stride.hh"
+#include "runner/factory.hh"
 #include "util/bits.hh"
 #include "util/logging.hh"
 
@@ -277,121 +273,37 @@ const std::vector<std::string> &
 pairNames()
 {
     static const std::vector<std::string> names = {
-        "last_value", "stride", "fcm", "dfcm", "gfcm", "gdiff"};
+        "last", "stride", "fcm", "dfcm", "gfcm", "gdiff"};
     return names;
 }
 
 PredictorPair
 makePair(const std::string &name, unsigned order)
 {
+    const runner::PredictorFamily *family = runner::findPredictor(name);
+    const unsigned o = family && !order ? family->defaultOrder : order;
     PredictorPair pair;
     pair.name = name;
-    if (name == "last_value") {
-        pair.production =
-            std::make_unique<predictors::LastValuePredictor>(0);
+    if (name == "last") {
         pair.oracle = std::make_unique<RefLastValue>();
     } else if (name == "stride") {
-        pair.production =
-            std::make_unique<predictors::StridePredictor>(0);
         pair.oracle = std::make_unique<RefStride2Delta>();
     } else if (name == "fcm" || name == "dfcm") {
-        unsigned o = order ? order : 3;
-        pair.production = makeProduction(name, o);
         pair.oracle = std::make_unique<RefFcm>(
             o, predictors::fcmLevel2Entries, name == "dfcm");
     } else if (name == "gfcm") {
-        unsigned o = order ? order : 4;
-        predictors::GFcmConfig cfg;
-        cfg.order = o;
-        pair.production =
-            std::make_unique<predictors::GFcmPredictor>(cfg);
-        pair.oracle = std::make_unique<RefGFcm>(o, cfg.tableEntries);
+        pair.oracle = std::make_unique<RefGFcm>(
+            o, predictors::GFcmConfig().tableEntries);
     } else if (name == "gdiff") {
-        unsigned o = order ? order : 8;
-        core::GDiffConfig cfg;
-        cfg.order = o;
-        cfg.tableEntries = 0;
-        pair.production = std::make_unique<core::GDiffPredictor>(cfg);
-        pair.oracle = std::make_unique<RefGDiff>(o, cfg.valueDelay);
+        pair.oracle =
+            std::make_unique<RefGDiff>(o, core::GDiffConfig().valueDelay);
     } else {
         fatal("unknown predictor pair '%s' (expected one of "
-              "last_value, stride, fcm, dfcm, gfcm, gdiff)",
+              "last, stride, fcm, dfcm, gfcm, gdiff)",
               name.c_str());
     }
+    pair.production = family->make(o, 0);
     return pair;
-}
-
-const std::vector<std::string> &
-batchFamilyNames()
-{
-    static const std::vector<std::string> names = {
-        "last_value", "last_n", "stride", "pi",     "fcm",
-        "dfcm",       "gfcm",   "hybrid", "gdiff",  "gdiff2"};
-    return names;
-}
-
-bool
-orderInRange(const std::string &name, unsigned order, std::string &error)
-{
-    unsigned lo = 1, hi = 0; // hi 0: the family takes no order
-    if (name == "fcm" || name == "dfcm") {
-        hi = predictors::fcmMaxOrder;
-    } else if (name == "gfcm") {
-        hi = predictors::gfcmMaxOrder;
-    } else if (name == "gdiff") {
-        hi = core::maxOrder;
-    } else if (name == "gdiff2") {
-        lo = core::gdiff2MinOrder;
-        hi = core::gdiff2MaxOrder;
-    }
-    if (order == 0 || hi == 0 || (order >= lo && order <= hi))
-        return true;
-    error = name + " order " + std::to_string(order) +
-            " out of range " + std::to_string(lo) + ".." +
-            std::to_string(hi);
-    return false;
-}
-
-std::unique_ptr<predictors::ValuePredictor>
-makeProduction(const std::string &name, unsigned order)
-{
-    if (name == "last_value")
-        return std::make_unique<predictors::LastValuePredictor>(0);
-    if (name == "last_n")
-        return std::make_unique<predictors::LastNValuePredictor>(4, 0);
-    if (name == "stride")
-        return std::make_unique<predictors::StridePredictor>(0);
-    if (name == "pi")
-        return std::make_unique<predictors::PiPredictor>(0);
-    if (name == "fcm" || name == "dfcm") {
-        predictors::FcmConfig cfg;
-        cfg.level1Entries = 0;
-        cfg.order = order ? order : 3;
-        if (name == "dfcm")
-            return std::make_unique<predictors::DfcmPredictor>(cfg);
-        return std::make_unique<predictors::FcmPredictor>(cfg);
-    }
-    if (name == "gfcm") {
-        predictors::GFcmConfig cfg;
-        cfg.order = order ? order : 4;
-        return std::make_unique<predictors::GFcmPredictor>(cfg);
-    }
-    if (name == "hybrid")
-        return std::make_unique<predictors::HybridLocalPredictor>(0);
-    if (name == "gdiff") {
-        core::GDiffConfig cfg;
-        cfg.order = order ? order : 8;
-        cfg.tableEntries = 0;
-        return std::make_unique<core::GDiffPredictor>(cfg);
-    }
-    if (name == "gdiff2") {
-        core::GDiff2Config cfg;
-        cfg.order = order ? order : 8;
-        cfg.tableEntries = 0;
-        return std::make_unique<core::GDiff2Predictor>(cfg);
-    }
-    fatal("unknown batch family '%s'", name.c_str());
-    return nullptr;
 }
 
 } // namespace check

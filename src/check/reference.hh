@@ -18,9 +18,10 @@
  * architecturally visible — so the oracles recompute them from their
  * raw state on every access instead of maintaining them incrementally.
  *
- * To add an oracle for a new predictor: transliterate its update rule
- * here against map-based state, add a pair entry to makePair(), and
- * extend pairNames(); tests/test_check.cc picks the new pair up
+ * To add an oracle for a new predictor: add one row to the family
+ * table (runner/factory.cc), plus an oracle here — its update rule
+ * transliterated against map-based state, a branch in makePair() and
+ * its name in pairNames(); tests/test_check.cc picks the new pair up
  * automatically (see docs/INTERNALS.md §7).
  */
 
@@ -256,60 +257,26 @@ struct PredictorPair
 };
 
 /**
- * @return the checkable pair names: last_value, stride, fcm, dfcm,
- * gfcm, gdiff.
+ * @return the checkable pair names: last, stride, fcm, dfcm, gfcm,
+ * gdiff.
  */
 const std::vector<std::string> &pairNames();
 
 /**
- * Build a (production, oracle) pair by name. Production instances use
- * unlimited per-PC first-level tables so the comparison is free of
- * PC-aliasing (fixed-size shared structures — the FCM level 2, the
- * gFCM table — are part of the semantics and are modelled by the
- * oracles). Calls fatal() on an unknown name.
+ * Build a (production, oracle) pair by name. The production side is
+ * the family-table row (runner/factory.hh) with unlimited per-PC
+ * first-level tables, so the comparison is free of PC-aliasing
+ * (fixed-size shared structures — the FCM level 2, the gFCM table —
+ * are part of the semantics and are modelled by the oracles). Calls
+ * fatal() on an unknown name.
  *
  * @param name  one of pairNames().
- * @param order history/window order; 0 picks the pair's default
- *              (fcm and dfcm 3, gfcm 4, gdiff 8; ignored by
- *              last_value and stride).
+ * @param order history/window order; 0 picks the row's default
+ *              (fcm and dfcm 3, gfcm 4, gdiff 8; ignored by last and
+ *              stride). The caller checks it against the row's
+ *              orderInRange() first.
  */
 PredictorPair makePair(const std::string &name, unsigned order = 0);
-
-/**
- * @return every production family with a batched implementation —
- * the universe of the scalar-vs-batch differ (diffScalarVsBatch):
- * last_value, last_n, stride, pi, fcm, dfcm, gfcm, hybrid, gdiff,
- * gdiff2.
- */
-const std::vector<std::string> &batchFamilyNames();
-
-/**
- * Build one production predictor by family name. The scalar and batch
- * paths live on the same object, so a scalar-vs-batch diff constructs
- * two identically-configured instances and drives one through
- * predict()/update() and the other through predictUpdateBatch().
- * Unlimited first-level tables, as makePair(). Calls fatal() on an
- * unknown name.
- *
- * @param name  one of batchFamilyNames().
- * @param order history/window order; 0 picks the family default.
- */
-std::unique_ptr<predictors::ValuePredictor>
-makeProduction(const std::string &name, unsigned order = 0);
-
-/**
- * Check @p order against the orders family @p name is built at by
- * makePair() and makeProduction(): fcm and dfcm 1..4, gfcm 1..4,
- * gdiff 1..64, gdiff2 2..16. 0 (the family default) always passes,
- * as does any order for a family without one. The constructors
- * assert their range, so a tool checks its orders here first and
- * reports a usage error instead.
- *
- * @return true if in range; else false with @p error naming the
- *         family, the order and the range.
- */
-bool orderInRange(const std::string &name, unsigned order,
-                  std::string &error);
 
 } // namespace check
 } // namespace gdiff

@@ -13,120 +13,143 @@
 namespace gdiff {
 namespace runner {
 
-const std::vector<std::string> &
-predictorNames()
-{
-    static const std::vector<std::string> names = {
-        "last", "lastn", "stride", "fcm",   "dfcm",
-        "hybrid", "pi",  "gfcm",   "gdiff", "gdiff2"};
-    return names;
-}
-
-const std::vector<std::string> &
-schemeNames()
-{
-    static const std::vector<std::string> names = {
-        "baseline", "l_stride", "l_context", "sgvq", "hgvq"};
-    return names;
-}
-
 namespace {
 
-bool
-contains(const std::vector<std::string> &names,
-         const std::string &name)
+using PredictorPtr = std::unique_ptr<predictors::ValuePredictor>;
+using SchemePtr = std::unique_ptr<pipeline::VpScheme>;
+
+/** A family whose one knob is its table size. */
+template <typename P>
+PredictorPtr
+byTable(unsigned, uint64_t table)
 {
-    for (const auto &n : names)
-        if (n == name)
-            return true;
-    return false;
+    return std::make_unique<P>(table);
+}
+
+/** fcm and dfcm: per-PC level-1 histories of @p order values. */
+template <typename P>
+PredictorPtr
+context(unsigned order, uint64_t table)
+{
+    predictors::FcmConfig cfg;
+    cfg.level1Entries = table;
+    cfg.order = order;
+    return std::make_unique<P>(cfg);
+}
+
+/** gdiff and gdiff2, alone or behind a value queue (sgvq, hgvq): a
+ * global window of @p order values. */
+template <typename Base, typename T, typename Config = core::GDiffConfig>
+std::unique_ptr<Base>
+window(unsigned order, uint64_t table)
+{
+    Config cfg;
+    cfg.order = order;
+    cfg.tableEntries = table;
+    return std::make_unique<T>(cfg);
+}
+
+template <typename F>
+const F *
+findRow(const std::vector<F> &rows, const std::string &name)
+{
+    for (const F &row : rows)
+        if (name == row.name)
+            return &row;
+    return nullptr;
 }
 
 } // anonymous namespace
 
-bool
-knownPredictor(const std::string &name)
+const std::vector<PredictorFamily> &
+predictorFamilies()
 {
-    return contains(predictorNames(), name);
+    using namespace predictors;
+    static const std::vector<PredictorFamily> rows = {
+        {"last", 0, 0, 0, false, byTable<LastValuePredictor>},
+        {"lastn", 0, 0, 0, false,
+         [](unsigned, uint64_t table) -> PredictorPtr {
+             return std::make_unique<LastNValuePredictor>(4, table);
+         }},
+        {"stride", 0, 0, 0, false, byTable<StridePredictor>},
+        {"fcm", 1, fcmMaxOrder, 3, false, context<FcmPredictor>},
+        {"dfcm", 1, fcmMaxOrder, 3, false, context<DfcmPredictor>},
+        {"hybrid", 0, 0, 0, false, byTable<HybridLocalPredictor>},
+        {"pi", 0, 0, 0, false, byTable<PiPredictor>},
+        // The (PC, context) table is shared and fixed-size: part of
+        // gfcm's semantics, so the table argument does not size it.
+        {"gfcm", 1, gfcmMaxOrder, 4, false,
+         [](unsigned order, uint64_t) -> PredictorPtr {
+             GFcmConfig cfg;
+             cfg.order = order;
+             return std::make_unique<GFcmPredictor>(cfg);
+         }},
+        {"gdiff", 1, core::maxOrder, 8, true,
+         window<ValuePredictor, core::GDiffPredictor>},
+        {"gdiff2", core::gdiff2MinOrder, core::gdiff2MaxOrder, 8, true,
+         window<ValuePredictor, core::GDiff2Predictor,
+                core::GDiff2Config>},
+    };
+    return rows;
 }
 
-bool
-knownScheme(const std::string &name)
+const std::vector<SchemeFamily> &
+schemeFamilies()
 {
-    return contains(schemeNames(), name);
+    using namespace pipeline;
+    static const std::vector<SchemeFamily> rows = {
+        {"baseline", 0, 0, 0, false,
+         [](unsigned, uint64_t) -> SchemePtr {
+             return std::make_unique<NoPrediction>();
+         }},
+        // The local schemes wrap the stride and dfcm rows.
+        {"l_stride", 0, 0, 0, false,
+         [](unsigned, uint64_t table) -> SchemePtr {
+             return std::make_unique<LocalScheme>(
+                 findPredictor("stride")->make(0, table), "l_stride");
+         }},
+        {"l_context", 0, 0, 0, false,
+         [](unsigned, uint64_t table) -> SchemePtr {
+             return std::make_unique<LocalScheme>(
+                 findPredictor("dfcm")->make(0, table), "l_context");
+         }},
+        // Default 32: the paper's pipeline studies' window.
+        {"sgvq", 1, core::maxOrder, 32, true, window<VpScheme, SgvqScheme>},
+        {"hgvq", 1, core::maxOrder, 32, true, window<VpScheme, HgvqScheme>},
+    };
+    return rows;
+}
+
+const PredictorFamily *
+findPredictor(const std::string &name)
+{
+    return findRow(predictorFamilies(), name);
+}
+
+const SchemeFamily *
+findScheme(const std::string &name)
+{
+    return findRow(schemeFamilies(), name);
 }
 
 std::unique_ptr<predictors::ValuePredictor>
 makePredictor(const std::string &name, unsigned order,
               uint64_t table_entries)
 {
-    if (name == "last")
-        return std::make_unique<predictors::LastValuePredictor>(
-            table_entries);
-    if (name == "lastn")
-        return std::make_unique<predictors::LastNValuePredictor>(
-            4, table_entries);
-    if (name == "stride")
-        return std::make_unique<predictors::StridePredictor>(
-            table_entries);
-    if (name == "fcm" || name == "dfcm") {
-        predictors::FcmConfig cfg;
-        cfg.level1Entries = table_entries;
-        if (name == "fcm")
-            return std::make_unique<predictors::FcmPredictor>(cfg);
-        return std::make_unique<predictors::DfcmPredictor>(cfg);
-    }
-    if (name == "pi")
-        return std::make_unique<predictors::PiPredictor>(
-            table_entries);
-    if (name == "gfcm")
-        return std::make_unique<predictors::GFcmPredictor>();
-    if (name == "hybrid")
-        return std::make_unique<predictors::HybridLocalPredictor>(
-            table_entries);
-    if (name == "gdiff") {
-        core::GDiffConfig cfg;
-        cfg.order = order;
-        cfg.tableEntries = table_entries;
-        return std::make_unique<core::GDiffPredictor>(cfg);
-    }
-    if (name == "gdiff2") {
-        core::GDiff2Config cfg;
-        cfg.order = order;
-        cfg.tableEntries = table_entries;
-        return std::make_unique<core::GDiff2Predictor>(cfg);
-    }
-    fatal("unknown predictor '%s'", name.c_str());
+    const PredictorFamily *family = findPredictor(name);
+    if (!family)
+        fatal("unknown predictor '%s'", name.c_str());
+    return family->make(family->jobOrder ? order : 0, table_entries);
 }
 
 std::unique_ptr<pipeline::VpScheme>
 makeScheme(const std::string &name, unsigned order,
            uint64_t table_entries)
 {
-    if (name == "baseline")
-        return std::make_unique<pipeline::NoPrediction>();
-    if (name == "l_stride") {
-        return std::make_unique<pipeline::LocalScheme>(
-            std::make_unique<predictors::StridePredictor>(
-                table_entries),
-            "l_stride");
-    }
-    if (name == "l_context") {
-        predictors::FcmConfig cfg;
-        cfg.level1Entries = table_entries;
-        return std::make_unique<pipeline::LocalScheme>(
-            std::make_unique<predictors::DfcmPredictor>(cfg),
-            "l_context");
-    }
-    if (name == "sgvq" || name == "hgvq") {
-        core::GDiffConfig cfg;
-        cfg.order = order;
-        cfg.tableEntries = table_entries;
-        if (name == "sgvq")
-            return std::make_unique<pipeline::SgvqScheme>(cfg);
-        return std::make_unique<pipeline::HgvqScheme>(cfg);
-    }
-    fatal("unknown scheme '%s'", name.c_str());
+    const SchemeFamily *family = findScheme(name);
+    if (!family)
+        fatal("unknown scheme '%s'", name.c_str());
+    return family->make(family->jobOrder ? order : 0, table_entries);
 }
 
 } // namespace runner

@@ -1,9 +1,11 @@
 /**
  * @file
- * Name-based construction of predictors and value-speculation
- * schemes — the single registry behind gdiffsim's --predictors/
- * --scheme flags and the runner's grid axes, so a name means the same
- * configuration everywhere.
+ * The family table: one row per predictor family and one per
+ * value-speculation scheme, each holding the family's name, order
+ * range, default order and constructor. gdiffsim, the runner's grid
+ * axes, gdiffd's admission (via JobSpec::validateOr), the oracle
+ * checks, the disagreement miner and the batch gate all build from
+ * these rows, so a name means the same configuration everywhere.
  */
 
 #ifndef GDIFF_RUNNER_FACTORY_HH
@@ -20,25 +22,69 @@
 namespace gdiff {
 namespace runner {
 
-/** @return the predictor names makePredictor() accepts. */
-const std::vector<std::string> &predictorNames();
+/** One row of the family table; T is the predictor or scheme base. */
+template <typename T>
+struct Family
+{
+    const char *name;
+    /// order range; maxOrder 0 = the family takes no order
+    unsigned minOrder, maxOrder;
+    unsigned defaultOrder; ///< what make() builds at order 0
+    /// true when JobSpec::order reaches the family; the others run
+    /// at their default order in grids
+    bool jobOrder;
+    /// constructor at a resolved order; table 0 = unlimited
+    std::unique_ptr<T> (*build)(unsigned order, uint64_t table);
 
-/** @return the scheme names makeScheme() accepts. */
-const std::vector<std::string> &schemeNames();
+    /**
+     * Build at @p order (0 = defaultOrder) with @p table first-level
+     * entries (0 = unlimited). The constructors assert their range:
+     * check it with orderInRange() first.
+     */
+    std::unique_ptr<T> make(unsigned order, uint64_t table) const
+    {
+        return build(order ? order : defaultOrder, table);
+    }
 
-/** @return true when makePredictor(@p name, ...) would succeed —
- * the non-fatal membership test servers use before admitting a job. */
-bool knownPredictor(const std::string &name);
+    /**
+     * @return true when @p order is in range or the family takes no
+     * order; else false with @p error set to
+     * "<name> order N is out of range (lo..hi)".
+     */
+    bool orderInRange(unsigned order, std::string *error) const
+    {
+        if (maxOrder == 0 || (order >= minOrder && order <= maxOrder))
+            return true;
+        *error = std::string(name) + " order " + std::to_string(order) +
+                 " is out of range (" + std::to_string(minOrder) +
+                 ".." + std::to_string(maxOrder) + ")";
+        return false;
+    }
+};
 
-/** @return true when makeScheme(@p name, ...) would succeed. */
-bool knownScheme(const std::string &name);
+using PredictorFamily = Family<predictors::ValuePredictor>;
+using SchemeFamily = Family<pipeline::VpScheme>;
+
+/** @return the predictor rows: last, lastn, stride, fcm, dfcm,
+ * hybrid, pi, gfcm, gdiff, gdiff2. */
+const std::vector<PredictorFamily> &predictorFamilies();
+
+/** @return the scheme rows: baseline, l_stride, l_context, sgvq,
+ * hgvq. */
+const std::vector<SchemeFamily> &schemeFamilies();
+
+/** @return the predictor row named @p name, or nullptr. */
+const PredictorFamily *findPredictor(const std::string &name);
+
+/** @return the scheme row named @p name, or nullptr. */
+const SchemeFamily *findScheme(const std::string &name);
 
 /**
- * Construct a value predictor by name.
+ * Construct a value predictor for a job.
  *
- * @param name          one of predictorNames() (last, lastn, stride,
- *                      fcm, dfcm, hybrid, pi, gfcm, gdiff, gdiff2).
- * @param order         gdiff/gdiff2 order (ignored by the others).
+ * @param order         JobSpec::order: reaches only the rows with
+ *                      jobOrder (gdiff, gdiff2); fcm, dfcm and gfcm
+ *                      run at their default orders 3, 3 and 4.
  * @param table_entries table size; 0 = unlimited.
  * Calls fatal() on an unknown name.
  */
@@ -47,11 +93,10 @@ makePredictor(const std::string &name, unsigned order,
               uint64_t table_entries);
 
 /**
- * Construct a pipeline value-speculation scheme by name.
+ * Construct a pipeline value-speculation scheme for a job.
  *
- * @param name          one of schemeNames() (baseline, l_stride,
- *                      l_context, sgvq, hgvq).
- * @param order         gdiff order for sgvq/hgvq.
+ * @param order         gdiff order for sgvq/hgvq (ignored by the
+ *                      others).
  * @param table_entries prediction-table entries; 0 = unlimited.
  * Calls fatal() on an unknown name.
  */

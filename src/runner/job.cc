@@ -2,13 +2,30 @@
 
 #include <sstream>
 
-#include "core/gdiff2.hh"
-#include "core/gvq.hh"
+#include "runner/factory.hh"
 #include "util/bits.hh"
 #include "util/logging.hh"
 
 namespace gdiff {
 namespace runner {
+
+namespace {
+
+/** @return true when @p family exists and admits @p order as a job
+ * order; else false with @p why set. */
+template <typename F>
+bool
+admits(const F *family, const char *kind, const std::string &name,
+       unsigned order, std::string &why)
+{
+    if (!family) {
+        why = std::string("unknown ") + kind + " '" + name + "'";
+        return false;
+    }
+    return !family->jobOrder || family->orderInRange(order, &why);
+}
+
+} // anonymous namespace
 
 const char *
 jobModeName(JobMode mode)
@@ -65,25 +82,17 @@ JobSpec::validateOr(std::string *error) const
             return fail(os.str());
         }
     }
-    // The predictor and scheme constructors assert these limits, so
-    // a spec from outside the program must fail here, not abort.
-    const std::string &family =
-        mode == JobMode::Profile ? predictor : scheme;
-    unsigned minOrder = 0, maxOrder = 0; // 0: the family has no order
-    if (family == "gdiff" || family == "sgvq" || family == "hgvq") {
-        minOrder = 1;
-        maxOrder = core::maxOrder;
-    } else if (family == "gdiff2") {
-        minOrder = core::gdiff2MinOrder;
-        maxOrder = core::gdiff2MaxOrder;
-    }
-    if (maxOrder != 0 && (order < minOrder || order > maxOrder)) {
-        std::ostringstream os;
-        os << "job " << label() << ": " << family << " order " << order
-           << " is out of range (" << minOrder << ".." << maxOrder
-           << ")";
-        return fail(os.str());
-    }
+    // The factories abort on an unknown name and the constructors
+    // assert their order ranges, so a spec from outside the program
+    // must fail here. The family table holds both.
+    std::string why;
+    const bool admitted =
+        mode == JobMode::Profile
+            ? admits(findPredictor(predictor), "predictor", predictor,
+                     order, why)
+            : admits(findScheme(scheme), "scheme", scheme, order, why);
+    if (!admitted)
+        return fail("job " + label() + ": " + why);
     if (tableEntries != 0 && !isPowerOfTwo(tableEntries)) {
         std::ostringstream os;
         os << "job " << label() << ": table size " << tableEntries

@@ -53,7 +53,9 @@ struct JobSpec
     /// pipeline mode: scheme name (baseline, l_stride, l_context,
     /// sgvq, hgvq)
     std::string scheme = "baseline";
-    unsigned order = 8;          ///< gdiff order / GVQ window
+    /// gdiff/gdiff2 order or GVQ window; fcm, dfcm and gfcm ignore
+    /// it and run at their default orders (runner/factory.hh)
+    unsigned order = 8;
     uint64_t tableEntries = 8192; ///< prediction-table entries; 0 = unlimited
     uint64_t seed = 1;           ///< workload synthesis seed
     uint64_t instructions = 1'000'000; ///< measured instructions
@@ -79,11 +81,12 @@ struct JobSpec
      * 0 or warmup >= instructions — and, when sampling, degenerate
      * window geometry (zero-length windows, a window longer than the
      * measured region, a budget too small for even one window).
-     * Also reject what the predictor and scheme constructors would
-     * abort on: an order outside gdiff's, sgvq's and hgvq's
-     * 1..core::maxOrder or gdiff2's gdiff2MinOrder..gdiff2MaxOrder,
-     * and a table size that is neither 0 nor a power of two — and one
-     * above maxTableEntries, which would exhaust a worker's memory.
+     * Also reject what the factories and constructors would abort
+     * on: a predictor or scheme name with no row in the family table
+     * (runner/factory.hh), an order outside the range of a row that
+     * `order` reaches (gdiff, gdiff2, sgvq, hgvq), and a table size
+     * that is neither 0 nor a power of two — and one above
+     * maxTableEntries, which would exhaust a worker's memory.
      * Calls fatal() naming the job. runJob() validates every spec
      * before executing it.
      */

@@ -18,7 +18,6 @@
 #include <unistd.h>
 
 #include "obs/obs.hh"
-#include "runner/factory.hh"
 #include "runner/runner.hh"
 #include "runner/sweep_spec.hh"
 #include "serve/protocol.hh"
@@ -416,26 +415,15 @@ struct Daemon::Impl
 
         std::vector<runner::JobSpec> jobs = spec.expand();
         // Admission never hands a spec to a worker that runJob could
-        // fatal() on: the factories and makeWorkload abort the
+        // fatal() on: makeWorkload and the factories abort the
         // process on unknown names, so membership is checked here
-        // where a polite error frame is still possible.
+        // (the family names by validateOr) where a polite error frame
+        // is still possible.
         for (const auto &job : jobs) {
             std::string jobError;
             if (!workload::knownWorkload(job.workload)) {
                 sendTo(*conn, errorMessage("unknown workload '" +
                                            job.workload + "'"));
-                return;
-            }
-            if (job.mode == runner::JobMode::Profile &&
-                !runner::knownPredictor(job.predictor)) {
-                sendTo(*conn, errorMessage("unknown predictor '" +
-                                           job.predictor + "'"));
-                return;
-            }
-            if (job.mode == runner::JobMode::Pipeline &&
-                !runner::knownScheme(job.scheme)) {
-                sendTo(*conn, errorMessage("unknown scheme '" +
-                                           job.scheme + "'"));
                 return;
             }
             if (!job.validateOr(&jobError)) {

@@ -23,7 +23,7 @@
 
 #include "check/differ.hh"
 #include "check/fuzzer.hh"
-#include "check/reference.hh"
+#include "runner/factory.hh"
 #include "predictors/confidence.hh"
 #include "predictors/stride.hh"
 #include "predictors/value_predictor.hh"
@@ -67,22 +67,23 @@ diffAllFamilies(simd::Mode mode)
                                    workload::TraceChunk::capacity};
     // Every family at its default order (0), and fcm and dfcm at
     // each other order they take.
-    std::vector<std::pair<std::string, unsigned>> builds;
-    for (const auto &family : check::batchFamilyNames())
-        builds.emplace_back(family, 0);
+    std::vector<std::pair<const runner::PredictorFamily *, unsigned>>
+        builds;
+    for (const auto &family : runner::predictorFamilies())
+        builds.emplace_back(&family, 0);
     for (const char *family : {"fcm", "dfcm"}) {
         for (unsigned order : {1u, 2u, 4u})
-            builds.emplace_back(family, order);
+            builds.emplace_back(runner::findPredictor(family), order);
     }
     for (const auto &[family, order] : builds) {
         for (uint32_t lanes : chunkLanes) {
-            auto scalar = check::makeProduction(family, order);
-            auto batch = check::makeProduction(family, order);
+            auto scalar = family->make(order, 0);
+            auto batch = family->make(order, 0);
             auto div = check::diffScalarVsBatch(*scalar, *batch,
                                                 stream, lanes);
             EXPECT_FALSE(div.has_value())
-                << family << "@" << order << " lanes=" << lanes << ": "
-                << (div ? div->describe() : "");
+                << family->name << "@" << order << " lanes=" << lanes
+                << ": " << (div ? div->describe() : "");
         }
     }
 }
@@ -109,9 +110,10 @@ TEST(BatchIdentity, PredictBatchAndUpdateBatchMatchScalar)
         pcs.push_back(r.pc);
         vals.push_back(r.value);
     }
-    for (const auto &family : check::batchFamilyNames()) {
-        auto a = check::makeProduction(family);
-        auto b = check::makeProduction(family);
+    for (const auto &row : runner::predictorFamilies()) {
+        const std::string family = row.name;
+        auto a = row.make(0, 0);
+        auto b = row.make(0, 0);
         const uint32_t n = static_cast<uint32_t>(pcs.size());
         // Train both halves identically, batch vs scalar.
         a->updateBatch(pcs.data(), vals.data(), n / 2);

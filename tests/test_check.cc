@@ -85,10 +85,10 @@ TEST(PairZooTest, UnknownPairIsFatal)
 
 TEST(DifferTest, ReportsFirstDivergingRecord)
 {
-    // last_value vs a 2-delta stride oracle on 10,20,30,40: the
+    // last value vs a 2-delta stride oracle on 10,20,30,40: the
     // stride is adopted once +10 repeats (after record 2), so the
     // models first disagree predicting record 3.
-    PredictorPair lv = makePair("last_value");
+    PredictorPair lv = makePair("last");
     RefStride2Delta strideOracle;
     std::vector<FuzzRecord> stream = {{0x400000, 10},
                                       {0x400000, 20},

@@ -69,21 +69,23 @@ TEST(MineTarget, RejectsMalformedSpecs)
     // gfcm's context word holds four folds, on either side.
     EXPECT_TRUE(check::parseMineTarget("gdiff-vs-gfcm@4", t, error));
     EXPECT_FALSE(check::parseMineTarget("gdiff-vs-gfcm@5", t, error));
-    EXPECT_NE(error.find("out of range 1..4"), std::string::npos);
+    EXPECT_NE(error.find("gfcm order 5 is out of range (1..4)"),
+              std::string::npos);
     EXPECT_FALSE(
         check::parseMineTarget("ref:gfcm@8-vs-gdiff", t, error));
     // Every family with an order checks its range, on either side
-    // (check::orderInRange), before a constructor could assert it.
+    // (the family table's orderInRange), before a constructor could
+    // assert it.
     EXPECT_TRUE(check::parseMineTarget("fcm@4-vs-dfcm@4", t, error));
     EXPECT_FALSE(check::parseMineTarget("fcm@5-vs-gdiff", t, error));
-    EXPECT_NE(error.find("fcm order 5 out of range 1..4"),
+    EXPECT_NE(error.find("fcm order 5 is out of range (1..4)"),
               std::string::npos);
     EXPECT_FALSE(check::parseMineTarget("gdiff-vs-dfcm@5", t, error));
     EXPECT_FALSE(
         check::parseMineTarget("ref:fcm@5-vs-gdiff", t, error));
     EXPECT_TRUE(check::parseMineTarget("gdiff@64-vs-gfcm", t, error));
     EXPECT_FALSE(check::parseMineTarget("gdiff@65-vs-gfcm", t, error));
-    EXPECT_NE(error.find("gdiff order 65 out of range 1..64"),
+    EXPECT_NE(error.find("gdiff order 65 is out of range (1..64)"),
               std::string::npos);
     EXPECT_FALSE(
         check::parseMineTarget("ref:gdiff@65-vs-gfcm", t, error));
@@ -134,7 +136,7 @@ TEST(FuzzBehaviorWeights, SingleClassMixIsPure)
     // conflicts, while distinct orders on pure follower/stride mixes
     // can. Here we just pin that generation honors the weights: with
     // only Constant enabled every site repeats one value forever, so
-    // a last_value-vs-stride pair can never see a value conflict once
+    // a last-vs-stride pair can never see a value conflict once
     // warmed (both always predict the repeated value).
     check::FuzzStreamConfig cfg;
     cfg.seed = 3;
@@ -142,7 +144,7 @@ TEST(FuzzBehaviorWeights, SingleClassMixIsPure)
     cfg.behaviorWeights = {1, 0, 0, 0, 0, 0};
     auto stream = check::fuzzValueStream(cfg);
     EXPECT_EQ(
-        check::countConflicts(target("last_value-vs-stride"), stream),
+        check::countConflicts(target("last-vs-stride"), stream),
         0u);
 }
 

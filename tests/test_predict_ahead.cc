@@ -17,7 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "check/fuzzer.hh"
-#include "check/reference.hh"
+#include "runner/factory.hh"
 #include "predictors/stride.hh"
 #include "predictors/value_predictor.hh"
 
@@ -60,10 +60,10 @@ TEST(PredictAhead, StrideWrapsTwosComplement)
 
 TEST(PredictAhead, UntrainedPcDoesNotPredict)
 {
-    for (const auto &family : check::batchFamilyNames()) {
-        auto p = check::makeProduction(family);
+    for (const auto &family : runner::predictorFamilies()) {
+        auto p = family.make(0, 0);
         int64_t v = 0;
-        EXPECT_FALSE(p->predictAhead(0xdead00, 3, v)) << family;
+        EXPECT_FALSE(p->predictAhead(0xdead00, 3, v)) << family.name;
     }
 }
 
@@ -75,10 +75,11 @@ TEST(PredictAhead, FallbackFamiliesMatchPredict)
     cfg.seed = 31;
     cfg.records = 3000;
     const auto stream = check::fuzzValueStream(cfg);
-    for (const auto &family : check::batchFamilyNames()) {
+    for (const auto &row : runner::predictorFamilies()) {
+        const std::string family = row.name;
         if (family == "stride")
             continue; // extrapolates; covered above
-        auto p = check::makeProduction(family);
+        auto p = row.make(0, 0);
         for (const auto &r : stream)
             p->update(r.pc, r.value);
         for (const auto &r : stream) {

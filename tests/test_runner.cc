@@ -19,6 +19,7 @@
 
 #include "core/gdiff2.hh"
 #include "core/gvq.hh"
+#include "predictors/value_predictor.hh"
 #include "runner/factory.hh"
 #include "runner/runner.hh"
 #include "stats/table.hh"
@@ -580,16 +581,86 @@ TEST(SinkRobustnessTest, TableCsvQuotesLabelsAndCells)
 
 // ----------------------------------------------------------- factory
 
+// Every row builds through the job path, and through the explicit-
+// order path at the ends of its range and at its default (order 0).
 TEST(FactoryTest, EveryRegisteredNameConstructs)
 {
-    for (const auto &name : predictorNames()) {
-        auto p = makePredictor(name, 8, 1024);
-        ASSERT_NE(p, nullptr) << name;
+    for (const auto &f : predictorFamilies()) {
+        auto p = makePredictor(f.name, 8, 1024);
+        ASSERT_NE(p, nullptr) << f.name;
     }
-    for (const auto &name : schemeNames()) {
-        auto s = makeScheme(name, 16, 1024);
-        ASSERT_NE(s, nullptr) << name;
+    for (const auto &f : schemeFamilies()) {
+        auto s = makeScheme(f.name, 16, 1024);
+        ASSERT_NE(s, nullptr) << f.name;
     }
+    auto check = [](const auto &rows) {
+        for (const auto &f : rows) {
+            std::string error;
+            EXPECT_NE(f.make(0, 1024), nullptr) << f.name;
+            if (f.maxOrder == 0)
+                continue;
+            EXPECT_TRUE(f.orderInRange(f.defaultOrder, &error)) << error;
+            for (unsigned order : {f.minOrder, f.maxOrder}) {
+                EXPECT_TRUE(f.orderInRange(order, &error)) << error;
+                EXPECT_NE(f.make(order, 1024), nullptr)
+                    << f.name << "@" << order;
+            }
+            EXPECT_FALSE(f.orderInRange(f.maxOrder + 1, &error));
+            EXPECT_EQ(error, std::string(f.name) + " order " +
+                                 std::to_string(f.maxOrder + 1) +
+                                 " is out of range (" +
+                                 std::to_string(f.minOrder) + ".." +
+                                 std::to_string(f.maxOrder) + ")");
+        }
+    };
+    check(predictorFamilies());
+    check(schemeFamilies());
+}
+
+/** @return a digest of @p p's predictions over a stream of per-PC
+ * patterns whose next value depends on more than the last one. */
+uint64_t
+predictionDigest(predictors::ValuePredictor &p)
+{
+    static const int64_t pattern[] = {1, 2, 1, 3, 1, 2, 1, 4};
+    uint64_t digest = 0xcbf29ce484222325ull;
+    for (uint64_t i = 0; i < 20000; ++i) {
+        const uint64_t pc = 0x400000 + 4 * (i % 13);
+        const int64_t v = pattern[(i / 13 + pc) % 8] * int64_t(pc);
+        int64_t guess = 0;
+        const bool hit = p.predict(pc, guess);
+        digest = (digest ^ (hit ? static_cast<uint64_t>(guess) : 7)) *
+                 0x100000001b3ull;
+        p.update(pc, v);
+    }
+    return digest;
+}
+
+// The grid's contract: JobSpec::order reaches gdiff, gdiff2, sgvq and
+// hgvq only. A grid's fcm, dfcm and gfcm run at their default orders
+// whatever order= says, so makePredictor(family, 8, t) is the default
+// build — while the stream itself tells the orders apart.
+TEST(FactoryTest, JobOrderDoesNotReachContextFamilies)
+{
+    for (const char *name : {"fcm", "dfcm", "gfcm"}) {
+        const PredictorFamily *f = findPredictor(name);
+        ASSERT_NE(f, nullptr) << name;
+        EXPECT_FALSE(f->jobOrder) << name;
+        const uint64_t atDefault =
+            predictionDigest(*f->make(f->defaultOrder, 4096));
+        for (unsigned order : {1u, 2u, 8u, 64u}) {
+            EXPECT_EQ(predictionDigest(*makePredictor(name, order, 4096)),
+                      atDefault)
+                << name << " at job order " << order;
+        }
+        EXPECT_NE(predictionDigest(*f->make(1, 4096)), atDefault)
+            << name << ": the stream cannot tell order 1 from "
+            << f->defaultOrder;
+    }
+    for (const char *name : {"gdiff", "gdiff2"})
+        EXPECT_TRUE(findPredictor(name)->jobOrder) << name;
+    for (const char *name : {"sgvq", "hgvq"})
+        EXPECT_TRUE(findScheme(name)->jobOrder) << name;
 }
 
 // validateOr rejects, per family, each order and table size whose
@@ -617,8 +688,20 @@ TEST(JobSpecTest, ValidateOrRejectsWhatConstructorsAbortOn)
         {JobMode::Pipeline, "sgvq", 65, 8192, "order 65 is out of range"},
         {JobMode::Pipeline, "hgvq", 65, 8192, "order 65 is out of range"},
         {JobMode::Pipeline, "hgvq", core::maxOrder, 8192, nullptr},
-        // Families without an order ignore it.
+        // Families without an order ignore it, and so do fcm, dfcm
+        // and gfcm: a grid runs them at their default orders.
         {JobMode::Profile, "stride", 65, 8192, nullptr},
+        {JobMode::Profile, "fcm", 0, 8192, nullptr},
+        {JobMode::Profile, "fcm", 65, 8192, nullptr},
+        {JobMode::Profile, "gfcm", 8, 8192, nullptr},
+        {JobMode::Profile, "gfcm", 4294967295u, 8192, nullptr},
+        // An unknown name is rejected, not left to the factory's
+        // fatal().
+        {JobMode::Profile, "psychic", 8, 8192,
+         "unknown predictor 'psychic'"},
+        {JobMode::Pipeline, "psychic", 8, 8192,
+         "unknown scheme 'psychic'"},
+        {JobMode::Pipeline, "gdiff", 8, 8192, "unknown scheme 'gdiff'"},
         {JobMode::Pipeline, "l_stride", 4294967295u, 8192, nullptr},
         {JobMode::Profile, "stride", 8, 1000, "not a power of two"},
         {JobMode::Profile, "gdiff2", 8, 1000, "not a power of two"},

@@ -452,6 +452,12 @@ TEST(DaemonTest, OutOfRangeOrderAndTableGetErrorFramesNotACrash)
          "out of range"},
         {"workload=mcf;predictor=gdiff;order=4294967296",
          "out of range"},
+        // An unknown name fails the family-table check, even behind
+        // a valid cell of the same grid.
+        {"workload=mcf;predictor=psychic", "unknown predictor 'psychic'"},
+        {"workload=mcf;scheme=psychic", "unknown scheme 'psychic'"},
+        {"workload=mcf;predictor=gdiff,psychic",
+         "unknown predictor 'psychic'"},
     };
     for (const auto &[grid, message] : bad) {
         SubmitRequest req;
