@@ -21,7 +21,6 @@
 #include <unistd.h>
 
 #include "obs/obs.hh"
-#include "sample/sample.hh"
 #include "serve/daemon.hh"
 #include "util/parse.hh"
 
@@ -118,9 +117,6 @@ main(int argc, char **argv)
     // The status endpoint serves latency percentiles out of the obs
     // histograms, so instrumentation is always on in the daemon.
     obs::setEnabled(true);
-
-    // Clients may submit grids with a sample budget.
-    sample::install();
 
     if (pipe(signalPipe) != 0) {
         std::perror("gdiffd: pipe");

@@ -143,8 +143,16 @@ parse(int argc, char **argv)
             usage(argv[0]);
         }
     }
+    const std::vector<std::string> &known = check::pairNames();
+    for (const std::string &name : o.pairs) {
+        if (std::find(known.begin(), known.end(), name) == known.end()) {
+            std::fprintf(stderr, "gdifffuzz: --pairs: unknown pair '%s'\n",
+                         name.c_str());
+            usage(argv[0]);
+        }
+    }
     if (o.pairs.empty())
-        o.pairs = check::pairNames();
+        o.pairs = known;
     // Every pair, and with --batch every predictor family, is built
     // at --order.
     std::vector<std::string> families = o.pairs;

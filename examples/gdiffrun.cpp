@@ -32,7 +32,6 @@
 #include "obs/trace_export.hh"
 #include "runner/factory.hh"
 #include "runner/runner.hh"
-#include "sample/sample.hh"
 #include "util/logging.hh"
 #include "util/parse.hh"
 #include "workload/trace_cache.hh"
@@ -261,8 +260,6 @@ main(int argc, char **argv)
             fatal("cannot create trace file '%s'", o.traceOut.c_str());
         std::fclose(probe);
     }
-
-    sample::install();
 
     runner::SweepSpec spec = runner::SweepSpec::parseGrid(o.grid);
     spec.defaultInstructions = o.instructions;

@@ -133,6 +133,22 @@ for seed in 1 7; do
         echo "perfbench pipeline_mix seed $seed (GDIFF_SIMD=scalar): results differ from the committed digests"
         tail -n 1 "build/perfbench_mix_scalar_$seed.out"; exit 1; }
 done
+# Sampled and serving digest gates: the sampled hgvq sweep (traces
+# loaded from the disk tier) and the warm daemon's requests must
+# reproduce their committed digests too, on both kernel sets.
+for workload in sampled_disk serve_warm; do
+    for simd in auto scalar; do
+        for seed in 1 7; do
+            out="build/perfbench_${workload}_${simd}_$seed.out"
+            GDIFF_SIMD=$simd python3 perfbench/run.py \
+                --workload "$workload" --seed "$seed" --seconds 1 \
+                --trace 0 > "$out"
+            tail -n 1 "$out" | grep -q '"correct": true' || {
+                echo "perfbench $workload seed $seed (GDIFF_SIMD=$simd): results differ from the committed digests"
+                tail -n 1 "$out"; exit 1; }
+        done
+    done
+done
 # Batch identity fuzz: scalar-vs-batch differ over every batched
 # family, under both kernel sets (forced-scalar first).
 GDIFF_SIMD=scalar ./build/examples/gdifffuzz --cases=1500 --seed=5 \

@@ -297,11 +297,8 @@ makePair(const std::string &name, unsigned order)
     } else if (name == "gdiff") {
         pair.oracle =
             std::make_unique<RefGDiff>(o, core::GDiffConfig().valueDelay);
-    } else {
-        fatal("unknown predictor pair '%s' (expected one of "
-              "last, stride, fcm, dfcm, gfcm, gdiff)",
-              name.c_str());
     }
+    GDIFF_ASSERT(pair.oracle, "unknown predictor pair '%s'", name.c_str());
     pair.production = family->make(o, 0);
     return pair;
 }

@@ -267,10 +267,10 @@ const std::vector<std::string> &pairNames();
  * the family-table row (runner/factory.hh) with unlimited per-PC
  * first-level tables, so the comparison is free of PC-aliasing
  * (fixed-size shared structures — the FCM level 2, the gFCM table —
- * are part of the semantics and are modelled by the oracles). Calls
- * fatal() on an unknown name.
+ * are part of the semantics and are modelled by the oracles).
  *
- * @param name  one of pairNames().
+ * @param name  one of pairNames(); the caller checks it (another
+ *              name is a bug, and panics).
  * @param order history/window order; 0 picks the row's default
  *              (fcm and dfcm 3, gfcm 4, gdiff 8; ignored by last and
  *              stride). The caller checks it against the row's

@@ -7,8 +7,8 @@
 #include "pipeline/config.hh"
 #include "pipeline/ooo_model.hh"
 #include "runner/factory.hh"
+#include "sample/sample.hh"
 #include "sim/profile.hh"
-#include "util/logging.hh"
 #include "workload/workload.hh"
 
 namespace gdiff {
@@ -60,33 +60,70 @@ ThreadPool::forEach(size_t count,
 
 // ----------------------------------------------------------- runJob
 
+workload::TraceCache::Acquired
+openStream(const JobSpec &spec, workload::TraceCache *cache)
+{
+    if (cache) {
+        return cache->acquire(spec.workload, spec.seed,
+                              spec.warmup + spec.instructions);
+    }
+    workload::TraceCache::Acquired acq;
+    acq.source =
+        workload::makeWorkload(spec.workload, spec.seed).makeExecutor();
+    acq.generated = true;
+    return acq;
+}
+
+const std::vector<MetricColumn> &
+metricColumns(JobMode mode)
+{
+    static const std::vector<MetricColumn> profile = {
+        {"accuracy", SampledAs::Interval},
+        {"coverage", SampledAs::Interval},
+        {"gated_accuracy", SampledAs::Interval},
+    };
+    static const std::vector<MetricColumn> pipeline = {
+        {"ipc", SampledAs::Reciprocal},
+        {"cycles", SampledAs::Total},
+        {"dcache_miss_rate", SampledAs::Mean},
+        {"branch_accuracy", SampledAs::Mean},
+        {"vp_coverage", SampledAs::Interval},
+        {"vp_accuracy", SampledAs::Interval},
+        {"miss_load_coverage", SampledAs::Mean},
+        {"miss_load_accuracy", SampledAs::Mean},
+        {"avg_value_delay", SampledAs::Mean},
+    };
+    return mode == JobMode::Profile ? profile : pipeline;
+}
+
 namespace {
 
-JobResult
-runProfileJob(const JobSpec &spec, workload::TraceSource &src)
+Measurement
+runProfileJob(const JobSpec &spec, workload::TraceSource &src,
+              const Stretch &stretch)
 {
     auto pred =
         makePredictor(spec.predictor, spec.order, spec.tableEntries);
 
     sim::ProfileConfig pcfg;
-    pcfg.maxInstructions = spec.instructions;
-    pcfg.warmupInstructions = spec.warmup;
+    pcfg.maxInstructions = stretch.records;
+    pcfg.warmupInstructions = stretch.functionalWarmup + stretch.warmup;
+    // JobSpec::validate() bounds a job's warm-up; a sampled window
+    // warms as many records as it measures.
+    pcfg.allowLongWarmup = true;
     sim::ValueProfileRunner profile(pcfg);
     profile.addPredictor(*pred);
     profile.run(src);
 
     const sim::ProfileSeries &s = profile.results().front();
-    JobResult r;
-    r.metrics = {
-        {"accuracy", s.accuracyAll.value()},
-        {"coverage", s.coverage.value()},
-        {"gated_accuracy", s.accuracyGated.value()},
-    };
-    return r;
+    return {profile.measuredRecords(),
+            {s.accuracyAll.value(), s.coverage.value(),
+             s.accuracyGated.value()}};
 }
 
-JobResult
-runPipelineJob(const JobSpec &spec, workload::TraceSource &src)
+Measurement
+runPipelineJob(const JobSpec &spec, workload::TraceSource &src,
+               const Stretch &stretch)
 {
     auto scheme =
         makeScheme(spec.scheme, spec.order, spec.tableEntries);
@@ -94,24 +131,14 @@ runPipelineJob(const JobSpec &spec, workload::TraceSource &src)
     pipeline::OooPipeline pipe(pipeline::PipelineConfig::paper(),
                                *scheme);
     pipeline::PipelineStats s =
-        pipe.run(src, spec.instructions, spec.warmup);
-
-    JobResult r;
-    r.metrics = {
-        {"ipc", s.ipc},
-        {"cycles", static_cast<double>(s.cycles)},
-        {"dcache_miss_rate", s.dcacheMissRate},
-        {"branch_accuracy", s.branchAccuracy},
-        {"vp_coverage", s.coverage.value()},
-        {"vp_accuracy", s.gatedAccuracy.value()},
-        {"miss_load_coverage", s.missLoadCoverage.value()},
-        {"miss_load_accuracy", s.missLoadAccuracy.value()},
-        {"avg_value_delay", s.valueDelay.mean()},
-    };
-    return r;
+        pipe.run(src, stretch.records, stretch.warmup,
+                 stretch.retireToRetire, stretch.functionalWarmup);
+    return {s.instructions,
+            {s.ipc, static_cast<double>(s.cycles), s.dcacheMissRate,
+             s.branchAccuracy, s.coverage.value(),
+             s.gatedAccuracy.value(), s.missLoadCoverage.value(),
+             s.missLoadAccuracy.value(), s.valueDelay.mean()}};
 }
-
-SampledJobRunner sampledRunner = nullptr;
 
 /** @return this thread's simulation-stage total: the profile
  * runners' gather, predict and confidence stages plus the pipeline's
@@ -127,10 +154,14 @@ simStageNs(const obs::Registry &reg)
 
 } // anonymous namespace
 
-void
-setSampledJobRunner(SampledJobRunner fn)
+Measurement
+measure(const JobSpec &spec, workload::TraceSource &src,
+        const Stretch &stretch)
 {
-    sampledRunner = fn;
+    // Each body lists its values in metricColumns() order.
+    return spec.mode == JobMode::Profile
+               ? runProfileJob(spec, src, stretch)
+               : runPipelineJob(spec, src, stretch);
 }
 
 JobResult
@@ -139,13 +170,8 @@ runJob(const JobSpec &spec, workload::TraceCache *cache,
 {
     spec.validate();
     if (spec.sampled()) {
-        if (!sampledRunner) {
-            fatal("job %s has a sample budget but no sampled runner "
-                  "is installed (call sample::install() at startup)",
-                  spec.label().c_str());
-        }
-        return sampledRunner(spec, cache,
-                             sampleThreads == 0 ? 1 : sampleThreads);
+        return sample::runSampledJob(
+            spec, cache, sampleThreads == 0 ? 1 : sampleThreads);
     }
     auto t0 = std::chrono::steady_clock::now();
 
@@ -161,35 +187,21 @@ runJob(const JobSpec &spec, workload::TraceCache *cache,
         simNs0 = simStageNs(reg);
     }
 
-    // Resolve the dynamic stream: replay a shared materialized trace
-    // when a cache is supplied, regenerate otherwise. Both streams
-    // are record-identical, so the metrics cannot differ.
-    std::unique_ptr<workload::TraceSource> src;
-    bool replayed = false;
-    bool fromDisk = false;
-    double generateSeconds = 0.0;
-    if (cache) {
-        workload::TraceCache::Acquired acq = cache->acquire(
-            spec.workload, spec.seed, spec.warmup + spec.instructions);
-        src = std::move(acq.source);
-        replayed = !acq.generated;
-        fromDisk = acq.fromDisk;
-        generateSeconds = acq.generateSeconds;
-    } else {
-        workload::Workload w =
-            workload::makeWorkload(spec.workload, spec.seed);
-        src = w.makeExecutor();
-    }
-
-    JobResult r = spec.mode == JobMode::Profile
-                      ? runProfileJob(spec, *src)
-                      : runPipelineJob(spec, *src);
+    // A replayed shared trace and a regenerated stream are
+    // record-identical, so the metrics cannot differ.
+    workload::TraceCache::Acquired acq = openStream(spec, cache);
+    Measurement m =
+        measure(spec, *acq.source, {spec.instructions, spec.warmup});
+    JobResult r;
+    const std::vector<MetricColumn> &columns = metricColumns(spec.mode);
+    for (size_t c = 0; c < columns.size(); ++c)
+        r.metrics.emplace_back(columns[c].name, m.values[c]);
     std::chrono::duration<double> dt =
         std::chrono::steady_clock::now() - t0;
     r.wallSeconds = dt.count();
-    r.traceReplayed = replayed;
-    r.traceFromDisk = fromDisk;
-    r.traceGenerateSeconds = generateSeconds;
+    r.traceReplayed = !acq.generated;
+    r.traceFromDisk = acq.fromDisk;
+    r.traceGenerateSeconds = acq.generateSeconds;
     if (obsOn) {
         const obs::Registry &reg = obs::Registry::local();
         r.obsFillSeconds =

@@ -67,19 +67,84 @@ class ThreadPool
 };
 
 /**
- * The sampled-simulation entry point src/sample/ installs. A function
- * pointer (not a link dependency) keeps the layering acyclic: sample
- * depends on runner for jobs and the pool; runner only needs to
- * dispatch specs with a sample budget to *someone*. Binaries that
- * accept sampled specs call sample::install() at startup; runJob()
- * fatals with that instruction if a sampled spec arrives uninstalled.
+ * Open @p spec's record stream at its first record. With @p cache the
+ * stream replays the shared trace of (workload, seed, warmup +
+ * instructions), and the result says how the cache served it. Without
+ * one it is a fresh functional executor, reported as generated with
+ * no generation time.
  */
-using SampledJobRunner = JobResult (*)(const JobSpec &spec,
-                                       workload::TraceCache *cache,
-                                       unsigned threads);
+workload::TraceCache::Acquired openStream(const JobSpec &spec,
+                                          workload::TraceCache *cache);
 
-/** Register (or, with nullptr, clear) the sampled-job runner. */
-void setSampledJobRunner(SampledJobRunner fn);
+/**
+ * The records a job body runs over, from where its source stands. A
+ * full job measures its spec's instructions after its warm-up. A
+ * sampled window (src/sample/) warms in two stages and counts its
+ * cycles retire to retire, so that window cycle counts tile the
+ * continuous run (see pipeline::OooPipeline::run).
+ */
+struct Stretch
+{
+    uint64_t records = 0; ///< measured records
+    uint64_t warmup = 0;  ///< detailed warm-up records before them
+    /// untimed warm-up records before the detailed warm-up; the
+    /// profile replay has no timing model, so it adds them to its
+    /// warm-up
+    uint64_t functionalWarmup = 0;
+    /// pipeline mode: count cycles from the last warm-up retire
+    bool retireToRetire = false;
+};
+
+/** What a job body measured. */
+struct Measurement
+{
+    /// records measured: fewer than the stretch asked for when the
+    /// stream ended early, 0 when it ended inside the warm-up
+    uint64_t records = 0;
+    /// one value per column of metricColumns(mode), in order
+    std::vector<double> values;
+};
+
+/**
+ * Run @p spec's predictor (profile mode) or scheme (pipeline mode)
+ * over @p stretch of @p src. runJob() measures a full job with it,
+ * and the sampler each of its windows.
+ */
+Measurement measure(const JobSpec &spec, workload::TraceSource &src,
+                    const Stretch &stretch);
+
+/** How a sampled job (src/sample/) reports a result column. */
+enum class SampledAs
+{
+    Mean,     ///< the stratified mean
+    Interval, ///< the mean and its 95% interval (`_ci_lo`, `_ci_hi`)
+    /// estimated per record through the Total column that follows
+    /// it, then inverted, with its interval and standard error
+    /// (`_se`): IPC through cycles per instruction (CPI). The
+    /// record-weighted CPI mean converges to the full run's cycles /
+    /// instructions, where a mean of window IPCs would not
+    /// (mean-of-ratios bias).
+    Reciprocal,
+    /// the per-record mean of the Reciprocal column before it, times
+    /// the measured records: cycles
+    Total,
+};
+
+/** One result column of a job mode. */
+struct MetricColumn
+{
+    const char *name;
+    SampledAs sampled;
+};
+
+/**
+ * @return the result columns of @p mode, in result order. A full job
+ * reports each column's value; a sampled job reports each column as
+ * its SampledAs says, then its `sample_*` columns. The sampler
+ * allocates windows by the spread of column 0 (per record, for a
+ * Reciprocal column).
+ */
+const std::vector<MetricColumn> &metricColumns(JobMode mode);
 
 /**
  * Execute one job in an isolated simulation context.
@@ -90,10 +155,10 @@ void setSampledJobRunner(SampledJobRunner fn);
  * Metrics are bit-identical either way; only the wall-time metadata
  * differs. Without a cache the job regenerates its stream.
  *
- * A spec with a sample budget dispatches to the installed
- * SampledJobRunner; @p sampleThreads is how many workers it may use
- * for its measured windows (metrics are thread-count-invariant, so
- * this is purely a wall-clock knob). Full-trace jobs ignore it.
+ * A spec with a sample budget runs as sample::runSampledJob();
+ * @p sampleThreads is how many workers it may use for its measured
+ * windows (metrics are thread-count-invariant, so this is purely a
+ * wall-clock knob). Full-trace jobs ignore it.
  */
 JobResult runJob(const JobSpec &spec,
                  workload::TraceCache *cache = nullptr,

@@ -7,16 +7,11 @@
 #include <utility>
 
 #include "obs/obs.hh"
-#include "pipeline/config.hh"
-#include "pipeline/ooo_model.hh"
-#include "runner/factory.hh"
 #include "runner/runner.hh"
 #include "sample/estimator.hh"
-#include "sim/profile.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 #include "workload/trace_io.hh"
-#include "workload/workload.hh"
 
 namespace gdiff {
 namespace sample {
@@ -128,42 +123,8 @@ struct WindowResult
     /// measured records (0 when the window fell off a short stream,
     /// in which case it contributes nothing)
     double weight = 0.0;
-    std::vector<double> values; ///< window metrics, mode-fixed order
+    std::vector<double> values; ///< one per metricColumns(mode) entry
 };
-
-/// Window-metric order, pipeline mode. Element 0 is the Neyman
-/// target and the headline estimate: CPI, not IPC — the
-/// record-weighted CPI mean converges to the full run's
-/// total-cycles / total-instructions, where a mean of window IPCs
-/// would not (mean-of-ratios bias).
-const char *const kPipelineMetrics[] = {
-    "cpi",         "dcache_miss_rate",   "branch_accuracy",
-    "vp_coverage", "vp_accuracy",        "miss_load_coverage",
-    "miss_load_accuracy", "avg_value_delay",
-};
-
-/// Window-metric order, profile mode (element 0 = Neyman target).
-const char *const kProfileMetrics[] = {"accuracy", "coverage",
-                                       "gated_accuracy"};
-
-/** Open the job's record stream from the beginning. */
-std::unique_ptr<workload::TraceSource>
-openStream(const JobSpec &spec, workload::TraceCache *cache,
-           workload::TraceCache::Acquired *meta)
-{
-    if (cache) {
-        workload::TraceCache::Acquired acq = cache->acquire(
-            spec.workload, spec.seed, spec.warmup + spec.instructions);
-        std::unique_ptr<workload::TraceSource> src =
-            std::move(acq.source);
-        if (meta)
-            *meta = std::move(acq);
-        return src;
-    }
-    workload::Workload w =
-        workload::makeWorkload(spec.workload, spec.seed);
-    return w.makeExecutor();
-}
 
 /** Fast-forward, warm, and measure one window. */
 WindowResult
@@ -172,67 +133,31 @@ measureWindow(const JobSpec &spec, const WindowGrid &grid, uint64_t w,
 {
     WindowResult r;
     r.window = w;
-    const uint64_t start = grid.start(w);
-    const uint64_t len = grid.length(w);
     const uint64_t warm = grid.warmup(w);
     const uint64_t fwarm = grid.functionalWarmup(w);
 
     const bool obsOn = GDIFF_OBS_ENABLED && obs::enabled();
     uint64_t t0 = obsOn ? obs::nowNs() : 0;
 
-    std::unique_ptr<workload::TraceSource> base =
-        openStream(spec, cache, nullptr);
-    workload::SkipTraceSource src(*base, start - warm - fwarm);
-
-    if (spec.mode == JobMode::Pipeline) {
-        auto scheme =
-            runner::makeScheme(spec.scheme, spec.order,
-                               spec.tableEntries);
-        pipeline::OooPipeline pipe(pipeline::PipelineConfig::paper(),
-                                   *scheme);
-        // Two-stage SMARTS warming (a long functional history for
-        // the slow-converging structures, then detailed warmup for
-        // the in-flight state) with retire-to-retire cycle
-        // accounting: window cycle counts must tile the continuous
-        // run (see OooPipeline::run).
-        pipeline::PipelineStats s =
-            pipe.run(src, len, warm, true, fwarm);
-        if (s.instructions > 0) {
-            r.weight = static_cast<double>(s.instructions);
-            double cpi = static_cast<double>(s.cycles) /
-                         static_cast<double>(s.instructions);
-            r.values = {cpi,
-                        s.dcacheMissRate,
-                        s.branchAccuracy,
-                        s.coverage.value(),
-                        s.gatedAccuracy.value(),
-                        s.missLoadCoverage.value(),
-                        s.missLoadAccuracy.value(),
-                        s.valueDelay.mean()};
-        }
-    } else {
-        auto pred = runner::makePredictor(spec.predictor, spec.order,
-                                          spec.tableEntries);
-        sim::ProfileConfig cfg;
-        cfg.maxInstructions = len;
-        // The profile replay has no timing model, so its warmup phase
-        // already *is* functional warming: fold the functional-warmup
-        // span into it. The runner then consumes exactly the
-        // fwarm + warm + len records the skip above left it at, so
-        // measurement covers [start, start + len) — aligned with the
-        // window's stratum fingerprint, same as the pipeline branch.
-        cfg.warmupInstructions = fwarm + warm;
-        // A window legitimately warms as many records as it measures.
-        cfg.allowLongWarmup = true;
-        sim::ValueProfileRunner prof(cfg);
-        prof.addPredictor(*pred);
-        prof.run(src);
-        const uint64_t meas = prof.measuredRecords();
-        if (meas > 0) {
-            const sim::ProfileSeries &s = prof.results().front();
-            r.weight = static_cast<double>(meas);
-            r.values = {s.accuracyAll.value(), s.coverage.value(),
-                        s.accuracyGated.value()};
+    workload::TraceCache::Acquired acq = runner::openStream(spec, cache);
+    workload::SkipTraceSource src(*acq.source,
+                                  grid.start(w) - warm - fwarm);
+    // Two-stage SMARTS warming (a long functional history for the
+    // slow-converging structures, then detailed warmup for the
+    // in-flight state) with retire-to-retire cycle accounting. Either
+    // mode then measures exactly [start, start + len), aligned with
+    // the window's stratum fingerprint.
+    runner::Measurement m =
+        runner::measure(spec, src, {grid.length(w), warm, fwarm, true});
+    if (m.records > 0) {
+        r.weight = static_cast<double>(m.records);
+        r.values = std::move(m.values);
+        // A Reciprocal column is estimated per record, through the
+        // Total column after it (IPC through cycles per instruction).
+        const auto &columns = runner::metricColumns(spec.mode);
+        for (size_t c = 0; c < columns.size(); ++c) {
+            if (columns[c].sampled == runner::SampledAs::Reciprocal)
+                r.values[c] = r.values[c + 1] / r.weight;
         }
     }
 
@@ -244,61 +169,38 @@ measureWindow(const JobSpec &spec, const WindowGrid &grid, uint64_t w,
     return r;
 }
 
-/** The shared sample_* metadata tail of every sampled result. */
-void
-appendSampleMeta(std::vector<std::pair<std::string, double>> &m,
-                 const JobSpec &spec, uint64_t measuredWindows,
-                 uint64_t strata)
-{
-    m.emplace_back("sample_budget",
-                   static_cast<double>(spec.sampleBudget));
-    m.emplace_back("sample_window",
-                   static_cast<double>(spec.sampleWindow));
-    m.emplace_back("sample_windows",
-                   static_cast<double>(measuredWindows));
-    m.emplace_back("sample_strata", static_cast<double>(strata));
-}
-
 /**
- * A budget covering the whole measured region degrades to one full
- * simulation; the result is re-laid-out in the sampled column order
- * with zero-width intervals, so mixed sweeps stay column-compatible.
+ * @return a sampled result's metrics: one estimate per column of the
+ * spec's mode, each as its SampledAs says, then the sample_* columns.
  */
-JobResult
-degenerateResult(const JobSpec &spec, JobResult base)
+std::vector<std::pair<std::string, double>>
+sampledMetrics(const JobSpec &spec,
+               const std::vector<MetricEstimate> &est,
+               uint64_t measuredWindows, uint64_t strata)
 {
+    const std::vector<runner::MetricColumn> &columns =
+        runner::metricColumns(spec.mode);
     std::vector<std::pair<std::string, double>> m;
-    auto exact = [&](const char *name) {
-        double v = base.metric(name);
-        m.emplace_back(name, v);
-        m.emplace_back(std::string(name) + "_ci_lo", v);
-        m.emplace_back(std::string(name) + "_ci_hi", v);
-        return v;
+    auto put = [&](std::string name, double v) {
+        m.emplace_back(std::move(name), v);
     };
-    if (spec.mode == JobMode::Pipeline) {
-        exact("ipc");
-        m.emplace_back("ipc_se", 0.0);
-        m.emplace_back("cycles", base.metric("cycles"));
-        m.emplace_back("dcache_miss_rate",
-                       base.metric("dcache_miss_rate"));
-        m.emplace_back("branch_accuracy",
-                       base.metric("branch_accuracy"));
-        exact("vp_coverage");
-        exact("vp_accuracy");
-        m.emplace_back("miss_load_coverage",
-                       base.metric("miss_load_coverage"));
-        m.emplace_back("miss_load_accuracy",
-                       base.metric("miss_load_accuracy"));
-        m.emplace_back("avg_value_delay",
-                       base.metric("avg_value_delay"));
-    } else {
-        exact("accuracy");
-        exact("coverage");
-        exact("gated_accuracy");
+    for (size_t c = 0; c < columns.size(); ++c) {
+        const std::string name = columns[c].name;
+        const runner::SampledAs how = columns[c].sampled;
+        put(name, est[c].mean);
+        if (how == runner::SampledAs::Interval ||
+            how == runner::SampledAs::Reciprocal) {
+            put(name + "_ci_lo", est[c].ciLo);
+            put(name + "_ci_hi", est[c].ciHi);
+        }
+        if (how == runner::SampledAs::Reciprocal)
+            put(name + "_se", est[c].stdError);
     }
-    appendSampleMeta(m, spec, 0, 1);
-    base.metrics = std::move(m);
-    return base;
+    put("sample_budget", static_cast<double>(spec.sampleBudget));
+    put("sample_window", static_cast<double>(spec.sampleWindow));
+    put("sample_windows", static_cast<double>(measuredWindows));
+    put("sample_strata", static_cast<double>(strata));
+    return m;
 }
 
 } // anonymous namespace
@@ -315,10 +217,18 @@ runSampledJob(const JobSpec &spec, workload::TraceCache *cache,
 
     if (spec.sampleBudget >= spec.instructions) {
         // The budget pays for the whole region: sampling would only
-        // add estimator noise on top of the exact answer.
+        // add estimator noise on top of the exact answer. The full
+        // run's result is laid out with zero-width intervals, so
+        // mixed sweeps stay column-compatible.
         JobSpec full = spec;
         full.sampleBudget = 0;
-        return degenerateResult(spec, runner::runJob(full, cache));
+        JobResult base = runner::runJob(full, cache);
+        std::vector<MetricEstimate> exact;
+        for (const auto &metric : base.metrics)
+            exact.push_back({metric.second, 0.0, metric.second,
+                             metric.second});
+        base.metrics = sampledMetrics(spec, exact, 0, 1);
+        return base;
     }
 
     GDIFF_OBS_SPAN("sample.job");
@@ -335,9 +245,9 @@ runSampledJob(const JobSpec &spec, workload::TraceCache *cache,
     std::vector<StratumKey> keys;
     {
         GDIFF_OBS_SPAN("sample.profile");
-        std::unique_ptr<workload::TraceSource> src =
-            openStream(spec, cache, &acq);
-        keys = profileStrata(*src, grid, threads);
+        acq = runner::openStream(spec, cache);
+        keys = profileStrata(*acq.source, grid, threads);
+        acq.source.reset();
     }
 
     // Group windows into strata in first-seen key order.
@@ -454,9 +364,7 @@ runSampledJob(const JobSpec &spec, workload::TraceCache *cache,
 
     // ---- Phase 3: stratified estimates, walking windows in id order
     // (aggregation must not depend on measurement completion order).
-    const size_t nMetrics = spec.mode == JobMode::Pipeline
-                                ? std::size(kPipelineMetrics)
-                                : std::size(kProfileMetrics);
+    const auto &columns = runner::metricColumns(spec.mode);
     std::vector<std::vector<const WindowResult *>> byStratum(H);
     uint64_t usedWindows = 0;
     for (const WindowResult &r : measured) {
@@ -485,8 +393,8 @@ runSampledJob(const JobSpec &spec, workload::TraceCache *cache,
     const double z = tQuantile975(
         usedWindows > activeStrata ? usedWindows - activeStrata : 1);
 
-    std::vector<MetricEstimate> est(nMetrics);
-    for (size_t m = 0; m < nMetrics; ++m) {
+    std::vector<MetricEstimate> est(columns.size());
+    for (size_t m = 0; m < columns.size(); ++m) {
         std::vector<StratumSamples> strata;
         for (size_t h = 0; h < H; ++h) {
             if (byStratum[h].empty())
@@ -503,35 +411,17 @@ runSampledJob(const JobSpec &spec, workload::TraceCache *cache,
         est[m] = stratifiedEstimate(strata, z);
     }
 
-    JobResult result;
-    auto interval = [&](const char *name, const MetricEstimate &e) {
-        result.metrics.emplace_back(name, e.mean);
-        result.metrics.emplace_back(std::string(name) + "_ci_lo",
-                                    e.ciLo);
-        result.metrics.emplace_back(std::string(name) + "_ci_hi",
-                                    e.ciHi);
-    };
-    if (spec.mode == JobMode::Pipeline) {
-        // IPC through CPI inversion: see kPipelineMetrics.
-        MetricEstimate ipc = invertEstimate(est[0]);
-        interval("ipc", ipc);
-        result.metrics.emplace_back("ipc_se", ipc.stdError);
-        result.metrics.emplace_back(
-            "cycles",
-            est[0].mean * static_cast<double>(spec.instructions));
-        result.metrics.emplace_back("dcache_miss_rate", est[1].mean);
-        result.metrics.emplace_back("branch_accuracy", est[2].mean);
-        interval("vp_coverage", est[3]);
-        interval("vp_accuracy", est[4]);
-        result.metrics.emplace_back("miss_load_coverage", est[5].mean);
-        result.metrics.emplace_back("miss_load_accuracy", est[6].mean);
-        result.metrics.emplace_back("avg_value_delay", est[7].mean);
-    } else {
-        interval("accuracy", est[0]);
-        interval("coverage", est[1]);
-        interval("gated_accuracy", est[2]);
+    // A Reciprocal column was estimated per record: scale that to the
+    // Total column after it, then invert it.
+    for (size_t c = 0; c < columns.size(); ++c) {
+        if (columns[c].sampled == runner::SampledAs::Reciprocal) {
+            est[c + 1].mean =
+                est[c].mean * static_cast<double>(spec.instructions);
+            est[c] = invertEstimate(est[c]);
+        }
     }
-    appendSampleMeta(result.metrics, spec, usedWindows, H);
+    JobResult result;
+    result.metrics = sampledMetrics(spec, est, usedWindows, H);
 
     if (obsOn) {
         obs::Registry &reg = obs::Registry::local();
@@ -539,7 +429,7 @@ runSampledJob(const JobSpec &spec, workload::TraceCache *cache,
         reg.addCount("sample.strata", H);
     }
 
-    result.traceReplayed = !acq.generated && cache != nullptr;
+    result.traceReplayed = !acq.generated;
     result.traceFromDisk = acq.fromDisk;
     result.traceGenerateSeconds = acq.generateSeconds;
     std::chrono::duration<double> dt =
@@ -553,12 +443,6 @@ runSampledJob(const JobSpec &spec, workload::TraceCache *cache,
             ? static_cast<double>(total) / result.wallSeconds
             : 0.0;
     return result;
-}
-
-void
-install()
-{
-    runner::setSampledJobRunner(&runSampledJob);
 }
 
 } // namespace sample

@@ -44,6 +44,12 @@
  *
  * A budget >= instructions degrades to one full simulation and
  * reports zero-width intervals (there is nothing left to sample).
+ *
+ * The sampler is part of the runner (it builds into gdiff_runner):
+ * runner::runJob() runs every spec with a sample budget through
+ * runSampledJob(), and each window is a runner job body
+ * (runner::measure) over a shorter runner::Stretch. The sampled
+ * columns are runner::metricColumns().
  */
 
 #ifndef GDIFF_SAMPLE_SAMPLE_HH
@@ -178,11 +184,11 @@ runner::JobResult runSampledJob(const runner::JobSpec &spec,
                                 unsigned threads);
 
 /**
- * Register runSampledJob as runner::runJob's sampled-spec handler.
- * Call once at startup from any binary that accepts sampled specs
- * (gdiffrun, gdiffd, tests, benches). Idempotent.
+ * Does nothing: runner::runJob() runs sampled specs itself. Kept for
+ * callers written when a binary had to register the sampler at
+ * startup.
  */
-void install();
+inline void install() {}
 
 } // namespace sample
 } // namespace gdiff

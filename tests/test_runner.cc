@@ -22,6 +22,7 @@
 #include "predictors/value_predictor.hh"
 #include "runner/factory.hh"
 #include "runner/runner.hh"
+#include "sample/sample.hh"
 #include "stats/table.hh"
 #include "util/parse.hh"
 
@@ -752,6 +753,33 @@ TEST(FactoryDeath, UnknownNamesAreFatal)
                 ::testing::ExitedWithCode(1), "unknown predictor");
     EXPECT_EXIT(makeScheme("psychic", 8, 0),
                 ::testing::ExitedWithCode(1), "unknown scheme");
+}
+
+// This binary never calls sample::install(): runJob() runs a sampled
+// spec itself, in either mode.
+TEST(SampledJob, RunJobRunsSampledSpecsWithoutInstall)
+{
+    JobSpec pipe;
+    pipe.mode = JobMode::Pipeline;
+    pipe.workload = "mcf";
+    pipe.scheme = "hgvq";
+    pipe.order = 32;
+    pipe.instructions = 50'000;
+    pipe.warmup = 10'000;
+    pipe.sampleBudget = 20'000;
+    JobSpec prof;
+    prof.workload = "gzip";
+    prof.predictor = "stride";
+    prof.instructions = 50'000;
+    prof.warmup = 10'000;
+    prof.sampleBudget = 20'000;
+    for (const JobSpec &spec : {pipe, prof}) {
+        workload::TraceCache cache;
+        JobResult direct = sample::runSampledJob(spec, &cache, 2);
+        JobResult routed = runJob(spec, &cache, 2);
+        EXPECT_EQ(routed.metrics, direct.metrics) << spec.label();
+        EXPECT_GT(routed.metric("sample_windows"), 0.0) << spec.label();
+    }
 }
 
 } // namespace

@@ -736,16 +736,145 @@ TEST(SampledJob, ProfileModeReportsAccuracyIntervals)
     EXPECT_EQ(r.metric("sample_windows"), 4.0);
 }
 
-TEST(SampledJob, RunJobRoutesSampledSpecsThroughTheHook)
+// ------------------------------------------------- pinned results
+
+/** One metric of a pinned result, its value as exact bits. */
+struct Pin
 {
-    sample::install();
-    workload::TraceCache cache;
+    const char *name;
+    double value;
+};
+
+/** Check @p r's whole metric vector, names, order and bits. */
+void
+expectPinned(const runner::JobResult &r, const std::vector<Pin> &want)
+{
+    ASSERT_EQ(r.metrics.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(r.metrics[i].first, want[i].name) << i;
+        EXPECT_EQ(r.metrics[i].second, want[i].value) << want[i].name;
+    }
+}
+
+runner::JobSpec
+hgvqSpec()
+{
     runner::JobSpec spec = pipelineSpec();
-    runner::JobResult direct = runSampledJob(spec, &cache, 2);
-    runner::JobResult routed = runner::runJob(spec, &cache, 2);
-    EXPECT_EQ(direct.metric("ipc"), routed.metric("ipc"));
-    EXPECT_EQ(direct.metric("sample_windows"),
-              routed.metric("sample_windows"));
+    spec.scheme = "hgvq";
+    return spec;
+}
+
+runner::JobSpec
+gdiffProfileSpec()
+{
+    runner::JobSpec spec;
+    spec.mode = runner::JobMode::Profile;
+    spec.workload = "gzip";
+    spec.predictor = "gdiff";
+    spec.order = 8;
+    spec.seed = 1;
+    spec.instructions = 50'000;
+    spec.warmup = 10'000;
+    spec.sampleBudget = 20'000;
+    spec.sampleWindow = 4096;
+    return spec;
+}
+
+// The pins below were captured before the sampler's windows ran the
+// runner's own job bodies; any change to a sampled column's value,
+// name or position fails here.
+
+TEST(SampledPins, PipelineHgvqJob)
+{
+    workload::TraceCache cache;
+    expectPinned(runSampledJob(hgvqSpec(), &cache, 2), {
+        {"ipc", 0x1.344b8e0b187b5p+1},
+        {"ipc_ci_lo", 0x1.1aec584300c5bp+1},
+        {"ipc_ci_hi", 0x1.52aa7a6cbc474p+1},
+        {"ipc_se", 0x1.9b34db7952a1p-5},
+        {"cycles", 0x1.445d505cca262p+14},
+        {"dcache_miss_rate", 0x1.d24f55fa4e1c6p-3},
+        {"branch_accuracy", 0x1.e8739f3c956dep-1},
+        {"vp_coverage", 0x1.d00a05572708cp-1},
+        {"vp_coverage_ci_lo", 0x1.b910fe086ead2p-1},
+        {"vp_coverage_ci_hi", 0x1.e7030ca5df646p-1},
+        {"vp_accuracy", 0x1.a7209c28ee03ap-1},
+        {"vp_accuracy_ci_lo", 0x1.910a9f428272ep-1},
+        {"vp_accuracy_ci_hi", 0x1.bd36990f59946p-1},
+        {"miss_load_coverage", 0x1.ad575e91faaa4p-1},
+        {"miss_load_accuracy", 0x1.50d963f8920ep-1},
+        {"avg_value_delay", 0x1.5d6b049592b76p+4},
+        {"sample_budget", 0x1.388p+14},
+        {"sample_window", 0x1p+12},
+        {"sample_windows", 0x1p+2},
+        {"sample_strata", 0x1p+1},
+    });
+}
+
+TEST(SampledPins, ProfileGdiffJob)
+{
+    workload::TraceCache cache;
+    expectPinned(runSampledJob(gdiffProfileSpec(), &cache, 2), {
+        {"accuracy", 0x1.596a7dec8c5f2p-1},
+        {"accuracy_ci_lo", 0x1.527a102369556p-1},
+        {"accuracy_ci_hi", 0x1.605aebb5af68ep-1},
+        {"coverage", 0x1.67777e011b425p-1},
+        {"coverage_ci_lo", 0x1.5c4e49dceffb8p-1},
+        {"coverage_ci_hi", 0x1.72a0b22546892p-1},
+        {"gated_accuracy", 0x1.e70ebd77de8bap-1},
+        {"gated_accuracy_ci_lo", 0x1.e4493004713e3p-1},
+        {"gated_accuracy_ci_hi", 0x1.e9d44aeb4bd91p-1},
+        {"sample_budget", 0x1.388p+14},
+        {"sample_window", 0x1p+12},
+        {"sample_windows", 0x1p+2},
+        {"sample_strata", 0x1p+0},
+    });
+}
+
+TEST(SampledPins, BudgetCoveringRegionInEitherMode)
+{
+    workload::TraceCache cache;
+    runner::JobSpec pipe = hgvqSpec();
+    pipe.sampleBudget = pipe.instructions;
+    expectPinned(runSampledJob(pipe, &cache, 2), {
+        {"ipc", 0x1.31e22b951029bp+1},
+        {"ipc_ci_lo", 0x1.31e22b951029bp+1},
+        {"ipc_ci_hi", 0x1.31e22b951029bp+1},
+        {"ipc_se", 0x0p+0},
+        {"cycles", 0x1.46ecp+14},
+        {"dcache_miss_rate", 0x1.d4660556dd235p-3},
+        {"branch_accuracy", 0x1.ea3a3b9d8156dp-1},
+        {"vp_coverage", 0x1.9f9ac90d66712p-1},
+        {"vp_coverage_ci_lo", 0x1.9f9ac90d66712p-1},
+        {"vp_coverage_ci_hi", 0x1.9f9ac90d66712p-1},
+        {"vp_accuracy", 0x1.6834a8b86dfd3p-1},
+        {"vp_accuracy_ci_lo", 0x1.6834a8b86dfd3p-1},
+        {"vp_accuracy_ci_hi", 0x1.6834a8b86dfd3p-1},
+        {"miss_load_coverage", 0x1.af6060c8ca98ep-1},
+        {"miss_load_accuracy", 0x1.5215379d6a318p-1},
+        {"avg_value_delay", 0x1.5c92c580da65bp+4},
+        {"sample_budget", 0x1.86ap+15},
+        {"sample_window", 0x1p+12},
+        {"sample_windows", 0x0p+0},
+        {"sample_strata", 0x1p+0},
+    });
+    runner::JobSpec prof = gdiffProfileSpec();
+    prof.sampleBudget = prof.instructions + 1;
+    expectPinned(runSampledJob(prof, &cache, 2), {
+        {"accuracy", 0x1.5960eb8cbd2c8p-1},
+        {"accuracy_ci_lo", 0x1.5960eb8cbd2c8p-1},
+        {"accuracy_ci_hi", 0x1.5960eb8cbd2c8p-1},
+        {"coverage", 0x1.66ea6ff3dd3d6p-1},
+        {"coverage_ci_lo", 0x1.66ea6ff3dd3d6p-1},
+        {"coverage_ci_hi", 0x1.66ea6ff3dd3d6p-1},
+        {"gated_accuracy", 0x1.e77444a11fdf6p-1},
+        {"gated_accuracy_ci_lo", 0x1.e77444a11fdf6p-1},
+        {"gated_accuracy_ci_hi", 0x1.e77444a11fdf6p-1},
+        {"sample_budget", 0x1.86a2p+15},
+        {"sample_window", 0x1p+12},
+        {"sample_windows", 0x0p+0},
+        {"sample_strata", 0x1p+0},
+    });
 }
 
 TEST(SampledJobDeath, RejectsFullTraceSpec)

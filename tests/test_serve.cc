@@ -25,7 +25,6 @@
 #include "runner/runner.hh"
 #include "runner/sinks.hh"
 #include "runner/sweep_spec.hh"
-#include "sample/sample.hh"
 #include "serve/client.hh"
 #include "serve/daemon.hh"
 #include "serve/protocol.hh"
@@ -308,11 +307,9 @@ TEST(DaemonTest, ResultsBitIdenticalToInProcessSweep)
 
 TEST(DaemonTest, SampledResultsBitIdenticalToInProcessSweep)
 {
-    // A sampled submit must flow through the daemon to the installed
-    // sampled runner and come back — sample knobs, point estimates,
-    // and CI columns — byte-identical to gdiffrun --sample-budget of
-    // the same grid.
-    sample::install();
+    // A sampled submit must flow through the daemon to the sampler
+    // and come back — sample knobs, point estimates, and CI columns —
+    // byte-identical to gdiffrun --sample-budget of the same grid.
     DaemonConfig cfg;
     cfg.socketPath = testSocketPath();
     cfg.workers = 2;
@@ -374,7 +371,6 @@ TEST(DaemonTest, SampledResultsBitIdenticalToInProcessSweep)
 
 TEST(DaemonTest, InvalidSampleSpecGetsAnErrorFrameNotACrash)
 {
-    sample::install();
     DaemonConfig cfg;
     cfg.socketPath = testSocketPath();
     cfg.workers = 1;

@@ -17,7 +17,6 @@
 
 #include "check/snapshot.hh"
 #include "runner/runner.hh"
-#include "sample/sample.hh"
 
 namespace gdiff {
 namespace {
@@ -265,7 +264,6 @@ TEST(Snapshot, OverlappingIntervalsSuppressTheDelta)
 
 TEST(Snapshot, SinkFreezesARealSweepDeterministically)
 {
-    sample::install();
     std::string pathA = testPath("sweep_a.snap");
     std::string pathB = testPath("sweep_b.snap");
     runner::SweepSpec spec = runner::SweepSpec::parseGrid(
