@@ -97,12 +97,15 @@ GDiff2Predictor::trainWithWindow(uint64_t pc, const ValueWindow &window,
     Entry &e = table.lookup(pc);
     unsigned n = window.count < cfg.order ? window.count : cfg.order;
 
-    // Fresh residuals.
-    std::vector<int64_t> cur_single(cfg.order, 0);
-    std::vector<int64_t> cur_add(
-        static_cast<size_t>(cfg.order) * (cfg.order - 1) / 2, 0);
-    std::vector<int64_t> cur_sub(
-        static_cast<size_t>(cfg.order) * (cfg.order - 1), 0);
+    // Fresh residuals, into scratch that swaps with the entry's
+    // arrays below, so no update allocates once each has been trained.
+    std::vector<int64_t> &cur_single = scratch.single;
+    std::vector<int64_t> &cur_add = scratch.pairAdd;
+    std::vector<int64_t> &cur_sub = scratch.pairSub;
+    cur_single.assign(cfg.order, 0);
+    cur_add.assign(static_cast<size_t>(cfg.order) * (cfg.order - 1) / 2,
+                   0);
+    cur_sub.assign(static_cast<size_t>(cfg.order) * (cfg.order - 1), 0);
     for (unsigned i = 0; i < n; ++i)
         cur_single[i] = wrapSub(actual, window[i]);
     for (unsigned j = 0; j < n; ++j) {
@@ -164,9 +167,9 @@ GDiff2Predictor::trainWithWindow(uint64_t pc, const ValueWindow &window,
     }
     // As with gdiff, the fresh residuals replace the stored ones and
     // an unmatched update leaves the selected form alone.
-    e.single = std::move(cur_single);
-    e.pairAdd = std::move(cur_add);
-    e.pairSub = std::move(cur_sub);
+    e.single.swap(cur_single);
+    e.pairAdd.swap(cur_add);
+    e.pairSub.swap(cur_sub);
     e.count = static_cast<uint8_t>(n);
 }
 

@@ -97,6 +97,8 @@ class GDiff2Predictor : public predictors::ValuePredictor
 
     GDiff2Config cfg;
     predictors::PcIndexedTable<Entry> table;
+    /// trainWithWindow's residual arrays; swapped with the entry's
+    Entry scratch;
     GlobalValueQueue gvq;
     uint64_t singleSelections = 0;
     uint64_t pairSelections = 0;

@@ -60,30 +60,21 @@ Executor::Executor(isa::Program program)
     : prog(std::move(program))
 {
     GDIFF_ASSERT(prog.size() > 0, "cannot execute an empty program");
+    // A record's flags are its static instruction's plus the taken
+    // bit, so they are decoded once per program, not per record.
+    staticFlags.reserve(prog.size());
+    TraceRecord r;
+    for (const Instruction &inst : prog.text()) {
+        r.inst = inst;
+        staticFlags.push_back(TraceChunk::deriveFlags(r));
+    }
 }
 
-bool
-Executor::next(TraceRecord &out)
+inline __attribute__((always_inline)) Executor::Outcome
+Executor::execute(const Instruction &inst, uint32_t index)
 {
-    if (isHalted)
-        return false;
-    GDIFF_ASSERT(pcIndex < prog.size(),
-                 "pc index %u fell off the end of program '%s'",
-                 pcIndex, prog.name().c_str());
-
-    const Instruction &inst = prog.at(pcIndex);
-
-    if (inst.op == Opcode::Halt) {
-        isHalted = true;
-        return false;
-    }
-
-    out = TraceRecord();
-    out.inst = inst;
-    out.seq = seq;
-    out.pc = isa::indexToPc(pcIndex);
-
-    uint32_t next_index = pcIndex + 1;
+    Outcome out;
+    out.nextIndex = index + 1;
     int64_t a = regs[inst.rs1];
     int64_t b = regs[inst.rs2];
     int64_t result = 0;
@@ -145,49 +136,49 @@ Executor::next(TraceRecord &out)
       case Opcode::Beq:
         out.taken = (a == b);
         if (out.taken)
-            next_index = inst.target;
+            out.nextIndex = inst.target;
         break;
       case Opcode::Bne:
         out.taken = (a != b);
         if (out.taken)
-            next_index = inst.target;
+            out.nextIndex = inst.target;
         break;
       case Opcode::Blt:
         out.taken = (a < b);
         if (out.taken)
-            next_index = inst.target;
+            out.nextIndex = inst.target;
         break;
       case Opcode::Bge:
         out.taken = (a >= b);
         if (out.taken)
-            next_index = inst.target;
+            out.nextIndex = inst.target;
         break;
 
       case Opcode::Jump:
         out.taken = true;
-        next_index = inst.target;
+        out.nextIndex = inst.target;
         break;
       case Opcode::Jal:
         out.taken = true;
-        result = static_cast<int64_t>(isa::indexToPc(pcIndex + 1));
+        result = static_cast<int64_t>(isa::indexToPc(index + 1));
         writes = true;
-        next_index = inst.target;
+        out.nextIndex = inst.target;
         break;
       case Opcode::Jr:
         out.taken = true;
-        next_index = isa::pcToIndex(static_cast<uint64_t>(a));
+        out.nextIndex = isa::pcToIndex(static_cast<uint64_t>(a));
         break;
       case Opcode::Jalr:
         out.taken = true;
-        result = static_cast<int64_t>(isa::indexToPc(pcIndex + 1));
+        result = static_cast<int64_t>(isa::indexToPc(index + 1));
         writes = true;
-        next_index = isa::pcToIndex(static_cast<uint64_t>(a));
+        out.nextIndex = isa::pcToIndex(static_cast<uint64_t>(a));
         break;
 
       case Opcode::Nop:
         break;
       case Opcode::Halt:
-        // handled above
+        // the callers stop before Halt
         break;
     }
 
@@ -195,9 +186,33 @@ Executor::next(TraceRecord &out)
         setReg(inst.rd, result);
     // Report the architecturally produced value (reads of r0 stay 0).
     out.value = (writes && inst.rd != isa::reg::zero) ? result : 0;
+    return out;
+}
 
-    out.nextPc = isa::indexToPc(next_index);
-    pcIndex = next_index;
+bool
+Executor::next(TraceRecord &out)
+{
+    if (isHalted)
+        return false;
+    GDIFF_ASSERT(pcIndex < prog.size(),
+                 "pc index %u fell off the end of program '%s'",
+                 pcIndex, prog.name().c_str());
+
+    const Instruction &inst = prog.at(pcIndex);
+    if (inst.op == Opcode::Halt) {
+        isHalted = true;
+        return false;
+    }
+
+    const Outcome o = execute(inst, pcIndex);
+    out.inst = inst;
+    out.seq = seq;
+    out.pc = isa::indexToPc(pcIndex);
+    out.nextPc = isa::indexToPc(o.nextIndex);
+    out.value = o.value;
+    out.effAddr = o.effAddr;
+    out.taken = o.taken;
+    pcIndex = o.nextIndex;
     ++seq;
     return true;
 }
@@ -206,10 +221,40 @@ bool
 Executor::fill(TraceChunk &chunk)
 {
     chunk.clear();
-    TraceRecord r;
-    while (!chunk.full() && next(r))
-        chunk.push(r);
-    return !chunk.empty();
+    if (isHalted)
+        return false;
+    // Locals, not members: the column stores would otherwise force
+    // reloads of anything they might alias.
+    const Instruction *text = prog.text().data();
+    const uint8_t *flagsOf = staticFlags.data();
+    const uint32_t textSize = static_cast<uint32_t>(prog.size());
+    uint32_t index = pcIndex;
+    uint64_t s = seq;
+    uint32_t n = 0;
+    for (; n < TraceChunk::capacity; ++n) {
+        GDIFF_ASSERT(index < textSize,
+                     "pc index %u fell off the end of program '%s'",
+                     index, prog.name().c_str());
+        const Instruction &inst = text[index];
+        if (inst.op == Opcode::Halt) {
+            isHalted = true;
+            break;
+        }
+        const Outcome o = execute(inst, index);
+        chunk.inst[n] = inst;
+        chunk.seq[n] = s++;
+        chunk.pc[n] = isa::indexToPc(index);
+        chunk.nextPc[n] = isa::indexToPc(o.nextIndex);
+        chunk.value[n] = o.value;
+        chunk.effAddr[n] = o.effAddr;
+        chunk.flags[n] = static_cast<uint8_t>(
+            flagsOf[index] | (o.taken ? TraceChunk::flagTaken : 0));
+        index = o.nextIndex;
+    }
+    pcIndex = index;
+    seq = s;
+    chunk.size = n;
+    return n > 0;
 }
 
 } // namespace workload

@@ -18,6 +18,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "isa/program.hh"
 #include "workload/memory.hh"
@@ -41,10 +42,11 @@ class Executor : public TraceSource
     bool next(TraceRecord &out) override;
 
     /**
-     * Execute up to TraceChunk::capacity instructions and emit them
-     * as one structure-of-arrays batch. Equivalent to pumping next():
-     * the chunked and per-record streams are record-identical (pinned
-     * by tests/test_trace_cache.cc).
+     * Execute up to TraceChunk::capacity instructions and write them
+     * straight into the chunk's columns, with no TraceRecord between.
+     * Equivalent to pumping next(): both run the same instruction
+     * body, and the chunked and per-record streams are record-identical
+     * (pinned by tests/test_trace_cache.cc).
      */
     bool fill(TraceChunk &chunk) override;
 
@@ -79,7 +81,25 @@ class Executor : public TraceSource
     const isa::Program &program() const { return prog; }
 
   private:
+    /** What executing one instruction adds to its static part. */
+    struct Outcome
+    {
+        int64_t value = 0;    ///< architecturally produced value
+        uint64_t effAddr = 0; ///< effective address (loads/stores)
+        bool taken = false;   ///< control-flow outcome
+        uint32_t nextIndex = 0; ///< instruction index executed next
+    };
+
+    /**
+     * The one instruction body next() and fill() share: execute
+     * @p inst at instruction index @p index against the registers and
+     * memory. Never called for Halt.
+     */
+    Outcome execute(const isa::Instruction &inst, uint32_t index);
+
     isa::Program prog;
+    /// TraceChunk flags of each static instruction, without flagTaken
+    std::vector<uint8_t> staticFlags;
     Memory mem;
     std::array<int64_t, isa::numRegs> regs{};
     uint32_t pcIndex = 0;

@@ -1,30 +1,28 @@
 #include "workload/memory.hh"
 
-#include "util/logging.hh"
-
 namespace gdiff {
 namespace workload {
 
-int64_t
-Memory::read64(uint64_t addr) const
+Memory::Page *
+Memory::findPage(uint64_t pageNo) const
 {
-    GDIFF_ASSERT((addr & 7) == 0, "unaligned read at 0x%llx",
-                 static_cast<unsigned long long>(addr));
-    auto it = pages.find(addr >> pageShift);
+    auto it = pages.find(pageNo);
     if (it == pages.end())
-        return 0;
-    return (*it->second)[(addr & (pageBytes - 1)) >> 3];
+        return nullptr;
+    cachedPageNo = pageNo;
+    cachedPage = it->second.get();
+    return cachedPage;
 }
 
-void
-Memory::write64(uint64_t addr, int64_t value)
+Memory::Page *
+Memory::touchPage(uint64_t pageNo)
 {
-    GDIFF_ASSERT((addr & 7) == 0, "unaligned write at 0x%llx",
-                 static_cast<unsigned long long>(addr));
-    auto &page = pages[addr >> pageShift];
+    auto &page = pages[pageNo];
     if (!page)
         page = std::make_unique<Page>();
-    (*page)[(addr & (pageBytes - 1)) >> 3] = value;
+    cachedPageNo = pageNo;
+    cachedPage = page.get();
+    return cachedPage;
 }
 
 } // namespace workload

@@ -60,12 +60,16 @@ struct TraceRecord
  * Columns are parallel: element i of every array describes dynamic
  * instruction i of the chunk. The classification a consumer would
  * otherwise re-derive per record (produces-value, load, store,
- * control) is pre-decoded into a flags byte at push() time so the
- * profile loops reduce to a flag test plus column reads.
+ * control) is pre-decoded into a flags byte so the profile loops
+ * reduce to a flag test plus column reads. push() derives it from a
+ * record; Executor::fill() writes the columns directly and takes the
+ * flags from a per-program table of deriveFlags() over the static
+ * instructions, OR'd with flagTaken.
  *
  * Chunks are ~230 KiB; heap-allocate them (the consumers and the
  * TraceSource base class do) rather than placing one on the stack of
- * a deep call chain.
+ * a deep call chain. A generated MaterializedTrace keeps all of its
+ * chunks in one slab (workload/trace_cache.hh).
  */
 struct TraceChunk
 {

@@ -1,8 +1,14 @@
 #include "workload/trace_cache.hh"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
+#include <new>
+#include <type_traits>
 
 #include "obs/obs.hh"
 #include "util/logging.hh"
@@ -78,10 +84,82 @@ struct MaterializedTrace::DiskImage
     std::atomic<const MaterializedTrace *> replaced{nullptr};
 };
 
+/**
+ * One anonymous mapping of blocks at a stride of sizeof(TraceChunk)
+ * rounded up to a cache line. Each block is default-initialised, not
+ * zeroed, when it is handed out, and unmapping the slab frees them all
+ * at once.
+ */
+class MaterializedTrace::Slab
+{
+  public:
+    explicit Slab(size_t blocks)
+        : bytes(roundUp(blocks * stride,
+                        static_cast<size_t>(sysconf(_SC_PAGESIZE))))
+    {
+        // Below one huge page the advice would only round a short
+        // trace up to 2 MiB of resident memory. Above it the length is
+        // not rounded up either: the kernel backs only whole aligned
+        // 2 MiB stretches with huge pages, so the tail past the last
+        // one faults in 4 KiB pages and the unused end stays unbacked.
+        const bool huge = bytes >= hugePage;
+        const size_t slack = huge ? hugePage : 0;
+        void *map = mmap(nullptr, bytes + slack, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (map == MAP_FAILED)
+            throw std::bad_alloc();
+        // Keep the 2 MiB-aligned stretch and give back the rest.
+        const uintptr_t start = reinterpret_cast<uintptr_t>(map);
+        const uintptr_t aligned = huge ? roundUp(start, hugePage) : start;
+        if (aligned > start)
+            munmap(map, aligned - start);
+        if (start + slack > aligned)
+            munmap(reinterpret_cast<void *>(aligned + bytes),
+                   start + slack - aligned);
+        base = reinterpret_cast<uint8_t *>(aligned);
+#ifdef MADV_HUGEPAGE
+        // Advice only: without transparent huge pages the slab is
+        // faulted in 4 KiB at a time, as before.
+        if (huge)
+            madvise(base, bytes, MADV_HUGEPAGE);
+#endif
+    }
+
+    ~Slab() { munmap(base, bytes); }
+
+    Slab(const Slab &) = delete;
+    Slab &operator=(const Slab &) = delete;
+
+    /** @return block @p i, default-initialised (not zeroed). */
+    TraceChunk *
+    block(size_t i)
+    {
+        return new (base + i * stride) TraceChunk;
+    }
+
+  private:
+    static constexpr size_t hugePage = size_t(2) << 20;
+    static constexpr size_t stride = (sizeof(TraceChunk) + 63) & ~size_t(63);
+
+    static size_t
+    roundUp(size_t v, size_t to)
+    {
+        return (v + to - 1) / to * to;
+    }
+
+    uint8_t *base = nullptr;
+    size_t bytes;
+};
+
+// ~Slab unmaps the blocks without running their destructors.
+static_assert(std::is_trivially_destructible_v<TraceChunk>);
+
 MaterializedTrace::MaterializedTrace() = default;
 
 MaterializedTrace::~MaterializedTrace()
 {
+    if (slab)
+        return;
     for (size_t i = 0; i < numBlocks; ++i)
         delete slots[i].load(std::memory_order_relaxed);
 }
@@ -98,9 +176,10 @@ MaterializedTrace::generate(const std::string &workload, uint64_t seed,
     const size_t maxBlocks =
         static_cast<size_t>(maxRecords / TraceChunk::capacity) + 1;
     trace->slots = std::make_unique<std::atomic<TraceChunk *>[]>(maxBlocks);
+    trace->slab = std::make_unique<Slab>(maxBlocks);
     uint64_t remaining = maxRecords;
     while (remaining > 0 && trace->numBlocks < maxBlocks) {
-        auto chunk = std::make_unique<TraceChunk>();
+        TraceChunk *chunk = trace->slab->block(trace->numBlocks);
         if (!exec->fill(*chunk))
             break;
         // Trim the final chunk to the requested budget so the frozen
@@ -109,7 +188,7 @@ MaterializedTrace::generate(const std::string &workload, uint64_t seed,
             chunk->size = static_cast<uint32_t>(remaining);
         remaining -= chunk->size;
         trace->recordCount += chunk->size;
-        trace->slots[trace->numBlocks++].store(chunk.release(),
+        trace->slots[trace->numBlocks++].store(chunk,
                                                std::memory_order_relaxed);
     }
     trace->decodedCount.store(trace->numBlocks,

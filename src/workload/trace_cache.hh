@@ -57,14 +57,23 @@ class DiskTraceCache;
  * records. Shared read-only between any number of replaying jobs.
  *
  * A block is in one of two states. A generated trace has every block
- * decoded. A trace backed by the disk tier (loaded on a hit, or
- * encoded on a miss) holds the verified v3 image and its block index,
- * and decodes a block the first time a reader touches it; the
- * decoded block is published once (an atomic slot, first writer
- * wins) and stays for the trace's lifetime, so a trace that is
- * replayed in full many times is decoded once. Readers that need only
- * the pc and value columns (the sampler's profiling pass) get them
- * decoded into their own scratch, and nothing is published.
+ * decoded, and all of its blocks live in one slab: a single mapping
+ * of records / capacity + 1 blocks, each 64-byte aligned and
+ * default-initialised rather than zeroed, which the executor fills in
+ * place (bytes() still counts sizeof(TraceChunk) a block). A slab of
+ * 2 MiB or more is 2 MiB aligned and advised into transparent huge
+ * pages, so a generation faults its memory in 2 MiB at a time rather
+ * than 4 KiB; a smaller one is not, so a short trace holds no huge
+ * page. Dropping the trace unmaps the slab at once.
+ *
+ * A trace backed by the disk tier (loaded on a hit, or encoded on a
+ * miss) holds the verified v3 image and its block index, and decodes
+ * a block the first time a reader touches it; the decoded block is
+ * published once (an atomic slot, first writer wins) and stays for
+ * the trace's lifetime, so a trace that is replayed in full many
+ * times is decoded once. Readers that need only the pc and value
+ * columns (the sampler's profiling pass) get them decoded into their
+ * own scratch, and nothing is published.
  *
  * Every digest of a disk image was checked at load, so a block can
  * fail to decode only in a file whose digests were forged. That
@@ -142,6 +151,8 @@ class MaterializedTrace
   private:
     /// a disk-loaded trace's image, index and fallback state
     struct DiskImage;
+    /// the one mapping that holds a generated trace's blocks
+    class Slab;
 
     /** @return the fallback trace once it has replaced this one. */
     const MaterializedTrace *replacement() const;
@@ -152,8 +163,11 @@ class MaterializedTrace
     /** Switch to the fallback trace (once) after @p why. */
     const MaterializedTrace &fallBack(const TraceIoResult &why) const;
 
-    /// decoded blocks, null until first touched; owned
+    /// decoded blocks, null until first touched; in @c slab for a
+    /// generated trace, else owned
     std::unique_ptr<std::atomic<TraceChunk *>[]> slots;
+    /// null for a disk-loaded trace
+    std::unique_ptr<Slab> slab;
     size_t numBlocks = 0;
     uint64_t recordCount = 0;
     /// null for a generated trace

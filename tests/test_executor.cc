@@ -302,6 +302,55 @@ TEST(Memory, AlignedSparseAccess)
     EXPECT_EQ(m.read64(0x5000), 0);
 }
 
+// The one-page cache in front of the page map must never change what
+// a read returns or which pages exist.
+
+TEST(Memory, ReadMissAfterCachedPageAllocatesNothing)
+{
+    Memory m;
+    m.write64(0x5000, 7);
+    EXPECT_EQ(m.read64(0x5008), 0); // the cached page, unwritten word
+    const size_t pages = m.allocatedPages();
+    EXPECT_EQ(m.read64(0x6000), 0); // absent page right after it
+    EXPECT_EQ(m.allocatedPages(), pages);
+    EXPECT_EQ(m.read64(0x5000), 7);
+}
+
+TEST(Memory, WriteAfterReadMissAllocates)
+{
+    Memory m;
+    EXPECT_EQ(m.read64(0x9000), 0);
+    EXPECT_EQ(m.allocatedPages(), 0u);
+    m.write64(0x9000, -5);
+    EXPECT_EQ(m.allocatedPages(), 1u);
+    EXPECT_EQ(m.read64(0x9000), -5);
+}
+
+TEST(Memory, AlternatingPagesReadBack)
+{
+    Memory m;
+    for (int64_t i = 0; i < 64; ++i) {
+        m.write64(0x1000 + 8 * static_cast<uint64_t>(i), i);
+        m.write64(0x20000 + 8 * static_cast<uint64_t>(i), -i);
+    }
+    EXPECT_EQ(m.allocatedPages(), 2u);
+    for (int64_t i = 0; i < 64; ++i) {
+        EXPECT_EQ(m.read64(0x1000 + 8 * static_cast<uint64_t>(i)), i);
+        EXPECT_EQ(m.read64(0x20000 + 8 * static_cast<uint64_t>(i)), -i);
+    }
+}
+
+TEST(Memory, ReadAfterClearIsZero)
+{
+    Memory m;
+    m.write64(0x3000, 11);
+    EXPECT_EQ(m.read64(0x3000), 11); // cached
+    m.clear();
+    EXPECT_EQ(m.allocatedPages(), 0u);
+    EXPECT_EQ(m.read64(0x3000), 0);
+    EXPECT_EQ(m.allocatedPages(), 0u);
+}
+
 TEST(MemoryDeath, UnalignedAccess)
 {
     Memory m;

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -20,6 +22,7 @@
 
 #include "runner/runner.hh"
 #include "sim/profile.hh"
+#include "util/varint.hh"
 #include "workload/executor.hh"
 #include "workload/trace_cache.hh"
 #include "workload/workload.hh"
@@ -94,6 +97,136 @@ TEST(TraceChunkTest, FillMatchesPerRecordNextForEveryKernel)
             }
         }
         EXPECT_EQ(seen, budget) << name;
+    }
+}
+
+/** FNV-1a over every column of a stream, one record at a time. */
+class StreamDigest
+{
+  public:
+    void
+    add(const TraceChunk &c, uint32_t i)
+    {
+        add(c.inst[i], c.seq[i], c.pc[i], c.nextPc[i], c.value[i],
+            c.effAddr[i], c.flags[i]);
+    }
+
+    void
+    add(const TraceRecord &r)
+    {
+        add(r.inst, r.seq, r.pc, r.nextPc, r.value, r.effAddr,
+            TraceChunk::deriveFlags(r));
+    }
+
+    uint64_t value() const { return h; }
+
+  private:
+    void
+    add(const isa::Instruction &inst, uint64_t seq, uint64_t pc,
+        uint64_t nextPc, int64_t value, uint64_t effAddr, uint8_t flags)
+    {
+        fold(inst.op);
+        fold(inst.rd);
+        fold(inst.rs1);
+        fold(inst.rs2);
+        fold(inst.target);
+        fold(inst.imm);
+        fold(seq);
+        fold(pc);
+        fold(nextPc);
+        fold(value);
+        fold(effAddr);
+        fold(flags);
+    }
+
+    template <class T>
+    void
+    fold(T v)
+    {
+        h = codec::fnv1a(&v, sizeof v, h);
+    }
+
+    uint64_t h = codec::fnvOffsetBasis;
+};
+
+/**
+ * Pins the generated stream itself: the digest of every column of the
+ * first 300k records of each kernel at seeds 1 and 7, as the executor
+ * produced them before it wrote chunk columns directly. Each digest is
+ * checked through Executor::fill, through Executor::next and through a
+ * TraceCache replay of the generated trace, so the test fails if the
+ * paths change together (FillMatchesPerRecordNextForEveryKernel would
+ * not).
+ */
+TEST(TraceChunkTest, GeneratedStreamsMatchPinnedDigests)
+{
+    constexpr uint64_t records = 300'000;
+    struct Pin
+    {
+        const char *kernel;
+        uint64_t seed;
+        uint64_t digest;
+    };
+    const Pin pins[] = {
+        {"bzip2", 1, 0xd68714a0eca5ac6aull},
+        {"bzip2", 7, 0xbdd0ba9aacac9f5cull},
+        {"gap", 1, 0x360b9a9bae13c329ull},
+        {"gap", 7, 0xf2629a92cd12c198ull},
+        {"gcc", 1, 0x978289a19a4badb8ull},
+        {"gcc", 7, 0x46a4e9cc8fe10946ull},
+        {"gzip", 1, 0xd8f5fee1a39bdf3eull},
+        {"gzip", 7, 0xefa538a7c702da72ull},
+        {"mcf", 1, 0x3f7cde25739f1361ull},
+        {"mcf", 7, 0x90715ddc6f629517ull},
+        {"parser", 1, 0x4b971d149eaa10fcull},
+        {"parser", 7, 0xd735a980507b4a07ull},
+        {"perl", 1, 0x09334ba5a17a5262ull},
+        {"perl", 7, 0xf6c5f9e11e9ee70eull},
+        {"twolf", 1, 0xc716f0e41ec4324dull},
+        {"twolf", 7, 0x74545120209e8f4aull},
+        {"vortex", 1, 0x73690ae268dcb66bull},
+        {"vortex", 7, 0x2a0af67ffa30a34eull},
+        {"vpr", 1, 0x690af150af187c82ull},
+        {"vpr", 7, 0xfcd63172f6849021ull},
+    };
+    ASSERT_EQ(std::size(pins), 2 * specWorkloadNames().size());
+    auto chunk = std::make_unique<TraceChunk>();
+    for (const Pin &p : pins) {
+        const std::string what =
+            std::string(p.kernel) + " seed " + std::to_string(p.seed);
+
+        StreamDigest filled;
+        uint64_t seen = 0;
+        auto exec = makeWorkload(p.kernel, p.seed).makeExecutor();
+        while (seen < records && exec->fill(*chunk))
+            for (uint32_t i = 0; i < chunk->size && seen < records;
+                 ++i, ++seen)
+                filled.add(*chunk, i);
+        ASSERT_EQ(seen, records) << what;
+
+        StreamDigest stepped;
+        auto single = makeWorkload(p.kernel, p.seed).makeExecutor();
+        TraceRecord r;
+        for (seen = 0; seen < records && single->next(r); ++seen)
+            stepped.add(r);
+        ASSERT_EQ(seen, records) << what;
+
+        StreamDigest replayed;
+        TraceCache cache;
+        auto acq = cache.acquire(p.kernel, p.seed, records);
+        ASSERT_TRUE(acq.generated) << what;
+        seen = 0;
+        while (const TraceChunk *c = acq.source->fillRef(*chunk))
+            for (uint32_t i = 0; i < c->size; ++i, ++seen)
+                replayed.add(*c, i);
+        ASSERT_EQ(seen, records) << what;
+
+        char hex[32];
+        std::snprintf(hex, sizeof hex, "0x%016llx",
+                      static_cast<unsigned long long>(filled.value()));
+        EXPECT_EQ(filled.value(), p.digest) << what << ": fill " << hex;
+        EXPECT_EQ(stepped.value(), p.digest) << what << ": next";
+        EXPECT_EQ(replayed.value(), p.digest) << what << ": replay";
     }
 }
 
