@@ -90,7 +90,7 @@ usage(const char *argv0)
         "\n"
         "grid axes: workload, predictor (profile mode), scheme\n"
         "  (pipeline mode), order, table, seed, instructions, mode\n"
-        "  order reaches gdiff, gdiff2, sgvq and hgvq; fcm, dfcm and\n"
+        "  order reaches gdiff, sgvq and hgvq; fcm, dfcm and\n"
         "  gfcm run at orders 3, 3 and 4 whatever its value\n"
         "options:\n"
         "  --threads=N      worker threads (default: hardware "

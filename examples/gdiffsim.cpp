@@ -13,7 +13,7 @@
  *   gdiffsim --workload=parser --mode=address
  *   gdiffsim --workload=mcf --mode=pipeline --scheme=hgvq
  *   gdiffsim --workload=gzip --record=gzip.trc --instructions=2000000
- *   gdiffsim --trace=gzip.trc --predictors=gdiff2 --order=8
+ *   gdiffsim --trace=gzip.trc --predictors=gdiff --order=16
  *   gdiffsim --program=examples/spill_fill.s --predictors=stride,gdiff
  */
 

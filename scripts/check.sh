@@ -192,12 +192,14 @@ rm -f build/smoke.jsonl build/smoke.csv build/smoke.manifest
 if [ -x build-asan/examples/gdifffuzz ]; then
     ./build-asan/examples/gdifffuzz --cases=300 --seed=1
 fi
-# The trace writer's encode helpers under ThreadSanitizer, when a TSan
-# tree is configured as in CI's tsan job (cmake -B build-tsan ...).
+# The threaded suites (trace writer helpers, sweep pool, sampler,
+# daemon) under ThreadSanitizer, when a TSan tree is configured as in
+# CI's tsan job (cmake -B build-tsan ...).
 if [ -d build-tsan ]; then
-    cmake --build build-tsan --target test_trace_io test_trace_cache \
-        test_trace_v3 test_obs
-    for t in test_trace_io test_trace_cache test_trace_v3 test_obs; do
+    tsan_tests="test_trace_io test_trace_cache test_trace_v3 test_obs
+        test_runner test_sample test_serve"
+    cmake --build build-tsan --target $tsan_tests
+    for t in $tsan_tests; do
         ./build-tsan/tests/$t
     done
 fi

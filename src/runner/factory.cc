@@ -1,7 +1,6 @@
 #include "runner/factory.hh"
 
 #include "core/gdiff.hh"
-#include "core/gdiff2.hh"
 #include "predictors/fcm.hh"
 #include "predictors/gfcm.hh"
 #include "predictors/hybrid.hh"
@@ -37,13 +36,13 @@ context(unsigned order, uint64_t table)
     return std::make_unique<P>(cfg);
 }
 
-/** gdiff and gdiff2, alone or behind a value queue (sgvq, hgvq): a
- * global window of @p order values. */
-template <typename Base, typename T, typename Config = core::GDiffConfig>
+/** gdiff, alone or behind a value queue (sgvq, hgvq): a global
+ * window of @p order values. */
+template <typename Base, typename T>
 std::unique_ptr<Base>
 window(unsigned order, uint64_t table)
 {
-    Config cfg;
+    core::GDiffConfig cfg;
     cfg.order = order;
     cfg.tableEntries = table;
     return std::make_unique<T>(cfg);
@@ -86,9 +85,6 @@ predictorFamilies()
          }},
         {"gdiff", 1, core::maxOrder, 8, true,
          window<ValuePredictor, core::GDiffPredictor>},
-        {"gdiff2", core::gdiff2MinOrder, core::gdiff2MaxOrder, 8, true,
-         window<ValuePredictor, core::GDiff2Predictor,
-                core::GDiff2Config>},
     };
     return rows;
 }
@@ -137,8 +133,7 @@ makePredictor(const std::string &name, unsigned order,
               uint64_t table_entries)
 {
     const PredictorFamily *family = findPredictor(name);
-    if (!family)
-        fatal("unknown predictor '%s'", name.c_str());
+    GDIFF_ASSERT(family, "unknown predictor '%s'", name.c_str());
     return family->make(family->jobOrder ? order : 0, table_entries);
 }
 
@@ -147,8 +142,7 @@ makeScheme(const std::string &name, unsigned order,
            uint64_t table_entries)
 {
     const SchemeFamily *family = findScheme(name);
-    if (!family)
-        fatal("unknown scheme '%s'", name.c_str());
+    GDIFF_ASSERT(family, "unknown scheme '%s'", name.c_str());
     return family->make(family->jobOrder ? order : 0, table_entries);
 }
 

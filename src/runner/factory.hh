@@ -66,7 +66,7 @@ using PredictorFamily = Family<predictors::ValuePredictor>;
 using SchemeFamily = Family<pipeline::VpScheme>;
 
 /** @return the predictor rows: last, lastn, stride, fcm, dfcm,
- * hybrid, pi, gfcm, gdiff, gdiff2. */
+ * hybrid, pi, gfcm, gdiff. */
 const std::vector<PredictorFamily> &predictorFamilies();
 
 /** @return the scheme rows: baseline, l_stride, l_context, sgvq,
@@ -83,10 +83,12 @@ const SchemeFamily *findScheme(const std::string &name);
  * Construct a value predictor for a job.
  *
  * @param order         JobSpec::order: reaches only the rows with
- *                      jobOrder (gdiff, gdiff2); fcm, dfcm and gfcm
- *                      run at their default orders 3, 3 and 4.
+ *                      jobOrder (gdiff); fcm, dfcm and gfcm run at
+ *                      their default orders 3, 3 and 4.
  * @param table_entries table size; 0 = unlimited.
- * Calls fatal() on an unknown name.
+ * Asserts that @p name has a row: every entry point checks names
+ * against the table first (JobSpec::validateOr, parseMineTarget), so
+ * an unknown one here is a caller bug.
  */
 std::unique_ptr<predictors::ValuePredictor>
 makePredictor(const std::string &name, unsigned order,
@@ -98,7 +100,7 @@ makePredictor(const std::string &name, unsigned order,
  * @param order         gdiff order for sgvq/hgvq (ignored by the
  *                      others).
  * @param table_entries prediction-table entries; 0 = unlimited.
- * Calls fatal() on an unknown name.
+ * Asserts that @p name has a row, as makePredictor() does.
  */
 std::unique_ptr<pipeline::VpScheme>
 makeScheme(const std::string &name, unsigned order,

@@ -53,8 +53,8 @@ struct JobSpec
     /// pipeline mode: scheme name (baseline, l_stride, l_context,
     /// sgvq, hgvq)
     std::string scheme = "baseline";
-    /// gdiff/gdiff2 order or GVQ window; fcm, dfcm and gfcm ignore
-    /// it and run at their default orders (runner/factory.hh)
+    /// gdiff order or GVQ window; fcm, dfcm and gfcm ignore it and
+    /// run at their default orders (runner/factory.hh)
     unsigned order = 8;
     uint64_t tableEntries = 8192; ///< prediction-table entries; 0 = unlimited
     uint64_t seed = 1;           ///< workload synthesis seed
@@ -84,7 +84,7 @@ struct JobSpec
      * Also reject what the factories and constructors would abort
      * on: a predictor or scheme name with no row in the family table
      * (runner/factory.hh), an order outside the range of a row that
-     * `order` reaches (gdiff, gdiff2, sgvq, hgvq), and a table size
+     * `order` reaches (gdiff, sgvq, hgvq), and a table size
      * that is neither 0 nor a power of two — and one above
      * maxTableEntries, which would exhaust a worker's memory.
      * Calls fatal() naming the job. runJob() validates every spec

@@ -128,7 +128,8 @@ SweepSpec::tryParseGrid(const std::string &grid, SweepSpec &out,
             dest.clear();
             for (const auto &v : values) {
                 uint64_t parsed = 0;
-                if (!tryParseU64(v.c_str(), parsed, allow_zero)) {
+                if (parseU64(v.c_str(), parsed, allow_zero) !=
+                    ParseU64Error::Ok) {
                     badValue = v;
                     return false;
                 }

@@ -176,12 +176,14 @@ struct Daemon::Impl
             if (draining)
                 return;
             draining = true;
+            // Unblocks accept() with EINVAL; new clients see
+            // ECONNREFUSED only after the socket file is unlinked at
+            // join time, but the accept loop is already gone. Under
+            // mu, as is waitUntilDrained()'s reset of the listener:
+            // nothing else orders this read before that write.
+            if (listener.valid())
+                ::shutdown(listener.get(), SHUT_RDWR);
         }
-        // Unblocks accept() with EINVAL; new clients see ECONNREFUSED
-        // only after the socket file is unlinked at join time, but
-        // the accept loop is already gone.
-        if (listener.valid())
-            ::shutdown(listener.get(), SHUT_RDWR);
         workCv.notify_all();
         // An idle daemon already satisfies the drain predicate, and
         // no worker or disconnect will come along to re-test it.
@@ -214,7 +216,10 @@ struct Daemon::Impl
         }
         for (auto &r : readerThreads)
             r.join();
-        listener.reset();
+        {
+            std::lock_guard<std::mutex> lk(mu);
+            listener.reset();
+        }
         ::unlink(cfg.socketPath.c_str());
         joined = true;
     }

@@ -20,40 +20,52 @@
 
 namespace gdiff {
 
+/** Which rule a strict parse broke; Ok when it broke none. */
+enum class ParseU64Error
+{
+    Ok,
+    Empty,       ///< empty or null text
+    Invalid,     ///< a leading sign or space, or trailing garbage
+    OutOfRange,  ///< overflows uint64_t
+    Zero,        ///< zero where zero is not allowed
+};
+
 /**
- * Parse a non-negative decimal integer strictly, reporting failure
- * instead of terminating — the form servers use on untrusted input.
+ * Parse a non-negative decimal integer strictly, reporting which rule
+ * failed instead of terminating — the form servers use on untrusted
+ * input, and the one body behind parseU64Flag().
  *
  * Rejects empty strings, leading signs, trailing garbage, values that
  * overflow uint64_t, and (unless @p allow_zero) zero.
  *
- * @return true and set @p out on success.
+ * @return the rule @p text broke; on Ok, @p out holds the value.
  */
-inline bool
-tryParseU64(const char *text, uint64_t &out, bool allow_zero = false)
+inline ParseU64Error
+parseU64(const char *text, uint64_t &out, bool allow_zero = false)
 {
     if (text == nullptr || *text == '\0')
-        return false;
+        return ParseU64Error::Empty;
     // strtoull accepts "+", "-" (wrapping!) and leading whitespace;
     // a value must start with a digit outright.
     if (*text < '0' || *text > '9')
-        return false;
+        return ParseU64Error::Invalid;
     errno = 0;
     char *end = nullptr;
     unsigned long long v = std::strtoull(text, &end, 10);
-    if (errno == ERANGE || end == text || *end != '\0')
-        return false;
+    if (errno == ERANGE)
+        return ParseU64Error::OutOfRange;
+    if (end == text || *end != '\0')
+        return ParseU64Error::Invalid;
     if (v == 0 && !allow_zero)
-        return false;
+        return ParseU64Error::Zero;
     out = static_cast<uint64_t>(v);
-    return true;
+    return ParseU64Error::Ok;
 }
 
 /**
  * Parse a non-negative decimal integer flag value strictly.
  *
- * Rejects (via fatal()) empty strings, leading signs, trailing
- * garbage, and values that overflow uint64_t. Zero is rejected by
+ * Rejects (via fatal()) what parseU64() rejects. Zero is rejected by
  * default because for most flags (--instructions, --order, --table,
  * --threads) it indicates a typo rather than an intent.
  *
@@ -66,20 +78,20 @@ tryParseU64(const char *text, uint64_t &out, bool allow_zero = false)
 inline uint64_t
 parseU64Flag(const char *flag, const char *text, bool allow_zero = false)
 {
-    if (text == nullptr || *text == '\0')
+    uint64_t v = 0;
+    switch (parseU64(text, v, allow_zero)) {
+    case ParseU64Error::Ok:
+        break;
+    case ParseU64Error::Empty:
         fatal("%s: empty numeric value", flag);
-    if (*text < '0' || *text > '9')
+    case ParseU64Error::Invalid:
         fatal("%s: invalid number '%s'", flag, text);
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text, &end, 10);
-    if (errno == ERANGE)
+    case ParseU64Error::OutOfRange:
         fatal("%s: value '%s' out of range", flag, text);
-    if (end == text || *end != '\0')
-        fatal("%s: invalid number '%s'", flag, text);
-    if (v == 0 && !allow_zero)
+    case ParseU64Error::Zero:
         fatal("%s: value must be non-zero", flag);
-    return static_cast<uint64_t>(v);
+    }
+    return v;
 }
 
 } // namespace gdiff

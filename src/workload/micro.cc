@@ -130,7 +130,8 @@ makeAffine(uint64_t seed)
     return w;
 }
 
-/** x = w[j] + w[k] + c with both inputs noisy: gdiff2's home turf. */
+/** x = w[j] + w[k] + c with both inputs noisy: the paper's Eq. 1
+ * with two terms, which no predictor here captures. */
 Workload
 makePairSum(uint64_t seed)
 {
@@ -149,7 +150,7 @@ makePairSum(uint64_t seed)
     w.initialRegs[s6] = 2862933555777941757ll;
     w.initialRegs[s7] =
         static_cast<int64_t>(seed * 2 + 0x9e3779b97f4a7c15ull);
-    w.description = "x = a + b with noisy a, b (two-term gdiff only)";
+    w.description = "x = a + b with noisy a, b (Eq. 1's two-term form)";
     return w;
 }
 

@@ -10,14 +10,14 @@
  *
  *   gdiffsim --workload=micro.affine --predictors=stride,gdiff
  *
- * | name       | stream                          | home predictor |
- * |------------|---------------------------------|----------------|
- * | stride     | per-PC constant strides         | local stride   |
- * | periodic   | per-PC repeating stride pattern | DFCM           |
- * | spillfill  | store/reload round trips        | gdiff (diff 0) |
- * | affine     | pointer fields affine in address| gdiff          |
- * | pairsum    | x = w[j] + w[k] + c             | gdiff2         |
- * | random     | LCG noise                       | nobody         |
+ * | name      | stream                           | home predictor              |
+ * |-----------|----------------------------------|-----------------------------|
+ * | stride    | per-PC constant strides          | local stride                |
+ * | periodic  | per-PC repeating stride pattern  | DFCM                        |
+ * | spillfill | store/reload round trips         | gdiff (diff 0)              |
+ * | affine    | pointer fields affine in address | gdiff                       |
+ * | pairsum   | x = w[j] + w[k] + c              | none: Eq. 1's two-term form |
+ * | random    | LCG noise                        | nobody                      |
  */
 
 #ifndef GDIFF_WORKLOAD_MICRO_HH

@@ -89,9 +89,11 @@ TEST(MineTarget, RejectsMalformedSpecs)
               std::string::npos);
     EXPECT_FALSE(
         check::parseMineTarget("ref:gdiff@65-vs-gfcm", t, error));
-    EXPECT_TRUE(check::parseMineTarget("gdiff2@2-vs-gdiff2@16", t, error));
-    EXPECT_FALSE(check::parseMineTarget("gdiff2@1-vs-gdiff", t, error));
-    EXPECT_FALSE(check::parseMineTarget("gdiff2@17-vs-gdiff", t, error));
+    EXPECT_TRUE(check::parseMineTarget("gdiff@1-vs-gdiff@64", t, error));
+    // The retired two-term family has no row.
+    EXPECT_FALSE(check::parseMineTarget("gdiff2@8-vs-gdiff", t, error));
+    EXPECT_NE(error.find("unknown family 'gdiff2'"), std::string::npos)
+        << error;
     // Families without an order ignore it.
     EXPECT_TRUE(check::parseMineTarget("stride@9-vs-gdiff", t, error));
     // An order that would wrap or overflow the parse is malformed.

@@ -439,10 +439,8 @@ struct ValuePin
 const ValuePin kValuePins[] = {
     {"mcf", "gfcm", {493, 171042}, {2, 27}, {27, 171042}},
     {"mcf", "hybrid", {119143, 171042}, {111472, 153705}, {153705, 171042}},
-    {"mcf", "gdiff2", {148546, 171042}, {147633, 159671}, {159671, 171042}},
     {"gzip", "gfcm", {427, 144194}, {0, 27}, {27, 144194}},
     {"gzip", "hybrid", {26669, 144194}, {23514, 32311}, {32311, 144194}},
-    {"gzip", "gdiff2", {100926, 144194}, {99632, 104016}, {104016, 144194}},
 };
 
 TEST(ValueProfile, RealKernelCountsArePinned)

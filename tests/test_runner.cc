@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "core/gdiff2.hh"
 #include "core/gvq.hh"
 #include "predictors/value_predictor.hh"
 #include "runner/factory.hh"
@@ -637,8 +636,8 @@ predictionDigest(predictors::ValuePredictor &p)
     return digest;
 }
 
-// The grid's contract: JobSpec::order reaches gdiff, gdiff2, sgvq and
-// hgvq only. A grid's fcm, dfcm and gfcm run at their default orders
+// The grid's contract: JobSpec::order reaches gdiff, sgvq and hgvq
+// only. A grid's fcm, dfcm and gfcm run at their default orders
 // whatever order= says, so makePredictor(family, 8, t) is the default
 // build — while the stream itself tells the orders apart.
 TEST(FactoryTest, JobOrderDoesNotReachContextFamilies)
@@ -658,8 +657,7 @@ TEST(FactoryTest, JobOrderDoesNotReachContextFamilies)
             << name << ": the stream cannot tell order 1 from "
             << f->defaultOrder;
     }
-    for (const char *name : {"gdiff", "gdiff2"})
-        EXPECT_TRUE(findPredictor(name)->jobOrder) << name;
+    EXPECT_TRUE(findPredictor("gdiff")->jobOrder);
     for (const char *name : {"sgvq", "hgvq"})
         EXPECT_TRUE(findScheme(name)->jobOrder) << name;
 }
@@ -682,10 +680,6 @@ TEST(JobSpecTest, ValidateOrRejectsWhatConstructorsAbortOn)
         {JobMode::Profile, "gdiff", 1, 8192, nullptr},
         {JobMode::Profile, "gdiff", core::maxOrder, 8192, nullptr},
         {JobMode::Profile, "gdiff", 65, 8192, "order 65 is out of range"},
-        {JobMode::Profile, "gdiff2", 1, 8192, "order 1 is out of range"},
-        {JobMode::Profile, "gdiff2", core::gdiff2MinOrder, 8192, nullptr},
-        {JobMode::Profile, "gdiff2", core::gdiff2MaxOrder, 8192, nullptr},
-        {JobMode::Profile, "gdiff2", 17, 8192, "order 17 is out of range"},
         {JobMode::Pipeline, "sgvq", 65, 8192, "order 65 is out of range"},
         {JobMode::Pipeline, "hgvq", 65, 8192, "order 65 is out of range"},
         {JobMode::Pipeline, "hgvq", core::maxOrder, 8192, nullptr},
@@ -703,9 +697,12 @@ TEST(JobSpecTest, ValidateOrRejectsWhatConstructorsAbortOn)
         {JobMode::Pipeline, "psychic", 8, 8192,
          "unknown scheme 'psychic'"},
         {JobMode::Pipeline, "gdiff", 8, 8192, "unknown scheme 'gdiff'"},
+        // The retired two-term family is a name like any other.
+        {JobMode::Profile, "gdiff2", 8, 8192,
+         "unknown predictor 'gdiff2'"},
         {JobMode::Pipeline, "l_stride", 4294967295u, 8192, nullptr},
         {JobMode::Profile, "stride", 8, 1000, "not a power of two"},
-        {JobMode::Profile, "gdiff2", 8, 1000, "not a power of two"},
+        {JobMode::Profile, "gdiff", 8, 1000, "not a power of two"},
         {JobMode::Pipeline, "hgvq", 8, 1000, "not a power of two"},
         {JobMode::Profile, "dfcm", 8, 0, nullptr},
         {JobMode::Profile, "dfcm", 8, 1024, nullptr},
@@ -747,12 +744,15 @@ TEST(JobSpecTest, ValidateOrRejectsWhatConstructorsAbortOn)
     }
 }
 
-TEST(FactoryDeath, UnknownNamesAreFatal)
+TEST(FactoryDeath, UnknownNamesAreCallerBugs)
 {
-    EXPECT_EXIT(makePredictor("psychic", 8, 0),
-                ::testing::ExitedWithCode(1), "unknown predictor");
-    EXPECT_EXIT(makeScheme("psychic", 8, 0),
-                ::testing::ExitedWithCode(1), "unknown scheme");
+    // Every entry point checks names against the family table first
+    // (validateOr, parseMineTarget), so another name is a bug, not a
+    // user error.
+    EXPECT_DEATH(makePredictor("psychic", 8, 0),
+                 "assertion .* failed at .*unknown predictor 'psychic'");
+    EXPECT_DEATH(makeScheme("psychic", 8, 0),
+                 "assertion .* failed at .*unknown scheme 'psychic'");
 }
 
 // This binary never calls sample::install(): runJob() runs a sampled
