@@ -32,7 +32,7 @@ done
 # so a run without a disk tier, which replays the generated trace,
 # anchors them: no tier == cold == warm.
 rm -rf build/check_trace_cache build/warm0.jsonl build/warm1.jsonl \
-    build/warm2.jsonl
+    build/warm2.jsonl build/warm3.jsonl
 env -u GDIFF_TRACE_CACHE_DIR ./build/examples/gdiffrun \
     --grid 'workload=mcf,gzip;predictor=stride,gdiff' \
     --threads=4 --instructions=100000 --warmup=20000 \
@@ -58,6 +58,24 @@ cmp build/warm0.sorted build/warm1.sorted || {
     exit 1; }
 cmp build/warm1.sorted build/warm2.sorted || {
     echo "trace cache: disk-replayed sweep differs from cold run"
+    exit 1; }
+# A byte flipped in one published entry: the next process's load must
+# catch it, quarantine the entry, regenerate that one trace and
+# re-store it, and the results must not move.
+python3 -c 'import sys; p = sys.argv[1]; b = bytearray(open(p, "rb").read()); b[len(b) // 2] ^= 1; open(p, "wb").write(b)' \
+    build/check_trace_cache/mcf-s1-r120000-v3.gdtr
+./build/examples/gdiffrun \
+    --grid 'workload=mcf,gzip;predictor=stride,gdiff' \
+    --threads=4 --instructions=100000 --warmup=20000 \
+    --deterministic --no-table --out build/warm3.jsonl \
+    --trace-cache-dir build/check_trace_cache 2> build/warm3.log
+grep -q 'trace cache: 1 generated' build/warm3.log &&
+    grep -q ', 1 corrupt-recovered' build/warm3.log || {
+    echo "trace cache: a corrupt entry was not recovered exactly once"
+    cat build/warm3.log; exit 1; }
+sort build/warm3.jsonl > build/warm3.sorted
+cmp build/warm0.sorted build/warm3.sorted || {
+    echo "trace cache: sweep after a corrupt entry differs from the run without a tier"
     exit 1; }
 # The same for a sampled grid, whose disk-loaded traces decode only
 # the blocks the strata pass and the measured windows read.

@@ -338,7 +338,6 @@ assembleWorkload(const std::string &source, const std::string &name)
     w.program = std::move(r.program);
     w.memoryImage = std::move(r.memoryImage);
     w.initialRegs = r.initialRegs;
-    w.description = "assembled from source";
     for (const auto &[label, index] : r.labelIndices)
         w.markers.emplace_back(label, isa::indexToPc(index));
     return w;

@@ -40,10 +40,6 @@ Workload
 makeBzip2(uint64_t seed)
 {
     Workload w;
-    w.description =
-        "byte-frequency counting over run-structured data: strong "
-        "local stride plus short define-use global strides";
-
     Xorshift64Star rng(seed * 0x9e3779b97f4a7c15ull + 3);
 
     // Phrase-structured symbol stream: the input is built from a

@@ -40,10 +40,6 @@ Workload
 makeGap(uint64_t seed)
 {
     Workload w;
-    w.description =
-        "long non-linear computation chains; correlations only at "
-        "global distances 9+ (queue-size and value-delay anomaly)";
-
     Xorshift64Star rng(seed * 0x9e3779b97f4a7c15ull + 5);
 
     for (int64_t i = 0; i < seedWords; ++i) {

@@ -49,10 +49,6 @@ Workload
 makeGcc(uint64_t seed)
 {
     Workload w;
-    w.description =
-        "48 generated functions over 4 body templates, dispatched "
-        "through a pseudo-random worklist of function addresses";
-
     Xorshift64Star rng(seed * 0x9e3779b97f4a7c15ull + 10);
 
     // ---- IR nodes: two affine fields and one noisy field ---------------

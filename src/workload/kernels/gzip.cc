@@ -37,10 +37,6 @@ Workload
 makeGzip(uint64_t seed)
 {
     Workload w;
-    w.description =
-        "LZ77 hash-chain probe (hard) + tight strided copy loops "
-        "(easy); true matches give diff-0 global stride";
-
     Xorshift64Star rng(seed * 0x9e3779b97f4a7c15ull + 4);
 
     // Input: words drawn from a 4K-symbol dictionary so that low-bit

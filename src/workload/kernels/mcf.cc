@@ -59,10 +59,6 @@ Workload
 makeMcf(uint64_t seed)
 {
     Workload w;
-    w.description =
-        "pointer chasing over allocation-ordered arc/node arrays with "
-        "irregular scan skips; cache-hostile 1 MiB working set";
-
     Xorshift64Star rng(seed * 0x9e3779b97f4a7c15ull + 2);
 
     // ---- arcs -----------------------------------------------------------

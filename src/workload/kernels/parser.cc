@@ -81,10 +81,6 @@ Workload
 makeParser(uint64_t seed)
 {
     Workload w;
-    w.description =
-        "register spill/fill reloads and allocation-ordered "
-        "string_list walk (paper Figs. 1, 2, 4)";
-
     Xorshift64Star rng(seed * 0x9e3779b97f4a7c15ull + 1);
 
     // ---- data segment -------------------------------------------------

@@ -41,10 +41,6 @@ Workload
 makePerl(uint64_t seed)
 {
     Workload w;
-    w.description =
-        "inlined hot trace (stack pops = diff-0 global stride) plus "
-        "periodic bytecode dispatch (context locality)";
-
     Xorshift64Star rng(seed * 0x9e3779b97f4a7c15ull + 9);
 
     ProgramBuilder b("perl");

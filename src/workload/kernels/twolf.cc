@@ -43,10 +43,6 @@ Workload
 makeTwolf(uint64_t seed)
 {
     Workload w;
-    w.description =
-        "random swap-cost evaluation over allocation-ordered cells: "
-        "coordinate fields affine in the cell address (gdiff-only)";
-
     Xorshift64Star rng(seed * 0x9e3779b97f4a7c15ull + 6);
 
     // Cells: coordinates affine in the address with matching pitch.

@@ -40,10 +40,6 @@ Workload
 makeVortex(uint64_t seed)
 {
     Workload w;
-    w.description =
-        "two-deep call chain with live-value spill/fill across calls; "
-        "object fields affine in the object address";
-
     Xorshift64Star rng(seed * 0x9e3779b97f4a7c15ull + 8);
 
     for (int64_t i = 0; i < numObjects; ++i) {

@@ -47,10 +47,6 @@ Workload
 makeVpr(uint64_t seed)
 {
     Workload w;
-    w.description =
-        "nested grid sweeps (stride-friendly) plus random net walks "
-        "with self-relative pin pointers (gdiff-only)";
-
     Xorshift64Star rng(seed * 0x9e3779b97f4a7c15ull + 7);
 
     // Grid occupancy: affine in the address, light noise.

@@ -26,7 +26,6 @@ makeStride(uint64_t)
     b.jump(top);
     Workload w;
     w.program = b.build();
-    w.description = "pure per-PC strides (local stride's home turf)";
     return w;
 }
 
@@ -64,7 +63,6 @@ makePeriodic(uint64_t)
     b.jump(top);
     Workload w;
     w.program = b.build();
-    w.description = "repeating stride pattern (DFCM's home turf)";
     return w;
 }
 
@@ -87,7 +85,6 @@ makeSpillFill(uint64_t seed)
     w.initialRegs[s7] =
         static_cast<int64_t>(seed * 2 + 0x9e3779b97f4a7c15ull);
     w.initialRegs[s8] = static_cast<int64_t>(kernels::frameBase);
-    w.description = "spill/fill round trips (gdiff's home turf)";
     return w;
 }
 
@@ -124,9 +121,6 @@ makeAffine(uint64_t seed)
     w.initialRegs[s2] = static_cast<int64_t>(kernels::dataBase);
     w.initialRegs[a1] = static_cast<int64_t>(pick_base);
     w.initialRegs[a2] = static_cast<int64_t>(pick_base + 8192 * 8);
-    w.description =
-        "allocation-affine pointer fields in random order "
-        "(gdiff-only)";
     return w;
 }
 
@@ -150,7 +144,6 @@ makePairSum(uint64_t seed)
     w.initialRegs[s6] = 2862933555777941757ll;
     w.initialRegs[s7] =
         static_cast<int64_t>(seed * 2 + 0x9e3779b97f4a7c15ull);
-    w.description = "x = a + b with noisy a, b (Eq. 1's two-term form)";
     return w;
 }
 
@@ -170,7 +163,6 @@ makeRandom(uint64_t seed)
     w.initialRegs[s6] = 2862933555777941757ll;
     w.initialRegs[s7] =
         static_cast<int64_t>(seed * 2 + 0x9e3779b97f4a7c15ull);
-    w.description = "generational noise (nobody's home turf)";
     return w;
 }
 

@@ -1,8 +1,5 @@
 #include "workload/trace_cache.hh"
 
-#include <sys/mman.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -68,14 +65,21 @@ class TimedExecutor : public TraceSource
     uint64_t spentNs;
 };
 
+/// a generated trace's blocks lie in its slab at this stride: a
+/// TraceChunk rounded up to a cache line
+constexpr size_t slabStride = (sizeof(TraceChunk) + 63) & ~size_t(63);
+
+// Unmapping the slab frees its blocks without running their
+// destructors.
+static_assert(std::is_trivially_destructible_v<TraceChunk>);
+
 } // anonymous namespace
 
 // ------------------------------------------------ MaterializedTrace
 
 struct MaterializedTrace::DiskImage
 {
-    std::unique_ptr<uint8_t[]> bytes;
-    size_t size = 0;
+    TraceImage image;
     std::vector<TraceBlockRef> index;
     Fallback fallback;
     std::once_flag fallbackOnce;
@@ -84,81 +88,11 @@ struct MaterializedTrace::DiskImage
     std::atomic<const MaterializedTrace *> replaced{nullptr};
 };
 
-/**
- * One anonymous mapping of blocks at a stride of sizeof(TraceChunk)
- * rounded up to a cache line. Each block is default-initialised, not
- * zeroed, when it is handed out, and unmapping the slab frees them all
- * at once.
- */
-class MaterializedTrace::Slab
-{
-  public:
-    explicit Slab(size_t blocks)
-        : bytes(roundUp(blocks * stride,
-                        static_cast<size_t>(sysconf(_SC_PAGESIZE))))
-    {
-        // Below one huge page the advice would only round a short
-        // trace up to 2 MiB of resident memory. Above it the length is
-        // not rounded up either: the kernel backs only whole aligned
-        // 2 MiB stretches with huge pages, so the tail past the last
-        // one faults in 4 KiB pages and the unused end stays unbacked.
-        const bool huge = bytes >= hugePage;
-        const size_t slack = huge ? hugePage : 0;
-        void *map = mmap(nullptr, bytes + slack, PROT_READ | PROT_WRITE,
-                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-        if (map == MAP_FAILED)
-            throw std::bad_alloc();
-        // Keep the 2 MiB-aligned stretch and give back the rest.
-        const uintptr_t start = reinterpret_cast<uintptr_t>(map);
-        const uintptr_t aligned = huge ? roundUp(start, hugePage) : start;
-        if (aligned > start)
-            munmap(map, aligned - start);
-        if (start + slack > aligned)
-            munmap(reinterpret_cast<void *>(aligned + bytes),
-                   start + slack - aligned);
-        base = reinterpret_cast<uint8_t *>(aligned);
-#ifdef MADV_HUGEPAGE
-        // Advice only: without transparent huge pages the slab is
-        // faulted in 4 KiB at a time, as before.
-        if (huge)
-            madvise(base, bytes, MADV_HUGEPAGE);
-#endif
-    }
-
-    ~Slab() { munmap(base, bytes); }
-
-    Slab(const Slab &) = delete;
-    Slab &operator=(const Slab &) = delete;
-
-    /** @return block @p i, default-initialised (not zeroed). */
-    TraceChunk *
-    block(size_t i)
-    {
-        return new (base + i * stride) TraceChunk;
-    }
-
-  private:
-    static constexpr size_t hugePage = size_t(2) << 20;
-    static constexpr size_t stride = (sizeof(TraceChunk) + 63) & ~size_t(63);
-
-    static size_t
-    roundUp(size_t v, size_t to)
-    {
-        return (v + to - 1) / to * to;
-    }
-
-    uint8_t *base = nullptr;
-    size_t bytes;
-};
-
-// ~Slab unmaps the blocks without running their destructors.
-static_assert(std::is_trivially_destructible_v<TraceChunk>);
-
 MaterializedTrace::MaterializedTrace() = default;
 
 MaterializedTrace::~MaterializedTrace()
 {
-    if (slab)
+    if (slab.data())
         return;
     for (size_t i = 0; i < numBlocks; ++i)
         delete slots[i].load(std::memory_order_relaxed);
@@ -176,10 +110,12 @@ MaterializedTrace::generate(const std::string &workload, uint64_t seed,
     const size_t maxBlocks =
         static_cast<size_t>(maxRecords / TraceChunk::capacity) + 1;
     trace->slots = std::make_unique<std::atomic<TraceChunk *>[]>(maxBlocks);
-    trace->slab = std::make_unique<Slab>(maxBlocks);
+    trace->slab = Mapping(maxBlocks * slabStride);
     uint64_t remaining = maxRecords;
     while (remaining > 0 && trace->numBlocks < maxBlocks) {
-        TraceChunk *chunk = trace->slab->block(trace->numBlocks);
+        // Default-initialised, not zeroed: the executor fills it.
+        TraceChunk *chunk = new (trace->slab.data() +
+                                 trace->numBlocks * slabStride) TraceChunk;
         if (!exec->fill(*chunk))
             break;
         // Trim the final chunk to the requested budget so the frozen
@@ -197,8 +133,7 @@ MaterializedTrace::generate(const std::string &workload, uint64_t seed,
 }
 
 std::shared_ptr<const MaterializedTrace>
-MaterializedTrace::fromImage(std::unique_ptr<uint8_t[]> image,
-                             size_t imageBytes,
+MaterializedTrace::fromImage(TraceImage image,
                              std::vector<TraceBlockRef> index,
                              Fallback fallback)
 {
@@ -211,8 +146,7 @@ MaterializedTrace::fromImage(std::unique_ptr<uint8_t[]> image,
     for (const TraceBlockRef &b : index)
         trace->recordCount += b.records;
     trace->disk = std::make_unique<DiskImage>();
-    trace->disk->bytes = std::move(image);
-    trace->disk->size = imageBytes;
+    trace->disk->image = std::move(image);
     trace->disk->index = std::move(index);
     trace->disk->fallback = std::move(fallback);
     return trace;
@@ -258,7 +192,7 @@ MaterializedTrace::decodeBlock(size_t i) const
 {
     auto fresh = std::make_unique<TraceChunk>();
     TraceIoResult r =
-        decodeTraceBlock(disk->bytes.get(), disk->index[i], *fresh);
+        decodeTraceBlock(disk->image.data(), disk->index[i], *fresh);
     decodeCount.fetch_add(1, std::memory_order_relaxed);
     GDIFF_OBS_COUNT("trace_cache.block_decode", 1);
     if (r.failed())
@@ -282,7 +216,7 @@ MaterializedTrace::pcValue(size_t i, TraceChunk &scratch) const
         return r->pcValue(i, scratch);
     if (const TraceChunk *c = slots[i].load(std::memory_order_acquire))
         return *c;
-    TraceIoResult r = decodeTraceBlock(disk->bytes.get(),
+    TraceIoResult r = decodeTraceBlock(disk->image.data(),
                                        disk->index[i], scratch, true);
     if (r.failed())
         return fallBack(r).pcValue(i, scratch);
@@ -322,7 +256,7 @@ MaterializedTrace::bytes() const
     size_t b = decodedCount.load(std::memory_order_relaxed) *
                sizeof(TraceChunk);
     if (disk)
-        b += disk->size;
+        b += disk->image.size;
     if (const MaterializedTrace *r = replacement())
         b += r->bytes();
     return b;

@@ -43,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "util/mapping.hh"
 #include "workload/trace.hh"
 #include "workload/trace_io.hh"
 
@@ -60,14 +61,14 @@ class DiskTraceCache;
  * decoded, and all of its blocks live in one slab: a single mapping
  * of records / capacity + 1 blocks, each 64-byte aligned and
  * default-initialised rather than zeroed, which the executor fills in
- * place (bytes() still counts sizeof(TraceChunk) a block). A slab of
- * 2 MiB or more is 2 MiB aligned and advised into transparent huge
- * pages, so a generation faults its memory in 2 MiB at a time rather
- * than 4 KiB; a smaller one is not, so a short trace holds no huge
- * page. Dropping the trace unmaps the slab at once.
+ * place (bytes() still counts sizeof(TraceChunk) a block). The slab
+ * is a Mapping (util/mapping.hh), so a long generation faults its
+ * memory in 2 MiB huge pages. Dropping the trace unmaps the slab at
+ * once.
  *
- * A trace backed by the disk tier (loaded on a hit, or encoded on a
- * miss) holds the verified v3 image and its block index, and decodes
+ * A trace backed by the disk tier holds a v3 image and its block
+ * index: on a hit, the entry's bytes as the load verified them; on a
+ * miss, the image the store's writer encoded and digested. It decodes
  * a block the first time a reader touches it; the decoded block is
  * published once (an atomic slot, first writer wins) and stays for
  * the trace's lifetime, so a trace that is replayed in full many
@@ -75,7 +76,7 @@ class DiskTraceCache;
  * columns (the sampler's profiling pass) get them decoded into their
  * own scratch, and nothing is published.
  *
- * Every digest of a disk image was checked at load, so a block can
+ * Every digest of a loaded image was checked at load, so a block can
  * fail to decode only in a file whose digests were forged. That
  * failure does not reach the reader: the trace calls its fallback
  * once, which quarantines the entry and regenerates the triple, and
@@ -107,13 +108,14 @@ class MaterializedTrace
              uint64_t maxRecords);
 
     /**
-     * Adopt a v3 image of @p imageBytes bytes that indexTraceImage()
-     * verified into @p index (the disk tier's loader). No block is
-     * decoded yet. @p fallback must be callable.
+     * Adopt a v3 image whose blocks @p index locates: one that
+     * indexTraceImage() verified (a disk-tier load), or one a
+     * TraceWriter kept and indexed as it wrote it (a disk-tier
+     * store). No block is decoded yet. @p fallback must be callable.
      */
     static std::shared_ptr<const MaterializedTrace>
-    fromImage(std::unique_ptr<uint8_t[]> image, size_t imageBytes,
-              std::vector<TraceBlockRef> index, Fallback fallback);
+    fromImage(TraceImage image, std::vector<TraceBlockRef> index,
+              Fallback fallback);
 
     /** @return blocks in the stream. */
     size_t blockCount() const;
@@ -151,8 +153,6 @@ class MaterializedTrace
   private:
     /// a disk-loaded trace's image, index and fallback state
     struct DiskImage;
-    /// the one mapping that holds a generated trace's blocks
-    class Slab;
 
     /** @return the fallback trace once it has replaced this one. */
     const MaterializedTrace *replacement() const;
@@ -166,8 +166,9 @@ class MaterializedTrace
     /// decoded blocks, null until first touched; in @c slab for a
     /// generated trace, else owned
     std::unique_ptr<std::atomic<TraceChunk *>[]> slots;
-    /// null for a disk-loaded trace
-    std::unique_ptr<Slab> slab;
+    /// the one mapping that holds a generated trace's blocks (empty
+    /// for a disk-loaded trace)
+    Mapping slab;
     size_t numBlocks = 0;
     uint64_t recordCount = 0;
     /// null for a generated trace

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <ctime>
 #include <dirent.h>
+#include <new>
 #include <vector>
 
 #include "obs/obs.hh"
@@ -55,13 +56,12 @@ endsWith(const std::string &s, const char *suffix)
 }
 
 /**
- * Read all of @p path into an owned buffer (no mmap: the bytes that
+ * Read all of @p path into @p image (no file mapping: the bytes that
  * are verified at load are the bytes later decodes read, whatever
  * happens to the file). @return false when it cannot be read.
  */
 bool
-readWholeFile(const std::string &path, std::unique_ptr<uint8_t[]> *data,
-              size_t *size)
+readWholeFile(const std::string &path, TraceImage *image)
 {
     int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0)
@@ -69,15 +69,19 @@ readWholeFile(const std::string &path, std::unique_ptr<uint8_t[]> *data,
     struct stat st{};
     bool ok = ::fstat(fd, &st) == 0 && st.st_size >= 0;
     if (ok) {
-        *size = static_cast<size_t>(st.st_size);
-        data->reset(new uint8_t[*size]);
-        size_t got = 0;
-        while (ok && got < *size) {
-            ssize_t n = ::read(fd, data->get() + got, *size - got);
+        const size_t size = static_cast<size_t>(st.st_size);
+        try {
+            image->map = Mapping(size);
+        } catch (const std::bad_alloc &) {
+            ok = false;
+        }
+        while (ok && image->size < size) {
+            ssize_t n = ::read(fd, image->map.data() + image->size,
+                               size - image->size);
             if (n < 0 && errno == EINTR)
                 continue;
             ok = n > 0;
-            got += ok ? static_cast<size_t>(n) : 0;
+            image->size += ok ? static_cast<size_t>(n) : 0;
         }
     }
     ::close(fd);
@@ -182,9 +186,8 @@ DiskTraceCache::load(const std::string &workload, uint64_t seed,
         path = cfg.root + "/" + entryName(workload, seed, records);
     }
 
-    std::unique_ptr<uint8_t[]> image;
-    size_t size = 0;
-    if (!readWholeFile(path, &image, &size)) {
+    TraceImage image;
+    if (!readWholeFile(path, &image)) {
         std::lock_guard<std::mutex> guard(lock);
         ++counters.misses;
         GDIFF_OBS_COUNT("trace_disk.miss", 1);
@@ -194,7 +197,7 @@ DiskTraceCache::load(const std::string &workload, uint64_t seed,
     // Verify the whole entry once, decoding nothing: blocks decode
     // when a reader first touches them.
     std::vector<TraceBlockRef> index;
-    TraceIoResult r = indexTraceImage(image.get(), size, &index);
+    TraceIoResult r = indexTraceImage(image.data(), image.size, &index);
     if (r.ok())
         r = checkEntryLayout(index, records);
     if (r.failed()) {
@@ -212,13 +215,12 @@ DiskTraceCache::load(const std::string &workload, uint64_t seed,
         ++counters.hits;
         GDIFF_OBS_COUNT("trace_disk.hit", 1);
     }
-    return adopt(path, std::move(image), size, std::move(index),
-                 workload, seed, records);
+    return adopt(path, std::move(image), std::move(index), workload,
+                 seed, records);
 }
 
 std::shared_ptr<const MaterializedTrace>
-DiskTraceCache::adopt(const std::string &path,
-                      std::unique_ptr<uint8_t[]> image, size_t size,
+DiskTraceCache::adopt(const std::string &path, TraceImage image,
                       std::vector<TraceBlockRef> index,
                       const std::string &workload, uint64_t seed,
                       uint64_t records)
@@ -242,8 +244,7 @@ DiskTraceCache::adopt(const std::string &path,
         }
         return fresh;
     };
-    return MaterializedTrace::fromImage(std::move(image), size,
-                                        std::move(index),
+    return MaterializedTrace::fromImage(std::move(image), std::move(index),
                                         std::move(fallback));
 }
 
@@ -274,13 +275,17 @@ DiskTraceCache::store(const std::string &workload, uint64_t seed,
         formatString("%s.tmp.%d", path.c_str(),
                      static_cast<int>(::getpid()));
 
-    // Encode chunk by chunk: this holds one decoded chunk and the
-    // writer's ring of block copies, never the whole trace. The
-    // writer encodes on its helpers while fill() generates the next
-    // chunk here.
+    // Encode chunk by chunk: this holds one decoded chunk, the
+    // writer's ring of block copies and the image it keeps, never the
+    // decoded trace. The writer encodes on its helpers while fill()
+    // generates the next chunk here, writes each finished block to the
+    // temp file from its image, and indexes it as it goes, so the image
+    // needs no read-back and no second pass.
     TraceIoResult written;
+    TraceImage image;
+    std::vector<TraceBlockRef> index;
     {
-        TraceWriter writer(tmp, traceVersionV3);
+        TraceWriter writer = TraceWriter::keepingImage(tmp, records);
         auto chunk = std::make_unique<TraceChunk>();
         uint64_t remaining = records;
         while (remaining > 0 && writer.status().ok() &&
@@ -290,24 +295,12 @@ DiskTraceCache::store(const std::string &workload, uint64_t seed,
             if (chunk->size > remaining)
                 chunk->size = static_cast<uint32_t>(remaining);
             remaining -= chunk->size;
-            writer.append(*chunk);
+            writer.append(chunk); // no copy: the ring takes the chunk
         }
         written = writer.close();
+        if (written.ok())
+            image = writer.takeImage(&index);
     }
-
-    // Adopt the bytes just written, verified as a load verifies
-    // them, before the rename publishes them: once the entry exists,
-    // another process's sweep may delete it.
-    std::unique_ptr<uint8_t[]> image;
-    size_t size = 0;
-    std::vector<TraceBlockRef> index;
-    if (written.ok() && !readWholeFile(tmp, &image, &size)) {
-        written = TraceIoResult{
-            TraceIoStatus::IoError,
-            formatString("cannot read back '%s'", tmp.c_str())};
-    }
-    if (written.ok())
-        written = indexTraceImage(image.get(), size, &index);
     if (written.ok())
         written = checkEntryLayout(index, records);
     if (written.failed()) {
@@ -318,7 +311,9 @@ DiskTraceCache::store(const std::string &workload, uint64_t seed,
         ::unlink(tmp.c_str());
         return nullptr;
     }
-    auto trace = adopt(path, std::move(image), size, std::move(index),
+    // Adopt the image the file holds before the rename publishes it:
+    // once the entry exists, another process's sweep may delete it.
+    auto trace = adopt(path, std::move(image), std::move(index),
                        workload, seed, records);
 
     // Atomic publish: concurrent writers both produce identical

@@ -16,21 +16,24 @@
  *
  * Durability and concurrency:
  *  - stores stream a TraceSource (the executor, on a TraceCache
- *    miss) chunk by chunk into `<entry>.tmp.<pid>`, so a miss never
- *    holds the decoded trace. The written bytes are read back and
- *    verified as a load verifies them, and the store keeps that image
- *    as its trace before it atomically rename(2)s the file into
- *    place: a crash mid-write never leaves a half-entry, concurrent
- *    writers race safely (both produce identical bytes; last rename
- *    wins), and another process's sweep cannot delete the entry from
- *    under the store that just wrote it;
+ *    miss) chunk by chunk through a v3 TraceWriter that keeps its
+ *    image, so a miss never holds the decoded trace. The writer
+ *    copies each block into its image, digests it and writes it to
+ *    `<entry>.tmp.<pid>` from there, and indexes the blocks as it
+ *    goes; the store keeps that image as its trace (never reading the
+ *    file back) and then atomically rename(2)s the file into place:
+ *    a crash mid-write
+ *    never leaves a half-entry, concurrent writers race safely (both
+ *    produce identical bytes; last rename wins), and another
+ *    process's sweep cannot delete the entry from under the store
+ *    that just wrote it. Only load() verifies bytes read from disk;
  *  - loads read the entry into an owned buffer and verify all of it
  *    (indexTraceImage: header, block headers and digests, column
  *    directories, record count, footer and file digest) without
  *    decoding a column. Any corruption — truncation, flipped bytes,
  *    digest mismatch — quarantines the entry (renamed to
  *    `<entry>.corrupt`) and reports a miss so the caller
- *    regenerates. A verified entry, loaded or just stored, becomes a
+ *    regenerates. A verified entry, or a stored one, becomes a
  *    MaterializedTrace that decodes each block on first touch; a
  *    block that still fails to decode (forged digests) quarantines
  *    the entry then, and the trace falls back to a regenerated,
@@ -107,15 +110,18 @@ class DiskTraceCache : public std::enable_shared_from_this<DiskTraceCache>
     /**
      * Persist the first @p records records @p source produces as the
      * entry for (workload, seed, records), trimming the last chunk to
-     * the budget. The chunks stream through a v3 TraceWriter into a
-     * temp file, one at a time; the written bytes are read back,
-     * verified as load() verifies an entry, and adopted before an
-     * atomic rename publishes them and the eviction sweep runs.
+     * the budget. The chunks stream, one at a time, through a v3
+     * TraceWriter into a temp file; the writer keeps the image it
+     * wrote and digested, and indexes each block as it commits it.
+     * The store checks the tier's layout rules on that index and
+     * adopts the writer's image and index, not a read-back of the
+     * file, before an atomic rename publishes the entry and the
+     * eviction sweep runs. Only load() verifies bytes read from disk.
      *
      * @return the adopted, not yet decoded trace, as load() would
-     * return it. A failed write or verification warns, stores nothing
-     * and returns nullptr; a failed rename warns and stores nothing,
-     * but the verified trace is still returned.
+     * return it. A failed encode, layout check or write warns, stores
+     * nothing and returns nullptr; a failed rename warns and stores
+     * nothing, but the adopted trace is still returned.
      */
     std::shared_ptr<const MaterializedTrace>
     store(const std::string &workload, uint64_t seed, uint64_t records,
@@ -140,12 +146,12 @@ class DiskTraceCache : public std::enable_shared_from_this<DiskTraceCache>
      *  path, possibly empty) is never evicted. */
     void sweepLocked(const std::string &keep);
 
-    /** @return the verified image of @p path's entry as a trace
-     *  whose fallback quarantines the entry and regenerates. */
+    /** @return the image of @p path's entry as a trace whose
+     *  fallback quarantines the entry and regenerates. */
     std::shared_ptr<const MaterializedTrace>
-    adopt(const std::string &path, std::unique_ptr<uint8_t[]> image,
-          size_t size, std::vector<TraceBlockRef> index,
-          const std::string &workload, uint64_t seed, uint64_t records);
+    adopt(const std::string &path, TraceImage image,
+          std::vector<TraceBlockRef> index, const std::string &workload,
+          uint64_t seed, uint64_t records);
 
     /** Count a corrupt entry (and, with @p miss, a miss). */
     void countCorrupt(bool miss);

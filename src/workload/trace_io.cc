@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <cstring>
 #include <mutex>
+#include <new>
+#include <optional>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -744,7 +746,19 @@ runEncodeHelper(detail::TraceEncodeRing &r, detail::TraceBlockScratch &s)
 } // anonymous namespace
 
 TraceWriter::TraceWriter(const std::string &p, uint32_t version)
-    : path(p), ver(version), fileDigest(codec::fnvOffsetBasis),
+    : TraceWriter(p, version, std::nullopt)
+{}
+
+TraceWriter
+TraceWriter::keepingImage(const std::string &p, uint64_t maxRecords)
+{
+    return TraceWriter(p, traceVersionV3, maxRecords);
+}
+
+TraceWriter::TraceWriter(const std::string &p, uint32_t version,
+                         std::optional<uint64_t> imageRecords)
+    : path(p), toImage(imageRecords.has_value()), ver(version),
+      fileDigest(codec::fnvOffsetBasis),
       // Each block writes the scratch it reads: leave it unzeroed.
       scratch(std::make_unique_for_overwrite<detail::TraceBlockScratch>())
 {
@@ -752,6 +766,34 @@ TraceWriter::TraceWriter(const std::string &p, uint32_t version)
                  "unsupported trace write version %u", ver);
     if (ver == traceVersionV3)
         ring = std::make_unique<detail::TraceEncodeRing>();
+    if (toImage) {
+        // Every block is at most a header and maxV3PayloadBytes.
+        constexpr size_t blockBound =
+            sizeof(BlockHeaderV3) + maxV3PayloadBytes;
+        constexpr size_t framing = sizeof(FileHeader) + sizeof(FooterV3);
+        const uint64_t maxBlocks =
+            (*imageRecords + TraceChunk::capacity - 1) /
+            TraceChunk::capacity;
+        try {
+            if (maxBlocks > (SIZE_MAX - framing) / blockBound)
+                throw std::bad_alloc();
+            image.map = Mapping(static_cast<size_t>(maxBlocks) *
+                                    blockBound +
+                                framing);
+            // Before the ring allocates: the index outlives the ring,
+            // and grown after it, it would sit above the ring's freed
+            // blocks in this thread's malloc arena and keep them from
+            // being trimmed.
+            blocks.reserve(static_cast<size_t>(maxBlocks));
+        } catch (const std::bad_alloc &) {
+            st = ioError(TraceIoStatus::IoError,
+                         formatString("cannot reserve a trace image for "
+                                      "%llu records",
+                                      static_cast<unsigned long long>(
+                                          *imageRecords)));
+            return;
+        }
+    }
     file = std::fopen(path.c_str(), "wb");
     if (!file) {
         st = ioError(TraceIoStatus::IoError,
@@ -785,6 +827,19 @@ TraceWriter::append(const TraceRecord &r)
 void
 TraceWriter::append(const TraceChunk &chunk)
 {
+    appendBlock(chunk, nullptr);
+}
+
+void
+TraceWriter::append(std::unique_ptr<TraceChunk> &chunk)
+{
+    appendBlock(*chunk, &chunk);
+}
+
+void
+TraceWriter::appendBlock(const TraceChunk &chunk,
+                         std::unique_ptr<TraceChunk> *take)
+{
     if (st.failed())
         return;
     GDIFF_ASSERT(file != nullptr, "append to a closed TraceWriter");
@@ -793,8 +848,8 @@ TraceWriter::append(const TraceChunk &chunk)
     // Flush the partial per-record block first so records stay in
     // stream order whatever mix of append() overloads fed the file.
     flushPending();
-    writeBlock(chunk);
     count += chunk.size;
+    writeBlock(chunk, take);
 }
 
 void
@@ -802,12 +857,41 @@ TraceWriter::flushPending()
 {
     if (!pending || pending->empty())
         return;
-    writeBlock(*pending); // records were counted as they arrived
+    writeBlock(*pending, &pending); // counted as the records arrived
     pending->clear();
+}
+
+uint8_t *
+TraceWriter::claim(size_t bytes)
+{
+    if (st.failed())
+        return nullptr;
+    if (bytes > image.map.size() - image.size) {
+        st = ioError(TraceIoStatus::IoError,
+                     formatString("trace image outgrew its %zu-byte "
+                                  "reservation",
+                                  image.map.size()));
+        return nullptr;
+    }
+    uint8_t *at = image.map.data() + image.size;
+    image.size += bytes;
+    return at;
 }
 
 void
 TraceWriter::writeRaw(const void *data, size_t bytes, const char *what)
+{
+    if (toImage) {
+        uint8_t *at = claim(bytes);
+        if (!at)
+            return;
+        std::memcpy(at, data, bytes);
+    }
+    writeFile(data, bytes, what);
+}
+
+void
+TraceWriter::writeFile(const void *data, size_t bytes, const char *what)
 {
     if (st.failed() || bytes == 0)
         return;
@@ -819,14 +903,15 @@ TraceWriter::writeRaw(const void *data, size_t bytes, const char *what)
 }
 
 void
-TraceWriter::writeBlock(const TraceChunk &chunk)
+TraceWriter::writeBlock(const TraceChunk &chunk,
+                        std::unique_ptr<TraceChunk> *take)
 {
     GDIFF_ASSERT(chunk.size > 0 && chunk.size <= TraceChunk::capacity,
                  "trace block size %u out of range", chunk.size);
     if (st.failed())
         return;
     if (ver == traceVersionV3) {
-        writeV3Block(chunk); // times each block where it encodes
+        writeV3Block(chunk, take); // times each block where it encodes
         return;
     }
     // Accumulate locally; close() makes the one registry call.
@@ -1003,7 +1088,8 @@ encodeV3Block(const TraceChunk &chunk, detail::TraceBlockScratch &s,
 } // anonymous namespace
 
 void
-TraceWriter::writeV3Block(const TraceChunk &chunk)
+TraceWriter::writeV3Block(const TraceChunk &chunk,
+                          std::unique_ptr<TraceChunk> *take)
 {
     detail::TraceEncodeRing &r = *ring;
     if (r.submitted == 1)
@@ -1027,9 +1113,16 @@ TraceWriter::writeV3Block(const TraceChunk &chunk)
         commitSlot(slot);
         return;
     }
-    if (!slot.chunk)
-        slot.chunk = std::make_unique<TraceChunk>();
-    slot.chunk->assign(chunk);
+    if (take) {
+        // The slot's chunk is free: its block was committed.
+        std::swap(slot.chunk, *take);
+        if (!*take)
+            *take = std::make_unique<TraceChunk>();
+    } else {
+        if (!slot.chunk)
+            slot.chunk = std::make_unique<TraceChunk>();
+        slot.chunk->assign(chunk);
+    }
     {
         std::lock_guard<std::mutex> guard(r.lock);
         ++r.submitted;
@@ -1087,15 +1180,33 @@ TraceWriter::commitSlot(const detail::TraceEncodeSlot &slot)
     // independent chains in one pass. This header follows at once;
     // this payload waits in digestPayload for the next block, or for
     // close().
+    //
+    // A writer that keeps an image copies the payload into it first and
+    // digests and writes it from there, so the image, the file and the
+    // digests all cover the same bytes.
     const uint8_t *payload = slot.payload.get();
+    uint8_t *head = nullptr;
+    if (toImage) {
+        head = claim(sizeof(BlockHeaderV3) + slot.bytes);
+        if (!head)
+            return;
+        payload = static_cast<const uint8_t *>(std::memcpy(
+            head + sizeof(BlockHeaderV3), payload, slot.bytes));
+    }
     uint64_t blockDigest = codec::fnvOffsetBasis;
     codec::fnv1aPair(payload, slot.bytes, &blockDigest, digestPayload,
                      digestBytes, &fileDigest);
     BlockHeaderV3 bh{slot.records, static_cast<uint32_t>(slot.bytes),
                      blockDigest};
     fileDigest = codec::fnv1a(&bh, sizeof(bh), fileDigest);
-    writeRaw(&bh, sizeof(bh), "block");
-    writeRaw(payload, slot.bytes, "block");
+    if (head) {
+        std::memcpy(head, &bh, sizeof(bh));
+        blocks.push_back(TraceBlockRef{
+            static_cast<size_t>(payload - image.data()), slot.records,
+            static_cast<uint32_t>(slot.bytes)});
+    }
+    writeFile(&bh, sizeof(bh), "block");
+    writeFile(payload, slot.bytes, "block");
     digestPayload = payload;
     digestBytes = slot.bytes;
     if (slot.timed)
@@ -1140,14 +1251,19 @@ TraceWriter::close()
                      {"blocks", std::to_string(encodeBlocks)}});
     }
     // Finalise the record count in the header.
+    FileHeader h{traceMagic, ver, count};
+    if (toImage) {
+        if (!st.failed())
+            std::memcpy(image.map.data(), &h, sizeof(h));
+        image.map.truncate(image.size);
+    }
     if (!st.failed() && std::fseek(file, 0, SEEK_SET) != 0) {
         st = ioError(TraceIoStatus::IoError,
                      formatString("cannot finalise trace header in "
                                   "'%s'",
                                   path.c_str()));
     }
-    FileHeader h{traceMagic, ver, count};
-    writeRaw(&h, sizeof(h), "header");
+    writeFile(&h, sizeof(h), "header");
     // fclose() flushes the stdio buffer: a full disk can surface here.
     if (std::fclose(file) != 0 && !st.failed()) {
         st = ioError(TraceIoStatus::IoError,
@@ -1156,6 +1272,16 @@ TraceWriter::close()
     }
     file = nullptr;
     return st;
+}
+
+TraceImage
+TraceWriter::takeImage(std::vector<TraceBlockRef> *index)
+{
+    GDIFF_ASSERT(toImage && !file && st.ok(),
+                 "takeImage() needs a closed, healthy writer that kept "
+                 "its image");
+    *index = std::move(blocks);
+    return std::move(image);
 }
 
 // ----------------------------------------------------- TraceReader

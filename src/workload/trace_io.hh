@@ -33,7 +33,8 @@
  *
  * One reader, TraceReader, decodes both a file and an in-memory
  * image and is the TraceSource that replays either. The persistent
- * cache instead verifies a whole image once (indexTraceImage) and
+ * cache instead verifies a whole loaded image once (indexTraceImage),
+ * adopts a stored one with the block index its writer kept, and
  * decodes single blocks on demand (decodeTraceBlock), so a reader
  * that touches a few blocks pays for those alone.
  *
@@ -51,9 +52,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "util/mapping.hh"
 #include "workload/trace.hh"
 
 namespace gdiff {
@@ -105,6 +108,25 @@ struct TraceEncodeRing;
 struct TraceEncodeSlot;
 } // namespace detail
 
+/** Where one block of a v3 trace image lives. */
+struct TraceBlockRef
+{
+    size_t payload = 0;        ///< byte offset of the column payload
+    uint32_t records = 0;      ///< records in the block
+    uint32_t payloadBytes = 0; ///< length of the column payload
+
+    bool operator==(const TraceBlockRef &) const = default;
+};
+
+/** A whole trace image in memory: the first @c size bytes of @c map. */
+struct TraceImage
+{
+    Mapping map;
+    size_t size = 0;
+
+    const uint8_t *data() const { return map.data(); }
+};
+
 /**
  * Writes TraceRecords to a binary trace file in chunked blocks.
  *
@@ -117,6 +139,13 @@ struct TraceEncodeSlot;
  * ring holds at most seven blocks in flight: append() waits for the
  * oldest when it is full. close() and the destructor commit every
  * queued block and join the helpers. A v2 writer starts no thread.
+ *
+ * A v3 writer made by keepingImage() also keeps every byte it writes
+ * in one image in memory. It copies each encoded block into the image
+ * and digests and writes it from there, so the file, the image and the
+ * digests cover the same bytes, and it records each block's
+ * TraceBlockRef as it commits it. takeImage() hands over both, so the
+ * image needs neither a read-back nor a second pass to be indexed.
  *
  * Failures never terminate the process: the first one (the file
  * cannot be created, a write comes up short, the header cannot be
@@ -136,6 +165,18 @@ class TraceWriter
      */
     explicit TraceWriter(const std::string &path,
                          uint32_t version = traceVersionV3);
+
+    /**
+     * A v3 writer to @p path that also keeps its image, for a trace of
+     * at most @p maxRecords records in blocks of up to
+     * TraceChunk::capacity. The image reserves room for the largest
+     * such trace as address space, and a page is backed only once a
+     * block is written to it. When the room cannot be reserved, or the
+     * blocks outgrow it, status() is an IoError.
+     */
+    static TraceWriter keepingImage(const std::string &path,
+                                    uint64_t maxRecords);
+
     ~TraceWriter();
 
     TraceWriter(const TraceWriter &) = delete;
@@ -146,6 +187,14 @@ class TraceWriter
 
     /** Append a whole chunk as one block. */
     void append(const TraceChunk &chunk);
+
+    /**
+     * Append @p chunk as one block without copying it: a v3 writer
+     * that encodes on its helpers takes the chunk into its ring and
+     * leaves in @p chunk a free one whose records are unspecified.
+     * Otherwise as append(const TraceChunk &).
+     */
+    void append(std::unique_ptr<TraceChunk> &chunk);
 
     /**
      * Flush, finalise the header (and v3 footer), close. Idempotent.
@@ -162,22 +211,50 @@ class TraceWriter
     /** @return the format version being written. */
     uint32_t version() const { return ver; }
 
+    /**
+     * Hand over the image of a writer made by keepingImage(), trimmed
+     * to its size, and the index of the blocks it committed. Call
+     * once, after close() returned Ok.
+     */
+    TraceImage takeImage(std::vector<TraceBlockRef> *index);
+
   private:
+    /** Open @p path; keep the image of a trace of at most
+     *  @p imageRecords records, if given. */
+    TraceWriter(const std::string &path, uint32_t version,
+                std::optional<uint64_t> imageRecords);
+
+    /**
+     * @return the next @p bytes bytes of the kept image, now claimed,
+     * or nullptr (and an IoError) when they do not fit.
+     */
+    uint8_t *claim(size_t bytes);
+
+    /** Both append()s of a chunk: @p take, if given, owns @p chunk. */
+    void appendBlock(const TraceChunk &chunk,
+                     std::unique_ptr<TraceChunk> *take);
+
     /** Write the pending partial block, if any. */
     void flushPending();
 
-    /** Write one block in the selected format. */
-    void writeBlock(const TraceChunk &chunk);
+    /**
+     * Write one block in the selected format. A v3 block that a helper
+     * encodes is copied into the ring, or with @p take (which owns
+     * @p chunk) swapped in.
+     */
+    void writeBlock(const TraceChunk &chunk,
+                    std::unique_ptr<TraceChunk> *take);
 
     /** Write @p chunk as one block of raw v2 columns. */
     void writeV2Block(const TraceChunk &chunk);
 
     /**
      * Hand @p chunk to the v3 encoders: encode it here while no
-     * helper runs, else queue a copy in the ring and commit whatever
-     * has finished.
+     * helper runs, else queue it in the ring (a copy, or with @p take
+     * the chunk itself) and commit whatever has finished.
      */
-    void writeV3Block(const TraceChunk &chunk);
+    void writeV3Block(const TraceChunk &chunk,
+                      std::unique_ptr<TraceChunk> *take);
 
     /** Start the encode helpers (at the second v3 block). */
     void startHelpers();
@@ -200,11 +277,19 @@ class TraceWriter
     /** Add one block's encode time, starting at @p startNs. */
     void addEncodeTime(uint64_t startNs, uint64_t ns);
 
-    /** Write @p bytes at @p data; records an IoError on failure. */
+    /** Write @p bytes at @p data to the image, if kept, and the
+     *  file; records an IoError on failure. */
     void writeRaw(const void *data, size_t bytes, const char *what);
+
+    /** Write @p bytes at @p data to the file alone. */
+    void writeFile(const void *data, size_t bytes, const char *what);
 
     std::FILE *file = nullptr;
     std::string path;
+    /// the kept image and the blocks committed to it (keepingImage())
+    bool toImage = false;
+    TraceImage image;
+    std::vector<TraceBlockRef> blocks;
     uint32_t ver = traceVersionV3;
     uint64_t count = 0;
     /// running FNV over v3 block bytes, up to the last block's
@@ -318,14 +403,6 @@ class TraceReader : public TraceSource
 
 /// The image reader's former name, kept for the benchmark's probes.
 using TraceBufferReader = TraceReader;
-
-/** Where one block of a verified v3 trace image lives. */
-struct TraceBlockRef
-{
-    size_t payload = 0;        ///< byte offset of the column payload
-    uint32_t records = 0;      ///< records in the block
-    uint32_t payloadBytes = 0; ///< length of the column payload
-};
 
 /**
  * Verify a whole v3 trace image without decoding any column, and

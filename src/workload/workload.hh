@@ -35,8 +35,6 @@ struct Workload
     std::vector<std::pair<uint64_t, int64_t>> memoryImage;
     /// initial architectural register values
     std::array<int64_t, isa::numRegs> initialRegs{};
-    /// one-line description of the kernel's value-locality character
-    std::string description;
     /// named PCs of instructions the benches instrument (e.g. the
     /// parser kernel's spill-fill reload for the paper's Fig. 1)
     std::vector<std::pair<std::string, uint64_t>> markers;

@@ -22,10 +22,12 @@
  *    regeneration, skips decode nothing they skip, and replays decode
  *    each block once, concurrently too;
  *  - streamed disk-tier misses: a miss encodes the executor's chunks
- *    straight into the entry and keeps only the verified image; the
- *    replay and the entry bytes match a generated trace's, and a
- *    failed store or a cold key raced by threads still serves one
- *    correct trace;
+ *    straight into the entry and keeps only the writer's image, whose
+ *    index matches a full verify of its bytes; the replay and the
+ *    entry bytes match a generated trace's, damage to the entry after
+ *    the store reaches only the next process's load, and a failed
+ *    store or a cold key raced by threads still serves one correct
+ *    trace;
  *  - equivalence: v2 and v3 replays drive identical predictor
  *    results, and sweeps through the disk tier are bit-identical to
  *    uncached runs at 1 and 4 threads.
@@ -1644,39 +1646,54 @@ TEST(StreamedDiskMiss, ReplayMatchesGenerateColumnForColumn)
     removeTree(root);
 }
 
+/**
+ * 3 set-up records, then 3000 trips of a 5-record loop: the stream
+ * halts at 15003 records, and its last block is partial.
+ */
+isa::Program
+haltingProgram()
+{
+    using namespace isa::reg;
+    isa::ProgramBuilder b("halting");
+    isa::Label top = b.newLabel();
+    b.li(t0, 0);
+    b.li(t1, 3000);
+    b.li(s8, 0x100000);
+    b.bind(top);
+    b.addi(t0, t0, 1);
+    b.addi(s1, s1, 8);
+    b.store(s1, s8, 0);
+    b.load(s2, s8, 0);
+    b.blt(t0, t1, top);
+    b.halt();
+    return b.build();
+}
+
+/** @return every chunk @p exec fills, as MaterializedTrace::generate()
+ *  keeps them for a budget the stream never reaches. */
+std::vector<std::unique_ptr<TraceChunk>>
+fillAll(Executor &exec)
+{
+    std::vector<std::unique_ptr<TraceChunk>> chunks;
+    for (;;) {
+        auto c = std::make_unique<TraceChunk>();
+        if (!exec.fill(*c))
+            break;
+        chunks.push_back(std::move(c));
+    }
+    return chunks;
+}
+
 TEST(StreamedDiskMiss, KernelThatHaltsBeforeItsBudget)
 {
-    // 3 set-up records, then 3000 trips of a 5-record loop: the
-    // stream halts at 15003 records, short of the budget, and its
-    // last block is partial.
-    auto program = [] {
-        using namespace isa::reg;
-        isa::ProgramBuilder b("halting");
-        isa::Label top = b.newLabel();
-        b.li(t0, 0);
-        b.li(t1, 3000);
-        b.li(s8, 0x100000);
-        b.bind(top);
-        b.addi(t0, t0, 1);
-        b.addi(s1, s1, 8);
-        b.store(s1, s8, 0);
-        b.load(s2, s8, 0);
-        b.blt(t0, t1, top);
-        b.halt();
-        return b.build();
-    };
+    // The stream halts short of the budget.
+    auto program = haltingProgram;
     const uint64_t budget = 20000, halted = 15003;
 
     // What MaterializedTrace::generate() keeps: every chunk the
     // executor fills, up to the budget.
     Executor reference(program());
-    std::vector<std::unique_ptr<TraceChunk>> chunks;
-    for (;;) {
-        auto c = std::make_unique<TraceChunk>();
-        if (!reference.fill(*c))
-            break;
-        chunks.push_back(std::move(c));
-    }
+    std::vector<std::unique_ptr<TraceChunk>> chunks = fillAll(reference);
     std::vector<const TraceChunk *> want;
     uint64_t total = 0;
     for (const auto &c : chunks) {
@@ -1698,6 +1715,163 @@ TEST(StreamedDiskMiss, KernelThatHaltsBeforeItsBudget)
     auto loaded = disk->load("halting", 1, budget);
     ASSERT_NE(loaded, nullptr);
     expectSameBlocks(*loaded, want, "halting kernel, reloaded");
+    removeTree(root);
+}
+
+/**
+ * Stream the first @p records records of @p source to @p path through
+ * a writer that keeps its image, trimming the last chunk as a store
+ * does. @return the writer's image, with its block index in @p index.
+ */
+TraceImage
+writeImage(TraceSource &source, uint64_t records, const std::string &path,
+           std::vector<TraceBlockRef> *index)
+{
+    TraceWriter writer = TraceWriter::keepingImage(path, records);
+    auto chunk = std::make_unique<TraceChunk>();
+    uint64_t remaining = records;
+    while (remaining > 0 && source.fill(*chunk)) {
+        if (chunk->size > remaining)
+            chunk->size = static_cast<uint32_t>(remaining);
+        remaining -= chunk->size;
+        writer.append(*chunk);
+    }
+    EXPECT_TRUE(writer.close().ok()) << writer.status().message;
+    return writer.takeImage(index);
+}
+
+TEST(StreamedDiskMiss, WriterIndexMatchesAFullVerify)
+{
+    // A store adopts the writer's image and index without verifying
+    // them again. Each must equal what a full verify of those bytes
+    // finds, the bytes must be the published entry, and the adopted
+    // trace must replay the generated stream. The cases: one block
+    // (encoded before any helper starts), 41 blocks and a tail (the
+    // ring wraps five times), and a kernel that halts inside its last
+    // block.
+    struct Case
+    {
+        const char *workload;
+        uint64_t records;
+    };
+    const Case cases[] = {
+        {"micro.periodic", TraceChunk::capacity - 3},
+        {"gzip", 41 * TraceChunk::capacity + 77},
+        {"halting", 20000},
+    };
+    std::string root = tempRoot("writerindex");
+    ASSERT_EQ(::mkdir(root.c_str(), 0755), 0);
+    DiskTraceCache::Config cfg;
+    cfg.root = root;
+    auto disk = std::make_shared<DiskTraceCache>(cfg);
+    for (const Case &c : cases) {
+        const std::string what = c.workload;
+        const bool halting = what == "halting";
+        auto executor = [&] {
+            return halting ? std::make_unique<Executor>(haltingProgram())
+                           : makeWorkload(c.workload, 1).makeExecutor();
+        };
+
+        auto source = executor();
+        std::vector<TraceBlockRef> index;
+        const std::string written = root + "/writer.out";
+        TraceImage image = writeImage(*source, c.records, written, &index);
+        const std::vector<uint8_t> file = slurp(written);
+        ASSERT_EQ(file.size(), image.size) << what;
+        EXPECT_EQ(std::memcmp(file.data(), image.data(), image.size), 0)
+            << what << ": the writer's file differs from its image";
+        std::vector<TraceBlockRef> verified;
+        ASSERT_TRUE(indexTraceImage(image.data(), image.size, &verified)
+                        .ok())
+            << what;
+        EXPECT_TRUE(index == verified) << what;
+        EXPECT_GE(image.map.size(), image.size) << what;
+        EXPECT_LT(image.map.size() - image.size,
+                  static_cast<size_t>(::sysconf(_SC_PAGESIZE)))
+            << what << ": the image kept its unused reservation";
+
+        source = executor();
+        auto stored = disk->store(c.workload, 1, c.records, *source);
+        ASSERT_NE(stored, nullptr) << what;
+        std::vector<uint8_t> entry = slurp(
+            root + "/" + DiskTraceCache::entryName(c.workload, 1, c.records));
+        ASSERT_EQ(entry.size(), image.size) << what;
+        EXPECT_EQ(std::memcmp(entry.data(), image.data(), image.size), 0)
+            << what << ": the entry differs from the writer's bytes";
+        EXPECT_EQ(stored->bytes(), entry.size()) << what;
+
+        if (halting) {
+            Executor reference(haltingProgram());
+            auto chunks = fillAll(reference);
+            std::vector<const TraceChunk *> want;
+            for (const auto &chunk : chunks)
+                want.push_back(chunk.get());
+            ASSERT_EQ(index.size(), want.size());
+            EXPECT_LT(index.back().records, TraceChunk::capacity);
+            expectSameBlocks(*stored, want, what);
+        } else {
+            auto want = MaterializedTrace::generate(c.workload, 1, c.records);
+            EXPECT_EQ(index.size(), want->blockCount()) << what;
+            expectSameBlocks(*stored, blocksOf(*want), what);
+        }
+    }
+    removeTree(root);
+}
+
+TEST(StreamedDiskMiss, CorruptAfterStoreServesTheWritersBytes)
+{
+    // The storing process serves the image its writer digested, never
+    // the file: damage to the published entry after the store cannot
+    // reach its replays. The next process's load catches it.
+    const std::string kernel = "mcf";
+    std::string root = tempRoot("corruptafter");
+    std::string entry =
+        root + "/" + DiskTraceCache::entryName(kernel, 1, kLazyRecords);
+    const std::vector<TraceRecord> want =
+        generateRecords(kernel, 1, kLazyRecords);
+
+    TraceCache storing;
+    storing.setDiskRoot(root);
+    TraceCache::Acquired acq = storing.acquire(kernel, 1, kLazyRecords);
+    ASSERT_TRUE(acq.generated);
+    ASSERT_EQ(storing.snapshot().diskStores, 1u);
+
+    // Flip one payload byte of the published entry before any block
+    // of the stored trace is decoded.
+    std::vector<uint8_t> bytes = slurp(entry);
+    ASSERT_GT(bytes.size(), 64u);
+    bytes[bytes.size() / 2] ^= 0x20;
+    spill(entry, bytes);
+
+    expectSameRecords(drainRecords(*acq.source), want,
+                      "storing process after the flip");
+    EXPECT_EQ(storing.snapshot().diskCorruptRecoveries, 0u);
+
+    // A fresh cache on the same root quarantines the entry, counts one
+    // corrupt recovery, regenerates and re-stores.
+    {
+        TraceCache fresh;
+        fresh.setDiskRoot(root);
+        TraceCache::Acquired again = fresh.acquire(kernel, 1, kLazyRecords);
+        EXPECT_TRUE(again.generated);
+        EXPECT_FALSE(again.fromDisk);
+        TraceCache::Stats s = fresh.snapshot();
+        EXPECT_EQ(s.diskCorruptRecoveries, 1u);
+        EXPECT_EQ(s.generations, 1u);
+        EXPECT_EQ(s.diskStores, 1u);
+        expectSameRecords(drainRecords(*again.source), want,
+                          "fresh process after the flip");
+    }
+    struct stat st;
+    EXPECT_EQ(::stat((entry + ".corrupt").c_str(), &st), 0)
+        << "the corrupt entry was not quarantined";
+
+    // The re-stored entry loads.
+    TraceCache next;
+    next.setDiskRoot(root);
+    TraceCache::Acquired hit = next.acquire(kernel, 1, kLazyRecords);
+    EXPECT_TRUE(hit.fromDisk);
+    expectSameRecords(drainRecords(*hit.source), want, "re-stored entry");
     removeTree(root);
 }
 
