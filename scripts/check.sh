@@ -11,7 +11,6 @@ for b in build/bench/*; do
     [ -f "$b" ] && [ -x "$b" ] || continue
     case "$b" in
         *perf_predictors) "$b" --benchmark_min_time=0.05 ;;
-        *serve_load) ;; # has its own dedicated step below
         *) "$b" --instructions=200000 --warmup=40000 ;;
     esac
 done
@@ -276,10 +275,6 @@ cmp build/check_daemon.sorted build/check_local.sorted || {
     kill "$DAEMON" 2>/dev/null; exit 1; }
 kill -TERM "$DAEMON"
 wait "$DAEMON" || { echo "serving smoke: daemon drain failed"; exit 1; }
-# Serving load: concurrent clients, shared-cache warm wave, latency
-# percentiles from the obs histograms.
-./build/bench/serve_load --clients=4 --instructions=200000 \
-    --warmup=20000 --json=build/BENCH_serve.json
 # Blind-spot mining smoke: both documented default pairs must find,
 # shrink, and cluster at least one disagreement, and the full report
 # (table, digests, JSONL, artifacts) must be bit-identical across a

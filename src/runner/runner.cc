@@ -9,6 +9,7 @@
 #include "runner/factory.hh"
 #include "sample/sample.hh"
 #include "sim/profile.hh"
+#include "util/worker_pool.hh"
 #include "workload/workload.hh"
 
 namespace gdiff {
@@ -17,8 +18,7 @@ namespace runner {
 unsigned
 defaultThreads()
 {
-    unsigned n = std::thread::hardware_concurrency();
-    return n == 0 ? 1 : n;
+    return workers::count();
 }
 
 // ------------------------------------------------------- ThreadPool
@@ -33,29 +33,34 @@ ThreadPool::forEach(size_t count,
 {
     if (count == 0)
         return;
-    if (nThreads == 1) {
-        for (size_t i = 0; i < count; ++i)
-            task(i);
-        return;
-    }
-    std::atomic<size_t> next{0};
-    auto worker = [&] {
-        for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
-             i < count;
-             i = next.fetch_add(1, std::memory_order_relaxed)) {
-            task(i);
-        }
+    // Shared with the helpers, which may start after this call
+    // returns: a late one finds every index claimed and reads nothing
+    // else, so it never touches @p task.
+    struct Batch
+    {
+        const std::function<void(size_t)> &task;
+        const size_t count;
+        std::atomic<size_t> next{0}, done{0};
     };
-    std::vector<std::thread> pool;
-    unsigned spawn = static_cast<unsigned>(
-        std::min<size_t>(nThreads, count));
-    pool.reserve(spawn);
-    // The calling thread is worker 0; spawn-1 helpers join it.
-    for (unsigned t = 1; t < spawn; ++t)
-        pool.emplace_back(worker);
-    worker();
-    for (auto &th : pool)
-        th.join();
+    auto batch = std::make_shared<Batch>(task, count);
+    // A task that throws ends the process, as a thread's would.
+    auto drain = [](Batch &b) noexcept {
+        size_t ran = 0;
+        for (size_t i = b.next++; i < b.count; i = b.next++, ++ran)
+            b.task(i);
+        if (ran != 0 && b.done.fetch_add(ran) + ran == b.count)
+            b.done.notify_one(); // only the caller waits
+    };
+    // The calling thread is worker 0; up to nThreads-1 helpers join
+    // it (with one worker, none: the tasks run here in index order).
+    // It drains the indices itself, so it waits only for the ones a
+    // helper already claimed, never for a free pool worker.
+    const size_t helpers = std::min<size_t>(nThreads, count) - 1;
+    for (size_t h = 0; h < helpers; ++h)
+        workers::post([batch, drain] { drain(*batch); });
+    drain(*batch);
+    for (size_t d = batch->done; d != count; d = batch->done)
+        batch->done.wait(d);
 }
 
 // ----------------------------------------------------------- runJob

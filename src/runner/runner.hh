@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "runner/job.hh"
@@ -37,14 +36,16 @@
 namespace gdiff {
 namespace runner {
 
-/** @return the default worker count: hardware concurrency, min 1. */
+/** @return the default worker count: the process pool's size
+ *  (hardware concurrency, min 1). */
 unsigned defaultThreads();
 
 /**
- * Fixed-size pool executing a batch of independent tasks via a shared
- * atomic work queue (each idle worker claims the next unclaimed
- * index — the degenerate but contention-free form of work stealing
- * for uniform job pools).
+ * Runs a batch of independent tasks on the process's worker pool
+ * (util/worker_pool.hh) through a shared atomic index: the calling
+ * thread and up to threads()-1 pool workers each claim the next
+ * unclaimed index (the degenerate but contention-free form of work
+ * stealing for uniform job pools). It starts no thread of its own.
  */
 class ThreadPool
 {
@@ -57,8 +58,12 @@ class ThreadPool
 
     /**
      * Run @p task(i) for every i in [0, count), distributing indices
-     * across the workers; blocks until all complete. With one worker
-     * the tasks run inline on the calling thread in index order.
+     * across the workers; blocks until all complete. The calling
+     * thread runs indices until none is left, then waits only for
+     * those a worker already claimed, so a call finishes on a busy
+     * pool, from a pool worker, or nested in another call's task.
+     * With one worker the tasks run inline on the calling thread in
+     * index order.
      */
     void forEach(size_t count, const std::function<void(size_t)> &task);
 

@@ -2,8 +2,8 @@
  * @file
  * Client side of the gdiffd protocol: connect, submit a sweep,
  * stream the per-job results back, query status. Used by the
- * gdiffctl CLI, bench/serve_load, and the protocol tests; all the
- * wire details live in serve/protocol.hh.
+ * gdiffctl CLI, perfbench's serve_warm, and the protocol tests; all
+ * the wire details live in serve/protocol.hh.
  *
  * Every call reports failure through a returned false plus an error
  * string — a client library must never fatal() out of a caller that

@@ -31,7 +31,7 @@
  * Lock order: a connection's write lock may be taken before the
  * scheduler lock (submit acks), never the other way around.
  *
- * Everything is in-process testable: tests and bench/serve_load
+ * Everything is in-process testable: tests and perfbench
  * construct a Daemon directly, point clients at its socket, and
  * drain it — no fork/exec involved.
  */

@@ -215,16 +215,6 @@ DiskTraceCache::load(const std::string &workload, uint64_t seed,
         ++counters.hits;
         GDIFF_OBS_COUNT("trace_disk.hit", 1);
     }
-    return adopt(path, std::move(image), std::move(index), workload,
-                 seed, records);
-}
-
-std::shared_ptr<const MaterializedTrace>
-DiskTraceCache::adopt(const std::string &path, TraceImage image,
-                      std::vector<TraceBlockRef> index,
-                      const std::string &workload, uint64_t seed,
-                      uint64_t records)
-{
     // A block that fails to decode after its digests verified means
     // the digests were forged. Quarantine the entry, regenerate the
     // triple once and re-store it; the trace serves every later
@@ -313,8 +303,16 @@ DiskTraceCache::store(const std::string &workload, uint64_t seed,
     }
     // Adopt the image the file holds before the rename publishes it:
     // once the entry exists, another process's sweep may delete it.
-    auto trace = adopt(path, std::move(image), std::move(index),
-                       workload, seed, records);
+    // Bytes this process encoded and indexed must decode, so a block
+    // that does not is a bug here, not a damaged entry: no fallback.
+    auto trace = MaterializedTrace::fromImage(
+        std::move(image), std::move(index),
+        [path](const TraceIoResult &why)
+            -> std::shared_ptr<const MaterializedTrace> {
+            panic("trace cache entry '%s', stored by this process, does "
+                  "not decode: %s",
+                  path.c_str(), why.message.c_str());
+        });
 
     // Atomic publish: concurrent writers both produce identical
     // bytes (generation is deterministic), so whichever rename lands

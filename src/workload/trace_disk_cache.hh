@@ -119,9 +119,10 @@ class DiskTraceCache : public std::enable_shared_from_this<DiskTraceCache>
      * eviction sweep runs. Only load() verifies bytes read from disk.
      *
      * @return the adopted, not yet decoded trace, as load() would
-     * return it. A failed encode, layout check or write warns, stores
-     * nothing and returns nullptr; a failed rename warns and stores
-     * nothing, but the adopted trace is still returned.
+     * return it, except that a block of it that fails to decode is a
+     * bug here and panics. A failed encode, layout check or write
+     * warns, stores nothing and returns nullptr; a failed rename warns
+     * and stores nothing, but the adopted trace is still returned.
      */
     std::shared_ptr<const MaterializedTrace>
     store(const std::string &workload, uint64_t seed, uint64_t records,
@@ -145,13 +146,6 @@ class DiskTraceCache : public std::enable_shared_from_this<DiskTraceCache>
      *  the directory is under the byte cap. @p keep (an absolute
      *  path, possibly empty) is never evicted. */
     void sweepLocked(const std::string &keep);
-
-    /** @return the image of @p path's entry as a trace whose
-     *  fallback quarantines the entry and regenerates. */
-    std::shared_ptr<const MaterializedTrace>
-    adopt(const std::string &path, TraceImage image,
-          std::vector<TraceBlockRef> index, const std::string &workload,
-          uint64_t seed, uint64_t records);
 
     /** Count a corrupt entry (and, with @p miss, a miss). */
     void countCorrupt(bool miss);

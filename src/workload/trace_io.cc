@@ -8,8 +8,6 @@
 #include <mutex>
 #include <new>
 #include <optional>
-#include <system_error>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,6 +15,7 @@
 #include "util/logging.hh"
 #include "util/simd.hh"
 #include "util/varint.hh"
+#include "util/worker_pool.hh"
 
 namespace gdiff {
 namespace workload {
@@ -266,8 +265,8 @@ detectStridePeriod(const uint64_t *v, uint32_t n)
 namespace detail {
 
 /**
- * Heap scratch for one block's columns (~250 KiB), kept per reader
- * and per writer so no block allocates.
+ * Heap scratch for one block's columns (~250 KiB), one per thread
+ * (threadScratch()), so no block allocates.
  */
 struct TraceBlockScratch
 {
@@ -587,7 +586,7 @@ checkFooter(const uint8_t *p, uint64_t digest, const std::string &name)
     return ioError(TraceIoStatus::End, "");
 }
 
-/// per-thread decode scratch for decodeTraceBlock()
+/// the calling thread's block scratch, for every encode and decode
 detail::TraceBlockScratch &
 threadScratch()
 {
@@ -652,9 +651,6 @@ checkHeader(const FileHeader &h, const std::string &name,
 
 namespace {
 
-/// encode helper threads per v3 writer, started at its second block
-constexpr unsigned encodeHelpers = 2;
-
 /// block slots in a v3 writer's ring: the last committed block, whose
 /// payload the file digest has yet to take, and up to encodeSlots - 1
 /// blocks queued or encoding behind it
@@ -671,8 +667,8 @@ namespace detail {
 /** One v3 block on its way through a writer's ring. */
 struct TraceEncodeSlot
 {
-    /// the block's records, copied in for a helper (allocated on
-    /// first use, by the calling thread)
+    /// the block's records, copied or swapped in (allocated on first
+    /// use, by the calling thread)
     std::unique_ptr<TraceChunk> chunk;
     /// the encoded payload (maxV3PayloadBytes, allocated on first
     /// use, by the calling thread)
@@ -683,30 +679,28 @@ struct TraceEncodeSlot
     /// the time, taken on the thread that encoded the block
     bool timed = false;
     uint64_t startNs = 0, encodeNs = 0;
-    /// a helper finished the payload (guarded by the ring's lock)
+    /// a pool worker finished the payload (guarded by the ring's lock)
     bool encoded = false;
 };
 
 /**
- * A v3 writer's encode helpers and their ring. Block k uses slot
- * k % encodeSlots. The calling thread fills a slot and counts it
- * submitted; a helper takes the oldest submitted block, encodes it
- * and marks it encoded; the calling thread commits blocks in order.
- * Helpers allocate nothing and never touch the obs registry.
+ * A v3 writer's encode ring. Block k uses slot k % encodeSlots. The
+ * calling thread fills a slot, counts it submitted and posts a task to
+ * the worker pool; whoever takes the oldest submitted block first, a
+ * pool worker or the calling thread while it waits, encodes it and
+ * marks it encoded; the calling thread commits blocks in order. The
+ * writer and its pool tasks share the ring, so a task that runs after
+ * the writer is gone finds nothing to take. Ring tasks allocate
+ * nothing but their thread's scratch, once, and never touch the obs
+ * registry.
  */
 struct TraceEncodeRing
 {
     std::array<TraceEncodeSlot, encodeSlots> slots;
-    std::array<std::unique_ptr<TraceBlockScratch>, encodeHelpers>
-        scratch;
-    std::vector<std::thread> helpers;
-
     std::mutex lock;
-    std::condition_variable queued;  ///< a block was submitted, or stop
-    std::condition_variable encoded; ///< a helper finished a block
+    std::condition_variable encoded; ///< a worker finished a block
     uint64_t submitted = 0; ///< blocks handed over (guarded by lock)
-    uint64_t taken = 0;     ///< blocks a helper began (guarded by lock)
-    bool stopping = false;  ///< helpers exit (guarded by lock)
+    uint64_t taken = 0;     ///< blocks an encoder began (guarded by lock)
     uint64_t committed = 0; ///< blocks written (calling thread only)
 };
 
@@ -724,23 +718,24 @@ encodeSlot(detail::TraceEncodeSlot &slot, const TraceChunk &chunk,
     slot.encodeNs = slot.timed ? obs::nowNs() - slot.startNs : 0;
 }
 
-/** An encode helper's loop: encode submitted blocks until stopped. */
-void
-runEncodeHelper(detail::TraceEncodeRing &r, detail::TraceBlockScratch &s)
+/**
+ * Take the ring's oldest submitted block that no one has taken yet
+ * and encode it with @p s, unlocking @p guard (held on @p r's lock)
+ * meanwhile. @return false when every submitted block was taken.
+ */
+bool
+encodeOneTaken(detail::TraceEncodeRing &r,
+               std::unique_lock<std::mutex> &guard,
+               detail::TraceBlockScratch &s)
 {
-    std::unique_lock<std::mutex> guard(r.lock);
-    for (;;) {
-        r.queued.wait(guard,
-                      [&r] { return r.stopping || r.taken < r.submitted; });
-        if (r.stopping)
-            return;
-        detail::TraceEncodeSlot &slot = r.slots[r.taken++ % encodeSlots];
-        guard.unlock();
-        encodeSlot(slot, *slot.chunk, s);
-        guard.lock();
-        slot.encoded = true;
-        r.encoded.notify_one(); // only the calling thread waits
-    }
+    if (r.taken == r.submitted)
+        return false;
+    detail::TraceEncodeSlot &slot = r.slots[r.taken++ % encodeSlots];
+    guard.unlock();
+    encodeSlot(slot, *slot.chunk, s);
+    guard.lock();
+    slot.encoded = true;
+    return true;
 }
 
 } // anonymous namespace
@@ -758,14 +753,12 @@ TraceWriter::keepingImage(const std::string &p, uint64_t maxRecords)
 TraceWriter::TraceWriter(const std::string &p, uint32_t version,
                          std::optional<uint64_t> imageRecords)
     : path(p), toImage(imageRecords.has_value()), ver(version),
-      fileDigest(codec::fnvOffsetBasis),
-      // Each block writes the scratch it reads: leave it unzeroed.
-      scratch(std::make_unique_for_overwrite<detail::TraceBlockScratch>())
+      fileDigest(codec::fnvOffsetBasis)
 {
     GDIFF_ASSERT(ver == traceVersionV2 || ver == traceVersionV3,
                  "unsupported trace write version %u", ver);
     if (ver == traceVersionV3)
-        ring = std::make_unique<detail::TraceEncodeRing>();
+        ring = std::make_shared<detail::TraceEncodeRing>();
     if (toImage) {
         // Every block is at most a header and maxV3PayloadBytes.
         constexpr size_t blockBound =
@@ -934,7 +927,7 @@ void
 TraceWriter::writeV2Block(const TraceChunk &chunk)
 {
     const uint32_t n = chunk.size;
-    BlockColumns &cols = scratch->cols;
+    BlockColumns &cols = threadScratch().cols;
     gatherInstColumns(chunk, cols);
     auto writeCol = [&](const void *data, size_t bytes) {
         writeRaw(data, bytes, "block");
@@ -1092,8 +1085,6 @@ TraceWriter::writeV3Block(const TraceChunk &chunk,
                           std::unique_ptr<TraceChunk> *take)
 {
     detail::TraceEncodeRing &r = *ring;
-    if (r.submitted == 1)
-        startHelpers();
     // Keep the last committed block's slot: its payload still owes
     // the file digest.
     while (r.submitted - r.committed >= encodeSlots - 1)
@@ -1106,13 +1097,6 @@ TraceWriter::writeV3Block(const TraceChunk &chunk,
             std::make_unique_for_overwrite<uint8_t[]>(maxV3PayloadBytes);
     slot.records = chunk.size;
     slot.timed = obs::enabled();
-    if (r.helpers.empty()) {
-        encodeSlot(slot, chunk, *scratch);
-        ++r.submitted;
-        ++r.committed;
-        commitSlot(slot);
-        return;
-    }
     if (take) {
         // The slot's chunk is free: its block was committed.
         std::swap(slot.chunk, *take);
@@ -1127,26 +1111,17 @@ TraceWriter::writeV3Block(const TraceChunk &chunk,
         std::lock_guard<std::mutex> guard(r.lock);
         ++r.submitted;
     }
-    r.queued.notify_one();
-    while (commitNext(false)) {
+    // The first block's task is posted with the second's, so a
+    // one-block trace posts nothing: close() encodes it here.
+    const int tasks = r.submitted == 1 ? 0 : r.submitted == 2 ? 2 : 1;
+    for (int k = 0; k < tasks; ++k) {
+        workers::post([ring = ring] {
+            std::unique_lock<std::mutex> guard(ring->lock);
+            if (encodeOneTaken(*ring, guard, threadScratch()))
+                ring->encoded.notify_one(); // only the caller waits
+        });
     }
-}
-
-void
-TraceWriter::startHelpers()
-{
-    detail::TraceEncodeRing &r = *ring;
-    r.taken = r.submitted; // blocks so far were encoded here
-    r.helpers.reserve(encodeHelpers);
-    for (unsigned h = 0; h < encodeHelpers; ++h) {
-        r.scratch[h] =
-            std::make_unique_for_overwrite<detail::TraceBlockScratch>();
-        try {
-            r.helpers.emplace_back(runEncodeHelper, std::ref(r),
-                                   std::ref(*r.scratch[h]));
-        } catch (const std::system_error &) {
-            break; // fewer helpers; with none, blocks encode here
-        }
+    while (commitNext(false)) {
     }
 }
 
@@ -1158,10 +1133,16 @@ TraceWriter::commitNext(bool wait)
         return false;
     detail::TraceEncodeSlot &slot = r.slots[r.committed % encodeSlots];
     {
+        // While a worker encodes the oldest block, encode the next
+        // untaken ones here rather than idle; with no worker to take
+        // it, the oldest encodes here too.
         std::unique_lock<std::mutex> guard(r.lock);
-        if (!wait && !slot.encoded)
-            return false;
-        r.encoded.wait(guard, [&slot] { return slot.encoded; });
+        while (!slot.encoded) {
+            if (!wait)
+                return false;
+            if (!encodeOneTaken(r, guard, threadScratch()))
+                r.encoded.wait(guard);
+        }
         slot.encoded = false;
     }
     ++r.committed;
@@ -1214,22 +1195,6 @@ TraceWriter::commitSlot(const detail::TraceEncodeSlot &slot)
                       slot.encodeNs + (obs::nowNs() - t0));
 }
 
-void
-TraceWriter::drainRing()
-{
-    detail::TraceEncodeRing &r = *ring;
-    while (!st.failed() && commitNext(true)) {
-    }
-    {
-        std::lock_guard<std::mutex> guard(r.lock);
-        r.stopping = true;
-    }
-    r.queued.notify_all();
-    for (std::thread &t : r.helpers)
-        t.join();
-    r.helpers.clear();
-}
-
 TraceIoResult
 TraceWriter::close()
 {
@@ -1237,7 +1202,9 @@ TraceWriter::close()
         return st;
     flushPending();
     if (ver == traceVersionV3) {
-        drainRing();
+        // Commit every queued block in order (none after a failure).
+        while (!st.failed() && commitNext(true)) {
+        }
         fileDigest = codec::fnv1a(digestPayload, digestBytes, fileDigest);
         digestBytes = 0;
         FooterV3 foot{footerMagic, 0, fileDigest};
@@ -1288,8 +1255,7 @@ TraceWriter::takeImage(std::vector<TraceBlockRef> *index)
 
 TraceReader::TraceReader()
     : last(ioError(TraceIoStatus::IoError,
-                   "read from an unopened trace reader")),
-      scratch(std::make_unique<detail::TraceBlockScratch>())
+                   "read from an unopened trace reader"))
 {}
 
 TraceReader::~TraceReader()
@@ -1413,7 +1379,7 @@ TraceReader::readBlock(TraceChunk &chunk)
         p = take(v2RecordBytes * n);
         if (!p)
             return truncated();
-        decodeColumnsV2(p, n, chunk, *scratch);
+        decodeColumnsV2(p, n, chunk, threadScratch());
         consumed += n;
         return TraceIoResult{};
     }
@@ -1436,7 +1402,8 @@ TraceReader::readBlock(TraceChunk &chunk)
     ColumnSpan cols[numColumns];
     std::string why;
     if (!splitColumns(payload, bh.payloadBytes, bh.n, cols, &why) ||
-        !decodeColumnsV3(cols, bh.n, chunk, *scratch, false, &why)) {
+        !decodeColumnsV3(cols, bh.n, chunk, threadScratch(), false,
+                         &why)) {
         return ioError(TraceIoStatus::Corrupt,
                        formatString("%s has a corrupt block: %s",
                                     name.c_str(), why.c_str()));
@@ -1540,7 +1507,10 @@ decodeTraceBlock(const uint8_t *image, const TraceBlockRef &ref,
                          pcValueOnly, &why)) {
         chunk.clear();
         return ioError(TraceIoStatus::Corrupt,
-                       "trace image has a corrupt block: " + why);
+                       formatString("trace image has a corrupt block "
+                                    "(%u records at byte %zu): %s",
+                                    ref.records, ref.payload,
+                                    why.c_str()));
     }
     return TraceIoResult{};
 }

@@ -100,9 +100,7 @@ struct TraceIoResult
 };
 
 namespace detail {
-/// one block's encode or decode scratch (heap-allocated: ~250 KiB)
-struct TraceBlockScratch;
-/// a v3 writer's encode helpers and the ring of blocks they encode
+/// a v3 writer's ring of blocks on their way to the encoders
 struct TraceEncodeRing;
 /// one v3 block in a TraceEncodeRing
 struct TraceEncodeSlot;
@@ -130,15 +128,18 @@ struct TraceImage
 /**
  * Writes TraceRecords to a binary trace file in chunked blocks.
  *
- * A v3 writer encodes blocks on two helper threads. The first block
- * encodes on the calling thread; from the second block on, append()
- * copies each block into a ring of eight slots and returns once the
- * copy is queued, so the caller generates the next block while
- * earlier ones encode. The calling thread writes finished blocks to
- * the file in order, so the bytes are those of a serial encode. The
- * ring holds at most seven blocks in flight: append() waits for the
- * oldest when it is full. close() and the destructor commit every
- * queued block and join the helpers. A v2 writer starts no thread.
+ * A v3 writer encodes blocks on the process's worker pool
+ * (util/worker_pool.hh). append() copies each block into a ring of
+ * eight slots, posts a task to encode it, and returns, so the caller
+ * generates the next block while earlier ones encode; the first
+ * block's task waits for the second block, so a one-block trace posts
+ * nothing. The calling thread writes finished blocks to the file in
+ * order, so the bytes are those of a serial encode. The ring holds at
+ * most seven blocks in flight: append() waits for the oldest when it
+ * is full, and close() and the destructor for every queued block.
+ * While it waits, the calling thread encodes the blocks no worker has
+ * taken, so a writer finishes on a busy pool, or with none. A v2
+ * writer posts nothing.
  *
  * A v3 writer made by keepingImage() also keeps every byte it writes
  * in one image in memory. It copies each encoded block into the image
@@ -190,8 +191,8 @@ class TraceWriter
 
     /**
      * Append @p chunk as one block without copying it: a v3 writer
-     * that encodes on its helpers takes the chunk into its ring and
-     * leaves in @p chunk a free one whose records are unspecified.
+     * takes the chunk into its ring and leaves in @p chunk a free one
+     * whose records are unspecified.
      * Otherwise as append(const TraceChunk &).
      */
     void append(std::unique_ptr<TraceChunk> &chunk);
@@ -238,9 +239,8 @@ class TraceWriter
     void flushPending();
 
     /**
-     * Write one block in the selected format. A v3 block that a helper
-     * encodes is copied into the ring, or with @p take (which owns
-     * @p chunk) swapped in.
+     * Write one block in the selected format. A v3 block is copied
+     * into the ring, or with @p take (which owns @p chunk) swapped in.
      */
     void writeBlock(const TraceChunk &chunk,
                     std::unique_ptr<TraceChunk> *take);
@@ -249,30 +249,22 @@ class TraceWriter
     void writeV2Block(const TraceChunk &chunk);
 
     /**
-     * Hand @p chunk to the v3 encoders: encode it here while no
-     * helper runs, else queue it in the ring (a copy, or with @p take
-     * the chunk itself) and commit whatever has finished.
+     * Queue @p chunk in the ring (a copy, or with @p take the chunk
+     * itself), post its encode to the pool and commit whatever has
+     * finished.
      */
     void writeV3Block(const TraceChunk &chunk,
                       std::unique_ptr<TraceChunk> *take);
 
-    /** Start the encode helpers (at the second v3 block). */
-    void startHelpers();
-
     /**
-     * Commit the ring's oldest queued block, waiting for its encode
-     * when @p wait. @return false when there was none to commit.
+     * Commit the ring's oldest queued block. With @p wait, encode
+     * untaken blocks here until it is encoded, else wait for it.
+     * @return false when there was none to commit.
      */
     bool commitNext(bool wait);
 
     /** Digest and write the encoded block in @p slot. */
     void commitSlot(const detail::TraceEncodeSlot &slot);
-
-    /**
-     * Commit every queued block in order (none after a failure),
-     * then stop and join the helpers.
-     */
-    void drainRing();
 
     /** Add one block's encode time, starting at @p startNs. */
     void addEncodeTime(uint64_t startNs, uint64_t ns);
@@ -297,11 +289,8 @@ class TraceWriter
     uint64_t fileDigest = 0;
     TraceIoResult st;
     std::unique_ptr<TraceChunk> pending;
-    /// the calling thread's block scratch: the v2 columns, and a v3
-    /// block encoded while no helper runs
-    std::unique_ptr<detail::TraceBlockScratch> scratch;
     /// the v3 encode ring (null for v2)
-    std::unique_ptr<detail::TraceEncodeRing> ring;
+    std::shared_ptr<detail::TraceEncodeRing> ring;
     /// the last committed v3 block's payload (digestBytes bytes, none
     /// before the first block), which the next commit, or close(),
     /// hashes into fileDigest. It lives in that block's ring slot,
@@ -398,7 +387,6 @@ class TraceReader : public TraceSource
     uint64_t runningDigest = 0;
     TraceIoResult last;
     std::vector<uint8_t> blockBuf;
-    std::unique_ptr<detail::TraceBlockScratch> scratch;
 };
 
 /// The image reader's former name, kept for the benchmark's probes.

@@ -1,6 +1,8 @@
 /**
  * @file
- * Sweep-runner tests: grid parsing/expansion, the thread pool, the
+ * Sweep-runner tests: grid parsing/expansion, the thread pool and
+ * the process's worker pool under it (every test is bounded by a
+ * ctest TIMEOUT, so a deadlock fails rather than hangs), the
  * determinism contract (identical per-job metrics for 1 vs 4
  * threads, compared order-independently on the JSON-lines output),
  * resume via the manifest, and the structured sinks.
@@ -10,20 +12,30 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <future>
+#include <iterator>
+#include <latch>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/gvq.hh"
+#include "obs/obs.hh"
 #include "predictors/value_predictor.hh"
 #include "runner/factory.hh"
 #include "runner/runner.hh"
 #include "sample/sample.hh"
 #include "stats/table.hh"
+#include "util/logging.hh"
 #include "util/parse.hh"
+#include "util/worker_pool.hh"
+#include "workload/trace_disk_cache.hh"
+#include "workload/workload.hh"
 
 namespace gdiff {
 namespace runner {
@@ -157,6 +169,128 @@ TEST(ThreadPoolTest, DefaultsToHardwareConcurrency)
 {
     ThreadPool pool(0);
     EXPECT_GE(pool.threads(), 1u);
+    EXPECT_EQ(pool.threads(), workers::count());
+}
+
+/**
+ * Holds every worker of the process's pool in a task that waits on a
+ * latch, from construction until destruction.
+ */
+class PoolBlockers
+{
+  public:
+    PoolBlockers() : state(std::make_shared<State>())
+    {
+        for (unsigned w = 0; w < workers::count(); ++w) {
+            workers::post([s = state] {
+                s->arrived.count_down();
+                s->release.wait();
+            });
+        }
+        state->arrived.wait();
+    }
+
+    ~PoolBlockers() { state->release.count_down(); }
+
+  private:
+    struct State
+    {
+        std::latch arrived{static_cast<std::ptrdiff_t>(workers::count())};
+        std::latch release{1};
+    };
+    std::shared_ptr<State> state;
+};
+
+TEST(WorkerPoolTest, NestedForEachFinishesWhileEveryWorkerIsBusy)
+{
+    PoolBlockers busy;
+    ThreadPool pool(4);
+    constexpr size_t outer = 8, inner = 16;
+    std::vector<std::atomic<int>> hits(outer * inner);
+    pool.forEach(outer, [&](size_t o) {
+        pool.forEach(inner, [&](size_t i) { ++hits[o * inner + i]; });
+    });
+    for (size_t k = 0; k < hits.size(); ++k)
+        EXPECT_EQ(hits[k].load(), 1) << "index " << k;
+}
+
+TEST(WorkerPoolTest, ForEachFromAPoolWorker)
+{
+    auto ran = std::make_shared<std::promise<size_t>>();
+    std::future<size_t> once = ran->get_future();
+    workers::post([ran] {
+        constexpr size_t n = 1000;
+        std::vector<std::atomic<int>> hits(n);
+        ThreadPool(4).forEach(n, [&](size_t i) { ++hits[i]; });
+        size_t exactlyOnce = 0;
+        for (const std::atomic<int> &h : hits)
+            exactlyOnce += h.load() == 1;
+        ran->set_value(exactlyOnce);
+    });
+    EXPECT_EQ(once.get(), 1000u);
+}
+
+TEST(WorkerPoolTest, StoreOnABlockedPoolWritesThePinnedBytes)
+{
+    // 40 full blocks and one of 17 wrap the writer's ring five times;
+    // with every worker blocked, the storing thread encodes them all.
+    // The size and digest are TraceV3Bytes.EncoderOutputIsPinned's.
+    using namespace workload;
+    const uint64_t records = 40 * TraceChunk::capacity + 17;
+    DiskTraceCache::Config cfg;
+    cfg.root = tempPath("blocked_pool");
+    auto disk = std::make_shared<DiskTraceCache>(cfg);
+    const std::string entry =
+        cfg.root + "/" + DiskTraceCache::entryName("mcf", 1, records);
+    {
+        PoolBlockers busy;
+        auto exec = makeWorkload("mcf", 1).makeExecutor();
+        ASSERT_NE(disk->store("mcf", 1, records, *exec), nullptr);
+    }
+    std::ifstream in(entry, std::ios::binary);
+    std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    ASSERT_EQ(bytes.size(), 608570u);
+    uint64_t digest = 0;
+    std::memcpy(&digest, bytes.data() + bytes.size() - 8, 8);
+    EXPECT_EQ(digest, 0x94bc877a511c361bull);
+    std::remove(entry.c_str());
+    std::remove(cfg.root.c_str());
+}
+
+/**
+ * Run smallGrid() twice at four threads, print how many pool threads
+ * each sweep started, and exit.
+ */
+[[noreturn]] void
+sweepTwiceAndReportThreadStarts()
+{
+    obs::setEnabled(true);
+    unsigned long long starts[2] = {0, 0};
+    for (unsigned long long &n : starts) {
+        obs::reset();
+        SweepRunner sweep(smallGrid());
+        SweepOptions opt;
+        opt.threads = 4;
+        sweep.run(opt);
+        n = obs::snapshot().counters["pool.thread_start"];
+    }
+    std::fprintf(stderr, "pool threads started: %llu, then %llu\n",
+                 starts[0], starts[1]);
+    std::exit(0);
+}
+
+TEST(WorkerPoolDeath, ThreadsStartOnlyDuringTheFirstSweep)
+{
+    // A threadsafe death test re-executes the binary for this test
+    // alone, so no earlier test has started the pool.
+    const std::string style = ::testing::GTEST_FLAG(death_test_style);
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(sweepTwiceAndReportThreadStarts(),
+                ::testing::ExitedWithCode(0),
+                formatString("pool threads started: %u, then 0\n",
+                             workers::count()));
+    ::testing::GTEST_FLAG(death_test_style) = style;
 }
 
 // ------------------------------------------------- strict flag parse

@@ -2,7 +2,8 @@
  * @file
  * Serving-layer tests: wire framing edge cases over socketpairs, and
  * the gdiffd daemon end-to-end over a real Unix-domain socket —
- * bit-identity with in-process execution, the shared trace cache,
+ * bit-identity with in-process execution, the shared trace cache
+ * under concurrent cold and warm clients,
  * backpressure rejections, hostile-input survival, and queue-slot
  * reclamation when a client vanishes mid-sweep.
  */
@@ -76,16 +77,17 @@ constexpr const char *kSmallGrid =
 constexpr uint64_t kSmallInstructions = 20000;
 constexpr uint64_t kSmallWarmup = 2000;
 
-/** Submit kSmallGrid and collect the deterministic payload lines. */
+/** Submit @p grid and collect the deterministic payload lines. */
 std::vector<std::string>
-submitSmallGrid(Client &client, const std::string &name,
-                SweepOutcome *outcome = nullptr)
+submitGrid(Client &client, const std::string &name, const char *grid,
+           uint64_t instructions, uint64_t warmup,
+           SweepOutcome *outcome = nullptr)
 {
     SubmitRequest req;
-    req.grid = kSmallGrid;
+    req.grid = grid;
     req.client = name;
-    req.instructions = kSmallInstructions;
-    req.warmup = kSmallWarmup;
+    req.instructions = instructions;
+    req.warmup = warmup;
     std::string error;
     std::vector<std::string> lines;
     if (!client.submit(req, &error)) {
@@ -100,6 +102,15 @@ submitSmallGrid(Client &client, const std::string &name,
         << error;
     std::sort(lines.begin(), lines.end());
     return lines;
+}
+
+/** Submit kSmallGrid and collect the deterministic payload lines. */
+std::vector<std::string>
+submitSmallGrid(Client &client, const std::string &name,
+                SweepOutcome *outcome = nullptr)
+{
+    return submitGrid(client, name, kSmallGrid, kSmallInstructions,
+                      kSmallWarmup, outcome);
 }
 
 } // namespace
@@ -506,6 +517,60 @@ TEST(DaemonTest, SecondClientIsServedEntirelyFromTheSharedCache)
               generationsAfterFirst);
     EXPECT_EQ(warmOutcome.generated, 0u);
     EXPECT_EQ(warmOutcome.replayed, warmOutcome.jobs);
+}
+
+TEST(DaemonTest, ConcurrentClientsColdThenWarmAgreeAndShareTheCache)
+{
+    // Four clients race the same grid at a default daemon, twice. The
+    // cold wave materializes each distinct (workload, seed, budget)
+    // triple once however many clients race for it (generated, or
+    // loaded from a disk tier GDIFF_TRACE_CACHE_DIR names); the warm
+    // wave generates nothing. Every client's sorted deterministic
+    // results equal cold client 0's.
+    constexpr unsigned kClients = 4;
+    constexpr const char *kGrid =
+        "workload=mcf,gzip;predictor=stride,gdiff;order=4,8";
+    DaemonConfig cfg;
+    cfg.socketPath = testSocketPath();
+    Daemon daemon(cfg);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+
+    auto wave = [&](const std::string &name) {
+        std::vector<std::vector<std::string>> lines(kClients);
+        std::vector<std::thread> clients;
+        for (unsigned c = 0; c < kClients; ++c) {
+            clients.emplace_back([&, c] {
+                Client client;
+                std::string why;
+                if (!client.connect(cfg.socketPath, &why)) {
+                    ADD_FAILURE() << name << " client " << c << ": " << why;
+                    return;
+                }
+                lines[c] = submitGrid(client, name + std::to_string(c),
+                                      kGrid, 200'000, 20'000);
+            });
+        }
+        for (std::thread &t : clients)
+            t.join();
+        return lines;
+    };
+
+    std::vector<std::vector<std::string>> cold = wave("cold_client");
+    workload::TraceCache::Stats afterCold = daemon.stats().traceCache;
+    ASSERT_EQ(cold[0].size(), 8u);
+    for (unsigned c = 1; c < kClients; ++c)
+        EXPECT_EQ(cold[c], cold[0]) << "cold client " << c;
+    EXPECT_EQ(afterCold.generations + afterCold.diskHits, 2u);
+
+    std::vector<std::vector<std::string>> warm = wave("warm_client");
+    for (unsigned c = 0; c < kClients; ++c)
+        EXPECT_EQ(warm[c], cold[0]) << "warm client " << c;
+    EXPECT_EQ(daemon.stats().traceCache.generations,
+              afterCold.generations);
+
+    daemon.requestDrain();
+    daemon.waitUntilDrained();
 }
 
 TEST(DaemonTest, OversweepIsRejectedWithBackpressure)
